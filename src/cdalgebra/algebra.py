@@ -21,6 +21,12 @@ class Convention(str, Enum):
     The two variants build isomorphic algebras but differ elementwise,
     so every basis-level sign in tests and exported tables is pinned to
     one of them. ``CONJUGATE_RIGHT`` is the default everywhere.
+
+    ``eq31`` is the opposite algebra of ``eq11``: x*y under eq31 equals
+    y*x under eq11 at every depth, signs and stage masks included (by
+    induction, eq31(a, b) and eq11(b, a) expand to the same pair). The
+    code therefore implements only the eq11 formula and reaches eq31 by
+    swapping operands, or transposing tables, at the public entry points.
     """
 
     CONJUGATE_RIGHT = "eq11"  # (a1*b1 + g*conj(b2)*a2, a2*conj(b1) + b2*a1)
@@ -147,14 +153,13 @@ def _scale(c, a: tuple) -> tuple:
     return tuple(c * x for x in a)
 
 
-def _mul(a: tuple, b: tuple, gammas: tuple, right_conj: bool) -> tuple:
-    """Doubling product on raw coefficient tuples, recursing on halves."""
+def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
+    """eq11 doubling product on raw coefficient tuples, recursing on halves."""
     n = len(a)
     if n == 1:
         return (a[0] * b[0],)
     if n == 2:
-        # Depth-1 case written out; both conventions agree over commutative
-        # scalars where conjugation is the identity.
+        # Depth-1 case written out; conjugation is the identity on scalars.
         g = gammas[-1]
         return (a[0] * b[0] + g * b[1] * a[1], a[0] * b[1] + a[1] * b[0])
     if not any(a) or not any(b):
@@ -164,16 +169,8 @@ def _mul(a: tuple, b: tuple, gammas: tuple, right_conj: bool) -> tuple:
     rest = gammas[:-1]
     a1, a2 = a[:h], a[h:]
     b1, b2 = b[:h], b[h:]
-    if right_conj:
-        lo = _add(_mul(a1, b1, rest, right_conj),
-                  _scale(g, _mul(_conj(b2), a2, rest, right_conj)))
-        hi = _add(_mul(a2, _conj(b1), rest, right_conj),
-                  _mul(b2, a1, rest, right_conj))
-    else:
-        lo = _add(_mul(a1, b1, rest, right_conj),
-                  _scale(g, _mul(b2, _conj(a2), rest, right_conj)))
-        hi = _add(_mul(_conj(a1), b2, rest, right_conj),
-                  _mul(b1, a2, rest, right_conj))
+    lo = _add(_mul(a1, b1, rest), _scale(g, _mul(_conj(b2), a2, rest)))
+    hi = _add(_mul(a2, _conj(b1), rest), _mul(b2, a1, rest))
     return lo + hi
 
 
@@ -229,10 +226,10 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_compatible(other)
-            right_conj = self.signature.convention is Convention.CONJUGATE_RIGHT
-            return Element(self.signature,
-                           _mul(self.coeffs, other.coeffs, self.signature.gammas,
-                                right_conj))
+            a, b = self.coeffs, other.coeffs
+            if self.signature.convention is Convention.CONJUGATE_LEFT:
+                a, b = b, a
+            return Element(self.signature, _mul(a, b, self.signature.gammas))
         if isinstance(other, (int, Fraction)):
             return Element(self.signature, _scale(as_rational(other), self.coeffs))
         return NotImplemented

@@ -37,6 +37,19 @@ class CliError(Exception):
     """Contract violation reported with exit code 1."""
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer flag with a lower bound (usage error below)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -154,8 +167,11 @@ def field_rows(field: ResidueField) -> List[dict]:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -207,9 +223,9 @@ def _cmd_verify(args) -> int:
     chunks = []
     for name in names:
         kwargs = {}
-        if name in ("core",) and args.samples:
+        if name == "core" and args.samples is not None:
             kwargs["samples"] = args.samples
-        if name == "core" and args.t:
+        if name == "core" and args.t is not None:
             kwargs["depths"] = tuple(range(1, args.t + 1))
         result = SUITES[name](**kwargs)
         ok = ok and result.passed
@@ -271,6 +287,8 @@ def _cmd_label(args) -> int:
     if (args.u is None) == (args.k is None):
         raise CliError("provide exactly one of --u or --k")
     if args.u is not None:
+        if len(args.u) != 2:
+            raise CliError("--u takes exactly two coordinates a,b")
         u = UElement(args.u[0], args.u[1], field.gen)
         _emit(f"label={field.label(u)}\n", args.output)
     else:
@@ -308,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to this path instead of stdout")
 
     p = sub.add_parser("mul-table", help="emit the structure-constant table")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_at_least(0), required=True)
     p.add_argument("--gammas", type=_fraction_list, required=True,
                    help="comma-separated stage parameters, e.g. -1,-1")
     p.add_argument("--convention", type=_convention,
@@ -318,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mul_table)
 
     p = sub.add_parser("twist", help="sign and index of one basis product")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_at_least(0), required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--convention", type=_convention,
@@ -327,24 +345,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_twist)
 
     p = sub.add_parser("blocks", help="classify 2x2 tiles of the sign table")
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", type=_int_at_least(0), required=True)
     p.add_argument("--convention", type=_convention,
                    default=Convention.CONJUGATE_LEFT)
     add_common(p)
     p.set_defaults(func=_cmd_blocks)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--t", type=int, default=0,
+    p.add_argument("--t", type=_int_at_least(1), default=None,
                    help="cap the depth range for the core suite")
     p.add_argument("--suite", choices=("core", "twist", "fib", "residue", "all"),
                    default="all")
-    p.add_argument("--samples", type=int, default=0,
+    p.add_argument("--samples", type=_int_at_least(1), default=None,
                    help="random samples per depth for the core suite")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("fib-norm", help="norms of one Fibonacci quaternion")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--alpha1", type=_fraction, required=True)
     p.add_argument("--alpha2", type=_fraction, required=True)
     add_common(p)
@@ -353,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="energy sign and stabilization index")
     p.add_argument("--alpha1", type=_fraction, required=True)
     p.add_argument("--alpha2", type=_fraction, required=True)
-    p.add_argument("--nmax", type=int, default=200)
+    p.add_argument("--nmax", type=_int_at_least(0), default=200)
     add_common(p)
     p.set_defaults(func=_cmd_threshold)
 

@@ -293,7 +293,3 @@ SUITES = {
     "fib": run_fib_suite,
     "residue": run_residue_suite,
 }
-
-
-def run_suites(names: Sequence[str], **kwargs) -> List[SuiteResult]:
-    return [SUITES[name](**kwargs.get(name, {})) for name in names]

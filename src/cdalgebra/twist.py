@@ -53,13 +53,14 @@ class TwistCoefficient:
         return self.sign if self.gamma_mask.bit_count() % 2 == 0 else -self.sign
 
 
-def _coefficient(p: int, q: int, t: int, right_conj: bool) -> Tuple[int, int]:
-    """(sign, gamma_mask) of the basis product, by descent on the top bit.
+def _coefficient(p: int, q: int, t: int) -> Tuple[int, int]:
+    """(sign, gamma_mask) of the eq11 basis product, by descent on the top bit.
 
     Each case is one line of the doubling product applied to unit
     vectors: a swapped recursion where the product order reverses, a
     sign flip where a conjugated pure basis vector appears, and the
-    stage bit where the doubling parameter enters.
+    stage bit where the doubling parameter enters.  eq31 is the opposite
+    product, so callers reach it by passing (q, p).
     """
     sign = 1
     mask = 0
@@ -71,28 +72,16 @@ def _coefficient(p: int, q: int, t: int, right_conj: bool) -> Tuple[int, int]:
         q &= half - 1
         if ph == 0 and qh == 0:
             continue
-        if right_conj:
-            if ph == 0:  # low * high: recurse on (q, p)
-                p, q = q, p
-            elif qh == 0:  # high * low: right factor is conjugated
-                if q != 0:
-                    sign = -sign
-            else:  # high * high: conjugated right factor, swapped, parameter
-                if q != 0:
-                    sign = -sign
-                mask |= half
-                p, q = q, p
-        else:
-            if ph == 0:  # low * high: left factor is conjugated
-                if p != 0:
-                    sign = -sign
-            elif qh == 0:  # high * low: recurse on (q, p)
-                p, q = q, p
-            else:  # high * high: conjugated left factor, swapped, parameter
-                if p != 0:
-                    sign = -sign
-                mask |= half
-                p, q = q, p
+        if ph == 0:  # low * high: recurse on (q, p)
+            p, q = q, p
+        elif qh == 0:  # high * low: right factor is conjugated
+            if q != 0:
+                sign = -sign
+        else:  # high * high: conjugated right factor, swapped, parameter
+            if q != 0:
+                sign = -sign
+            mask |= half
+            p, q = q, p
     return sign, mask
 
 
@@ -101,8 +90,10 @@ def basis_product(p: int, q: int, sig: AlgebraSignature) -> Tuple[TwistCoefficie
     n = sig.dimension
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError(f"basis indices ({p}, {q}) out of range for dimension {n}")
-    sign, mask = _coefficient(p, q, sig.t,
-                              sig.convention is Convention.CONJUGATE_RIGHT)
+    if sig.convention is Convention.CONJUGATE_LEFT:
+        sign, mask = _coefficient(q, p, sig.t)
+    else:
+        sign, mask = _coefficient(p, q, sig.t)
     return TwistCoefficient(sign, mask), p ^ q
 
 
@@ -117,7 +108,9 @@ def twist_sign(p: int, q: int, t: int,
     """Sign of the basis product when every stage parameter is -1."""
     if not (0 <= p < 1 << t and 0 <= q < 1 << t):
         raise ValueError(f"basis indices ({p}, {q}) out of range for depth {t}")
-    sign, mask = _coefficient(p, q, t, convention is Convention.CONJUGATE_RIGHT)
+    if convention == Convention.CONJUGATE_LEFT:
+        p, q = q, p
+    sign, mask = _coefficient(p, q, t)
     return sign if mask.bit_count() % 2 == 0 else -sign
 
 
@@ -155,12 +148,13 @@ class TwistTable:
 
     def sign_table(self) -> np.ndarray:
         """Collapsed signs under all-(-1) parameters, as an int8 matrix."""
-        parity = np.zeros_like(self.gamma_masks)
-        for b in range(self.t):
-            parity ^= self.gamma_masks >> b & 1
-        signs = self.base_signs.copy()
-        signs[parity == 1] *= -1
-        return signs
+        # Fold the t mask bits onto bit 0 by xor in log2(t) passes.
+        parity = self.gamma_masks
+        shift = 1
+        while shift < self.t:
+            parity = parity ^ parity >> shift
+            shift <<= 1
+        return np.where(parity & 1, -self.base_signs, self.base_signs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistTable):
@@ -179,7 +173,8 @@ def build_table(t: int, convention: Convention = Convention.CONJUGATE_RIGHT,
 
     The size-2**t table is assembled from the size-2**(t-1) table with
     the same quadrant rules the elementwise recursion uses, so the two
-    routes can be checked against each other.
+    routes can be checked against each other.  The eq31 table is the
+    opposite product's, returned as transposed views of the eq11 planes.
     """
     if t < 1:
         raise ValueError("table depth must be >= 1")
@@ -199,25 +194,17 @@ def build_table(t: int, convention: Convention = Convention.CONJUGATE_RIGHT,
         col_flip[1:] = -1
         s[:h, :h] = signs
         m[:h, :h] = masks
-        if convention is Convention.CONJUGATE_RIGHT:
-            # (p, q+h) <- (q, p); (p+h, q) <- (p, q) negated on q != 0;
-            # (p+h, q+h) <- (q, p) negated on q != 0, with the stage bit.
-            s[:h, h:] = st
-            m[:h, h:] = mt
-            s[h:, :h] = signs * col_flip[np.newaxis, :]
-            m[h:, :h] = masks
-            s[h:, h:] = st * col_flip[np.newaxis, :]
-            m[h:, h:] = mt | np.uint16(h)
-        else:
-            # (p, q+h) <- (p, q) negated on p != 0; (p+h, q) <- (q, p);
-            # (p+h, q+h) <- (q, p) negated on p != 0, with the stage bit.
-            s[:h, h:] = signs * col_flip[:, np.newaxis]
-            m[:h, h:] = masks
-            s[h:, :h] = st
-            m[h:, :h] = mt
-            s[h:, h:] = st * col_flip[:, np.newaxis]
-            m[h:, h:] = mt | np.uint16(h)
+        # (p, q+h) <- (q, p); (p+h, q) <- (p, q) negated on q != 0;
+        # (p+h, q+h) <- (q, p) negated on q != 0, with the stage bit.
+        s[:h, h:] = st
+        m[:h, h:] = mt
+        s[h:, :h] = signs * col_flip[np.newaxis, :]
+        m[h:, :h] = masks
+        s[h:, h:] = st * col_flip[np.newaxis, :]
+        m[h:, h:] = mt | np.uint16(h)
         signs, masks = s, m
+    if convention is Convention.CONJUGATE_LEFT:
+        signs, masks = signs.T, masks.T
     return TwistTable(t, convention, signs, masks)
 
 
@@ -247,10 +234,6 @@ class BlockKind(IntEnum):
         return _BLOCK_LABELS[self]
 
 
-PUBLISHED_KINDS = frozenset(
-    {BlockKind.A, BlockKind.B, BlockKind.C, BlockKind.NEG_B, BlockKind.NEG_C,
-     BlockKind.A_CORNER})
-
 _BLOCK_PATTERNS = np.array(
     [
         [[1, 1], [1, -1]],    # A
@@ -276,9 +259,13 @@ _BLOCK_LABELS = {
 }
 
 
+def _bit_reverse(x: int, t: int) -> int:
+    return int(format(x, f"0{t}b")[::-1], 2)
+
+
 def bit_reversal_permutation(t: int) -> np.ndarray:
     """Index permutation between XOR order and doubling-tree order."""
-    return np.array([int(format(p, f"0{t}b")[::-1], 2) for p in range(1 << t)])
+    return np.array([_bit_reverse(p, t) for p in range(1 << t)])
 
 
 def partition_blocks(table: TwistTable, strict: bool = False) -> np.ndarray:
@@ -429,10 +416,6 @@ def power_row_operands(r: int, k: int, i: int, t: int) -> Tuple[int, int]:
     row = 1 << (k - r + 1)
     col = (1 << i) | (((1 << (k + 1)) - 1) ^ ((1 << r) - 1))  # bit i plus bits r..k
     return row, col
-
-
-def _bit_reverse(x: int, t: int) -> int:
-    return int(format(x, f"0{t}b")[::-1], 2)
 
 
 def check_power_row_claim(r: int, k: int, i: int, t: int,

@@ -1,8 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdalgebra.cli import field_from_dict, field_to_dict, run, table_from_dict
 from cdalgebra.twist import build_table
@@ -188,6 +193,13 @@ class TestLabelCommand:
         assert code == 1
         assert "--u or --k" in err
 
+    @pytest.mark.parametrize("coords", ["1", "-3,1,9"])
+    def test_u_takes_exactly_two_coordinates(self, capsys, coords):
+        code, out, err = invoke(capsys, "label", *self.ARGS, "--u", coords)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --u takes exactly two coordinates")
+
 
 class TestEncodeCommand:
     ARGS = ("--pi", "-1,2", "--w", "1,1,1,1", "--t", "2")
@@ -202,6 +214,16 @@ class TestEncodeCommand:
         code, _, err = invoke(capsys, "encode", *self.ARGS, "--symbols", "13")
         assert code == 1
         assert "range" in err
+
+
+class TestOutputErrors:
+    def test_missing_directory_is_contract_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = invoke(capsys, "fib-norm", "--n", "3", "--alpha1", "1",
+                                "--alpha2", "1", "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
 
 
 class TestUsageErrors:
@@ -219,3 +241,79 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(["fib-norm", "--n", "1", "--alpha1", "x", "--alpha2", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "core", "--samples", "-5", "--t", "1"],
+        ["verify", "--suite", "core", "--samples", "0", "--t", "1"],
+        ["verify", "--suite", "core", "--t", "-1"],
+        ["verify", "--suite", "core", "--t", "0"],
+        ["twist", "--t", "-1", "--p", "1", "--q", "2"],
+        ["mul-table", "--t", "-1", "--gammas", "-1"],
+        ["blocks", "--t", "-1"],
+        ["threshold", "--alpha1", "1", "--alpha2", "1", "--nmax", "-1"],
+        ["fib-norm", "--n", "-1", "--alpha1", "1", "--alpha2", "1"],
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "must be >= " in capsys.readouterr().err
+
+
+# ---- fuzz: every input ends in a result or an error line --------------------
+
+_MISSING_OUTPUT = str(Path(__file__).parent / "no-such-dir" / "out.txt")
+_small = st.integers(-3, 5).map(str)
+_list = st.lists(st.integers(-4, 4), max_size=5).map(
+    lambda v: ",".join(map(str, v)))
+_rational = st.sampled_from(["1", "-1", "0", "2", "1/2", "-2/3", "x"])
+_convention = st.sampled_from(["eq11", "eq31", "eq99"])
+# Lean towards the 13-element golden field so the per-command flags are reached.
+_field = {"pi": st.one_of(st.just("-1,2"), _list),
+          "w": st.one_of(st.just("1,1,1,1"), _list),
+          "t": st.one_of(st.just("2"), _small)}
+_field_optional = {"p": _small, "basis": _list}
+
+
+def _command(name, required, optional=None):
+    return st.tuples(st.just(name), st.fixed_dictionaries(
+        required, optional={"output": st.just(_MISSING_OUTPUT), **(optional or {})}))
+
+
+_COMMANDS = st.one_of(
+    _command("mul-table", {"t": _small, "gammas": _list},
+             {"convention": _convention, "format": st.sampled_from(["csv", "json"])}),
+    _command("twist", {"t": _small, "p": _small, "q": _small},
+             {"convention": _convention}),
+    _command("blocks", {"t": _small}, {"convention": _convention}),
+    # Both bounds required: the defaults would run the full core sweep.
+    _command("verify", {"suite": st.just("core"),
+                        "samples": st.integers(-2, 2).map(str),
+                        "t": st.integers(-2, 3).map(str)}),
+    _command("fib-norm", {"n": st.integers(-3, 30).map(str),
+                          "alpha1": _rational, "alpha2": _rational}),
+    _command("threshold", {"alpha1": _rational, "alpha2": _rational},
+             {"nmax": st.integers(-3, 30).map(str)}),
+    _command("residue-field", _field,
+             {**_field_optional, "format": st.sampled_from(["csv", "json"])}),
+    _command("label", _field, {**_field_optional, "u": _list, "k": _small}),
+    _command("encode", {**_field, "symbols": _list}, _field_optional),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_COMMANDS)
+def test_fuzz_run_ends_in_result_or_error_line(command):
+    name, flags = command
+    argv = [name]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code:
+        assert "error:" in err.getvalue()

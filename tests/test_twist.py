@@ -18,6 +18,33 @@ RIGHT = Convention.CONJUGATE_RIGHT
 LEFT = Convention.CONJUGATE_LEFT
 
 
+def _eq31_product(x, y, gammas):
+    """eq31 doubling product: (a, b)(c, d) = (ac + g d conj(b), conj(a) d + c b)."""
+    if len(x) == 1:
+        return [x[0] * y[0]]
+    h = len(x) // 2
+    g, rest = gammas[-1], gammas[:-1]
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+
+    def conj(v):
+        return v[:1] + [-e for e in v[1:]]
+
+    lo = [u + g * w for u, w in zip(_eq31_product(a, c, rest),
+                                    _eq31_product(d, conj(b), rest))]
+    hi = [u + w for u, w in zip(_eq31_product(conj(a), d, rest),
+                                _eq31_product(c, b, rest))]
+    return lo + hi
+
+
+def _random_coeffs(n, rng):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.3
+            else rng.randint(-9, 9) for _ in range(n)]
+
+
+def _unit(p, n):
+    return [1 if i == p else 0 for i in range(n)]
+
+
 class TestBasisProduct:
     def test_unit_row(self):
         sig = make_algebra(3, [-1] * 3, RIGHT)
@@ -91,11 +118,37 @@ class TestTwistSign:
                                     * twist_sign(q, p, t, conv)) == -1
 
     def test_opposite_products_transpose(self):
-        for t in (2, 3, 4, 5, 6):
-            n = 1 << t
+        # The library reaches eq31 by swapping eq11 operands; this checks
+        # that against the eq31 pair formula written out independently.
+        rng = random.Random(31)
+        pool = (-1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7))
+        for t in range(6):
+            sig = make_algebra(t, [rng.choice(pool) for _ in range(t)], LEFT)
+            for _ in range(6):
+                x, y = (sig.element(_random_coeffs(sig.dimension, rng))
+                        for _ in range(2))
+                assert (x * y).coeffs == tuple(
+                    _eq31_product(list(x.coeffs), list(y.coeffs), sig.gammas))
+        # Distinct primes as stage parameters make the oracle's value
+        # spell out the sign and the gamma mask of each basis product.
+        primes = (2, 3, 5, 7)
+        for t in range(1, 5):
+            sig = make_algebra(t, primes[:t], LEFT)
+            table = build_table(t, LEFT)
+            signs = table.sign_table()
+            n = sig.dimension
             for p in range(n):
                 for q in range(n):
-                    assert twist_sign(p, q, t, LEFT) == twist_sign(q, p, t, RIGHT)
+                    prod = _eq31_product(_unit(p, n), _unit(q, n), sig.gammas)
+                    value = prod[p ^ q]
+                    assert sum(c != 0 for c in prod) == 1
+                    mask = sum(1 << i for i, g in enumerate(primes[:t])
+                               if value % g == 0)
+                    want = TwistCoefficient(1 if value > 0 else -1, mask)
+                    assert basis_product(p, q, sig) == (want, p ^ q)
+                    assert table.entry(p, q) == want
+                    assert (signs[p, q] == twist_sign(p, q, t, LEFT)
+                            == want.sign_all_minus_one())
 
     def test_stable_under_index_doubling(self):
         for t in (1, 2, 3, 4, 5):
