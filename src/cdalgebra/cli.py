@@ -29,23 +29,25 @@ from .fibonacci import (QuaternionParams, energy, fib_norm_direct,
                         fib_norm_formula, invertibility_threshold)
 from .residue import ResidueField, UElement, make_w, residue_field
 from .suites import SUITES
-from .twist import (BlockKind, TwistTable, build_table, partition_blocks,
-                    twist_sign)
+from .twist import (MAX_TABLE_DEPTH, BlockKind, TwistTable, build_table,
+                    partition_blocks, twist_sign)
 
 
 class CliError(Exception):
     """Contract violation reported with exit code 1."""
 
 
-def _int_at_least(minimum: int):
-    """argparse type for an integer flag with a lower bound (usage error below)."""
+def _int_in_range(minimum: int, maximum: Optional[int] = None):
+    """argparse type for a bounded integer flag (usage error outside the bounds)."""
+    bounds = f">= {minimum}" if maximum is None else f">= {minimum} and <= {maximum}"
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if value < minimum or (maximum is not None and value > maximum):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
         return value
     return parse
 
@@ -105,23 +107,6 @@ def table_to_dict(table: TwistTable, gammas: Sequence[Fraction]) -> dict:
     }
 
 
-def table_from_dict(data: dict) -> TwistTable:
-    """Rebuild a table from its JSON form and cross-check the index law."""
-    import numpy as np
-
-    t = int(data["t"])
-    n = 1 << t
-    signs = np.zeros((n, n), dtype=np.int8)
-    masks = np.zeros((n, n), dtype=np.uint16)
-    for row in data["entries"]:
-        p, q = int(row["p"]), int(row["q"])
-        if int(row["index"]) != p ^ q:
-            raise ValueError(f"index law violated at ({p}, {q})")
-        signs[p, q] = int(row["sign"])
-        masks[p, q] = int(row["gamma_mask"], 2) if row["gamma_mask"] else 0
-    return TwistTable(t, Convention(data["convention"]), signs, masks)
-
-
 def field_to_dict(field: ResidueField) -> dict:
     return {
         "p": field.p,
@@ -134,30 +119,6 @@ def field_to_dict(field: ResidueField) -> dict:
         "labels": [{"k": k, "a": u.a, "b": u.b, "norm": u.norm()}
                    for k, u in enumerate(field.reps)],
     }
-
-
-def field_from_dict(data: dict) -> ResidueField:
-    """Rebuild a residue field from its JSON form, revalidating labels."""
-    from .algebra import AlgebraSignature
-    from .residue import WGenerator
-
-    sig = AlgebraSignature(int(data["t"]), (-1,) * int(data["t"]))
-    gen = WGenerator(sig.element([int(c) for c in data["w_coeffs"]]))
-    if (gen.q, gen.m) != (data["w_trace"], data["w_norm"]):
-        raise ValueError("generator quadratic data does not match")
-    pi = UElement(int(data["pi"][0]), int(data["pi"][1]), gen)
-    reps = [None] * int(data["p"])
-    for row in data["labels"]:
-        u = UElement(int(row["a"]), int(row["b"]), gen)
-        if u.norm() != row["norm"]:
-            raise ValueError(f"stored norm mismatch at label {row['k']}")
-        reps[int(row["k"])] = u
-    field = ResidueField(pi=pi, p=int(data["p"]), s=int(data["s"]),
-                         reps=tuple(reps))
-    for k, u in enumerate(field.reps):
-        if field.label(u) != k:
-            raise ValueError(f"label table inconsistent at {k}")
-    return field
 
 
 def field_rows(field: ResidueField) -> List[dict]:
@@ -326,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to this path instead of stdout")
 
     p = sub.add_parser("mul-table", help="emit the structure-constant table")
-    p.add_argument("--t", type=_int_at_least(0), required=True)
+    p.add_argument("--t", type=_int_in_range(1), required=True)
     p.add_argument("--gammas", type=_fraction_list, required=True,
                    help="comma-separated stage parameters, e.g. -1,-1")
     p.add_argument("--convention", type=_convention,
@@ -336,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mul_table)
 
     p = sub.add_parser("twist", help="sign and index of one basis product")
-    p.add_argument("--t", type=_int_at_least(0), required=True)
+    p.add_argument("--t", type=_int_in_range(0), required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--convention", type=_convention,
@@ -345,24 +306,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_twist)
 
     p = sub.add_parser("blocks", help="classify 2x2 tiles of the sign table")
-    p.add_argument("--t", type=_int_at_least(0), required=True)
+    p.add_argument("--t", type=_int_in_range(1), required=True)
     p.add_argument("--convention", type=_convention,
                    default=Convention.CONJUGATE_LEFT)
     add_common(p)
     p.set_defaults(func=_cmd_blocks)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--t", type=_int_at_least(1), default=None,
+    p.add_argument("--t", type=_int_in_range(1), default=None,
                    help="cap the depth range for the core suite")
     p.add_argument("--suite", choices=("core", "twist", "fib", "residue", "all"),
                    default="all")
-    p.add_argument("--samples", type=_int_at_least(1), default=None,
+    p.add_argument("--samples", type=_int_in_range(1), default=None,
                    help="random samples per depth for the core suite")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("fib-norm", help="norms of one Fibonacci quaternion")
-    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--n", type=_int_in_range(0), required=True)
     p.add_argument("--alpha1", type=_fraction, required=True)
     p.add_argument("--alpha2", type=_fraction, required=True)
     add_common(p)
@@ -371,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="energy sign and stabilization index")
     p.add_argument("--alpha1", type=_fraction, required=True)
     p.add_argument("--alpha2", type=_fraction, required=True)
-    p.add_argument("--nmax", type=_int_at_least(0), default=200)
+    p.add_argument("--nmax", type=_int_in_range(0), default=200)
     add_common(p)
     p.set_defaults(func=_cmd_threshold)
 
@@ -382,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prime as a,b coordinates over (1, w)")
         p.add_argument("--w", type=_int_list, required=True,
                        help="generator coefficients c0,c1,c2,c3")
-        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--t", type=_int_in_range(2, MAX_TABLE_DEPTH), required=True)
         p.add_argument("--basis", type=_int_list, default=None,
                        help="three distinct basis indices, default 1,2,3")
         add_common(p)

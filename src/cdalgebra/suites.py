@@ -1,6 +1,6 @@
 """Runnable invariant suites over the algebra, twist, sequence and residue layers.
 
-Each suite draws seeded random data, counts individual checks, and
+Each suite draws seeded random data, counts checks per invariant family, and
 collects failure descriptions instead of raising, so a driver can report
 totals and exit nonzero only at the end.
 """
@@ -9,10 +9,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from .algebra import (AlgebraSignature, Convention, Element, make_algebra,
-                      quadratic_check)
+from .algebra import AlgebraSignature, Convention, Element, make_algebra
 from . import fibonacci as fibmod
 from . import residue as resmod
 from . import twist as twistmod
@@ -22,19 +21,25 @@ GAMMA_POOL = (-1, 1, -2, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
 
 @dataclass
 class SuiteResult:
+    """Checks counted per invariant family, plus the first failures."""
+
     name: str
-    checks: int = 0
+    counts: Dict[str, int] = field(default_factory=dict)
     failures: List[str] = field(default_factory=list)
     max_recorded = 20
+
+    @property
+    def checks(self) -> int:
+        return sum(self.counts.values())
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def expect(self, condition: bool, message: str) -> None:
-        self.checks += 1
+    def expect(self, condition: bool, family: str, detail: str) -> None:
+        self.counts[family] = self.counts.get(family, 0) + 1
         if not condition and len(self.failures) < self.max_recorded:
-            self.failures.append(message)
+            self.failures.append(f"{family}: {detail}")
 
     def summary(self) -> str:
         status = "ok" if self.passed else "FAILED"
@@ -71,53 +76,63 @@ def run_core_suite(samples: int = 200, depths: Sequence[int] = (1, 2, 3, 4),
     out = SuiteResult("core")
     for t in depths:
         for conv in Convention:
-            sig = random_signature(t, rng, conv)
-            _basis_law_checks(sig, out)
+            basis_law_checks(random_signature(t, rng, conv), out)
             for _ in range(samples):
                 sig = random_signature(t, rng, conv)
                 x = random_element(sig, rng, fraction_rate=0.05)
                 y = random_element(sig, rng, fraction_rate=0.05)
-                tag = f"t={t} {conv.value}"
-                xc = x.conjugate()
-                out.expect(xc.conjugate() == x, f"{tag}: double conjugation")
-                out.expect((x * y).conjugate() == y.conjugate() * xc,
-                           f"{tag}: conjugation reverses products")
-                s = x + xc
-                out.expect(not any(s.coeffs[1:]) and s.coeffs[0] == x.trace(),
-                           f"{tag}: x + conj(x) is the trace scalar")
-                n = x * xc
-                out.expect(not any(n.coeffs[1:]) and n.coeffs[0] == x.norm(),
-                           f"{tag}: x * conj(x) is the norm scalar")
-                out.expect(quadratic_check(x), f"{tag}: quadratic identity")
-                out.expect(x * (y * x) == (x * y) * x, f"{tag}: flexibility")
-                powers = [sig.one()]
-                for _ in range(6):
-                    powers.append(powers[-1] * x)
-                for i in range(1, 6):
-                    for j in range(1, 7 - i):
-                        out.expect(powers[i] * powers[j] == powers[i + j],
-                                   f"{tag}: power associativity ({i},{j})")
+                pair_law_checks(x, y, out)
     return out
 
 
-def _basis_law_checks(sig: AlgebraSignature, out: SuiteResult) -> None:
+def pair_law_checks(x: Element, y: Element, out: SuiteResult) -> None:
+    """Involution, trace, norm, quadratic, flexibility and power laws on x, y.
+
+    Powers are built left-nested (x^(k+1) = x^k * x), so only the pairs
+    x^i * x^j with j >= 2 can disagree with them.
+    """
+    tag = f"t={x.signature.t} {x.signature.convention.value}"
+    xc = x.conjugate()
+    xy = x * y
+    out.expect(xc.conjugate() == x, "involution", tag)
+    out.expect(xy.conjugate() == y.conjugate() * xc, "antiautomorphism", tag)
+    s = x + xc
+    out.expect(not any(s.coeffs[1:]) and s.coeffs[0] == x.trace(),
+               "trace scalar", tag)
+    n = x * xc
+    out.expect(not any(n.coeffs[1:]) and n.coeffs[0] == x.norm(),
+               "norm scalar", tag)
+    out.expect(x * (y * x) == xy * x, "flexibility", tag)
+    powers = [x.signature.one(), x]
+    for _ in range(5):
+        powers.append(powers[-1] * x)
+    quad = powers[2] - x.trace() * x + x.signature.scalar(x.norm())
+    out.expect(quad.is_zero(), "quadratic", tag)
+    for i in range(1, 5):
+        for j in range(2, 7 - i):
+            out.expect(powers[i] * powers[j] == powers[i + j],
+                       "power associativity", f"{tag} ({i},{j})")
+
+
+def basis_law_checks(sig: AlgebraSignature, out: SuiteResult) -> None:
+    """Scalar squares, double products and anticommutation of basis units."""
     n = sig.dimension
     tag = f"t={sig.t} {sig.convention.value}"
     basis = [sig.basis(p) for p in range(n)]
     for p in range(n):
         sq = basis[p] * basis[p]
-        out.expect(not any(sq.coeffs[1:]), f"{tag}: e{p}^2 is scalar")
+        out.expect(not any(sq.coeffs[1:]), "basis square", f"{tag} e{p}")
         ep_sq = sq.scalar_part()
         x = basis[(p + 1) % n]
         out.expect(basis[p] * (basis[p] * x) == ep_sq * x,
-                   f"{tag}: left double product by e{p}")
+                   "basis double product", f"{tag} left by e{p}")
         out.expect((x * basis[p]) * basis[p] == ep_sq * x,
-                   f"{tag}: right double product by e{p}")
+                   "basis double product", f"{tag} right by e{p}")
     for p in range(1, n):
         for q in range(1, n):
             if p != q:
                 out.expect(basis[p] * basis[q] == -(basis[q] * basis[p]),
-                           f"{tag}: e{p},e{q} anticommute")
+                           "anticommutation", f"{tag} e{p},e{q}")
 
 
 def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
@@ -130,54 +145,55 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
         for conv in Convention:
             for gammas in ((-1,) * t, mixed[:t]):
                 sig = make_algebra(t, gammas, conv)
+                basis = [sig.basis(p) for p in range(sig.dimension)]
+                tag = f"t={t} {conv.value} gammas={gammas}"
                 for p in range(sig.dimension):
                     for q in range(sig.dimension):
                         coeff, idx = twistmod.basis_product(p, q, sig)
-                        out.expect(idx == p ^ q, f"t={t}: index law at ({p},{q})")
-                        got = coeff.value(sig.gammas) * sig.basis(idx)
-                        out.expect(got == sig.basis(p) * sig.basis(q),
-                                   f"t={t} {conv.value} gammas={gammas}: "
-                                   f"coefficient at ({p},{q})")
+                        out.expect(idx == p ^ q, "index law", f"{tag} ({p},{q})")
+                        out.expect(coeff.value(sig.gammas) * basis[idx]
+                                   == basis[p] * basis[q],
+                                   "coefficient", f"{tag} ({p},{q})")
     for t in (6, 7, 8):
         sig = make_algebra(t, (-1,) * t, Convention.CONJUGATE_RIGHT)
+        basis = [sig.basis(p) for p in range(sig.dimension)]
         for _ in range(random_pairs):
             p = rng.randrange(sig.dimension)
             q = rng.randrange(sig.dimension)
             coeff, idx = twistmod.basis_product(p, q, sig)
-            got = coeff.value(sig.gammas) * sig.basis(idx)
-            out.expect(got == sig.basis(p) * sig.basis(q),
-                       f"t={t}: random pair ({p},{q})")
+            out.expect(coeff.value(sig.gammas) * basis[idx] == basis[p] * basis[q],
+                       "random coefficient", f"t={t} ({p},{q})")
     for t in range(1, table_depth + 1):
         for conv in Convention:
+            tag = f"t={t} {conv.value}"
             table = twistmod.build_table(t, conv)
             signs = table.sign_table()
             n = table.dimension
             out.expect(all(signs[0, q] == 1 for q in range(n))
                        and all(signs[p, 0] == 1 for p in range(n)),
-                       f"t={t} {conv.value}: unit row and column")
+                       "sign table", f"{tag} unit row and column")
             out.expect(all(signs[p, p] == -1 for p in range(1, n)),
-                       f"t={t} {conv.value}: diagonal")
+                       "sign table", f"{tag} diagonal")
             ok = all(signs[p, q] * signs[q, p] == -1
                      for p in range(1, n) for q in range(1, n) if p != q)
-            out.expect(ok, f"t={t} {conv.value}: anticommutation in signs")
+            out.expect(ok, "sign table", f"{tag} anticommutation")
             sample = [(rng.randrange(n), rng.randrange(n)) for _ in range(64)]
             out.expect(all(signs[p, q] == twistmod.twist_sign(p, q, t, conv)
                            for p, q in sample),
-                       f"t={t} {conv.value}: table matches pointwise signs")
-            out.expect(table == twistmod.build_table(t, conv),
-                       f"t={t} {conv.value}: deterministic rebuild")
+                       "sign table", f"{tag} matches pointwise signs")
+            out.expect(table == twistmod.build_table(t, conv), "rebuild", tag)
             try:
                 kinds = twistmod.partition_blocks(
                     table, strict=(conv is Convention.CONJUGATE_LEFT))
                 out.expect(kinds[0, 0] == twistmod.BlockKind.A_CORNER,
-                           f"t={t} {conv.value}: corner kind")
+                           "blocks", f"{tag} corner kind")
             except twistmod.BlockClassificationError as exc:
-                out.expect(False, f"t={t} {conv.value}: {exc}")
+                out.expect(False, "blocks", f"{tag} {exc}")
     for report in twistmod.sweep_power_row_claims(5):
+        triple = f"({report.r},{report.k},{report.i})"
         out.expect(report.supported_index_reading in ("computed", "both"),
-                   f"power-row ({report.r},{report.k},{report.i}): index reading")
-        out.expect(report.tree_forms_c_tile,
-                   f"power-row ({report.r},{report.k},{report.i}): C tile")
+                   "power row", f"{triple} index reading")
+        out.expect(report.tree_forms_c_tile, "power row", f"{triple} C tile")
     return out
 
 
@@ -189,20 +205,20 @@ def run_fib_suite(norm_range: int = 40, random_params: int = 200,
     unit = fibmod.QuaternionParams(1, 1)
     for n in range(norm_range + 1):
         out.expect(fibmod.fib_norm_direct(n, unit) == 3 * fibmod.fib(2 * n + 3),
-                   f"unit-parameter norm at n={n}")
+                   "unit norm", f"n={n}")
     for _ in range(random_params):
         n = rng.randrange(0, 31)
         params = _random_params(rng)
         direct = fibmod.fib_norm_direct(n, params)
         out.expect(direct == fibmod.fib_norm_formula(n, params),
-                   f"closed form at n={n} params={params}")
+                   "closed form", f"n={n} params={params}")
         a1, a2 = params.alpha1, params.alpha2
         f = fibmod.fib
         quad = (f(n) ** 2 + a1 * f(n + 1) ** 2 + a2 * f(n + 2) ** 2
                 + a1 * a2 * f(n + 3) ** 2)
-        out.expect(direct == quad, f"diagonal form at n={n} params={params}")
+        out.expect(direct == quad, "diagonal form", f"n={n} params={params}")
     for n in range(61):
-        out.expect(fibmod.binet_residual(n).holds, f"closed-form root power n={n}")
+        out.expect(fibmod.binet_residual(n).holds, "root power", f"n={n}")
     for _ in range(64):
         x = fibmod.GoldenNumber(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -211,19 +227,19 @@ def run_fib_suite(norm_range: int = 40, random_params: int = 200,
         prod = x * y
         out.expect(prod.u == x.u * y.u + x.v * y.v
                    and prod.v == x.u * y.v + x.v * y.u + x.v * y.v,
-                   "golden product expansion")
+                   "golden product", "expansion")
     for _ in range(threshold_params):
         params = _random_params(rng)
         e = fibmod.energy(params)
-        out.expect(not e.is_zero(), f"energy nonzero for {params}")
+        out.expect(not e.is_zero(), "energy", f"zero for {params}")
         if e.is_zero():
             continue
         n0 = fibmod.invertibility_threshold(params, n_max=200)
-        out.expect(n0 is not None, f"sign stabilizes by 200 for {params}")
+        out.expect(n0 is not None, "threshold", f"no stabilization by 200 for {params}")
         if n0 is not None and n0 > 0:
             prev = fibmod.fib_norm_direct(n0 - 1, params)
             sign = 0 if prev == 0 else (1 if prev > 0 else -1)
-            out.expect(sign != e.sign(), f"threshold minimality for {params}")
+            out.expect(sign != e.sign(), "threshold", f"not minimal for {params}")
     return out
 
 
@@ -239,15 +255,15 @@ def run_residue_suite(pairs: int = 500, seed: int = 20250104) -> SuiteResult:
     rng = random.Random(seed)
     out = SuiteResult("residue")
     gen = resmod.make_w(2, (1, 2, 3), (1, 1, 1, 1))
-    out.expect(gen.q == 2 and gen.m == 4, "generator quadratic data")
+    out.expect(gen.q == 2 and gen.m == 4, "golden field", "generator quadratic data")
     pi = gen.element(-1, 2)
-    out.expect(pi.norm() == 13, "prime norm")
+    out.expect(pi.norm() == 13, "golden field", "prime norm")
     fieldp = resmod.residue_field(pi)
-    out.expect(fieldp.s == 7, "labelling root")
+    out.expect(fieldp.s == 7, "golden field", "labelling root")
     expected = ((0, 0), (1, 0), (2, 0), (3, 0), (-3, 1), (-2, 1), (-1, 1),
                 (1, -1), (2, -1), (3, -1), (-3, 0), (-2, 0), (-1, 0))
     out.expect(tuple((u.a, u.b) for u in fieldp.reps) == expected,
-               "representative set")
+               "golden field", "representative set")
     euclidean = [resmod.make_w(2, (1, 2, 3), (0, 1, 0, 0)),
                  resmod.make_w(2, (1, 2, 3), (1, 1, 0, 0)),
                  resmod.make_w(3, (1, 2, 4), (1, 1, 1, 0))]
@@ -255,35 +271,35 @@ def run_residue_suite(pairs: int = 500, seed: int = 20250104) -> SuiteResult:
     for g in euclidean:
         for _ in range(per_gen):
             x = g.element(rng.randint(-60, 60), rng.randint(-60, 60))
-            y = g.element(rng.randint(-25, 25), rng.randint(-25, 25))
-            if y.is_zero():
-                continue
-            out.expect(resmod.u_mod(x, y).norm() < y.norm(),
-                       f"remainder bound for {x} mod {y} over (q={g.q}, m={g.m})")
+            y = g.element(0, 0)
+            while y.is_zero():
+                y = g.element(rng.randint(-25, 25), rng.randint(-25, 25))
+            out.expect(resmod.u_mod(x, y).norm() < y.norm(), "remainder bound",
+                       f"{x} mod {y} over (q={g.q}, m={g.m})")
     for _ in range(per_gen):
-        x = gen.element(rng.randint(-60, 60), rng.randint(-60, 60))
-        out.expect(resmod.u_mod(x, pi).norm() < 13,
-                   f"remainder bound for {x} mod the golden prime")
+        x = gen.element(rng.randint(-80, 80), rng.randint(-80, 80))
+        out.expect(resmod.u_mod(x, pi).norm() < 13, "prime remainder bound",
+                   f"{x} mod the golden prime")
     for i in range(13):
         for j in range(13):
             ui, uj = fieldp.reps[i], fieldp.reps[j]
             out.expect(fieldp.label(resmod.u_mod(ui + uj, pi)) == (i + j) % 13,
-                       f"additive labelling at ({i},{j})")
+                       "labelling", f"additive at ({i},{j})")
             out.expect(fieldp.label(resmod.u_mod(ui * uj, pi)) == (i * j) % 13,
-                       f"multiplicative labelling at ({i},{j})")
+                       "labelling", f"multiplicative at ({i},{j})")
     for _ in range(100):
         x = gen.element(rng.randint(-30, 30), rng.randint(-30, 30))
         z = gen.element(rng.randint(-10, 10), rng.randint(-10, 10))
         out.expect(fieldp.label(x) == fieldp.label(x + z * pi),
-                   "labels constant on classes")
+                   "class labels", "x and x + z*pi")
     for t in (2, 3):
         for m in range(1, 51):
             z = resmod.four_square_root(m, (1, 2, 3), t)
             residue = z * z - (2 * z[0]) * z + m * z.signature.one()
-            out.expect(residue.is_zero(), f"quadratic root for m={m} t={t}")
+            out.expect(residue.is_zero(), "quadratic root", f"m={m} t={t}")
     ks = [rng.randrange(13) for _ in range(32)]
     out.expect(resmod.decode_symbols(resmod.encode_symbols(ks, fieldp), fieldp) == ks,
-               "codec round trip")
+               "codec", "round trip")
     return out
 
 

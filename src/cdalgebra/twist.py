@@ -167,8 +167,8 @@ class TwistTable:
         return f"TwistTable(t={self.t}, convention={self.convention.value})"
 
 
-def build_table(t: int, convention: Convention = Convention.CONJUGATE_RIGHT,
-                max_depth: int = MAX_TABLE_DEPTH) -> TwistTable:
+def build_table(t: int,
+                convention: Convention = Convention.CONJUGATE_RIGHT) -> TwistTable:
     """Materialize the full coefficient table by quadrant doubling.
 
     The size-2**t table is assembled from the size-2**(t-1) table with
@@ -178,9 +178,9 @@ def build_table(t: int, convention: Convention = Convention.CONJUGATE_RIGHT,
     """
     if t < 1:
         raise ValueError("table depth must be >= 1")
-    if t > max_depth:
-        raise ValueError(f"depth {t} exceeds the resource guard ({max_depth}); "
-                         "use twist_sign for pointwise queries")
+    if t > MAX_TABLE_DEPTH:
+        raise ValueError(f"depth {t} exceeds the resource guard "
+                         f"({MAX_TABLE_DEPTH}); use twist_sign for pointwise queries")
     convention = Convention(convention)
     signs = np.array([[1, 1], [1, 1]], dtype=np.int8)
     masks = np.array([[0, 0], [0, 1]], dtype=np.uint16)

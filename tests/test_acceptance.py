@@ -11,12 +11,14 @@ import time
 from fractions import Fraction
 
 from cdalgebra.algebra import Convention, make_algebra
-from cdalgebra.fibonacci import (QuaternionParams, energy, fib,
-                                 fib_norm_direct, fib_norm_formula,
+from cdalgebra.fibonacci import (QuaternionParams, energy, fib_norm_direct,
                                  invertibility_threshold)
-from cdalgebra.residue import four_square_root, make_w, residue_field, u_mod
-from cdalgebra.twist import (BlockKind, basis_product, build_table,
-                             partition_blocks, sweep_power_row_claims)
+from cdalgebra.residue import make_w, residue_field
+from cdalgebra.suites import (SuiteResult, basis_law_checks, pair_law_checks,
+                              random_element, run_fib_suite, run_residue_suite,
+                              run_twist_suite)
+from cdalgebra.twist import (BlockKind, build_table, partition_blocks,
+                             sweep_power_row_claims)
 
 RIGHT = Convention.CONJUGATE_RIGHT
 LEFT = Convention.CONJUGATE_LEFT
@@ -65,28 +67,18 @@ def test_criterion_01_golden_residue_field():
 
 def test_criterion_02_unit_parameter_norm_identity():
     start = time.perf_counter()
-    failures = []
-    params = QuaternionParams(1, 1)
-    for n in range(41):
-        if fib_norm_direct(n, params) != 3 * fib(2 * n + 3):
-            failures.append(f"identity fails at n={n}")
-    _report(2, "norms triple shifted Fibonacci", failures,
+    result = run_fib_suite()
+    _report(2, "norms triple shifted Fibonacci", result.failures,
             time.perf_counter() - start, 1.0)
+    assert result.counts["unit norm"] == 41      # n = 0..40
 
 
 def test_criterion_03_closed_form_norm():
     start = time.perf_counter()
-    failures = []
-    rng = random.Random(20250203)
-    for _ in range(500):
-        n = rng.randrange(0, 31)
-        params = QuaternionParams(_nonzero_fraction(rng), _nonzero_fraction(rng))
-        direct = fib_norm_direct(n, params)
-        formula = fib_norm_formula(n, params)
-        if direct != formula:
-            failures.append(f"n={n} params={params}: {direct} != {formula}")
-    _report(3, "closed form equals direct norm", failures,
+    result = run_fib_suite(random_params=500, seed=20250203)
+    _report(3, "closed form equals direct norm", result.failures,
             time.perf_counter() - start, 5.0)
+    assert result.counts["closed form"] == 500
 
 
 def test_criterion_04_sign_criterion():
@@ -115,30 +107,13 @@ def test_criterion_04_sign_criterion():
 
 def test_criterion_05_twist_oracle_equivalence():
     start = time.perf_counter()
-    failures = []
-    mixed = (2, -3, Fraction(5, 7), Fraction(-1, 2), 11)
-    for t in range(1, 6):
-        for conv in Convention:
-            for gammas in ((-1,) * t, mixed[:t]):
-                sig = make_algebra(t, gammas, conv)
-                basis = [sig.basis(p) for p in range(sig.dimension)]
-                for p in range(sig.dimension):
-                    for q in range(sig.dimension):
-                        coeff, idx = basis_product(p, q, sig)
-                        expected = basis[p] * basis[q]
-                        if coeff.value(sig.gammas) * basis[idx] != expected:
-                            failures.append(f"t={t} {conv.value} ({p},{q})")
-    rng = random.Random(20250205)
-    for t in (6, 7, 8):
-        sig = make_algebra(t, (-1,) * t, RIGHT)
-        n = sig.dimension
-        for _ in range(10_000):
-            p, q = rng.randrange(n), rng.randrange(n)
-            coeff, idx = basis_product(p, q, sig)
-            if coeff.value(sig.gammas) * sig.basis(idx) != sig.basis(p) * sig.basis(q):
-                failures.append(f"t={t} random ({p},{q})")
-    _report(5, "structure constants equal elementwise products", failures,
+    result = run_twist_suite(random_pairs=10_000, seed=20250205)
+    _report(5, "structure constants equal elementwise products", result.failures,
             time.perf_counter() - start, 30.0)
+    # Every pair at depths 1-5 (both conventions, two parameter choices),
+    # then 10,000 random pairs at each of depths 6-8.
+    assert result.counts["coefficient"] == 4 * sum(4 ** t for t in range(1, 6))
+    assert result.counts["random coefficient"] == 30_000
 
 
 def test_criterion_06_tile_partition():
@@ -198,61 +173,29 @@ GAMMA_POOL = (-1, 1, -2, 2, 3, Fraction(1, 2), Fraction(-1, 2))
 
 
 def test_criterion_08_core_invariants():
+    # The core suite's own checks on 8,000 seeded integer pairs; the
+    # suite at this budget (rational coefficients) would exceed the limit.
     start = time.perf_counter()
-    failures = []
     rng = random.Random(20250208)
+    out = SuiteResult("core")
+
+    def signature(t, conv):
+        return make_algebra(t, [rng.choice(GAMMA_POOL) for _ in range(t)], conv)
+
     for t in (1, 2, 3, 4):
         for conv in Convention:
-            sig0 = make_algebra(t, [rng.choice(GAMMA_POOL) for _ in range(t)], conv)
-            failures.extend(_basis_laws(sig0))
+            basis_law_checks(signature(t, conv), out)
             for _ in range(1000):
-                sig = make_algebra(t, [rng.choice(GAMMA_POOL) for _ in range(t)],
-                                   conv)
-                n = sig.dimension
-                x = sig.element([rng.randint(-9, 9) for _ in range(n)])
-                y = sig.element([rng.randint(-9, 9) for _ in range(n)])
-                tag = f"t={t} {conv.value}"
-                if x.conjugate().conjugate() != x:
-                    failures.append(f"{tag}: double conjugation")
-                if (x * y).conjugate() != y.conjugate() * x.conjugate():
-                    failures.append(f"{tag}: antiautomorphism")
-                xc = x.conjugate()
-                tr = x + xc
-                if any(tr.coeffs[1:]) or tr.coeffs[0] != x.trace():
-                    failures.append(f"{tag}: trace scalar")
-                nr = x * xc
-                if any(nr.coeffs[1:]) or nr.coeffs[0] != x.norm():
-                    failures.append(f"{tag}: norm scalar vs recurrence")
-                if x * x - x.trace() * x + sig.scalar(x.norm()) != sig.zero():
-                    failures.append(f"{tag}: quadratic identity")
-                if x * (y * x) != (x * y) * x:
-                    failures.append(f"{tag}: flexibility")
-                powers = [sig.one()]
-                for _ in range(6):
-                    powers.append(powers[-1] * x)
-                for i in range(1, 6):
-                    for j in range(i, 7 - i):
-                        if powers[i] * powers[j] != powers[i + j]:
-                            failures.append(f"{tag}: powers ({i},{j})")
-                if len(failures) > 20:
-                    break
-    _report(8, "core invariant sweep", failures,
+                sig = signature(t, conv)
+                pair_law_checks(random_element(sig, rng), random_element(sig, rng),
+                                out)
+    _report(8, "core invariant sweep", out.failures,
             time.perf_counter() - start, 60.0)
-
-
-def _basis_laws(sig):
-    failures = []
-    basis = [sig.basis(p) for p in range(sig.dimension)]
-    tag = f"t={sig.t} {sig.convention.value}"
-    for p in range(sig.dimension):
-        sq = basis[p] * basis[p]
-        if any(sq.coeffs[1:]):
-            failures.append(f"{tag}: e{p}^2 not scalar")
-    for p in range(1, sig.dimension):
-        for q in range(1, sig.dimension):
-            if p != q and basis[p] * basis[q] != -(basis[q] * basis[p]):
-                failures.append(f"{tag}: e{p},e{q} fail anticommutation")
-    return failures
+    assert out.counts == {
+        "basis square": 60, "basis double product": 120, "anticommutation": 516,
+        "involution": 8000, "antiautomorphism": 8000, "trace scalar": 8000,
+        "norm scalar": 8000, "quadratic": 8000, "flexibility": 8000,
+        "power associativity": 80_000}
 
 
 def test_criterion_09_division_boundary():
@@ -303,41 +246,10 @@ def _zero_divisor_witness():
 
 def test_criterion_10_residue_arithmetic():
     start = time.perf_counter()
-    failures = []
-    rng = random.Random(20250210)
-    golden = make_w(2, (1, 2, 3), (1, 1, 1, 1))
-    pi = golden.element(-1, 2)
-    generators = [make_w(2, (1, 2, 3), (0, 1, 0, 0)),
-                  make_w(2, (1, 2, 3), (1, 1, 0, 0)),
-                  make_w(3, (1, 2, 4), (1, 1, 1, 0))]
-    checked = 0
-    while checked < 375:
-        gen = generators[checked % len(generators)]
-        x = gen.element(rng.randint(-60, 60), rng.randint(-60, 60))
-        y = gen.element(rng.randint(-25, 25), rng.randint(-25, 25))
-        if y.is_zero():
-            continue
-        checked += 1
-        if u_mod(x, y).norm() >= y.norm():
-            failures.append(f"remainder bound fails for {x} mod {y} "
-                            f"(q={gen.q}, m={gen.m})")
-    for _ in range(125):
-        x = golden.element(rng.randint(-80, 80), rng.randint(-80, 80))
-        if u_mod(x, pi).norm() >= 13:
-            failures.append(f"remainder bound fails for {x} mod the prime")
-    field = residue_field(pi)
-    for i in range(13):
-        for j in range(13):
-            add = u_mod(field.reps[i] + field.reps[j], pi)
-            if field.label(add) != (i + j) % 13:
-                failures.append(f"additive labelling at ({i},{j})")
-            mul = u_mod(field.reps[i] * field.reps[j], pi)
-            if field.label(mul) != (i * j) % 13:
-                failures.append(f"multiplicative labelling at ({i},{j})")
-    for t in (2, 3):
-        for m in range(1, 51):
-            z = four_square_root(m, (1, 2, 3), t)
-            if not (z * z - (2 * z[0]) * z + m * z.signature.one()).is_zero():
-                failures.append(f"quadratic root fails for m={m}, t={t}")
-    _report(10, "residue arithmetic and labelling", failures,
+    result = run_residue_suite(pairs=500, seed=20250210)
+    _report(10, "residue arithmetic and labelling", result.failures,
             time.perf_counter() - start, 10.0)
+    assert result.counts["remainder bound"] == 375
+    assert result.counts["prime remainder bound"] == 125
+    assert result.counts["labelling"] == 2 * 13 * 13
+    assert result.counts["quadratic root"] == 2 * 50

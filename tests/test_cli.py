@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdalgebra.cli import field_from_dict, field_to_dict, run, table_from_dict
-from cdalgebra.twist import build_table
 from cdalgebra.algebra import Convention
+from cdalgebra.cli import run
+from cdalgebra.residue import make_w, residue_field
+from cdalgebra.twist import build_table
 
 
 def invoke(capsys, *argv):
@@ -54,8 +55,16 @@ class TestMulTable:
         assert code == 0
         data = json.loads(out)
         assert data["gammas"] == ["-1", "2", "1/2"]
-        rebuilt = table_from_dict(data)
-        assert rebuilt == build_table(3, Convention.CONJUGATE_RIGHT)
+        assert (data["t"], data["convention"]) == (3, "eq11")
+        table = build_table(3, Convention.CONJUGATE_RIGHT)
+        assert [(row["p"], row["q"]) for row in data["entries"]] == [
+            (p, q) for p in range(8) for q in range(8)]
+        for row in data["entries"]:
+            coeff = table.entry(row["p"], row["q"])
+            assert row["index"] == row["p"] ^ row["q"]
+            assert row["sign"] == coeff.sign
+            assert len(row["gamma_mask"]) == 3
+            assert int(row["gamma_mask"], 2) == coeff.gamma_mask
 
     def test_gamma_count_validated(self, capsys):
         code, _, err = invoke(capsys, "mul-table", "--t", "2", "--gammas", "-1")
@@ -159,9 +168,15 @@ class TestResidueFieldCommand:
                               *self.ARGS)
         assert code == 0
         data = json.loads(out)
-        rebuilt = field_from_dict(data)
-        assert field_to_dict(rebuilt) == data
-        assert rebuilt.label(rebuilt.gen.element(-3, 1)) == 4
+        gen = make_w(2, (1, 2, 3), (1, 1, 1, 1))
+        field = residue_field(gen.element(-1, 2))
+        assert (data["p"], data["s"], data["pi"]) == (field.p, field.s, [-1, 2])
+        assert (data["t"], data["w_coeffs"]) == (2, list(gen.w.coeffs))
+        assert (data["w_trace"], data["w_norm"]) == (gen.q, gen.m)
+        assert data["labels"] == [{"k": k, "a": u.a, "b": u.b, "norm": u.norm()}
+                                  for k, u in enumerate(field.reps)]
+        for row in data["labels"]:
+            assert field.label(gen.element(row["a"], row["b"])) == row["k"]
 
     def test_wrong_expected_prime(self, capsys):
         code, _, err = invoke(capsys, "residue-field", "--p", "11", *self.ARGS)
@@ -252,6 +267,13 @@ class TestUsageErrors:
         ["blocks", "--t", "-1"],
         ["threshold", "--alpha1", "1", "--alpha2", "1", "--nmax", "-1"],
         ["fib-norm", "--n", "-1", "--alpha1", "1", "--alpha2", "1"],
+        ["mul-table", "--t", "0", "--gammas", ""],
+        ["blocks", "--t", "0"],
+        ["residue-field", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "1"],
+        ["residue-field", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "13"],
+        ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "30", "--k", "1"],
+        ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "24",
+         "--symbols", "1"],
     ])
     def test_out_of_range_counts_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

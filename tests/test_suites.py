@@ -1,6 +1,9 @@
 """Smoke tests for the runnable invariant suites."""
 
-from cdalgebra.suites import (run_core_suite, run_fib_suite,
+import re
+
+from cdalgebra.algebra import Element
+from cdalgebra.suites import (SuiteResult, run_core_suite, run_fib_suite,
                               run_residue_suite, run_twist_suite)
 
 
@@ -29,3 +32,37 @@ def test_summary_mentions_counts():
     result = run_fib_suite(norm_range=5, random_params=5, threshold_params=2)
     assert "checks" in result.summary()
     assert "0 failures" in result.summary()
+
+
+def test_checks_total_the_family_counts():
+    result = SuiteResult("demo")
+    result.expect(True, "a", "first")
+    result.expect(False, "b", "second")
+    result.expect(True, "a", "third")
+    assert result.counts == {"a": 2, "b": 1}
+    assert result.checks == 3
+    assert result.failures == ["b: second"]
+    assert result.summary() == "demo: 3 checks, 1 failures [FAILED]\n  b: second"
+
+
+def test_every_power_check_catches_a_non_power_associative_product(monkeypatch):
+    # A bilinear skew of the product: x^i * x^j (built left-nested) then
+    # differs from x^(i+j) for every pair the suite compares, unless the
+    # comparison repeats the product that built x^(i+j).
+    product = Element.__mul__
+
+    def skewed(x, y):
+        out = product(x, y)
+        if not isinstance(y, Element):
+            return out
+        return out + x.coeffs[1] * y.coeffs[0] * x.signature.one()
+
+    monkeypatch.setattr(Element, "__mul__", skewed)
+    monkeypatch.setattr(SuiteResult, "max_recorded", 10 ** 6)
+    samples, depths = 20, (2, 3)
+    result = run_core_suite(samples=samples, depths=depths)
+    failing = set(re.findall(r"power associativity.*\((\d),(\d)\)",
+                             "\n".join(result.failures)))
+    pairs_per_sample = result.counts["power associativity"] // (
+        samples * len(depths) * 2)
+    assert len(failing) == pairs_per_sample == 10

@@ -208,8 +208,6 @@ class TestBuildTable:
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             build_table(13)
-        with pytest.raises(ValueError):
-            build_table(5, RIGHT, max_depth=4)
 
     def test_tables_immutable(self):
         table = build_table(3)
