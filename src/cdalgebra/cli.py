@@ -313,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_blocks)
 
     p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--t", type=_int_in_range(1), default=None,
-                   help="cap the depth range for the core suite")
+    p.add_argument("--t", type=_int_in_range(1, 6), default=None,
+                   help="cap the depth range (1-6) for the core suite")
     p.add_argument("--suite", choices=("core", "twist", "fib", "residue", "all"),
                    default="all")
     p.add_argument("--samples", type=_int_in_range(1), default=None,

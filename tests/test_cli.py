@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,6 +193,33 @@ class TestResidueFieldCommand:
         assert "prime" in err
 
 
+    def test_field_above_size_bound_is_contract_error(self, capsys):
+        # The norm 1,000,032,000,259 is prime, but its class table could
+        # never be allocated.
+        code, out, err = invoke(capsys, "residue-field", "--pi", "1000015,1",
+                                "--w", "1,1,1,1", "--t", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: modulus norm 1000032000259 exceeds the "
+                              "field-size bound")
+        assert err.count("\n") == 1
+
+
+def test_residue_field_runs_without_sympy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ("import sys\n"
+              "from cdalgebra import cli\n"
+              "code = cli.run(['residue-field', '--p', '13', '--pi', '-1,2',\n"
+              "                '--w', '1,1,1,1', '--t', '2'])\n"
+              "assert code == 0, code\n"
+              "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestLabelCommand:
     ARGS = ("--pi", "-1,2", "--w", "1,1,1,1", "--t", "2")
 
@@ -262,6 +292,7 @@ class TestUsageErrors:
         ["verify", "--suite", "core", "--samples", "0", "--t", "1"],
         ["verify", "--suite", "core", "--t", "-1"],
         ["verify", "--suite", "core", "--t", "0"],
+        ["verify", "--suite", "core", "--t", "7"],
         ["twist", "--t", "-1", "--p", "1", "--q", "2"],
         ["mul-table", "--t", "-1", "--gammas", "-1"],
         ["blocks", "--t", "-1"],

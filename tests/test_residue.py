@@ -1,5 +1,6 @@
 """Unit tests for integer subrings, modulo reduction, fields and labelling."""
 
+import dataclasses
 import logging
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 
 from cdalgebra import residue as resmod
 from cdalgebra.algebra import make_algebra, Convention
-from cdalgebra.residue import (UElement, decode_symbols,
+from cdalgebra.residue import (MAX_FIELD_SIZE, ResidueField, UElement,
+                               decode_symbols,
                                encode_symbols, four_square_root, is_prime_u,
                                make_w, residue_field, round_coordinates,
                                round_half_away, u_mod)
@@ -119,6 +121,44 @@ class TestPrimality:
 
     def test_composite_norm(self, golden_gen):
         assert not is_prime_u(golden_gen.element(2, 0))
+
+
+class TestIsPrime:
+    # psi_k: the least strong pseudoprime to the first k prime bases, k = 1..12
+    # (k = 7, 8 and k = 9, 10, 11 share a value).
+    PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 3825123056546413051, 318665857834031151167461)
+
+    def test_agrees_with_a_sieve(self):
+        limit = 200_000
+        sieve = bytearray([1]) * limit
+        sieve[0:2] = b"\0\0"
+        for i in range(2, int(limit ** 0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+        assert [n for n in range(limit) if resmod._is_prime(n)] == [
+            n for n in range(limit) if sieve[n]]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        assert not any(resmod._is_prime(n) for n in self.PSI)
+
+    def test_carmichael_numbers_are_composite(self):
+        assert not any(resmod._is_prime(n) for n in (561, 1105, 1729))
+
+    def test_large_primes(self):
+        assert resmod._is_prime(2 ** 61 - 1)
+        # Between psi_12 and psi_13: decided only by the thirteenth base.
+        assert resmod._is_prime(2 ** 81 - 51)
+        assert not resmod._is_prime(2 ** 81 - 1)
+
+    def test_beyond_psi_13_raises(self):
+        with pytest.raises(ValueError, match="only decided below"):
+            resmod._is_prime(2 ** 89 - 1)
+        with pytest.raises(ValueError):
+            resmod._is_prime(3317044064679887385961981)
+
+    def test_small_and_negative_are_not_prime(self):
+        assert not any(resmod._is_prime(n) for n in (0, 1, -1, -2, -7, -13))
 
 
 class TestUMod:
@@ -270,6 +310,113 @@ class TestResidueField:
         other = make_w(2, (1, 2, 3), (0, 1, 0, 0))
         with pytest.raises(ValueError):
             golden_field.label(other.element(1, 0))
+
+
+def exhaustive_field_check(field: ResidueField) -> bool:
+    """O(p^2) oracle: p distinct representatives of norm below p, labelled
+    0..p-1, whose pairwise sums and products label as the sums and
+    products mod p (inverses follow, since every label is present)."""
+    p, reps = field.p, field.reps
+    if len({(u.a, u.b) for u in reps}) != p:
+        return False
+    if any(field.label(u) != k or u.norm() >= p for k, u in enumerate(reps)):
+        return False
+    return all(field.label(reps[i] + reps[j]) == (i + j) % p
+               and field.label(reps[i] * reps[j]) == (i * j) % p
+               for i in range(p) for j in range(p))
+
+
+def certified(field: ResidueField) -> bool:
+    try:
+        resmod._verify_field(field)
+    except ArithmeticError:
+        return False
+    return True
+
+
+class TestCertificate:
+    PRIMES = {13: (-1, 2), 43: (1, 3), 211: (-15, 7)}
+
+    @pytest.fixture(scope="class", params=sorted(PRIMES))
+    def field(self, request, golden_gen):
+        field = residue_field(golden_gen.element(*self.PRIMES[request.param]),
+                              verify=False)
+        assert field.p == request.param
+        return field
+
+    def test_genuine_fields_pass_both(self, field):
+        assert exhaustive_field_check(field)
+        assert certified(field)
+
+    def test_swapped_representatives_fail_both(self, field):
+        reps = list(field.reps)
+        reps[1], reps[2] = reps[2], reps[1]
+        bad = dataclasses.replace(field, reps=tuple(reps))
+        assert not exhaustive_field_check(bad)
+        assert not certified(bad)
+
+    def test_large_class_mate_fails_both(self, field):
+        reps = list(field.reps)
+        reps[5] = reps[5] + 3 * field.pi
+        assert field.label(reps[5]) == 5 and reps[5].norm() >= field.p
+        bad = dataclasses.replace(field, reps=tuple(reps))
+        assert not exhaustive_field_check(bad)
+        assert not certified(bad)
+
+    def test_broken_product_fails_both(self, field, monkeypatch):
+        mul = UElement.__mul__
+
+        def off_by_one(x, y):
+            out = mul(x, y)
+            if isinstance(y, UElement) and x.b and y.b:
+                return UElement(out.a + 1, out.b, out.gen)
+            return out
+
+        monkeypatch.setattr(UElement, "__mul__", off_by_one)
+        w = field.gen.element(0, 1)
+        assert w * w == mul(w, w) + 1
+        assert not exhaustive_field_check(field)
+        assert not certified(field)
+
+    def test_non_root_labelling_fails_both(self, golden_field):
+        # s = 10 is no root of s^2 - 2s + 4 mod 13, yet keeps 13 distinct
+        # labels: additive and bijective but not multiplicative.
+        assert (10 * 10 - 2 * 10 + 4) % 13 != 0
+        reps = {(u.a + 10 * u.b) % 13: u for u in golden_field.reps}
+        assert sorted(reps) == list(range(13))
+        bad = ResidueField(pi=golden_field.pi, p=13, s=10,
+                           reps=tuple(reps[k] for k in range(13)))
+        assert not exhaustive_field_check(bad)
+        assert not certified(bad)
+
+    def test_conjugate_prime_field_fails_the_certificate(self, golden_field):
+        # Conjugating every representative gives the field modulo conj(pi),
+        # labelled by the other root q - s.  The oracle accepts it as a
+        # field; the certificate sees that pi itself does not label as 0.
+        field = golden_field
+        bad = ResidueField(pi=field.pi, p=field.p, s=(field.gen.q - field.s) % field.p,
+                           reps=tuple(u.conjugate() for u in field.reps))
+        assert exhaustive_field_check(bad)
+        assert not certified(bad)
+
+    def test_large_field_is_certified(self, golden_gen):
+        pi = golden_gen.element(-133, 107)
+        field = residue_field(pi, verify=True)
+        assert field.p == 35023 and len(field.reps) == 35023
+        rng = random.Random(27)
+        for _ in range(200):
+            i, j = rng.randrange(field.p), rng.randrange(field.p)
+            assert field.label(field.reps[i] * field.reps[j]) == i * j % field.p
+            x = golden_gen.element(rng.randint(-500, 500), rng.randint(-500, 500))
+            assert field.label(u_mod(x, pi)) == field.label(x)
+
+    def test_size_bound_comes_before_primality(self, golden_gen, monkeypatch):
+        def no_primality_test(x):
+            raise AssertionError("primality tested above the size bound")
+
+        monkeypatch.setattr(resmod, "is_prime_u", no_primality_test)
+        with pytest.raises(ValueError, match=f"MAX_FIELD_SIZE = {MAX_FIELD_SIZE}"):
+            residue_field(golden_gen.element(1000015, 1))
 
 
 class TestCodec:
