@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from math import lcm
+from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -39,6 +43,10 @@ def as_rational(value: Rational) -> Rational:
     Fractions with denominator 1 collapse to int so that integer-only
     computations stay on the fast path.
     """
+    if type(value) is int:
+        return value
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, bool):
         raise TypeError("bool is not a valid scalar")
     if isinstance(value, int):
@@ -138,23 +146,27 @@ def sedenions(convention: Convention = Convention.CONJUGATE_RIGHT) -> AlgebraSig
 def _conj(a: tuple) -> tuple:
     # Negating every coordinate but the scalar one is what the recursive
     # definition (conjugate low half, negate high half) unrolls to.
-    return a[:1] + tuple(-c for c in a[1:])
+    return a[:1] + tuple(map(neg, a[1:]))
 
 
 def _add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _scale(c, a: tuple) -> tuple:
-    return tuple(c * x for x in a)
+    return tuple(map(mul, repeat(c), a))
 
 
 def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
-    """eq11 doubling product on raw coefficient tuples, recursing on halves."""
+    """eq11 doubling product on raw coefficient tuples, recursing on halves.
+
+    ``Element`` products use it at depths 0, 1 and above KERNEL_MAX_DEPTH;
+    at the depths between it is the oracle the kernel is tested against.
+    """
     n = len(a)
     if n == 1:
         return (a[0] * b[0],)
@@ -172,6 +184,91 @@ def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
     lo = _add(_mul(a1, b1, rest), _scale(g, _mul(_conj(b2), a2, rest)))
     hi = _add(_mul(a2, _conj(b1), rest), _mul(b2, a1, rest))
     return lo + hi
+
+
+# ---- structure-constant kernel ----------------------------------------------
+#
+# e_p * e_q = sign(p, q) * prod(gamma_i for i in mask(p, q)) * e_(p^q), the
+# entries of twist.build_table.  Scaled by D = prod(den(gamma_i)), every
+# constant is the integer sign * prod(num(gamma_i), i in mask)
+# * prod(den(gamma_i), i not in mask), so a product is integer arithmetic on
+# numerators with a single division at the end.  _mul stays the oracle.
+
+KERNEL_MAX_DEPTH = 8   # a depth-12 kernel would hold 16M entries
+_KERNEL_CACHE = 64     # parameter tuples kept; depth-8 rows are ~0.5 MB each
+
+
+@lru_cache(maxsize=None)
+def _planes(t: int) -> tuple:
+    """Parameter-free planes of the depth-t eq11 table, indexed [k][p].
+
+    ``codes[k][p]`` is 2 * mask + (sign < 0) of e_p * e_(p^k), and
+    ``gathers[k]`` picks the coordinates p ^ k, p = 0..n-1, of a vector.
+    """
+    from .twist import build_table  # twist imports this module
+
+    table = build_table(t)
+    signs, masks = table.base_signs.tolist(), table.gamma_masks.tolist()
+    n = 1 << t
+    partners = [[p ^ k for p in range(n)] for k in range(n)]
+    codes = [[2 * masks[p][q] + (signs[p][q] < 0) for p, q in enumerate(row)]
+             for row in partners]
+    return codes, [itemgetter(*row) for row in partners]
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _signed_monomials(gammas: tuple) -> tuple:
+    """(D * constant for each code, D) for one parameter tuple."""
+    monomials = [1]
+    den = 1
+    for g in gammas:
+        a, b = g.numerator, g.denominator
+        monomials = [m * b for m in monomials] + [m * a for m in monomials]
+        den *= b
+    return [v for m in monomials for v in (m, -m)], den
+
+
+@lru_cache(maxsize=_KERNEL_CACHE)
+def _rows(gammas: tuple) -> list:
+    """rows[k][p]: the scaled constant of e_p * e_(p^k), shared references."""
+    signed, _ = _signed_monomials(gammas)
+    codes, _ = _planes(len(gammas))
+    return [[signed[c] for c in row] for row in codes]
+
+
+def _numerators(a: tuple) -> tuple:
+    """(integer numerators, common denominator) of a coefficient tuple."""
+    dens = {c.denominator for c in a if type(c) is not int}
+    if not dens:
+        return a, 1
+    den = lcm(*dens)
+    return [c * den if type(c) is int else c.numerator * (den // c.denominator)
+            for c in a], den
+
+
+def _kernel_mul(a: tuple, b: tuple, gammas: tuple) -> list:
+    """eq11 product through the structure constants, for depths 2..KERNEL_MAX_DEPTH."""
+    n = len(a)
+    xs, dx = _numerators(a)
+    ys, dy = _numerators(b)
+    signed, den = _signed_monomials(gammas)
+    codes, gathers = _planes(len(gammas))
+    px = [(p, v) for p, v in enumerate(xs) if v]
+    py = [(q, v) for q, v in enumerate(ys) if v]
+    if 2 * len(px) * len(py) <= n * (n + 8):
+        # Few support pairs (small depths included): visit only those.
+        z = [0] * n
+        for p, xp in px:
+            for q, yq in py:
+                k = p ^ q
+                z[k] += xp * yq * signed[codes[k][p]]
+    else:
+        z = [sum(map(mul, map(mul, xs, row), gather(ys)))
+             for row, gather in zip(_rows(gammas), gathers)]
+    den *= dx * dy
+    if den == 1:
+        return z
+    return [Fraction(v, den) if v % den else v // den for v in z]
 
 
 def _norm(a: tuple, gammas: tuple):
@@ -192,7 +289,7 @@ class Element:
     __slots__ = ("signature", "coeffs")
 
     def __init__(self, signature: AlgebraSignature, coeffs: Iterable[Rational]):
-        coeffs = tuple(as_rational(c) for c in coeffs)
+        coeffs = tuple(map(as_rational, coeffs))
         if len(coeffs) != signature.dimension:
             raise ValueError(
                 f"expected {signature.dimension} coefficients, got {len(coeffs)}")
@@ -203,7 +300,7 @@ class Element:
         raise AttributeError("Element is immutable")
 
     def _check_compatible(self, other: Element) -> None:
-        if self.signature != other.signature:
+        if self.signature is not other.signature and self.signature != other.signature:
             raise ValueError("elements belong to different algebras")
 
     # ---- vector-space structure -------------------------------------------
@@ -226,10 +323,13 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_compatible(other)
+            sig = self.signature
             a, b = self.coeffs, other.coeffs
-            if self.signature.convention is Convention.CONJUGATE_LEFT:
+            if sig.convention is Convention.CONJUGATE_LEFT:
                 a, b = b, a
-            return Element(self.signature, _mul(a, b, self.signature.gammas))
+            if 2 <= sig.t <= KERNEL_MAX_DEPTH:
+                return Element(sig, _kernel_mul(a, b, sig.gammas))
+            return Element(sig, _mul(a, b, sig.gammas))
         if isinstance(other, (int, Fraction)):
             return Element(self.signature, _scale(as_rational(other), self.coeffs))
         return NotImplemented

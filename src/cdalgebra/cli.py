@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 contract violation or failed verification,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -135,6 +136,21 @@ def _emit(text: str, output: Optional[str]) -> None:
             raise CliError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+@contextlib.contextmanager
+def _unbounded_int_output():
+    """Lift the interpreter's int-to-str digit limit while a command runs.
+
+    Norms and field data are exact integers of any size; the caller's
+    limit (Python 3.10.7+ and 3.11+) is restored on the way out.
+    """
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def _csv_text(rows: List[dict], columns: List[str]) -> str:
@@ -400,7 +416,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_negative_values(argv))
     try:
-        return args.func(args)
+        with _unbounded_int_output():
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

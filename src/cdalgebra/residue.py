@@ -347,7 +347,7 @@ class ResidueField:
         return self.pi.gen
 
     def label(self, u: UElement) -> int:
-        if u.gen != self.gen:
+        if u.gen is not self.gen and u.gen != self.gen:
             raise ValueError("element belongs to a different subring")
         return (u.a + u.b * self.s) % self.p
 

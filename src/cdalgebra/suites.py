@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .algebra import AlgebraSignature, Convention, Element, make_algebra
+from .algebra import AlgebraSignature, Convention, Element, _mul, make_algebra
 from . import fibonacci as fibmod
 from . import residue as resmod
 from . import twist as twistmod
@@ -76,16 +76,16 @@ def run_core_suite(samples: int = 200, depths: Sequence[int] = (1, 2, 3, 4),
     out = SuiteResult("core")
     for t in depths:
         for conv in Convention:
-            basis_law_checks(random_signature(t, rng, conv), out)
+            _basis_law_checks(random_signature(t, rng, conv), out)
             for _ in range(samples):
                 sig = random_signature(t, rng, conv)
                 x = random_element(sig, rng, fraction_rate=0.05)
                 y = random_element(sig, rng, fraction_rate=0.05)
-                pair_law_checks(x, y, out)
+                _pair_law_checks(x, y, out)
     return out
 
 
-def pair_law_checks(x: Element, y: Element, out: SuiteResult) -> None:
+def _pair_law_checks(x: Element, y: Element, out: SuiteResult) -> None:
     """Involution, trace, norm, quadratic, flexibility and power laws on x, y.
 
     Powers are built left-nested (x^(k+1) = x^k * x), so only the pairs
@@ -114,7 +114,7 @@ def pair_law_checks(x: Element, y: Element, out: SuiteResult) -> None:
                        "power associativity", f"{tag} ({i},{j})")
 
 
-def basis_law_checks(sig: AlgebraSignature, out: SuiteResult) -> None:
+def _basis_law_checks(sig: AlgebraSignature, out: SuiteResult) -> None:
     """Scalar squares, double products and anticommutation of basis units."""
     n = sig.dimension
     tag = f"t={sig.t} {sig.convention.value}"
@@ -137,7 +137,7 @@ def basis_law_checks(sig: AlgebraSignature, out: SuiteResult) -> None:
 
 def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
                     table_depth: int = 8, seed: int = 20250102) -> SuiteResult:
-    """Structure constants against the elementwise product, plus table laws."""
+    """Structure constants against the doubling recursion, plus table laws."""
     rng = random.Random(seed)
     out = SuiteResult("twist")
     mixed = (2, -3, Fraction(5, 7), Fraction(-1, 2), 11, -1, Fraction(3, 4), 5)
@@ -145,23 +145,22 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
         for conv in Convention:
             for gammas in ((-1,) * t, mixed[:t]):
                 sig = make_algebra(t, gammas, conv)
-                basis = [sig.basis(p) for p in range(sig.dimension)]
                 tag = f"t={t} {conv.value} gammas={gammas}"
                 for p in range(sig.dimension):
                     for q in range(sig.dimension):
                         coeff, idx = twistmod.basis_product(p, q, sig)
                         out.expect(idx == p ^ q, "index law", f"{tag} ({p},{q})")
-                        out.expect(coeff.value(sig.gammas) * basis[idx]
-                                   == basis[p] * basis[q],
+                        out.expect(_recursive_basis_product(p, q, sig)
+                                   == _scaled_unit(coeff.value(sig.gammas), idx, sig),
                                    "coefficient", f"{tag} ({p},{q})")
     for t in (6, 7, 8):
         sig = make_algebra(t, (-1,) * t, Convention.CONJUGATE_RIGHT)
-        basis = [sig.basis(p) for p in range(sig.dimension)]
         for _ in range(random_pairs):
             p = rng.randrange(sig.dimension)
             q = rng.randrange(sig.dimension)
             coeff, idx = twistmod.basis_product(p, q, sig)
-            out.expect(coeff.value(sig.gammas) * basis[idx] == basis[p] * basis[q],
+            out.expect(_recursive_basis_product(p, q, sig)
+                       == _scaled_unit(coeff.value(sig.gammas), idx, sig),
                        "random coefficient", f"t={t} ({p},{q})")
     for t in range(1, table_depth + 1):
         for conv in Convention:
@@ -195,6 +194,18 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
                    "power row", f"{triple} index reading")
         out.expect(report.tree_forms_c_tile, "power row", f"{triple} C tile")
     return out
+
+
+def _scaled_unit(c, p: int, sig: AlgebraSignature) -> tuple:
+    return (0,) * p + (c,) + (0,) * (sig.dimension - p - 1)
+
+
+def _recursive_basis_product(p: int, q: int, sig: AlgebraSignature) -> tuple:
+    """e_p * e_q by the doubling recursion (``algebra._mul``), independent of
+    the structure-constant kernel behind ``Element.__mul__``."""
+    if sig.convention is Convention.CONJUGATE_LEFT:
+        p, q = q, p
+    return _mul(_scaled_unit(1, p, sig), _scaled_unit(1, q, sig), sig.gammas)
 
 
 def run_fib_suite(norm_range: int = 40, random_params: int = 200,

@@ -53,17 +53,20 @@ class TwistCoefficient:
         return self.sign if self.gamma_mask.bit_count() % 2 == 0 else -self.sign
 
 
-def _coefficient(p: int, q: int, t: int) -> Tuple[int, int]:
+def _coefficient(p: int, q: int) -> Tuple[int, int]:
     """(sign, gamma_mask) of the eq11 basis product, by descent on the top bit.
 
     Each case is one line of the doubling product applied to unit
     vectors: a swapped recursion where the product order reverses, a
     sign flip where a conjugated pure basis vector appears, and the
-    stage bit where the doubling parameter enters.  eq31 is the opposite
-    product, so callers reach it by passing (q, p).
+    stage bit where the doubling parameter enters.  Stages above the top
+    bit of p | q multiply low by low halves and contribute nothing, so
+    the descent starts there and the depth does not enter.  eq31 is the
+    opposite product, so callers reach it by passing (q, p).
     """
     sign = 1
     mask = 0
+    t = (p | q).bit_length()
     while t > 0:
         t -= 1
         half = 1 << t
@@ -91,9 +94,9 @@ def basis_product(p: int, q: int, sig: AlgebraSignature) -> Tuple[TwistCoefficie
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError(f"basis indices ({p}, {q}) out of range for dimension {n}")
     if sig.convention is Convention.CONJUGATE_LEFT:
-        sign, mask = _coefficient(q, p, sig.t)
+        sign, mask = _coefficient(q, p)
     else:
-        sign, mask = _coefficient(p, q, sig.t)
+        sign, mask = _coefficient(p, q)
     return TwistCoefficient(sign, mask), p ^ q
 
 
@@ -105,12 +108,16 @@ def basis_product_element(p: int, q: int, sig: AlgebraSignature) -> Element:
 
 def twist_sign(p: int, q: int, t: int,
                convention: Convention = Convention.CONJUGATE_RIGHT) -> int:
-    """Sign of the basis product when every stage parameter is -1."""
-    if not (0 <= p < 1 << t and 0 <= q < 1 << t):
+    """Sign of the basis product when every stage parameter is -1.
+
+    Costs O(log max(p, q)) whatever the depth: the range check compares
+    bit lengths instead of building 2**t.
+    """
+    if p < 0 or q < 0 or (p | q).bit_length() > t:
         raise ValueError(f"basis indices ({p}, {q}) out of range for depth {t}")
     if convention == Convention.CONJUGATE_LEFT:
         p, q = q, p
-    sign, mask = _coefficient(p, q, t)
+    sign, mask = _coefficient(p, q)
     return sign if mask.bit_count() % 2 == 0 else -sign
 
 

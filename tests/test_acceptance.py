@@ -14,8 +14,7 @@ from cdalgebra.algebra import Convention, make_algebra
 from cdalgebra.fibonacci import (QuaternionParams, energy, fib_norm_direct,
                                  invertibility_threshold)
 from cdalgebra.residue import make_w, residue_field
-from cdalgebra.suites import (SuiteResult, basis_law_checks, pair_law_checks,
-                              random_element, run_fib_suite, run_residue_suite,
+from cdalgebra.suites import (run_core_suite, run_fib_suite, run_residue_suite,
                               run_twist_suite)
 from cdalgebra.twist import (BlockKind, build_table, partition_blocks,
                              sweep_power_row_claims)
@@ -169,33 +168,19 @@ def test_criterion_07_power_row_verdicts():
             time.perf_counter() - start, 5.0)
 
 
-GAMMA_POOL = (-1, 1, -2, 2, 3, Fraction(1, 2), Fraction(-1, 2))
-
-
 def test_criterion_08_core_invariants():
-    # The core suite's own checks on 8,000 seeded integer pairs; the
-    # suite at this budget (rational coefficients) would exceed the limit.
+    # The core suite as verify runs it: 1,000 samples per depth and
+    # convention, with rational coefficients and parameters.
     start = time.perf_counter()
-    rng = random.Random(20250208)
-    out = SuiteResult("core")
-
-    def signature(t, conv):
-        return make_algebra(t, [rng.choice(GAMMA_POOL) for _ in range(t)], conv)
-
-    for t in (1, 2, 3, 4):
-        for conv in Convention:
-            basis_law_checks(signature(t, conv), out)
-            for _ in range(1000):
-                sig = signature(t, conv)
-                pair_law_checks(random_element(sig, rng), random_element(sig, rng),
-                                out)
-    _report(8, "core invariant sweep", out.failures,
+    result = run_core_suite(samples=1000, seed=20250208)
+    _report(8, "core invariant sweep", result.failures,
             time.perf_counter() - start, 60.0)
-    assert out.counts == {
+    assert result.counts == {
         "basis square": 60, "basis double product": 120, "anticommutation": 516,
         "involution": 8000, "antiautomorphism": 8000, "trace scalar": 8000,
         "norm scalar": 8000, "quadratic": 8000, "flexibility": 8000,
         "power associativity": 80_000}
+    assert result.checks == 128_696
 
 
 def test_criterion_09_division_boundary():

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from cdalgebra.algebra import (Convention, make_algebra, octonions,
+from cdalgebra import algebra
+from cdalgebra.algebra import (Convention, Element, _mul, make_algebra, octonions,
                                power_left_nested, quadratic_check, quaternions,
                                sedenions)
+from cdalgebra.suites import GAMMA_POOL, run_twist_suite
 
 RIGHT = Convention.CONJUGATE_RIGHT
 LEFT = Convention.CONJUGATE_LEFT
@@ -232,3 +234,79 @@ class TestPowers:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             power_left_nested(quaternions().one(), -1)
+
+
+class TestKernel:
+    """Element products (the structure-constant kernel at depths 2-8)
+    against the doubling recursion ``algebra._mul``."""
+
+    MIXED = (2, -3, Fraction(5, 7), Fraction(-1, 2), 11, -1, Fraction(3, 4), 5)
+
+    @staticmethod
+    def _pairs(sig, rng):
+        """Dense, rational, basis, two-term and zero operands, paired.
+
+        The dense operand has no zero coefficient, so products with it
+        take the summed route at depths 4-8 and sparse ones the support
+        loop.  At depths 7 and 8 one dense pair stands for the rest: the
+        recursion takes 0.05-0.2 s for each.
+        """
+        n = sig.dimension
+        dense = sig.element([rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n)])
+        rational = sig.element([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                if rng.random() < 0.3 else rng.randint(-9, 9)
+                                for _ in range(n)])
+        basis = sig.basis(rng.randrange(n))
+        two_term = (sig.basis(rng.randrange(n))
+                    - Fraction(2, 3) * sig.basis(rng.randrange(n)))
+        operands = [dense, rational, basis, two_term, sig.zero()]
+        pairs = [(x, y) for i, x in enumerate(operands) for j, y in enumerate(operands)
+                 if sig.t < 7 or i >= 2 or j >= 2]
+        if sig.t >= 7:
+            pairs.append((dense, rational))
+        return pairs
+
+    @staticmethod
+    def _mismatches(pairs):
+        """Pairs whose product differs from the recursion's, value or type."""
+        bad = []
+        for x, y in pairs:
+            sig = x.signature
+            a, b = x.coeffs, y.coeffs
+            if sig.convention is LEFT:
+                a, b = b, a
+            want = Element(sig, _mul(a, b, sig.gammas)).coeffs
+            got = (x * y).coeffs
+            if got != want or list(map(type, got)) != list(map(type, want)):
+                bad.append((x, y))
+        return bad
+
+    @staticmethod
+    def _clear_caches():
+        for cache in (algebra._planes, algebra._signed_monomials, algebra._rows):
+            cache.cache_clear()
+
+    def test_matches_recursion(self):
+        rng = random.Random(20)
+        for t in range(1, 9):
+            for conv in Convention:
+                for gammas in ([rng.choice(GAMMA_POOL) for _ in range(t)],
+                               self.MIXED[:t]):
+                    sig = make_algebra(t, gammas, conv)
+                    assert self._mismatches(self._pairs(sig, rng)) == [], \
+                        (t, conv, gammas)
+
+    def test_corrupted_plane_is_caught(self):
+        # One flipped sign in the depth-3 planes must show in the
+        # comparison, and must not reach the twist suite's oracle.
+        self._clear_caches()
+        try:
+            codes, _ = algebra._planes(3)
+            codes[2 ^ 7][2] ^= 1            # sign of e_2 * e_7
+            sig = make_algebra(3, (-1, 2, Fraction(1, 2)), RIGHT)
+            assert self._mismatches(self._pairs(sig, random.Random(22)))
+            assert self._mismatches([(sig.basis(2), sig.basis(7))])
+            assert run_twist_suite(exhaustive_depth=3, random_pairs=10,
+                                   table_depth=3).passed
+        finally:
+            self._clear_caches()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cdalgebra.algebra import Convention
 from cdalgebra.cli import run
+from cdalgebra.fibonacci import fib
 from cdalgebra.residue import make_w, residue_field
 from cdalgebra.twist import build_table
 
@@ -40,6 +41,15 @@ class TestTwistCommand:
         code, _, err = invoke(capsys, "twist", "--t", "2", "--p", "9", "--q", "0")
         assert code == 1
         assert "error" in err
+
+    def test_huge_depth_answers_promptly(self):
+        # A process, timed from outside: the sign costs O(log max(p, q)).
+        proc = subprocess.run([sys.executable, "-m", "cdalgebra.cli", "twist",
+                               "--t", "10000000", "--p", "1", "--q", "2"],
+                              env=_src_env(), capture_output=True, text=True,
+                              timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "sign=+1 index=3\n"
 
 
 class TestMulTable:
@@ -129,6 +139,24 @@ class TestFibNorm:
         assert code == 0
         assert "equal=true" in out
 
+    def test_norm_beyond_the_int_string_limit(self, capsys):
+        # The norm at n = 20000 has about 8,400 digits, past Python's
+        # default 4,300-digit str(int) limit; the caller's limit stays.
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = invoke(capsys, "fib-norm", "--n", "20000",
+                                    "--alpha1", "1", "--alpha2", "1")
+            assert sys.get_int_max_str_digits() == 4300
+            assert code == 0, err
+            sys.set_int_max_str_digits(0)
+            direct, formula, equal = out.splitlines()
+            assert direct == f"direct={3 * fib(2 * 20000 + 3)}"
+            assert formula == "formula" + direct[len("direct"):]
+            assert equal == "equal=true"
+        finally:
+            sys.set_int_max_str_digits(previous)
+
 
 class TestThreshold:
     def test_unit_parameters(self, capsys):
@@ -205,17 +233,21 @@ class TestResidueFieldCommand:
         assert err.count("\n") == 1
 
 
-def test_residue_field_runs_without_sympy():
+def _src_env():
+    """The environment for a subprocess that imports the package from ./src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_residue_field_runs_without_sympy():
     script = ("import sys\n"
               "from cdalgebra import cli\n"
               "code = cli.run(['residue-field', '--p', '13', '--pi', '-1,2',\n"
               "                '--w', '1,1,1,1', '--t', '2'])\n"
               "assert code == 0, code\n"
               "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

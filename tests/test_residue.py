@@ -250,6 +250,16 @@ class TestResidueField:
         assert golden_field.unlabel(9) == golden_gen.element(3, -1)
         assert golden_field.unlabel(12) == golden_gen.element(-1, 0)
 
+    def test_label_checks_the_subring(self, golden_field):
+        # An equal generator built separately is the same subring; a
+        # different one is refused.
+        twin = make_w(2, (1, 2, 3), (1, 1, 1, 1))
+        assert twin is not golden_field.gen
+        assert golden_field.label(twin.element(-3, 1)) == 4
+        other = make_w(2, (1, 2, 3), (1, 1, 1, 0))
+        with pytest.raises(ValueError, match="different subring"):
+            golden_field.label(other.element(-3, 1))
+
     def test_unlabel_range(self, golden_field):
         with pytest.raises(ValueError):
             golden_field.unlabel(13)

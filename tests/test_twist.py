@@ -162,6 +162,15 @@ class TestTwistSign:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             twist_sign(4, 0, 2)
+        with pytest.raises(ValueError):
+            twist_sign(-1, 0, 2)
+
+    def test_depth_above_the_indices_costs_nothing(self):
+        # Stages above the top bit of p | q contribute nothing, so a
+        # depth of ten million answers at once and as at depth 2.
+        assert twist_sign(1, 2, 10 ** 7) == twist_sign(1, 2, 2)
+        assert twist_sign(2, 1, 10 ** 7, LEFT) == twist_sign(2, 1, 2, LEFT)
+        assert twist_sign(3, 3, 2) == twist_sign(3, 3, 10 ** 7) == -1
 
 
 class TestBuildTable:
