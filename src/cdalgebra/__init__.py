@@ -63,7 +63,6 @@ from cdalgebra.residue import (
     is_prime_u,
     make_w,
     residue_field,
-    round_coordinates,
     u_mod,
 )
 
@@ -83,6 +82,6 @@ __all__ = [
     "golden_power",
     "WGenerator", "UElement", "ResidueField",
     "make_w", "four_square_root", "is_prime_u", "u_mod", "residue_field",
-    "encode_symbols", "decode_symbols", "round_coordinates",
+    "encode_symbols", "decode_symbols",
     "__version__",
 ]

@@ -63,7 +63,7 @@ class AlgebraSignature:
     ``t = 0`` is the base field itself (dimension 1).
     """
 
-    __slots__ = ("t", "gammas", "convention")
+    __slots__ = ("t", "gammas", "convention", "_scaled", "_rows")
 
     def __init__(self, t: int, gammas: Sequence[Rational],
                  convention: Convention = Convention.CONJUGATE_RIGHT):
@@ -97,6 +97,32 @@ class AlgebraSignature:
     def __repr__(self) -> str:
         gs = ", ".join(str(g) for g in self.gammas)
         return f"AlgebraSignature(t={self.t}, gammas=({gs}), {self.convention.value})"
+
+    def _constants(self) -> tuple:
+        """(signed, D, weights), the parameters scaled to integers on first use.
+
+        D = prod(den(gamma_i)), ``signed[2 * mask + s]`` = (-1)**s * D * prod(gamma_i,
+        bit i of mask) and the norm's ``weights[p]`` = D * prod(-gamma_i, bit i of p).
+        """
+        if not hasattr(self, "_scaled"):
+            monomials = [1]
+            den = 1
+            for g in self.gammas:
+                a, b = g.numerator, g.denominator
+                monomials = [m * b for m in monomials] + [m * a for m in monomials]
+                den *= b
+            signed = [v for m in monomials for v in (m, -m)]
+            weights = [signed[2 * p + (p.bit_count() & 1)] for p in range(len(monomials))]
+            object.__setattr__(self, "_scaled", (signed, den, weights))
+        return self._scaled
+
+    def _kernel_rows(self) -> list:
+        """rows[k][p]: the scaled constant of e_p * e_(p^k), shared references."""
+        if not hasattr(self, "_rows"):
+            signed = self._constants()[0]
+            object.__setattr__(self, "_rows", [[signed[c] for c in row]
+                                               for row in _planes(self.t)[0]])
+        return self._rows
 
     # ---- element factories -------------------------------------------------
 
@@ -195,7 +221,6 @@ def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
 # numerators with a single division at the end.  _mul stays the oracle.
 
 KERNEL_MAX_DEPTH = 8   # a depth-12 kernel would hold 16M entries
-_KERNEL_CACHE = 64     # parameter tuples kept; depth-8 rows are ~0.5 MB each
 
 
 @lru_cache(maxsize=None)
@@ -216,26 +241,6 @@ def _planes(t: int) -> tuple:
     return codes, [itemgetter(*row) for row in partners]
 
 
-@lru_cache(maxsize=_KERNEL_CACHE)
-def _signed_monomials(gammas: tuple) -> tuple:
-    """(D * constant for each code, D) for one parameter tuple."""
-    monomials = [1]
-    den = 1
-    for g in gammas:
-        a, b = g.numerator, g.denominator
-        monomials = [m * b for m in monomials] + [m * a for m in monomials]
-        den *= b
-    return [v for m in monomials for v in (m, -m)], den
-
-
-@lru_cache(maxsize=_KERNEL_CACHE)
-def _rows(gammas: tuple) -> list:
-    """rows[k][p]: the scaled constant of e_p * e_(p^k), shared references."""
-    signed, _ = _signed_monomials(gammas)
-    codes, _ = _planes(len(gammas))
-    return [[signed[c] for c in row] for row in codes]
-
-
 def _numerators(a: tuple) -> tuple:
     """(integer numerators, common denominator) of a coefficient tuple."""
     dens = {c.denominator for c in a if type(c) is not int}
@@ -246,13 +251,20 @@ def _numerators(a: tuple) -> tuple:
             for c in a], den
 
 
-def _kernel_mul(a: tuple, b: tuple, gammas: tuple) -> list:
+def _divide(z, den: int):
+    """Integers z divided exactly by den: ints where it divides, else Fractions."""
+    if den == 1:
+        return z
+    return [Fraction(v, den) if v % den else v // den for v in z]
+
+
+def _kernel_mul(a: tuple, b: tuple, sig: AlgebraSignature) -> list:
     """eq11 product through the structure constants, for depths 2..KERNEL_MAX_DEPTH."""
     n = len(a)
     xs, dx = _numerators(a)
     ys, dy = _numerators(b)
-    signed, den = _signed_monomials(gammas)
-    codes, gathers = _planes(len(gammas))
+    signed, den, _ = sig._constants()
+    codes, gathers = _planes(sig.t)
     px = [(p, v) for p, v in enumerate(xs) if v]
     py = [(q, v) for q, v in enumerate(ys) if v]
     if 2 * len(px) * len(py) <= n * (n + 8):
@@ -264,18 +276,8 @@ def _kernel_mul(a: tuple, b: tuple, gammas: tuple) -> list:
                 z[k] += xp * yq * signed[codes[k][p]]
     else:
         z = [sum(map(mul, map(mul, xs, row), gather(ys)))
-             for row, gather in zip(_rows(gammas), gathers)]
-    den *= dx * dy
-    if den == 1:
-        return z
-    return [Fraction(v, den) if v % den else v // den for v in z]
-
-
-def _norm(a: tuple, gammas: tuple):
-    if len(a) == 1:
-        return a[0] * a[0]
-    h = len(a) // 2
-    return _norm(a[:h], gammas[:-1]) - gammas[-1] * _norm(a[h:], gammas[:-1])
+             for row, gather in zip(sig._kernel_rows(), gathers)]
+    return _divide(z, den * dx * dy)
 
 
 class Element:
@@ -328,7 +330,7 @@ class Element:
             if sig.convention is Convention.CONJUGATE_LEFT:
                 a, b = b, a
             if 2 <= sig.t <= KERNEL_MAX_DEPTH:
-                return Element(sig, _kernel_mul(a, b, sig.gammas))
+                return Element(sig, _kernel_mul(a, b, sig))
             return Element(sig, _mul(a, b, sig.gammas))
         if isinstance(other, (int, Fraction)):
             return Element(self.signature, _scale(as_rational(other), self.coeffs))
@@ -363,16 +365,19 @@ class Element:
         return 2 * self.coeffs[0]
 
     def norm(self) -> Rational:
-        """Scalar c with x * conjugate(x) = c * 1, by the stage recurrence."""
-        return as_rational(_norm(self.coeffs, self.signature.gammas))
+        """Scalar c with x * conjugate(x) = c * 1: sum of x_p**2 * weights[p] / D."""
+        xs, dx = _numerators(self.coeffs)
+        _, den, weights = self.signature._constants()
+        return _divide([sum(map(mul, map(mul, xs, xs), weights))], den * dx * dx)[0]
 
     def inverse(self) -> Element:
         """Two-sided inverse; fails on zero and on zero divisors."""
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("element has norm zero and is not invertible")
+        xs, dx = _numerators(_conj(self.coeffs))
         return Element(self.signature,
-                       _scale(Fraction(1) / n, _conj(self.coeffs)))
+                       _divide(_scale(n.denominator, xs), dx * n.numerator))
 
     def scalar_part(self) -> Rational:
         return self.coeffs[0]

@@ -28,19 +28,16 @@ def integer_signature(t: int) -> AlgebraSignature:
 
 def round_half_away(x: Fraction) -> int:
     """Nearest integer, ties away from zero."""
-    if x < 0:
-        return -round_half_away(-x)
-    floor, rem = divmod(x.numerator, x.denominator)
-    return floor + (1 if 2 * rem >= x.denominator else 0)
+    return _round_quotient(x.numerator, x.denominator)
 
 
-def round_coordinates(x: Element) -> Element:
-    """Round each coefficient separately, ties away from zero.
-
-    Coordinate-wise rounding utility for full integer lattices; the
-    subring reduction below works in (1, w) coordinates instead.
-    """
-    return x.signature.element(tuple(round_half_away(Fraction(c)) for c in x.coeffs))
+def _round_quotient(a: int, n: int) -> int:
+    """a / n rounded to the nearest integer, ties away from zero; n != 0."""
+    if n < 0:
+        a, n = -a, -n
+    floor, rem = divmod(abs(a), n)
+    floor += 2 * rem >= n
+    return floor if a >= 0 else -floor
 
 
 class WGenerator:
@@ -126,7 +123,7 @@ class UElement:
         raise AttributeError("UElement is immutable")
 
     def _check(self, other: UElement) -> None:
-        if self.gen != other.gen:
+        if self.gen is not other.gen and self.gen != other.gen:
             raise ValueError("elements belong to different subrings")
 
     def __add__(self, other) -> UElement:
@@ -276,8 +273,8 @@ def u_mod(x: UElement, y: UElement) -> UElement:
     if n == 0:
         raise ValueError("modulus has norm zero")
     prod = x * y.conjugate()
-    za = round_half_away(Fraction(prod.a, n))
-    zb = round_half_away(Fraction(prod.b, n))
+    za = _round_quotient(prod.a, n)
+    zb = _round_quotient(prod.b, n)
     best = x - y.gen.element(za, zb) * y
     if abs(best.norm()) < abs(n):
         return best
@@ -446,5 +443,6 @@ def encode_symbols(ks: Iterable[int], field: ResidueField) -> List[UElement]:
 
 
 def decode_symbols(us: Iterable[UElement], field: ResidueField) -> List[int]:
-    """Reduce arbitrary subring elements modulo the prime and read labels."""
-    return [field.label(u_mod(u, field.pi)) for u in us]
+    """Labels of arbitrary subring elements: the labelling is a ring
+    homomorphism whose kernel holds the prime, so no reduction is needed."""
+    return [field.label(u) for u in us]

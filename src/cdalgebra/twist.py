@@ -48,10 +48,6 @@ class TwistCoefficient:
                 v = v * g
         return v
 
-    def sign_all_minus_one(self) -> int:
-        """Collapsed sign when every stage parameter is -1."""
-        return self.sign if self.gamma_mask.bit_count() % 2 == 0 else -self.sign
-
 
 def _coefficient(p: int, q: int) -> Tuple[int, int]:
     """(sign, gamma_mask) of the eq11 basis product, by descent on the top bit.

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from cdalgebra import algebra
-from cdalgebra.algebra import (Convention, Element, _mul, make_algebra, octonions,
-                               power_left_nested, quadratic_check, quaternions,
-                               sedenions)
+from cdalgebra.algebra import (Convention, Element, _conj, _mul, as_rational,
+                               make_algebra, octonions, power_left_nested,
+                               quadratic_check, quaternions, sedenions)
 from cdalgebra.suites import GAMMA_POOL, run_twist_suite
+from cdalgebra.twist import basis_product
 
 RIGHT = Convention.CONJUGATE_RIGHT
 LEFT = Convention.CONJUGATE_LEFT
@@ -240,7 +241,8 @@ class TestKernel:
     """Element products (the structure-constant kernel at depths 2-8)
     against the doubling recursion ``algebra._mul``."""
 
-    MIXED = (2, -3, Fraction(5, 7), Fraction(-1, 2), 11, -1, Fraction(3, 4), 5)
+    MIXED = (2, -3, Fraction(5, 7), Fraction(-1, 2), 11, -1, Fraction(3, 4), 5,
+             Fraction(-9, 4))
 
     @staticmethod
     def _pairs(sig, rng):
@@ -281,10 +283,72 @@ class TestKernel:
                 bad.append((x, y))
         return bad
 
+    def _signatures(self, t, rng):
+        """Both conventions, with GAMMA_POOL and with mixed rational parameters."""
+        return [make_algebra(t, gammas, conv) for conv in Convention
+                for gammas in ([rng.choice(GAMMA_POOL) for _ in range(t)], self.MIXED[:t])]
+
+    @staticmethod
+    def _operands(sig, rng):
+        """An integer and a rational operand with nonzero norm.
+
+        From depth 7 on they are nonzero at one index in eight, so that
+        the recursion they are checked against stays fast.
+        """
+        n = sig.dimension
+        support = range(n) if sig.t < 7 else rng.sample(range(n), n // 8)
+        operands = []
+        for rational in (False, True):
+            while True:
+                coeffs = [0] * n
+                for p in support:
+                    coeffs[p] = rng.randint(-9, 9)
+                    if rational and rng.random() < 0.3:
+                        coeffs[p] = Fraction(coeffs[p], rng.randint(2, 9))
+                x = sig.element(coeffs)
+                if x.norm() != 0:
+                    operands.append(x)
+                    break
+        return operands
+
+    def test_norm_is_the_product_with_the_conjugate(self):
+        rng = random.Random(23)
+        for t in range(10):
+            for sig in self._signatures(t, rng):
+                for x in self._operands(sig, rng):
+                    want = as_rational(_mul(x.coeffs, _conj(x.coeffs), sig.gammas)[0])
+                    got = x.norm()
+                    assert (got, type(got)) == (want, type(want)), (sig, x)
+
+    def test_inverse_gives_the_unit_under_the_recursion(self):
+        rng = random.Random(24)
+        for t in range(9):
+            for sig in self._signatures(t, rng):
+                for x in self._operands(sig, rng):
+                    inv = x.inverse()
+                    n = Fraction(x.norm())
+                    want = [as_rational(c / n) for c in _conj(x.coeffs)]
+                    assert list(inv.coeffs) == want, (sig, x)
+                    assert list(map(type, inv.coeffs)) == list(map(type, want))
+                    a, b = x.coeffs, inv.coeffs
+                    if sig.convention is LEFT:
+                        a, b = b, a
+                    unit = list(map(as_rational, _mul(a, b, sig.gammas)))
+                    assert unit == list(sig.one().coeffs), (sig, x)
+                    assert all(type(c) is int for c in unit)
+
+    def test_depth_30_basis_product_builds_no_constants(self):
+        # 2**31 scaled constants would not fit; basis_product never asks.
+        sig = make_algebra(30, [Fraction(-1, 2)] * 30, LEFT)
+        p, q = (1 << 29) | 5, (3 << 27) | 6
+        assert basis_product(p, q, sig)[1] == p ^ q
+        assert not hasattr(sig, "_scaled") and not hasattr(sig, "_rows")
+
     @staticmethod
     def _clear_caches():
-        for cache in (algebra._planes, algebra._signed_monomials, algebra._rows):
-            cache.cache_clear()
+        # The parameter data lives on each signature; fresh signatures
+        # read the planes again.
+        algebra._planes.cache_clear()
 
     def test_matches_recursion(self):
         rng = random.Random(20)

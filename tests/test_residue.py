@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import operator
 import random
 from fractions import Fraction
 
@@ -12,8 +13,30 @@ from cdalgebra.algebra import make_algebra, Convention
 from cdalgebra.residue import (MAX_FIELD_SIZE, ResidueField, UElement,
                                decode_symbols,
                                encode_symbols, four_square_root, is_prime_u,
-                               make_w, residue_field, round_coordinates,
-                               round_half_away, u_mod)
+                               make_w, residue_field, round_half_away, u_mod)
+
+
+def fraction_round(x: Fraction) -> int:
+    """Ties-away rounding through Fraction, as u_mod rounded before."""
+    if x < 0:
+        return -fraction_round(-x)
+    floor, rem = divmod(x.numerator, x.denominator)
+    return floor + (1 if 2 * rem >= x.denominator else 0)
+
+
+def fraction_u_mod(x, y):
+    """u_mod with the quotient rounded through Fraction (the oracle)."""
+    n = y.norm()
+    prod = x * y.conjugate()
+    za, zb = fraction_round(Fraction(prod.a, n)), fraction_round(Fraction(prod.b, n))
+    best = x - y.gen.element(za, zb) * y
+    if abs(best.norm()) >= abs(n):
+        for da in (-1, 0, 1):
+            for db in (-1, 0, 1):
+                cand = x - y.gen.element(za + da, zb + db) * y
+                if abs(cand.norm()) < abs(best.norm()):
+                    best = cand
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +58,36 @@ class TestRounding:
         assert round_half_away(Fraction(-7, 5)) == -1
         assert round_half_away(Fraction(7)) == 7
 
-    def test_elementwise_rounding(self):
-        sig = make_algebra(2, (-1, -1), Convention.CONJUGATE_RIGHT)
-        x = sig.element([Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), 1])
-        assert round_coordinates(x).coeffs == (1, -1, 1, 1)
+    def test_integer_rounding_matches_fraction_oracle(self):
+        rng = random.Random(28)
+        grid = [(a, n) for n in (-12, -7, -2, -1, 1, 2, 7, 12) for a in range(-40, 41)]
+        half = [rng.randint(1, 10 ** 12) for _ in range(200)]
+        ties = [((2 * rng.randint(-10 ** 9, 10 ** 9) + 1) * h, rng.choice((2, -2)) * h)
+                for h in half]
+        wide = [(rng.randint(-10 ** 30, 10 ** 30), rng.choice((1, -1)) * rng.randint(1, 10 ** 15))
+                for _ in range(2000)]
+        assert any(abs(Fraction(a, n).denominator) == 2 for a, n in grid)
+        for a, n in grid + ties + wide:
+            want = fraction_round(Fraction(a, n))
+            assert resmod._round_quotient(a, n) == want, (a, n)
+            assert round_half_away(Fraction(a, n)) == want, (a, n)
+
+    def test_u_mod_matches_fraction_rounding(self, golden_gen):
+        # Split signatures give generators with indefinite norm forms, so
+        # moduli of negative norm occur.
+        split = [resmod.WGenerator(make_algebra(1, [1], Convention.CONJUGATE_RIGHT)
+                                   .element(w)) for w in ([0, 1], [1, 2])]
+        rng = random.Random(29)
+        negative = 0
+        for gen in [golden_gen] + split:
+            for _ in range(300):
+                x = gen.element(rng.randint(-90, 90), rng.randint(-90, 90))
+                y = gen.element(rng.randint(-20, 20), rng.randint(-20, 20))
+                if y.norm() == 0:
+                    continue
+                negative += y.norm() < 0
+                assert u_mod(x, y) == fraction_u_mod(x, y), (x, y)
+        assert negative > 100
 
 
 class TestMakeW:
@@ -106,6 +155,18 @@ class TestUElementArithmetic:
         other = make_w(2, (1, 2, 3), (0, 1, 0, 0))
         with pytest.raises(ValueError):
             golden_gen.element(1, 0) + other.element(1, 0)
+
+    def test_equal_generators_combine(self, golden_gen):
+        twin = make_w(2, (1, 2, 3), (1, 1, 1, 1))
+        assert twin is not golden_gen and twin == golden_gen
+        x, y = golden_gen.element(2, -1), twin.element(-3, 4)
+        same = golden_gen.element(-3, 4)
+        for op in (operator.add, operator.sub, operator.mul):
+            assert op(x, y) == op(x, same)
+        foreign = make_w(2, (1, 2, 3), (0, 1, 0, 0)).element(-3, 4)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(x, foreign)
 
     def test_integer_coordinates_required(self, golden_gen):
         with pytest.raises(TypeError):
@@ -447,6 +508,18 @@ class TestCodec:
                  + golden_gen.element(rng.randint(-6, 6), rng.randint(-6, 6)) * pi
                  for k in ks]
         assert decode_symbols(noisy, golden_field) == ks
+
+    @pytest.mark.parametrize("coeffs, pi", [((1, 1, 1, 1), (-1, 2)),    # golden, p = 13
+                                            ((0, 1, 0, 0), (5, 2))])    # Euclidean, p = 29
+    def test_decode_reads_labels(self, coeffs, pi):
+        gen = make_w(2, (1, 2, 3), coeffs)
+        field = residue_field(gen.element(*pi))
+        rng = random.Random(30)
+        us = [gen.element(rng.randint(-300, 300), rng.randint(-300, 300))
+              for _ in range(500)]
+        assert decode_symbols(us, field) == [field.label(u_mod(u, field.pi)) for u in us]
+        with pytest.raises(ValueError):
+            decode_symbols([make_w(2, (1, 2, 3), (1, 1, 0, 0)).element(1, 1)], field)
 
     def test_symbol_out_of_range(self, golden_field):
         with pytest.raises(ValueError):

@@ -148,7 +148,7 @@ class TestTwistSign:
                     assert basis_product(p, q, sig) == (want, p ^ q)
                     assert table.entry(p, q) == want
                     assert (signs[p, q] == twist_sign(p, q, t, LEFT)
-                            == want.sign_all_minus_one())
+                            == want.value([-1] * t))
 
     def test_stable_under_index_doubling(self):
         for t in (1, 2, 3, 4, 5):
