@@ -94,6 +94,11 @@ class AlgebraSignature:
     def __hash__(self) -> int:
         return hash((self.t, self.gammas, self.convention))
 
+    def __reduce__(self):
+        # Rebuilt through __init__: __setattr__ refuses slot-by-slot
+        # restoring, and the cached constants are recomputed on first use.
+        return (type(self), (self.t, self.gammas, self.convention))
+
     def __repr__(self) -> str:
         gs = ", ".join(str(g) for g in self.gammas)
         return f"AlgebraSignature(t={self.t}, gammas=({gs}), {self.convention.value})"

@@ -15,19 +15,39 @@ from typing import Optional, Tuple, Union
 
 from .algebra import AlgebraSignature, Convention, Element, Rational, as_rational
 
+# Indices below FIB_MEMO are memoised, which covers the closed-form norm up
+# to n = 510 in about 84 KB.  Larger indices use fast doubling, so a large
+# index costs O(log n) products and no call grows the memo past it.
+FIB_MEMO = 1024
 _fib_cache = [0, 1]
 _fib_lock = threading.Lock()
 
 
 def fib(n: int) -> int:
-    """Exact Fibonacci number, iterative with a shared memo."""
+    """Exact Fibonacci number: a shared memo below FIB_MEMO, fast doubling above."""
     if n < 0:
         raise ValueError("index must be >= 0")
+    if n >= FIB_MEMO:
+        return _fib_doubling(n)[0]
     if n >= len(_fib_cache):
         with _fib_lock:
             while n >= len(_fib_cache):
                 _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
     return _fib_cache[n]
+
+
+def _fib_doubling(n: int) -> Tuple[int, int]:
+    """(f_n, f_(n+1)) in O(log n) products.
+
+    From (f_k, f_(k+1)): f_2k = f_k*(2*f_(k+1) - f_k) and
+    f_(2k+1) = f_k**2 + f_(k+1)**2, one bit of n at a time.
+    """
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -61,8 +81,8 @@ class GoldenNumber:
     __slots__ = ("u", "v")
 
     def __init__(self, u: Union[Rational, str] = 0, v: Union[Rational, str] = 0):
-        object.__setattr__(self, "u", Fraction(u))
-        object.__setattr__(self, "v", Fraction(v))
+        object.__setattr__(self, "u", u if type(u) is Fraction else Fraction(u))
+        object.__setattr__(self, "v", v if type(v) is Fraction else Fraction(v))
 
     def __setattr__(self, name, value):
         raise AttributeError("GoldenNumber is immutable")
@@ -93,10 +113,16 @@ class GoldenNumber:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> GoldenNumber:
+        if isinstance(other, (int, Fraction)):
+            return GoldenNumber(self.u * other, self.v * other)
         other = self._coerce(other)
+        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
+        if u1.denominator == v1.denominator == u2.denominator == v2.denominator == 1:
+            u1, v1 = u1.numerator, v1.numerator
+            u2, v2 = u2.numerator, v2.numerator
         # (u1 + v1 a)(u2 + v2 a) with a*a = a + 1
-        return GoldenNumber(self.u * other.u + self.v * other.v,
-                            self.u * other.v + self.v * other.u + self.v * other.v)
+        vv = v1 * v2
+        return GoldenNumber(u1 * u2 + vv, u1 * v2 + v1 * u2 + vv)
 
     __rmul__ = __mul__
 
@@ -153,6 +179,7 @@ class GoldenNumber:
 
 
 GOLDEN_UNIT = GoldenNumber(0, 1)
+GOLDEN_SQUARE = GoldenNumber(1, 1)
 
 
 def golden_power(n: int) -> GoldenNumber:
@@ -178,10 +205,18 @@ class QuaternionParams:
         """Depth-2 doubling algebra realizing this parameter pair.
 
         Stage parameters are the negated alphas, which makes the norm the
-        diagonal form x1^2 + a1*x2^2 + a2*x3^2 + a1*a2*x4^2.
+        diagonal form x1^2 + a1*x2^2 + a2*x3^2 + a1*a2*x4^2.  Built on
+        first use and kept, with its scaled constants, for the life of
+        these params; it is not a field, so equality, hashing and repr
+        still read the alphas alone.
         """
-        return AlgebraSignature(2, (-self.alpha1, -self.alpha2),
-                                Convention.CONJUGATE_RIGHT)
+        try:
+            return self._signature
+        except AttributeError:
+            sig = AlgebraSignature(2, (-self.alpha1, -self.alpha2),
+                                   Convention.CONJUGATE_RIGHT)
+            object.__setattr__(self, "_signature", sig)
+            return sig
 
 
 def fibonacci_quaternion(n: int, params: QuaternionParams) -> Element:
@@ -202,14 +237,20 @@ def fib_norm_formula(n: int, params: QuaternionParams) -> Rational:
 
     h_{2n+2} started at (1 + 2*a2, 3*a2), plus (a1 - 1) times h_{2n+3}
     started at (1 + 2*a2, a2), minus 2*(a1 - 1)*(1 + a2)*f_n*f_{n+1}.
+    Each term is summed as an integer over den(a1)*den(a2), with one
+    exact division at the end.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    a1, a2 = params.alpha1, params.alpha2
-    first = horadam(2 * n + 2, HoradamParams(1 + 2 * a2, 3 * a2))
-    second = horadam(2 * n + 3, HoradamParams(1 + 2 * a2, a2))
-    return as_rational(first + (a1 - 1) * second
-                       - 2 * (a1 - 1) * (1 + a2) * fib(n) * fib(n + 1))
+    p1, q1 = params.alpha1.numerator, params.alpha1.denominator
+    p2, q2 = params.alpha2.numerator, params.alpha2.denominator
+    start = q2 + 2 * p2                  # den(a2) * (1 + 2*a2)
+    shift = p1 - q1                      # den(a1) * (a1 - 1)
+    f_odd, f_even = fib(2 * n + 1), fib(2 * n + 2)
+    first = q1 * (start * f_odd + 3 * p2 * f_even)
+    second = shift * (start * f_even + p2 * (f_odd + f_even))
+    cross = 2 * shift * (q2 + p2) * fib(n) * fib(n + 1)
+    return as_rational(Fraction(first + second - cross, q1 * q2))
 
 
 def energy(params: Union[QuaternionParams, Tuple[Rational, Rational]]) -> GoldenNumber:
@@ -224,23 +265,56 @@ def energy(params: Union[QuaternionParams, Tuple[Rational, Rational]]) -> Golden
         a1, a2 = Fraction(params.alpha1), Fraction(params.alpha2)
     else:
         a1, a2 = Fraction(params[0]), Fraction(params[1])
-    u = (1 + a1 + 2 * a2 + 5 * a1 * a2) / 5
-    v = (a1 + 3 * a2 + 8 * a1 * a2) / 5
-    return GoldenNumber(u, v)
+    # Both brackets times den(a1)*den(a2), in integers.
+    p1, q1, p2, q2 = a1.numerator, a1.denominator, a2.numerator, a2.denominator
+    den = 5 * q1 * q2
+    return GoldenNumber(Fraction(q1 * q2 + p1 * q2 + 2 * p2 * q1 + 5 * p1 * p2, den),
+                        Fraction(p1 * q2 + 3 * p2 * q1 + 8 * p1 * p2, den))
+
+
+def _settle_index(e: GoldenNumber, params: QuaternionParams) -> int:
+    """Least n1 from which every norm is nonzero with the sign of E = e.
+
+    With conj(u + v*a) = (u + v) - v*a the golden conjugate and
+    Z = (1 - a1)*(1 + a2), the norm is
+    N(n) = E*a**(2n) + conj(E)*conj(a)**(2n) - (2/5)*(-1)**n*Z, and
+    |conj(a)| < 1.  So every n with |E|*a**(2n) > |conj(E)| + (2/5)*|Z|
+    has sign(N(n)) = sign(E).  n1 is the least such n, found by growing
+    |E| by a**2 per step and deciding each comparison exactly: O(n1)
+    steps for a nonzero E.  Both sides are compared times
+    5*den(a1)*den(a2), which makes every coefficient an integer.
+    """
+    p1, q1 = params.alpha1.numerator, params.alpha1.denominator
+    p2, q2 = params.alpha2.numerator, params.alpha2.denominator
+    e = e * (5 * q1 * q2)
+    conj = GoldenNumber(e.u + e.v, -e.v)
+    bound = conj * conj.sign() + 2 * abs((q1 - p1) * (q2 + p2))
+    grown = e * e.sign()
+    n1 = 0
+    while (grown - bound).sign() <= 0:
+        grown = grown * GOLDEN_SQUARE
+        n1 += 1
+    return n1
 
 
 def invertibility_threshold(params: QuaternionParams, n_max: int = 200) -> Optional[int]:
     """Least index from which every norm up to n_max has the energy's sign.
 
     Norms of that sign are nonzero, so all later terms are invertible.
-    Returns None when the sign has not stabilized by n_max; raises when
-    the energy is zero and the criterion does not apply.
+    Every norm from n1 on has that sign, where n1 is the least n with
+    |E|*a**(2n) > |conj(E)| + (2/5)*|(1 - a1)*(1 + a2)| (E the energy;
+    see ``_settle_index``).  So the scan runs downward from
+    min(n1, n_max) only: O(min(n1, n_max)) norms, with the same answer
+    as a scan from n_max.  Returns None when the sign has not stabilized
+    by n_max; raises when the energy is zero and the criterion does not
+    apply.
     """
-    target = energy(params).sign()
+    e = energy(params)
+    target = e.sign()
     if target == 0:
         raise ValueError("energy is zero; the sign criterion does not apply")
     threshold: Optional[int] = None
-    for n in range(n_max, -1, -1):
+    for n in range(min(_settle_index(e, params), n_max), -1, -1):
         norm = fib_norm_direct(n, params)
         matches = norm != 0 and (1 if norm > 0 else -1) == target
         if not matches:

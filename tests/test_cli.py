@@ -172,6 +172,20 @@ class TestThreshold:
         assert code == 0
         assert "n0=" in out
 
+    def test_huge_window_answers_promptly(self):
+        # Processes, timed from outside: no norm past the proven settle
+        # index is computed, however large --nmax is.
+        outs = []
+        for n_max in ("200", "1000000000"):
+            proc = subprocess.run([sys.executable, "-m", "cdalgebra.cli", "threshold",
+                                   "--alpha1", "2", "--alpha2", "3", "--nmax", n_max],
+                                  env=_src_env(), capture_output=True, text=True,
+                                  timeout=30)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].endswith("n0=0\n")
+
 
 class TestResidueFieldCommand:
     ARGS = ("--pi", "-1,2", "--w", "1,1,1,1", "--t", "2")

@@ -1,11 +1,13 @@
 """Unit tests for sequences, the golden field and quaternion norm analysis."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from cdalgebra import fibonacci as fibmod
+from cdalgebra.algebra import as_rational
 from cdalgebra.fibonacci import (GoldenNumber, HoradamParams, QuaternionParams,
                                  binet_residual, energy, fib, fib_norm_direct,
                                  fib_norm_formula, fibonacci_quaternion,
@@ -28,6 +30,23 @@ class TestFib:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             fib(-1)
+
+    def test_memo_stays_bounded(self):
+        fib(10 ** 5)
+        assert len(fibmod._fib_cache) <= fibmod.FIB_MEMO
+
+    def test_recurrence_across_the_memo_bound(self):
+        for n in range(fibmod.FIB_MEMO - 3, fibmod.FIB_MEMO + 4):
+            assert fib(n) == fib(n - 1) + fib(n - 2)
+
+    def test_large_values_satisfy_doubling(self):
+        # F(2k) = F(k) * (2 F(k+1) - F(k)), each side computed separately.
+        for k in (fibmod.FIB_MEMO - 1, fibmod.FIB_MEMO, 5003, 50000):
+            assert fib(2 * k) == fib(k) * (2 * fib(k + 1) - fib(k))
+        a, b = 0, 1
+        for n in range(1200):
+            assert fibmod._fib_doubling(n) == (a, b)
+            a, b = b, a + b
 
 
 class TestHoradam:
@@ -109,10 +128,21 @@ class TestGoldenNumber:
                 continue
             assert GoldenNumber(u, v).sign() == (1 if value > 0 else -1)
 
+    def test_integer_product_keeps_fraction_parts_and_text(self):
+        x = GoldenNumber(1, 2) * GoldenNumber(3, 4)
+        assert (x.u, x.v) == (11, 18)
+        assert type(x.u) is Fraction and type(x.v) is Fraction
+        assert repr(x) == "GoldenNumber(11, 18)"
+        assert str(x) == "11 + 18a"
+        y = GoldenNumber(1, 2) * GoldenNumber(Fraction(1, 2), -3)
+        assert y == GoldenNumber(Fraction(-11, 2), -8)
+        assert repr(y) == "GoldenNumber(-11/2, -8)"
+
     def test_arithmetic_with_plain_numbers(self):
         x = GoldenNumber(1, 2)
         assert x + 1 == GoldenNumber(2, 2)
         assert 3 * x == GoldenNumber(3, 6)
+        assert x * Fraction(1, 2) == GoldenNumber(Fraction(1, 2), 1)
         assert x - Fraction(1, 2) == GoldenNumber(Fraction(1, 2), 2)
 
 
@@ -132,6 +162,21 @@ class TestFibonacciQuaternion:
     def test_zero_parameters_rejected(self):
         with pytest.raises(ValueError):
             QuaternionParams(0, 1)
+
+    def test_signature_is_built_once(self):
+        params = QuaternionParams(Fraction(-1, 3), Fraction(2, 5))
+        sig = params.signature()
+        assert params.signature() is sig
+        assert sig.gammas == (Fraction(1, 3), Fraction(-2, 5))
+
+    def test_cached_signature_is_not_part_of_the_value(self):
+        used, fresh = QuaternionParams(2, 3), QuaternionParams(2, 3)
+        fib_norm_direct(4, used)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "QuaternionParams(alpha1=2, alpha2=3)"
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy == used
+        assert fib_norm_direct(4, copy) == fib_norm_direct(4, used)
 
     def test_norm_is_diagonal_form(self):
         rng = random.Random(15)
@@ -162,6 +207,28 @@ class TestNormFormulas:
     def test_integer_parameter_value(self):
         assert fib_norm_direct(2, QuaternionParams(2, 3)) == 186
 
+    def test_integer_sum_matches_fraction_form(self):
+        # The closed form as Fractions over shifted sequences, term by term.
+        def fraction_form(n, params):
+            a1, a2 = params.alpha1, params.alpha2
+            first = horadam(2 * n + 2, HoradamParams(1 + 2 * a2, 3 * a2))
+            second = horadam(2 * n + 3, HoradamParams(1 + 2 * a2, a2))
+            return as_rational(first + (a1 - 1) * second
+                               - 2 * (a1 - 1) * (1 + a2) * fib(n) * fib(n + 1))
+
+        rng = random.Random(21)
+        cases = [(n, QuaternionParams(a1, a2)) for n in (0, 1, 2)
+                 for a1, a2 in ((1, 1), (2, 3), (-1, -1), (Fraction(1, 2), -3))]
+        for _ in range(300):
+            cases.append((rng.randrange(0, 400), QuaternionParams(
+                Fraction(rng.choice([x for x in range(-9, 10) if x]),
+                         rng.randint(1, 9)),
+                Fraction(rng.choice([x for x in range(-9, 10) if x]),
+                         rng.randint(1, 9)))))
+        for n, params in cases:
+            got, want = fib_norm_formula(n, params), fraction_form(n, params)
+            assert got == want and type(got) is type(want), (n, params)
+
     def test_formula_matches_direct(self):
         rng = random.Random(16)
         for _ in range(150):
@@ -179,6 +246,20 @@ class TestEnergy:
         e = energy(QuaternionParams(1, 1))
         assert e == GoldenNumber(Fraction(9, 5), Fraction(12, 5))
         assert e.sign() == 1
+
+    def test_integer_form_matches_fraction_form(self):
+        rng = random.Random(24)
+        pairs = [(0, 0), (-1, 0), (0, Fraction(2, 7)), ("1/2", "-3")]
+        pairs += [(Fraction(rng.randint(-20, 20), rng.randint(1, 12)),
+                   Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+                  for _ in range(200)]
+        for a1, a2 in pairs:
+            a1, a2 = Fraction(a1), Fraction(a2)
+            want = GoldenNumber((1 + a1 + 2 * a2 + 5 * a1 * a2) / 5,
+                                (a1 + 3 * a2 + 8 * a1 * a2) / 5)
+            assert energy((a1, a2)) == want
+            if a1 and a2:
+                assert energy(QuaternionParams(a1, a2)) == want
 
     def test_zero_parameters_allowed_for_the_coefficient(self):
         assert energy((0, 0)) == GoldenNumber(Fraction(1, 5), 0)
@@ -198,7 +279,71 @@ class TestEnergy:
                 pytest.fail(f"energy vanished at rational point ({a1}, {a2})")
 
 
+def _downward_scan(params, n_max, norms=None):
+    """The threshold as a scan of every norm from n_max down: the oracle.
+
+    ``norms`` optionally holds the norms for these params, or positive
+    multiples of them: the scan reads signs only.
+    """
+    target = energy(params).sign()
+    threshold = None
+    for n in range(n_max, -1, -1):
+        norm = norms[n] if norms else fib_norm_direct(n, params)
+        matches = norm != 0 and (1 if norm > 0 else -1) == target
+        if not matches:
+            return threshold
+        threshold = n
+    return threshold
+
+
+def _nonzero_rational(rng):
+    return Fraction(rng.choice([x for x in range(-9, 10) if x]), rng.randint(1, 9))
+
+
+# Settle index n1 = 7, 5, 5 and 5; thresholds 6, 5, 5 and 4.
+LATE_SETTLING = ((Fraction(-2, 5), Fraction(-1, 8)), (Fraction(-3, 8), Fraction(1, 9)),
+                 (Fraction(-3, 8), Fraction(1, 2)), (-3, Fraction(-1, 7)))
+
+
 class TestInvertibilityThreshold:
+    N_MAX_GRID = (0, 1, 2, 3, 5, 8, 200)
+
+    def test_matches_the_downward_scan_for_every_window(self):
+        rng = random.Random(22)
+        for _ in range(2000):
+            params = QuaternionParams(_nonzero_rational(rng), _nonzero_rational(rng))
+            # The diagonal form times den(a1) * den(a2) > 0, in integers.
+            (p1, q1), (p2, q2) = (params.alpha1.as_integer_ratio(),
+                                  params.alpha2.as_integer_ratio())
+            f = [fib(n) for n in range(204)]
+            norms = [q1 * q2 * f[n] ** 2 + p1 * q2 * f[n + 1] ** 2
+                     + q1 * p2 * f[n + 2] ** 2 + p1 * p2 * f[n + 3] ** 2
+                     for n in range(201)]
+            for n_max in self.N_MAX_GRID:
+                assert invertibility_threshold(params, n_max) == \
+                    _downward_scan(params, n_max, norms), (params, n_max)
+
+    def test_norms_from_the_settle_index_have_the_energy_sign(self):
+        rng = random.Random(23)
+        pairs = [QuaternionParams(a1, a2) for a1, a2 in LATE_SETTLING]
+        pairs += [QuaternionParams(_nonzero_rational(rng), _nonzero_rational(rng))
+                  for _ in range(150)]
+        for params in pairs:
+            e = energy(params)
+            n1 = fibmod._settle_index(e, params)
+            for n in range(n1, 81):
+                norm = fib_norm_direct(n, params)
+                assert norm != 0 and (1 if norm > 0 else -1) == e.sign(), (params, n)
+
+    def test_late_settling_parameters(self):
+        for (a1, a2), (n1, n0) in zip(LATE_SETTLING, ((7, 6), (5, 5), (5, 5), (5, 4))):
+            params = QuaternionParams(a1, a2)
+            assert fibmod._settle_index(energy(params), params) == n1
+            assert invertibility_threshold(params, 200) == n0
+            for n_max in range(12):
+                assert invertibility_threshold(params, n_max) == \
+                    _downward_scan(params, n_max), (params, n_max)
+
     def test_unit_parameters_stable_from_start(self):
         assert invertibility_threshold(QuaternionParams(1, 1), 50) == 0
 
