@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("fib-norm", help="norms of one Fibonacci quaternion")
-    p.add_argument("--n", type=_int_in_range(0), required=True)
+    p.add_argument("--n", type=_int_in_range(0, 200_000), required=True)
     p.add_argument("--alpha1", type=_fraction, required=True)
     p.add_argument("--alpha2", type=_fraction, required=True)
     add_common(p)

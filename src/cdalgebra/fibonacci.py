@@ -223,8 +223,9 @@ def fibonacci_quaternion(n: int, params: QuaternionParams) -> Element:
     """Quaternion with coefficients (f_n, f_{n+1}, f_{n+2}, f_{n+3})."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return params.signature().element(
-        (fib(n), fib(n + 1), fib(n + 2), fib(n + 3)))
+    f0, f1 = _fib_doubling(n) if n >= FIB_MEMO else (fib(n), fib(n + 1))
+    f2 = f0 + f1
+    return params.signature().element((f0, f1, f2, f1 + f2))
 
 
 def fib_norm_direct(n: int, params: QuaternionParams) -> Rational:

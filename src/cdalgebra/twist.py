@@ -1,11 +1,13 @@
 """Structure constants of the doubling basis, and their sign tables.
 
-A product of two basis elements is a signed parameter monomial times the
-basis element whose index is the XOR of the factor indices.  This module
-computes that coefficient symbolically by recursing on the top index bit,
-materializes full tables by quadrant doubling, partitions sign tables into
-the five 2x2 block patterns, and checks the published product-table claim
-for rows indexed by powers of two.
+A product of two basis elements e_p * e_q is a signed parameter monomial
+times the basis element e_(p ^ q).  The monomial's stage parameters are
+the bits of p & q, and its sign is a parity of p and q computed in
+O(log L) word operations on L-bit indices.  This module computes that
+coefficient, materializes full tables (masks as p & q, signs by quadrant
+doubling), partitions sign tables into the five 2x2 block patterns, and
+checks the published product-table claim for rows indexed by powers of
+two.
 """
 from __future__ import annotations
 
@@ -18,6 +20,10 @@ import numpy as np
 from .algebra import AlgebraSignature, Convention, Element, Rational
 
 MAX_TABLE_DEPTH = 12
+
+# (-1) ** popcount(mask) for every gamma mask of a table within the guard.
+_MASK_SIGN = np.array([-1 if m.bit_count() & 1 else 1
+                       for m in range(1 << MAX_TABLE_DEPTH)], dtype=np.int8)
 
 
 class BlockClassificationError(Exception):
@@ -50,38 +56,47 @@ class TwistCoefficient:
 
 
 def _coefficient(p: int, q: int) -> Tuple[int, int]:
-    """(sign, gamma_mask) of the eq11 basis product, by descent on the top bit.
+    """(sign, gamma_mask) of the eq11 basis product, in O(log L) word operations.
 
-    Each case is one line of the doubling product applied to unit
-    vectors: a swapped recursion where the product order reverses, a
-    sign flip where a conjugated pure basis vector appears, and the
-    stage bit where the doubling parameter enters.  Stages above the top
-    bit of p | q multiply low by low halves and contribute nothing, so
-    the descent starts there and the depth does not enter.  eq31 is the
-    opposite product, so callers reach it by passing (q, p).
+    The descent on the top bit of p | q applies one line of the doubling
+    product per stage j: a swap of the factors' lower bits where the right
+    factor has bit j (the product order reverses), a sign flip where the
+    left factor has bit j and the right factor is a nonzero pure vector
+    below it (its conjugate appears), and the stage parameter where both
+    factors have bit j.  Swaps never change the unordered pair of bits at a
+    stage, so the parameter enters exactly at a = p & q.  The orientation
+    o_j (whether the factors are swapped at stage j) is the parity of a
+    above j, reset to q_k at the nearest stage k > j where d = p ^ q is set:
+    o = R ^ G with R_j the parity of a above j and G_j = q_k ^ R_k.  R is an
+    xor-shift prefix cascade and G a segmented fill with the bits of d as
+    blockers, each log2(L) shifts of L = (p | q).bit_length() bits, so the
+    depth does not enter.  eq31 is the opposite product, so callers reach
+    it by passing (q, p).
     """
-    sign = 1
-    mask = 0
-    t = (p | q).bit_length()
-    while t > 0:
-        t -= 1
-        half = 1 << t
-        ph, qh = p >> t & 1, q >> t & 1
-        p &= half - 1
-        q &= half - 1
-        if ph == 0 and qh == 0:
-            continue
-        if ph == 0:  # low * high: recurse on (q, p)
-            p, q = q, p
-        elif qh == 0:  # high * low: right factor is conjugated
-            if q != 0:
-                sign = -sign
-        else:  # high * high: conjugated right factor, swapped, parameter
-            if q != 0:
-                sign = -sign
-            mask |= half
-            p, q = q, p
-    return sign, mask
+    a = p & q
+    d = p ^ q
+    width = (p | q).bit_length()
+    parity = a >> 1  # R_j: parity of the bits of a above j
+    shift = 1
+    while shift < width:
+        parity ^= parity >> shift
+        shift <<= 1
+    # G_j: copy q_k ^ R_k down from each stage k where d is set, through
+    # the stages below it that are not themselves set in d.
+    known = d >> 1
+    fill = ((q ^ parity) & d) >> 1
+    shift = 1
+    while shift < width:
+        fill |= fill >> shift & ~known
+        known |= known >> shift
+        shift <<= 1
+    orient = parity ^ fill
+    left = p ^ (orient & d)
+    # Stages above the lowest set bit of a factor see it nonzero below.
+    p_below = -(p & -p) << 1
+    q_below = -(q & -q) << 1
+    flips = left & ((orient & p_below) | (~orient & q_below))
+    return -1 if flips.bit_count() & 1 else 1, a
 
 
 def basis_product(p: int, q: int, sig: AlgebraSignature) -> Tuple[TwistCoefficient, int]:
@@ -106,8 +121,10 @@ def twist_sign(p: int, q: int, t: int,
                convention: Convention = Convention.CONJUGATE_RIGHT) -> int:
     """Sign of the basis product when every stage parameter is -1.
 
-    Costs O(log max(p, q)) whatever the depth: the range check compares
-    bit lengths instead of building 2**t.
+    The sign of the coefficient times (-1) ** popcount(p & q).  Costs
+    O(log L) word operations on L = (p | q).bit_length() bits whatever
+    the depth: the range check compares bit lengths instead of building
+    2**t.
     """
     if p < 0 or q < 0 or (p | q).bit_length() > t:
         raise ValueError(f"basis indices ({p}, {q}) out of range for depth {t}")
@@ -151,13 +168,7 @@ class TwistTable:
 
     def sign_table(self) -> np.ndarray:
         """Collapsed signs under all-(-1) parameters, as an int8 matrix."""
-        # Fold the t mask bits onto bit 0 by xor in log2(t) passes.
-        parity = self.gamma_masks
-        shift = 1
-        while shift < self.t:
-            parity = parity ^ parity >> shift
-            shift <<= 1
-        return np.where(parity & 1, -self.base_signs, self.base_signs)
+        return self.base_signs * _MASK_SIGN[self.gamma_masks]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistTable):
@@ -172,12 +183,13 @@ class TwistTable:
 
 def build_table(t: int,
                 convention: Convention = Convention.CONJUGATE_RIGHT) -> TwistTable:
-    """Materialize the full coefficient table by quadrant doubling.
+    """Materialize the full coefficient table.
 
-    The size-2**t table is assembled from the size-2**(t-1) table with
-    the same quadrant rules the elementwise recursion uses, so the two
-    routes can be checked against each other.  The eq31 table is the
-    opposite product's, returned as transposed views of the eq11 planes.
+    The mask of e_p * e_q is p & q.  The signs are assembled by quadrant
+    doubling: the size-2**t table from the size-2**(t-1) one, with the
+    same quadrant rules the elementwise descent uses, so the two routes
+    can be checked against each other.  The eq31 table is the opposite
+    product's, returned as transposed views of the eq11 planes.
     """
     if t < 1:
         raise ValueError("table depth must be >= 1")
@@ -185,27 +197,22 @@ def build_table(t: int,
         raise ValueError(f"depth {t} exceeds the resource guard "
                          f"({MAX_TABLE_DEPTH}); use twist_sign for pointwise queries")
     convention = Convention(convention)
-    signs = np.array([[1, 1], [1, 1]], dtype=np.int8)
-    masks = np.array([[0, 0], [0, 1]], dtype=np.uint16)
+    index = np.arange(1 << t, dtype=np.uint16)
+    masks = np.bitwise_and.outer(index, index)
+    signs = np.ones((2, 2), dtype=np.int8)
     for stage in range(2, t + 1):
         h = 1 << (stage - 1)
         s = np.empty((2 * h, 2 * h), dtype=np.int8)
-        m = np.empty((2 * h, 2 * h), dtype=np.uint16)
-        st = signs.T
-        mt = masks.T
-        col_flip = np.ones(h, dtype=np.int8)
-        col_flip[1:] = -1
-        s[:h, :h] = signs
-        m[:h, :h] = masks
+        st = np.ascontiguousarray(signs.T)
         # (p, q+h) <- (q, p); (p+h, q) <- (p, q) negated on q != 0;
-        # (p+h, q+h) <- (q, p) negated on q != 0, with the stage bit.
+        # (p+h, q+h) <- (q, p) negated on q != 0.
+        s[:h, :h] = signs
         s[:h, h:] = st
-        m[:h, h:] = mt
-        s[h:, :h] = signs * col_flip[np.newaxis, :]
-        m[h:, :h] = masks
-        s[h:, h:] = st * col_flip[np.newaxis, :]
-        m[h:, h:] = mt | np.uint16(h)
-        signs, masks = s, m
+        np.negative(signs, out=s[h:, :h])
+        s[h:, 0] = signs[:, 0]
+        np.negative(st, out=s[h:, h:])
+        s[h:, h] = st[:, 0]
+        signs = s
     if convention is Convention.CONJUGATE_LEFT:
         signs, masks = signs.T, masks.T
     return TwistTable(t, convention, signs, masks)
@@ -271,6 +278,24 @@ def bit_reversal_permutation(t: int) -> np.ndarray:
     return np.array([_bit_reverse(p, t) for p in range(1 << t)])
 
 
+def _tile_codes(bits: np.ndarray) -> np.ndarray:
+    """Four quadrant bits of a boolean 2h x 2h matrix as one 4-bit code.
+
+    Entry (P, Q) of the h x h result packs bits (P, Q), (P, Q+h),
+    (P+h, Q) and (P+h, Q+h) as bits 0-3.
+    """
+    h = len(bits) // 2
+    b = bits.view(np.uint8)
+    return b[:h, :h] | b[:h, h:] << 1 | b[h:, :h] << 2 | b[h:, h:] << 3
+
+
+# Negative-entry code of a tile -> BlockKind, -1 where no pattern matches;
+# the extra last code stands for a tile holding an entry other than +-1.
+_CODE_KIND = np.full(17, -1, dtype=np.int8)
+for _kind, _pattern in enumerate(_BLOCK_PATTERNS):
+    _CODE_KIND[_tile_codes(_pattern == -1)[0, 0]] = _kind
+
+
 def partition_blocks(table: TwistTable, strict: bool = False) -> np.ndarray:
     """Classify every aligned 2x2 tile of the sign table in tree order.
 
@@ -278,8 +303,11 @@ def partition_blocks(table: TwistTable, strict: bool = False) -> np.ndarray:
     basis indices differ in their lowest bit of the doubling tree, which
     is the bit reversal of the XOR-friendly indexing used everywhere
     else in this package.  Tile (i, j) therefore covers the four sign
-    entries with row indices {p, p + n/2} and column indices
-    {q, q + n/2} for p, q the bit reversals of 2i, 2j.
+    entries with row indices {P, P + n/2} and column indices
+    {Q, Q + n/2} for P, Q the (t-1)-bit reversals of i, j.  Each tile is
+    read as the 4-bit code of its negative entries straight from the
+    four quadrants of the sign table; only the n/2 x n/2 code matrix is
+    permuted into tree order.
 
     Returns a matrix of BlockKind codes, one per tile.  The origin tile
     holds the unit row and column and is reported as A_CORNER after
@@ -289,28 +317,30 @@ def partition_blocks(table: TwistTable, strict: bool = False) -> np.ndarray:
     right-conjugating table produces).
     """
     signs = table.sign_table()
-    rev = bit_reversal_permutation(table.t)
-    signs = signs[np.ix_(rev, rev)]
-    nb = table.dimension // 2
-    tiles = signs.reshape(nb, 2, nb, 2).transpose(0, 2, 1, 3)
-    kinds = np.full((nb, nb), -1, dtype=np.int8)
-    for kind_value, pattern in enumerate(_BLOCK_PATTERNS):
-        hit = (tiles == pattern).all(axis=(2, 3))
-        kinds[hit] = kind_value
+    codes = _tile_codes(signs == -1)
+    codes[(codes | _tile_codes(signs == 1)) != 15] = 16
+    rev = bit_reversal_permutation(table.t - 1)
+    kinds = _CODE_KIND[codes[np.ix_(rev, rev)]]
+    h = len(rev)
+
+    def tile(i: int, j: int) -> list:
+        p, q = rev[i], rev[j]
+        return signs[[p, p + h]][:, [q, q + h]].tolist()
+
     if (kinds < 0).any():
         i, j = np.argwhere(kinds < 0)[0]
         raise BlockClassificationError(
-            f"tile ({i}, {j}) matches no allowed pattern: {tiles[i, j].tolist()}")
+            f"tile ({i}, {j}) matches no allowed pattern: {tile(i, j)}")
     if strict:
         bad = np.isin(kinds, (BlockKind.B_TRANSPOSED, BlockKind.NEG_B_TRANSPOSED))
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise BlockClassificationError(
                 f"tile ({i}, {j}) is a transposed-B pattern, outside the "
-                f"published alphabet: {tiles[i, j].tolist()}")
+                f"published alphabet: {tile(i, j)}")
     if kinds[0, 0] != BlockKind.A:
         raise BlockClassificationError(
-            f"unit-corner tile is not pattern A: {tiles[0, 0].tolist()}")
+            f"unit-corner tile is not pattern A: {tile(0, 0)}")
     kinds[0, 0] = BlockKind.A_CORNER
     return kinds
 

@@ -344,6 +344,7 @@ class TestUsageErrors:
         ["blocks", "--t", "-1"],
         ["threshold", "--alpha1", "1", "--alpha2", "1", "--nmax", "-1"],
         ["fib-norm", "--n", "-1", "--alpha1", "1", "--alpha2", "1"],
+        ["fib-norm", "--n", "200001", "--alpha1", "1", "--alpha2", "1"],
         ["mul-table", "--t", "0", "--gammas", ""],
         ["blocks", "--t", "0"],
         ["residue-field", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "1"],

@@ -152,6 +152,12 @@ class TestFibonacciQuaternion:
         assert fibonacci_quaternion(0, params).coeffs == (0, 1, 1, 2)
         assert fibonacci_quaternion(1, params).coeffs == (1, 1, 2, 3)
 
+    def test_coefficients_across_the_memo_boundary(self):
+        params = QuaternionParams(1, 1)
+        for n in [*range(fibmod.FIB_MEMO - 5, fibmod.FIB_MEMO + 6), 10 ** 5]:
+            assert fibonacci_quaternion(n, params).coeffs == tuple(
+                fib(n + i) for i in range(4))
+
     def test_conjugate_flips_imaginary_parts(self):
         params = QuaternionParams(2, 3)
         for n in (0, 3, 7):

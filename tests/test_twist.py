@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from cdalgebra.algebra import Convention, make_algebra
-from cdalgebra.twist import (BlockClassificationError, BlockKind,
-                             TwistCoefficient, basis_product,
-                             basis_product_element, build_table,
-                             partition_blocks, power_row_operands,
+from cdalgebra.twist import (MAX_TABLE_DEPTH, BlockClassificationError,
+                             BlockKind, TwistCoefficient, TwistTable,
+                             _coefficient, basis_product,
+                             basis_product_element, bit_reversal_permutation,
+                             build_table, partition_blocks, power_row_operands,
                              check_power_row_claim, sweep_power_row_claims, shuffle,
                              shuffle_string, twist_sign)
 
@@ -43,6 +44,103 @@ def _random_coeffs(n, rng):
 
 def _unit(p, n):
     return [1 if i == p else 0 for i in range(n)]
+
+
+# ---- oracles: the stage-by-stage forms the bit algebra replaced -------------
+
+def _descent_coefficient(p, q):
+    """(sign, gamma_mask) of the eq11 basis product, one stage at a time."""
+    sign = 1
+    mask = 0
+    t = (p | q).bit_length()
+    while t > 0:
+        t -= 1
+        half = 1 << t
+        ph, qh = p >> t & 1, q >> t & 1
+        p &= half - 1
+        q &= half - 1
+        if ph == 0 and qh == 0:
+            continue
+        if ph == 0:  # low * high: recurse on (q, p)
+            p, q = q, p
+        elif qh == 0:  # high * low: right factor is conjugated
+            if q != 0:
+                sign = -sign
+        else:  # high * high: conjugated right factor, swapped, parameter
+            if q != 0:
+                sign = -sign
+            mask |= half
+            p, q = q, p
+    return sign, mask
+
+
+def _doubling_planes(t, convention):
+    """(base_signs, gamma_masks) by quadrant doubling of both planes."""
+    signs = np.array([[1, 1], [1, 1]], dtype=np.int8)
+    masks = np.array([[0, 0], [0, 1]], dtype=np.uint16)
+    for stage in range(2, t + 1):
+        h = 1 << (stage - 1)
+        s = np.empty((2 * h, 2 * h), dtype=np.int8)
+        m = np.empty((2 * h, 2 * h), dtype=np.uint16)
+        st = signs.T
+        mt = masks.T
+        col_flip = np.ones(h, dtype=np.int8)
+        col_flip[1:] = -1
+        s[:h, :h] = signs
+        m[:h, :h] = masks
+        s[:h, h:] = st
+        m[:h, h:] = mt
+        s[h:, :h] = signs * col_flip[np.newaxis, :]
+        m[h:, :h] = masks
+        s[h:, h:] = st * col_flip[np.newaxis, :]
+        m[h:, h:] = mt | np.uint16(h)
+        signs, masks = s, m
+    if convention is LEFT:
+        signs, masks = signs.T, masks.T
+    return signs, masks
+
+
+def _parity_sign_table(t, signs, masks):
+    """Signs under all-(-1) parameters, folding the mask bits onto bit 0."""
+    parity = masks
+    shift = 1
+    while shift < t:
+        parity = parity ^ parity >> shift
+        shift <<= 1
+    return np.where(parity & 1, -signs, signs)
+
+
+_SEVEN_PATTERNS = np.array(
+    [[[1, 1], [1, -1]], [[1, -1], [1, 1]], [[1, -1], [-1, -1]],
+     [[-1, 1], [-1, -1]], [[-1, 1], [1, 1]], [[1, 1], [-1, 1]],
+     [[-1, -1], [1, -1]]], dtype=np.int8)
+
+
+def _pattern_blocks(signs, t):
+    """Outcome of partition_blocks at strict False and True, by matching each
+    tile of the tree-order sign table against the seven patterns: the kinds
+    as a list, or the error text."""
+    rev = np.array([int(format(p, f"0{t}b")[::-1], 2) for p in range(1 << t)])
+    signs = signs[np.ix_(rev, rev)]
+    nb = len(rev) // 2
+    tiles = signs.reshape(nb, 2, nb, 2).transpose(0, 2, 1, 3)
+    kinds = np.full((nb, nb), -1, dtype=np.int8)
+    for kind_value, pattern in enumerate(_SEVEN_PATTERNS):
+        kinds[(tiles == pattern).all(axis=(2, 3))] = kind_value
+    if (kinds < 0).any():
+        i, j = np.argwhere(kinds < 0)[0]
+        text = f"tile ({i}, {j}) matches no allowed pattern: {tiles[i, j].tolist()}"
+        return text, text
+    corner = f"unit-corner tile is not pattern A: {tiles[0, 0].tolist()}"
+    loose = corner if kinds[0, 0] != BlockKind.A else None
+    strict = loose
+    bad = np.isin(kinds, (BlockKind.B_TRANSPOSED, BlockKind.NEG_B_TRANSPOSED))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        strict = (f"tile ({i}, {j}) is a transposed-B pattern, outside the "
+                  f"published alphabet: {tiles[i, j].tolist()}")
+    kinds[0, 0] = BlockKind.A_CORNER
+    return loose or kinds.tolist(), strict or kinds.tolist()
 
 
 class TestBasisProduct:
@@ -269,6 +367,102 @@ class TestPartitionBlocks:
                 tile = np.array([[signs[p, q], signs[p, q + h]],
                                  [signs[p + h, q], signs[p + h, q + h]]])
                 assert np.array_equal(tile, BlockKind(kinds[i, j]).pattern())
+
+
+def _outcome(table, strict):
+    try:
+        return partition_blocks(table, strict=strict).tolist()
+    except BlockClassificationError as exc:
+        return str(exc)
+
+
+def _corrupt(signs, t, how, rng):
+    """A copy of the sign table with one tile changed, as a table whose
+    masks are all zero, so that its sign_table is exactly that copy."""
+    signs = signs.copy()
+    h = 1 << (t - 1)
+    i, j = (0, 0) if how == "corner" else (rng.randrange(h), rng.randrange(h))
+    rev = bit_reversal_permutation(t - 1)
+    rows, cols = [rev[i], rev[i] + h], [rev[j], rev[j] + h]
+    tile = signs[np.ix_(rows, cols)]
+    if how == "flip":
+        tile[rng.randrange(2), rng.randrange(2)] *= -1
+    elif how == "zero":
+        tile[rng.randrange(2), rng.randrange(2)] = 0
+    elif how == "negate":
+        tile = -tile
+    elif how == "transpose":
+        tile = tile.T
+    else:  # the corner becomes pattern B
+        tile = BlockKind.B.pattern()
+    signs[np.ix_(rows, cols)] = tile
+    n = 1 << t
+    return TwistTable(t, RIGHT, signs, np.zeros((n, n), dtype=np.uint16))
+
+
+class TestBitAlgebraAgainstOracles:
+    def test_coefficient_exhaustive_through_depth_eight(self):
+        n = 1 << 8
+        for p in range(n):
+            for q in range(n):
+                want = _descent_coefficient(p, q)
+                assert _coefficient(p, q) == want
+                assert want[1] == p & q
+                sign = want[0] if want[1].bit_count() % 2 == 0 else -want[0]
+                assert twist_sign(p, q, 8) == sign
+                assert twist_sign(q, p, 8, LEFT) == sign
+
+    def test_basis_product_both_conventions(self):
+        for conv in Convention:
+            sig = make_algebra(6, [-1, 2, Fraction(1, 3), -5, 7, -1], conv)
+            for p in range(64):
+                for q in range(64):
+                    a, b = (q, p) if conv is LEFT else (p, q)
+                    want = TwistCoefficient(*_descent_coefficient(a, b))
+                    assert basis_product(p, q, sig) == (want, p ^ q)
+
+    def test_coefficient_on_wide_and_lopsided_pairs(self):
+        rng = random.Random(2029)
+        for bits in (30, 64, 200, 1000):
+            pairs = [(rng.getrandbits(bits), rng.getrandbits(bits))
+                     for _ in range(300)]
+            pairs += [(rng.getrandbits(bits), rng.getrandbits(rng.randint(1, 12)))
+                      for _ in range(100)]
+            pairs += [(rng.getrandbits(bits), 0) for _ in range(20)]
+            pairs += [(1 << (bits - 1), 1), (1 << (bits - 1), 3),
+                      ((1 << bits) - 1, (1 << bits) - 1)]
+            for p, q in pairs:
+                for a, b in ((p, q), (q, p)):
+                    assert _coefficient(a, b) == _descent_coefficient(a, b), (a, b)
+
+    def test_tables_equal_the_doubling_oracle(self):
+        for t in range(1, MAX_TABLE_DEPTH + 1):
+            for conv in Convention:
+                table = build_table(t, conv)
+                signs, masks = _doubling_planes(t, conv)
+                for got, want in ((table.base_signs, signs),
+                                  (table.gamma_masks, masks)):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                got = table.sign_table()
+                want = _parity_sign_table(t, signs, masks)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_blocks_equal_the_pattern_matcher(self):
+        rng = random.Random(2030)
+        hows = ("flip", "zero", "negate", "transpose", "corner")
+        for t in range(1, 11):
+            for conv in Convention:
+                table = build_table(t, conv)
+                signs = table.sign_table()
+                cases = [(table, signs)]
+                for how in hows if t <= 8 else hows[t % 2::2]:
+                    bad = _corrupt(signs, t, how, rng)
+                    cases.append((bad, bad.sign_table()))
+                for case, case_signs in cases:
+                    want = _pattern_blocks(case_signs, t)
+                    assert (_outcome(case, False), _outcome(case, True)) == want
 
 
 class TestShuffle:
