@@ -12,8 +12,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import lcm
-from operator import add, itemgetter, mul, neg, sub
+from math import gcd, lcm
+from operator import add, floordiv, itemgetter, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -135,10 +135,10 @@ class AlgebraSignature:
         return Element(self, coeffs)
 
     def zero(self) -> Element:
-        return Element(self, (0,) * self.dimension)
+        return _element(self, (0,) * self.dimension, 1)
 
     def one(self) -> Element:
-        return self.scalar(1)
+        return self.basis(0)
 
     def scalar(self, c: Rational) -> Element:
         coeffs = [as_rational(c)] + [0] * (self.dimension - 1)
@@ -148,9 +148,7 @@ class AlgebraSignature:
         """The basis element with index ``p`` (``basis(0)`` is the unit)."""
         if not 0 <= p < self.dimension:
             raise ValueError(f"basis index {p} out of range for dimension {self.dimension}")
-        coeffs = [0] * self.dimension
-        coeffs[p] = 1
-        return Element(self, coeffs)
+        return _element(self, (0,) * p + (1,) + (0,) * (self.dimension - p - 1), 1)
 
 
 def make_algebra(t: int, gammas: Sequence[Rational],
@@ -184,10 +182,6 @@ def _add(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
 
 
-def _sub(a: tuple, b: tuple) -> tuple:
-    return tuple(map(sub, a, b))
-
-
 def _scale(c, a: tuple) -> tuple:
     return tuple(map(mul, repeat(c), a))
 
@@ -195,8 +189,8 @@ def _scale(c, a: tuple) -> tuple:
 def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
     """eq11 doubling product on raw coefficient tuples, recursing on halves.
 
-    ``Element`` products use it at depths 0, 1 and above KERNEL_MAX_DEPTH;
-    at the depths between it is the oracle the kernel is tested against.
+    ``Element`` products use it above KERNEL_MAX_DEPTH; at the depths up
+    to there it is the oracle the kernel is tested against.
     """
     n = len(a)
     if n == 1:
@@ -223,7 +217,8 @@ def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
 # entries of twist.build_table.  Scaled by D = prod(den(gamma_i)), every
 # constant is the integer sign * prod(num(gamma_i), i in mask)
 # * prod(den(gamma_i), i not in mask), so a product is integer arithmetic on
-# numerators with a single division at the end.  _mul stays the oracle.
+# the stored numerators with a single gcd reduction at the end.  _mul stays
+# the oracle.
 
 KERNEL_MAX_DEPTH = 8   # a depth-12 kernel would hold 16M entries
 
@@ -246,30 +241,30 @@ def _planes(t: int) -> tuple:
     return codes, [itemgetter(*row) for row in partners]
 
 
-def _numerators(a: tuple) -> tuple:
-    """(integer numerators, common denominator) of a coefficient tuple."""
-    dens = {c.denominator for c in a if type(c) is not int}
-    if not dens:
-        return a, 1
-    den = lcm(*dens)
-    return [c * den if type(c) is int else c.numerator * (den // c.denominator)
-            for c in a], den
-
-
-def _divide(z, den: int):
-    """Integers z divided exactly by den: ints where it divides, else Fractions."""
+def _ratio(v: int, den: int) -> Rational:
+    """v / den as an exact scalar: an int where den divides v, else a Fraction."""
     if den == 1:
-        return z
-    return [Fraction(v, den) if v % den else v // den for v in z]
+        return v
+    q, r = divmod(v, den)
+    return Fraction(v, den) if r else q
 
 
-def _kernel_mul(a: tuple, b: tuple, sig: AlgebraSignature) -> list:
-    """eq11 product through the structure constants, for depths 2..KERNEL_MAX_DEPTH."""
-    n = len(a)
-    xs, dx = _numerators(a)
-    ys, dy = _numerators(b)
-    signed, den, _ = sig._constants()
-    codes, gathers = _planes(sig.t)
+def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
+    """eq11 product of numerator tuples through the structure constants.
+
+    For depths 0..KERNEL_MAX_DEPTH. Returns (z, D) with D = prod(den(gamma_i)):
+    the product of xs / dx and ys / dy is z / (D * dx * dy).
+    """
+    t = sig.t
+    if t == 0:
+        return (xs[0] * ys[0],), 1
+    signed, d, _ = sig._constants()
+    if t == 1:
+        # Depth-1 case written out: signed[0] = D and signed[2] = D * gamma.
+        (x0, x1), (y0, y1) = xs, ys
+        return (x0 * y0 * d + x1 * y1 * signed[2], (x0 * y1 + x1 * y0) * d), d
+    n = len(xs)
+    codes, gathers = _planes(t)
     px = [(p, v) for p, v in enumerate(xs) if v]
     py = [(q, v) for q, v in enumerate(ys) if v]
     if 2 * len(px) * len(py) <= n * (n + 8):
@@ -279,10 +274,9 @@ def _kernel_mul(a: tuple, b: tuple, sig: AlgebraSignature) -> list:
             for q, yq in py:
                 k = p ^ q
                 z[k] += xp * yq * signed[codes[k][p]]
-    else:
-        z = [sum(map(mul, map(mul, xs, row), gather(ys)))
-             for row, gather in zip(sig._kernel_rows(), gathers)]
-    return _divide(z, den * dx * dy)
+        return tuple(z), d
+    return tuple([sum(map(mul, map(mul, xs, row), gather(ys)))
+                  for row, gather in zip(sig._kernel_rows(), gathers)]), d
 
 
 class Element:
@@ -291,20 +285,46 @@ class Element:
     Coefficients are exact scalars; index 0 is the coefficient of the
     unit. Arithmetic is defined only between elements with equal
     signatures.
+
+    An element is stored as integer numerators over one denominator, in
+    lowest terms: den > 0, gcd(den, *nums) = 1, so den = 1 exactly when
+    every coefficient is an integer. The form is canonical, so equality
+    and hashing compare it directly. ``coeffs`` is built from it on first
+    read and kept.
     """
 
-    __slots__ = ("signature", "coeffs")
+    __slots__ = ("signature", "_nums", "_den", "_coeffs")
 
     def __init__(self, signature: AlgebraSignature, coeffs: Iterable[Rational]):
         coeffs = tuple(map(as_rational, coeffs))
         if len(coeffs) != signature.dimension:
             raise ValueError(
                 f"expected {signature.dimension} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "coeffs", coeffs)
+        # as_rational leaves Fractions in lowest terms with den > 1, so
+        # their lcm is already the lowest common denominator.
+        dens = {c.denominator for c in coeffs if type(c) is not int}
+        den = lcm(*dens) if dens else 1
+        nums = coeffs if den == 1 else tuple(
+            c * den if type(c) is int else c.numerator * (den // c.denominator)
+            for c in coeffs)
+        _set_signature(self, signature)
+        _set_nums(self, nums)
+        _set_den(self, den)
+        _set_coeffs(self, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        try:
+            return self._coeffs
+        except AttributeError:
+            pass
+        den = self._den
+        coeffs = self._nums if den == 1 else tuple([_ratio(v, den) for v in self._nums])
+        _set_coeffs(self, coeffs)
+        return coeffs
 
     def _check_compatible(self, other: Element) -> None:
         if self.signature is not other.signature and self.signature != other.signature:
@@ -312,80 +332,107 @@ class Element:
 
     # ---- vector-space structure -------------------------------------------
 
+    def _combine(self, other: Element, op) -> Element:
+        """Coefficientwise op over the lcm of the two denominators."""
+        self._check_compatible(other)
+        xs, ys, dx, dy = self._nums, other._nums, self._den, other._den
+        den = dx if dx == dy else lcm(dx, dy)
+        if dx != den:
+            xs = map(mul, xs, repeat(den // dx))
+        if dy != den:
+            ys = map(mul, ys, repeat(den // dy))
+        return _element(self.signature, tuple(map(op, xs, ys)), den)
+
+    def _scaled(self, c: Rational) -> Element:
+        c = as_rational(c)
+        return _element(self.signature, tuple(map(mul, self._nums, repeat(c.numerator))),
+                        self._den * c.denominator)
+
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_compatible(other)
-        return Element(self.signature, _add(self.coeffs, other.coeffs))
+        return self._combine(other, add)
 
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        self._check_compatible(other)
-        return Element(self.signature, _sub(self.coeffs, other.coeffs))
+        return self._combine(other, sub)
 
     def __neg__(self):
-        return Element(self.signature, tuple(-c for c in self.coeffs))
+        return _element(self.signature, tuple(map(neg, self._nums)), self._den)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_compatible(other)
             sig = self.signature
-            a, b = self.coeffs, other.coeffs
+            a, b = self, other
             if sig.convention is Convention.CONJUGATE_LEFT:
                 a, b = b, a
-            if 2 <= sig.t <= KERNEL_MAX_DEPTH:
-                return Element(sig, _kernel_mul(a, b, sig))
-            return Element(sig, _mul(a, b, sig.gammas))
+            if sig.t > KERNEL_MAX_DEPTH:
+                return Element(sig, _mul(a.coeffs, b.coeffs, sig.gammas))
+            z, d = _kernel_mul(a._nums, b._nums, sig)
+            return _element(sig, z, d * a._den * b._den)
         if isinstance(other, (int, Fraction)):
-            return Element(self.signature, _scale(as_rational(other), self.coeffs))
+            return self._scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Element(self.signature, _scale(as_rational(other), self.coeffs))
+            return self._scaled(other)
         return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.signature == other.signature and self.coeffs == other.coeffs
+        return (self.signature == other.signature and self._den == other._den
+                and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        return hash((self.signature, self.coeffs))
+        return hash((self.signature, self._nums, self._den))
 
     def __getitem__(self, p: int) -> Rational:
         return self.coeffs[p]
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._nums)
 
     # ---- involution, trace, norm --------------------------------------------
 
     def conjugate(self) -> Element:
-        return Element(self.signature, _conj(self.coeffs))
+        return _element(self.signature, _conj(self._nums), self._den)
 
     def trace(self) -> Rational:
         """Scalar c with x + conjugate(x) = c * 1."""
-        return 2 * self.coeffs[0]
+        return 2 * self.scalar_part()
+
+    def _norm_numerator(self) -> tuple:
+        """(s, D) with norm = s / (D * den**2): s = sum(nums[p]**2 * weights[p])."""
+        xs = self._nums
+        _, d, weights = self.signature._constants()
+        return sum(map(mul, map(mul, xs, xs), weights)), d
 
     def norm(self) -> Rational:
-        """Scalar c with x * conjugate(x) = c * 1: sum of x_p**2 * weights[p] / D."""
-        xs, dx = _numerators(self.coeffs)
-        _, den, weights = self.signature._constants()
-        return _divide([sum(map(mul, map(mul, xs, xs), weights))], den * dx * dx)[0]
+        """Scalar c with x * conjugate(x) = c * 1."""
+        s, d = self._norm_numerator()
+        return _ratio(s, d * self._den * self._den)
 
     def inverse(self) -> Element:
-        """Two-sided inverse; fails on zero and on zero divisors."""
-        n = self.norm()
-        if n == 0:
+        """Two-sided inverse; fails on zero and on zero divisors.
+
+        conj(x) / norm(x) = conj(nums) * D * den / s, with the sign of s
+        moved onto the numerators.
+        """
+        s, d = self._norm_numerator()
+        if s == 0:
             raise ZeroDivisionError("element has norm zero and is not invertible")
-        xs, dx = _numerators(_conj(self.coeffs))
-        return Element(self.signature,
-                       _divide(_scale(n.denominator, xs), dx * n.numerator))
+        m = d * self._den
+        if s < 0:
+            s, m = -s, -m
+        xs = self._nums
+        return _element(self.signature, (xs[0] * m,) + tuple(map(mul, xs[1:], repeat(-m))), s)
 
     def scalar_part(self) -> Rational:
-        return self.coeffs[0]
+        return _ratio(self._nums[0], self._den)
 
     def __repr__(self) -> str:
         terms = []
@@ -402,6 +449,28 @@ class Element:
                 terms.append(f"{c}*e{p}")
         body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
         return f"<{body}>"
+
+
+_set_signature, _set_nums, _set_den, _set_coeffs = (
+    Element.__dict__[name].__set__ for name in Element.__slots__)
+
+
+def _element(sig: AlgebraSignature, nums: tuple, den: int) -> Element:
+    """The element nums / den (integers, den > 0), brought to lowest terms.
+
+    The constructor for internal results: their numerators are integers
+    by construction, so the public validation is skipped.
+    """
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(map(floordiv, nums, repeat(g)))
+            den //= g
+    x = object.__new__(Element)
+    _set_signature(x, sig)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    return x
 
 
 def quadratic_check(x: Element) -> bool:

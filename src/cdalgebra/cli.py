@@ -38,6 +38,16 @@ class CliError(Exception):
     """Contract violation reported with exit code 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr, exit code 2.
+
+    Subparsers are built from the same class, so every subcommand does too.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _int_in_range(minimum: int, maximum: Optional[int] = None):
     """argparse type for a bounded integer flag (usage error outside the bounds)."""
     bounds = f">= {minimum}" if maximum is None else f">= {minimum} and <= {maximum}"
@@ -294,7 +304,7 @@ def _cmd_encode(args) -> int:
 # ---- parser -----------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdalgebra",
         description="Exact doubling-algebra tables, norms and residue fields.")
     sub = parser.add_subparsers(dest="command", required=True)

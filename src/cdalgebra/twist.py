@@ -274,8 +274,15 @@ def _bit_reverse(x: int, t: int) -> int:
 
 
 def bit_reversal_permutation(t: int) -> np.ndarray:
-    """Index permutation between XOR order and doubling-tree order."""
-    return np.array([_bit_reverse(p, t) for p in range(1 << t)])
+    """Index permutation between XOR order and doubling-tree order.
+
+    Built by doubling: the reversals of t + 1 bits are those of t bits,
+    shifted left, followed by the same with the low bit set.
+    """
+    rev = np.zeros(1, dtype=np.int64)
+    for _ in range(t):
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+    return rev
 
 
 def _tile_codes(bits: np.ndarray) -> np.ndarray:

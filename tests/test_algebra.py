@@ -1,7 +1,10 @@
 """Unit tests for signatures, elements and the doubling product."""
 
+import ast
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +377,87 @@ class TestKernel:
                                    table_depth=3).passed
         finally:
             self._clear_caches()
+
+
+class TestStoredForm:
+    """Elements are integer numerators over one denominator in lowest terms."""
+
+    @staticmethod
+    def _results(rng):
+        """Elements reached by every route: built, products, inverses
+        (negative norms included) and the vector operations."""
+        out = []
+        for t in range(5):
+            for gammas in ((-1,) * t, (1,) * t, (2, Fraction(-1, 2), Fraction(3, 4), -3)[:t]):
+                for conv in Convention:
+                    sig = make_algebra(t, gammas, conv)
+                    n = sig.dimension
+                    x = sig.element([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4)))
+                                     for _ in range(n)])
+                    y = sig.element([rng.randint(-6, 6) for _ in range(n)])
+                    half = sig.element([Fraction(1, 2)] * n)
+                    out += [x, y, x * y, y * x, x + y, x - y, half + half, -x,
+                            x.conjugate(), Fraction(2, 3) * x, x * 4, 0 * x, x - x,
+                            sig.basis(n - 1), sig.zero(), sig.one()]
+                    out += [z.inverse() for z in (x, y, sig.basis(n - 1)) if z.norm() != 0]
+        return out
+
+    def test_canonical_invariants(self):
+        results = self._results(random.Random(30))
+        assert any(x.norm() < 0 for x in results)
+        for x in results:
+            nums, den = x._nums, x._den
+            assert type(nums) is tuple and all(type(v) is int for v in nums)
+            assert den > 0 and gcd(den, *nums) == 1, x
+            assert (den == 1) == all(type(c) is int for c in x.coeffs), x
+            assert list(x.coeffs) == [Fraction(v, den) for v in nums]
+
+    def test_integer_coeffs_are_the_numerators(self):
+        x = quaternions().element([3, -2, 0, 1])
+        assert x.coeffs is x._nums
+        square = x * x
+        assert square.coeffs is square._nums
+
+    @pytest.mark.parametrize("a, b", [(Fraction(2, 4), Fraction(1, 2)), (Fraction(3, 1), 3)])
+    def test_equal_scalars_give_equal_elements(self, a, b):
+        H = quaternions()
+        x, y = H.element([a, 1, 0, -1]), H.element([b, 1, 0, -1])
+        assert x == y and hash(x) == hash(y)
+        assert list(map(type, x.coeffs)) == list(map(type, y.coeffs))
+
+    def test_results_equal_their_rebuilt_form(self):
+        for x in self._results(random.Random(31)):
+            rebuilt = x.signature.element(x.coeffs)
+            assert x == rebuilt and hash(x) == hash(rebuilt), x
+            assert list(map(type, x.coeffs)) == list(map(type, rebuilt.coeffs))
+
+    def test_invalid_coefficients_still_refused(self):
+        H = quaternions()
+        for bad in (0.5, True, False):
+            with pytest.raises(TypeError):
+                H.element([bad, 0, 0, 0])
+        with pytest.raises(TypeError):
+            H.one() * True
+        for coeffs in ([1, 2, 3], [1, 2, 3, 4, 5], []):
+            with pytest.raises(ValueError):
+                H.element(coeffs)
+
+
+def test_readme_quick_start():
+    """Each expression in the README's Quick start evaluates to the value
+    its comment starts with."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    shown = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not code.strip():
+            continue
+        if isinstance(ast.parse(code).body[0], ast.Expr):
+            value = eval(code, namespace)
+            assert comment.strip().startswith(repr(value)), line
+            shown.append(repr(value))
+        else:
+            exec(code, namespace)
+    assert shown == ["Fraction(57, 4)", "True", "<0>", "<-2/21>"]

@@ -357,7 +357,9 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
-        assert "must be >= " in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert "must be >= " in line
 
 
 # ---- fuzz: every input ends in a result or an error line --------------------
@@ -416,4 +418,5 @@ def test_fuzz_run_ends_in_result_or_error_line(command):
             code = exc.code
     assert code in (0, 1, 2)
     if code:
-        assert "error:" in err.getvalue()
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error:")

@@ -9,7 +9,7 @@ import pytest
 from cdalgebra.algebra import Convention, make_algebra
 from cdalgebra.twist import (MAX_TABLE_DEPTH, BlockClassificationError,
                              BlockKind, TwistCoefficient, TwistTable,
-                             _coefficient, basis_product,
+                             _bit_reverse, _coefficient, basis_product,
                              basis_product_element, bit_reversal_permutation,
                              build_table, partition_blocks, power_row_operands,
                              check_power_row_claim, sweep_power_row_claims, shuffle,
@@ -367,6 +367,13 @@ class TestPartitionBlocks:
                 tile = np.array([[signs[p, q], signs[p, q + h]],
                                  [signs[p + h, q], signs[p + h, q + h]]])
                 assert np.array_equal(tile, BlockKind(kinds[i, j]).pattern())
+
+
+def test_bit_reversal_permutation_matches_the_string_reversal():
+    for t in range(13):
+        rev = bit_reversal_permutation(t)
+        assert rev.dtype == np.int64
+        assert rev.tolist() == [_bit_reverse(p, t) for p in range(1 << t)]
 
 
 def _outcome(table, strict):
