@@ -37,6 +37,11 @@ class Convention(str, Enum):
     CONJUGATE_LEFT = "eq31"   # (a1*b1 + g*b2*conj(a2), conj(a1)*b2 + b1*a2)
 
 
+# A module-level name: reading the member off the enum class on every
+# product costs about a tenth of a depth-1 product.
+_CONJUGATE_LEFT = Convention.CONJUGATE_LEFT
+
+
 def as_rational(value: Rational) -> Rational:
     """Coerce to an exact scalar, rejecting floats.
 
@@ -104,21 +109,9 @@ class AlgebraSignature:
         return f"AlgebraSignature(t={self.t}, gammas=({gs}), {self.convention.value})"
 
     def _constants(self) -> tuple:
-        """(signed, D, weights), the parameters scaled to integers on first use.
-
-        D = prod(den(gamma_i)), ``signed[2 * mask + s]`` = (-1)**s * D * prod(gamma_i,
-        bit i of mask) and the norm's ``weights[p]`` = D * prod(-gamma_i, bit i of p).
-        """
+        """``_scaled_constants(self.gammas)``, computed on first use and kept."""
         if not hasattr(self, "_scaled"):
-            monomials = [1]
-            den = 1
-            for g in self.gammas:
-                a, b = g.numerator, g.denominator
-                monomials = [m * b for m in monomials] + [m * a for m in monomials]
-                den *= b
-            signed = [v for m in monomials for v in (m, -m)]
-            weights = [signed[2 * p + (p.bit_count() & 1)] for p in range(len(monomials))]
-            object.__setattr__(self, "_scaled", (signed, den, weights))
+            object.__setattr__(self, "_scaled", _scaled_constants(self.gammas))
         return self._scaled
 
     def _kernel_rows(self) -> list:
@@ -149,6 +142,25 @@ class AlgebraSignature:
         if not 0 <= p < self.dimension:
             raise ValueError(f"basis index {p} out of range for dimension {self.dimension}")
         return _element(self, (0,) * p + (1,) + (0,) * (self.dimension - p - 1), 1)
+
+
+def _scaled_constants(gammas: Sequence[Rational]) -> tuple:
+    """(signed, D, weights), the stage parameters scaled to integers.
+
+    D = prod(den(gamma_i)), ``signed[2 * mask + s]`` = (-1)**s * D * prod(gamma_i,
+    bit i of mask) and the norm's ``weights[p]`` = D * prod(-gamma_i, bit i of p).
+    Zero parameters are allowed here, so the weights of a form are defined even
+    where no algebra is.
+    """
+    monomials = [1]
+    den = 1
+    for g in gammas:
+        a, b = g.numerator, g.denominator
+        monomials = [m * b for m in monomials] + [m * a for m in monomials]
+        den *= b
+    signed = [v for m in monomials for v in (m, -m)]
+    weights = [signed[2 * p + (p.bit_count() & 1)] for p in range(len(monomials))]
+    return signed, den, weights
 
 
 def make_algebra(t: int, gammas: Sequence[Rational],
@@ -366,7 +378,7 @@ class Element:
             self._check_compatible(other)
             sig = self.signature
             a, b = self, other
-            if sig.convention is Convention.CONJUGATE_LEFT:
+            if sig.convention is _CONJUGATE_LEFT:
                 a, b = b, a
             if sig.t > KERNEL_MAX_DEPTH:
                 return Element(sig, _mul(a.coeffs, b.coeffs, sig.gammas))
@@ -389,6 +401,11 @@ class Element:
 
     def __hash__(self) -> int:
         return hash((self.signature, self._nums, self._den))
+
+    def __reduce__(self):
+        # Rebuilt from the stored form: __setattr__ refuses slot-by-slot
+        # restoring, and ``coeffs`` is recomputed on first read.
+        return (_element, (self.signature, self._nums, self._den))
 
     def __getitem__(self, p: int) -> Rational:
         return self.coeffs[p]

@@ -238,8 +238,6 @@ def _cmd_fib_norm(args) -> int:
 def _cmd_threshold(args) -> int:
     params = QuaternionParams(args.alpha1, args.alpha2)
     e = energy(params)
-    if e.is_zero():
-        raise CliError("energy is zero; sign criterion does not apply")
     n0 = invertibility_threshold(params, n_max=args.nmax)
     if n0 is None:
         raise CliError(f"sign did not stabilize by n={args.nmax}")

@@ -1,22 +1,23 @@
 """Fibonacci-coefficient quaternions and their exact norm analysis.
 
 The quaternion with coefficients (f_n, f_{n+1}, f_{n+2}, f_{n+3}) lives in
-a two-parameter quaternion algebra.  Its norm has a closed form in a
-shifted Fibonacci (Horadam) sequence, and its eventual sign, which decides
-invertibility of all late enough terms, is the sign of an exact element of
-the quadratic field generated by the golden ratio.
+a two-parameter quaternion algebra.  Its norm has a closed form in the
+signature's norm weights, and its eventual sign, which decides invertibility
+of all late enough terms, is the sign of an exact golden-field element.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
-from .algebra import AlgebraSignature, Convention, Element, Rational, as_rational
+from .algebra import (AlgebraSignature, Element, Rational, _ratio, _scaled_constants,
+                      as_rational)
 
 # Indices below FIB_MEMO are memoised, which covers the closed-form norm up
-# to n = 510 in about 84 KB.  Larger indices use fast doubling, so a large
+# to n = 511 in about 84 KB.  Larger indices use fast doubling, so a large
 # index costs O(log n) products and no call grows the memo past it.
 FIB_MEMO = 1024
 _fib_cache = [0, 1]
@@ -48,6 +49,11 @@ def _fib_doubling(n: int) -> Tuple[int, int]:
         if bit == "1":
             a, b = b, a + b
     return a, b
+
+
+def _fib_pair(k: int) -> Tuple[int, int]:
+    """(f_k, f_(k+1)): memo below FIB_MEMO, fast doubling above; k < 0 raises."""
+    return _fib_doubling(k) if k >= FIB_MEMO else (fib(k), fib(k + 1))
 
 
 @dataclass(frozen=True)
@@ -205,27 +211,44 @@ class QuaternionParams:
         """Depth-2 doubling algebra realizing this parameter pair.
 
         Stage parameters are the negated alphas, which makes the norm the
-        diagonal form x1^2 + a1*x2^2 + a2*x3^2 + a1*a2*x4^2.  Built on
-        first use and kept, with its scaled constants, for the life of
-        these params; it is not a field, so equality, hashing and repr
-        still read the alphas alone.
+        diagonal form x1^2 + a1*x2^2 + a2*x3^2 + a1*a2*x4^2.  Built on first
+        use and kept with ``_closed_form``; neither is a dataclass field.
         """
-        try:
-            return self._signature
-        except AttributeError:
-            sig = AlgebraSignature(2, (-self.alpha1, -self.alpha2),
-                                   Convention.CONJUGATE_RIGHT)
-            object.__setattr__(self, "_signature", sig)
-            return sig
+        return self._signature
+
+    @cached_property
+    def _signature(self) -> AlgebraSignature:
+        return AlgebraSignature(2, (-self.alpha1, -self.alpha2))
+
+    @cached_property
+    def _form(self) -> Tuple[int, int, int, int]:
+        return _closed_form(self._signature._constants())
+
+
+def _closed_form(constants: tuple) -> Tuple[int, int, int, int]:
+    """(u, v, z, D) from the norm weights w_p over D of (signed, D, weights).
+
+    As 5*f_k**2 = a**(2k) + conj(a)**(2k) - 2*(-1)**k, the element with
+    coefficients f_(n+p) has norm N(n) = E*a**(2n) + conj(E)*conj(a)**(2n)
+    - (2/5)*(-1)**n*Z with 5*D*E = sum(w_p * a**(2p)) = u + v*a and
+    D*Z = sum(w_p * (-1)**p) = z.  At depth 2, 5*E = 1 + a1 + 2*a2 + 5*a1*a2
+    + a*(a1 + 3*a2 + 8*a1*a2) and Z = (1 - a1)*(1 + a2).
+    """
+    _, d, weights = constants
+    u = v = z = 0
+    x, y = 1, 0  # a**(2p) = x + y*a = f_(2p-1) + f_(2p)*a
+    for p, w in enumerate(weights):
+        u += w * x
+        v += w * y
+        z += -w if p & 1 else w
+        x, y = x + y, x + 2 * y
+    return u, v, z, d
 
 
 def fibonacci_quaternion(n: int, params: QuaternionParams) -> Element:
     """Quaternion with coefficients (f_n, f_{n+1}, f_{n+2}, f_{n+3})."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    f0, f1 = _fib_doubling(n) if n >= FIB_MEMO else (fib(n), fib(n + 1))
-    f2 = f0 + f1
-    return params.signature().element((f0, f1, f2, f1 + f2))
+    f0, f1 = _fib_pair(n)
+    return params.signature().element((f0, f1, f0 + f1, f0 + 2 * f1))
 
 
 def fib_norm_direct(n: int, params: QuaternionParams) -> Rational:
@@ -234,63 +257,43 @@ def fib_norm_direct(n: int, params: QuaternionParams) -> Rational:
 
 
 def fib_norm_formula(n: int, params: QuaternionParams) -> Rational:
-    """Closed form for the same norm, in shifted-Fibonacci terms.
+    """The same norm as (u*L_2n + v*L_(2n+1) - 2*(-1)**n*z) / (5*D).
 
-    h_{2n+2} started at (1 + 2*a2, 3*a2), plus (a1 - 1) times h_{2n+3}
-    started at (1 + 2*a2, a2), minus 2*(a1 - 1)*(1 + a2)*f_n*f_{n+1}.
-    Each term is summed as an integer over den(a1)*den(a2), with one
-    exact division at the end.
+    u, v, z and D are read from the norm weights (``_closed_form``), and
+    L_k = f_(k-1) + f_(k+1) are the Lucas numbers.
     """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    p1, q1 = params.alpha1.numerator, params.alpha1.denominator
-    p2, q2 = params.alpha2.numerator, params.alpha2.denominator
-    start = q2 + 2 * p2                  # den(a2) * (1 + 2*a2)
-    shift = p1 - q1                      # den(a1) * (a1 - 1)
-    f_odd, f_even = fib(2 * n + 1), fib(2 * n + 2)
-    first = q1 * (start * f_odd + 3 * p2 * f_even)
-    second = shift * (start * f_even + p2 * (f_odd + f_even))
-    cross = 2 * shift * (q2 + p2) * fib(n) * fib(n + 1)
-    return as_rational(Fraction(first + second - cross, q1 * q2))
+    f0, f1 = _fib_pair(2 * n)
+    u, v, z, d = params._form
+    return _ratio(u * (2 * f1 - f0) + v * (2 * f0 + f1) - 2 * (-1) ** n * z, 5 * d)
 
 
 def energy(params: Union[QuaternionParams, Tuple[Rational, Rational]]) -> GoldenNumber:
-    """Growth coefficient of the norm sequence, exact in the golden field.
+    """Growth coefficient E of the norms, exact in the golden field.
 
-    (1/5) * [1 + a1 + 2*a2 + 5*a1*a2 + a*(a1 + 3*a2 + 8*a1*a2)].
-    Its sign is the eventual sign of the norms.  A bare (a1, a2) pair is
-    accepted as well, since the coefficient itself is defined for zero
-    parameters even though no quaternion algebra is.
+    E is a sum over the norm weights (``_closed_form``); its sign is the
+    eventual sign of the norms.  A bare (a1, a2) pair is accepted as well,
+    since E is defined for zero parameters even though no algebra is.
     """
     if isinstance(params, QuaternionParams):
-        a1, a2 = Fraction(params.alpha1), Fraction(params.alpha2)
+        u, v, _, d = params._form
+    elif len(params) != 2:
+        raise ValueError(f"expected a parameter pair (a1, a2), got {len(params)} entries")
     else:
-        a1, a2 = Fraction(params[0]), Fraction(params[1])
-    # Both brackets times den(a1)*den(a2), in integers.
-    p1, q1, p2, q2 = a1.numerator, a1.denominator, a2.numerator, a2.denominator
-    den = 5 * q1 * q2
-    return GoldenNumber(Fraction(q1 * q2 + p1 * q2 + 2 * p2 * q1 + 5 * p1 * p2, den),
-                        Fraction(p1 * q2 + 3 * p2 * q1 + 8 * p1 * p2, den))
+        u, v, _, d = _closed_form(_scaled_constants([-Fraction(a) for a in params]))
+    return GoldenNumber(Fraction(u, 5 * d), Fraction(v, 5 * d))
 
 
-def _settle_index(e: GoldenNumber, params: QuaternionParams) -> int:
-    """Least n1 from which every norm is nonzero with the sign of E = e.
+def _settle_index(params: QuaternionParams) -> int:
+    """Least n1 from which every norm is nonzero with the sign of the energy E.
 
-    With conj(u + v*a) = (u + v) - v*a the golden conjugate and
-    Z = (1 - a1)*(1 + a2), the norm is
-    N(n) = E*a**(2n) + conj(E)*conj(a)**(2n) - (2/5)*(-1)**n*Z, and
-    |conj(a)| < 1.  So every n with |E|*a**(2n) > |conj(E)| + (2/5)*|Z|
-    has sign(N(n)) = sign(E).  n1 is the least such n, found by growing
-    |E| by a**2 per step and deciding each comparison exactly: O(n1)
-    steps for a nonzero E.  Both sides are compared times
-    5*den(a1)*den(a2), which makes every coefficient an integer.
+    In N(n) of ``_closed_form``, |conj(a)| < 1, so every n with
+    |E|*a**(2n) > |conj(E)| + (2/5)*|Z| has sign(N(n)) = sign(E).  Times
+    5*D the sides are |u + v*a| and |(u + v) - v*a| + 2*|z|; n1 is found
+    in O(n1) exact steps, growing |E| by a**2 each, for a nonzero E.
     """
-    p1, q1 = params.alpha1.numerator, params.alpha1.denominator
-    p2, q2 = params.alpha2.numerator, params.alpha2.denominator
-    e = e * (5 * q1 * q2)
-    conj = GoldenNumber(e.u + e.v, -e.v)
-    bound = conj * conj.sign() + 2 * abs((q1 - p1) * (q2 + p2))
-    grown = e * e.sign()
+    u, v, z, _ = params._form
+    e, conj = GoldenNumber(u, v), GoldenNumber(u + v, -v)
+    grown, bound = e * e.sign(), conj * conj.sign() + 2 * abs(z)
     n1 = 0
     while (grown - bound).sign() <= 0:
         grown = grown * GOLDEN_SQUARE
@@ -301,27 +304,23 @@ def _settle_index(e: GoldenNumber, params: QuaternionParams) -> int:
 def invertibility_threshold(params: QuaternionParams, n_max: int = 200) -> Optional[int]:
     """Least index from which every norm up to n_max has the energy's sign.
 
-    Norms of that sign are nonzero, so all later terms are invertible.
-    Every norm from n1 on has that sign, where n1 is the least n with
-    |E|*a**(2n) > |conj(E)| + (2/5)*|(1 - a1)*(1 + a2)| (E the energy;
-    see ``_settle_index``).  So the scan runs downward from
-    min(n1, n_max) only: O(min(n1, n_max)) norms, with the same answer
-    as a scan from n_max.  Returns None when the sign has not stabilized
-    by n_max; raises when the energy is zero and the criterion does not
-    apply.
+    Norms of that sign are nonzero, so all later terms are invertible.  Every
+    norm from the settle index n1 on has that sign, so only n <= min(n1, n_max)
+    are scanned, downward, with the answer of a scan from n_max.  None means
+    no stable sign by n_max.  Raises ValueError for n_max < 0 and for zero
+    energy, which rational parameters never give: E = 0 needs u = v = 0, and
+    eliminating a1 leaves a2**2 + 7*a2 + 1 = 0, with no rational root.
     """
-    e = energy(params)
-    target = e.sign()
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    target = energy(params).sign()
     if target == 0:
         raise ValueError("energy is zero; the sign criterion does not apply")
-    threshold: Optional[int] = None
-    for n in range(min(_settle_index(e, params), n_max), -1, -1):
-        norm = fib_norm_direct(n, params)
-        matches = norm != 0 and (1 if norm > 0 else -1) == target
-        if not matches:
-            return threshold
-        threshold = n
-    return threshold
+    start = min(_settle_index(params), n_max)
+    for n in range(start, -1, -1):
+        if fib_norm_direct(n, params) * target <= 0:
+            return n + 1 if n < start else None
+    return 0
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Unit tests for signatures, elements and the doubling product."""
 
 import ast
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -430,6 +432,16 @@ class TestStoredForm:
             rebuilt = x.signature.element(x.coeffs)
             assert x == rebuilt and hash(x) == hash(rebuilt), x
             assert list(map(type, x.coeffs)) == list(map(type, rebuilt.coeffs))
+
+    @pytest.mark.parametrize("t", [0, 2, 9])
+    def test_pickle_and_copy_round_trip(self, t):
+        sig = make_algebra(t, [Fraction(-1, 2) if i % 2 else -3 for i in range(t)])
+        n = sig.dimension
+        for coeffs in ([i - 3 for i in range(n)], [Fraction(i - 3, 2) for i in range(n)]):
+            x = sig.element(coeffs)
+            for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert y == x and hash(y) == hash(x)
+                assert list(map(type, y.coeffs)) == list(map(type, x.coeffs))
 
     def test_invalid_coefficients_still_refused(self):
         H = quaternions()

@@ -186,6 +186,15 @@ class TestThreshold:
         assert outs[0] == outs[1]
         assert outs[0].endswith("n0=0\n")
 
+    def test_zero_energy_is_an_error_line(self, capsys, monkeypatch):
+        # Unreachable through rational parameters, so force it: the
+        # library's refusal reaches the user as one error line.
+        from cdalgebra import fibonacci
+        monkeypatch.setattr(fibonacci, "energy", lambda params: fibonacci.GoldenNumber(0, 0))
+        code, out, err = invoke(capsys, "threshold", "--alpha1", "1", "--alpha2", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: energy is zero; the sign criterion does not apply\n"
+
 
 class TestResidueFieldCommand:
     ARGS = ("--pi", "-1,2", "--w", "1,1,1,1", "--t", "2")

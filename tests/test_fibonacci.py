@@ -274,6 +274,11 @@ class TestEnergy:
         assert e == GoldenNumber(0, Fraction(-1, 5))
         assert e.sign() == -1
 
+    def test_pair_of_any_other_length_rejected(self):
+        for params in ((), (1,), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                energy(params)
+
     def test_never_zero_for_rational_parameters(self):
         # The vanishing locus has irrational coordinates, so exact
         # rational parameters cannot hit it.
@@ -336,7 +341,7 @@ class TestInvertibilityThreshold:
                   for _ in range(150)]
         for params in pairs:
             e = energy(params)
-            n1 = fibmod._settle_index(e, params)
+            n1 = fibmod._settle_index(params)
             for n in range(n1, 81):
                 norm = fib_norm_direct(n, params)
                 assert norm != 0 and (1 if norm > 0 else -1) == e.sign(), (params, n)
@@ -344,7 +349,7 @@ class TestInvertibilityThreshold:
     def test_late_settling_parameters(self):
         for (a1, a2), (n1, n0) in zip(LATE_SETTLING, ((7, 6), (5, 5), (5, 5), (5, 4))):
             params = QuaternionParams(a1, a2)
-            assert fibmod._settle_index(energy(params), params) == n1
+            assert fibmod._settle_index(params) == n1
             assert invertibility_threshold(params, 200) == n0
             for n_max in range(12):
                 assert invertibility_threshold(params, n_max) == \
@@ -395,6 +400,10 @@ class TestInvertibilityThreshold:
                 break
         assert found is not None
         assert invertibility_threshold(found, 0) is None
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError):
+            invertibility_threshold(QuaternionParams(1, 1), -1)
 
     def test_zero_energy_rejected(self, monkeypatch):
         # Unreachable through rational parameters, so force it.
