@@ -13,8 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, floordiv, itemgetter, mul, neg, sub
+from operator import add, floordiv, mul, neg, sub
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 Rational = Union[int, Fraction]
 
@@ -68,10 +70,12 @@ class AlgebraSignature:
     ``t = 0`` is the base field itself (dimension 1).
     """
 
-    __slots__ = ("t", "gammas", "convention", "_scaled", "_rows")
+    __slots__ = ("t", "gammas", "convention", "_scaled")
 
     def __init__(self, t: int, gammas: Sequence[Rational],
                  convention: Convention = Convention.CONJUGATE_RIGHT):
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise TypeError(f"doubling depth must be an int, got {type(t).__name__}")
         if t < 0:
             raise ValueError(f"doubling depth must be >= 0, got {t}")
         gammas = tuple(as_rational(g) for g in gammas)
@@ -113,14 +117,6 @@ class AlgebraSignature:
         if not hasattr(self, "_scaled"):
             object.__setattr__(self, "_scaled", _scaled_constants(self.gammas))
         return self._scaled
-
-    def _kernel_rows(self) -> list:
-        """rows[k][p]: the scaled constant of e_p * e_(p^k), shared references."""
-        if not hasattr(self, "_rows"):
-            signed = self._constants()[0]
-            object.__setattr__(self, "_rows", [[signed[c] for c in row]
-                                               for row in _planes(self.t)[0]])
-        return self._rows
 
     # ---- element factories -------------------------------------------------
 
@@ -201,8 +197,8 @@ def _scale(c, a: tuple) -> tuple:
 def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
     """eq11 doubling product on raw coefficient tuples, recursing on halves.
 
-    ``Element`` products use it above KERNEL_MAX_DEPTH; at the depths up
-    to there it is the oracle the kernel is tested against.
+    ``Element`` products use it above KERNEL_MAX_DEPTH, where no plane is
+    built; up to there it is the oracle the kernel is tested against.
     """
     n = len(a)
     if n == 1:
@@ -229,28 +225,29 @@ def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
 # entries of twist.build_table.  Scaled by D = prod(den(gamma_i)), every
 # constant is the integer sign * prod(num(gamma_i), i in mask)
 # * prod(den(gamma_i), i not in mask), so a product is integer arithmetic on
-# the stored numerators with a single gcd reduction at the end.  _mul stays
-# the oracle.
+# the stored numerators with a single gcd reduction at the end.
 
-KERNEL_MAX_DEPTH = 8   # a depth-12 kernel would hold 16M entries
+# Planes stop here: a sparse product above would first pay for its plane
+# (about 270 ms at depth 11, where the recursion takes about 1 ms).
+KERNEL_MAX_DEPTH = 8
 
 
 @lru_cache(maxsize=None)
 def _planes(t: int) -> tuple:
-    """Parameter-free planes of the depth-t eq11 table, indexed [k][p].
+    """The parameter-free depth-t eq11 table as read-only arrays over [k, p].
 
-    ``codes[k][p]`` is 2 * mask + (sign < 0) of e_p * e_(p^k), and
-    ``gathers[k]`` picks the coordinates p ^ k, p = 0..n-1, of a vector.
+    ``code[k, p]`` is 2 * mask + (sign < 0) of e_p * e_(p^k), ``partner[k, p]``
+    is p ^ k, and the support-pair loop reads ``codes = code.tolist()``.
     """
     from .twist import build_table  # twist imports this module
 
     table = build_table(t)
-    signs, masks = table.base_signs.tolist(), table.gamma_masks.tolist()
-    n = 1 << t
-    partners = [[p ^ k for p in range(n)] for k in range(n)]
-    codes = [[2 * masks[p][q] + (signs[p][q] < 0) for p, q in enumerate(row)]
-             for row in partners]
-    return codes, [itemgetter(*row) for row in partners]
+    p = np.arange(1 << t)
+    partner = p ^ p[:, None]
+    code = (2 * table.gamma_masks[p, partner].astype(np.intp)
+            + (table.base_signs[p, partner] < 0))
+    code.flags.writeable = partner.flags.writeable = False
+    return code, partner, code.tolist()
 
 
 def _ratio(v: int, den: int) -> Rational:
@@ -276,7 +273,7 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
         (x0, x1), (y0, y1) = xs, ys
         return (x0 * y0 * d + x1 * y1 * signed[2], (x0 * y1 + x1 * y0) * d), d
     n = len(xs)
-    codes, gathers = _planes(t)
+    code, partner, codes = _planes(t)
     px = [(p, v) for p, v in enumerate(xs) if v]
     py = [(q, v) for q, v in enumerate(ys) if v]
     if 2 * len(px) * len(py) <= n * (n + 8):
@@ -287,8 +284,11 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
                 k = p ^ q
                 z[k] += xp * yq * signed[codes[k][p]]
         return tuple(z), d
-    return tuple([sum(map(mul, map(mul, xs, row), gather(ys)))
-                  for row, gather in zip(sig._kernel_rows(), gathers)]), d
+    # Dense: one gather over the plane.  Object arrays keep every entry a
+    # Python int, so the sums are exact at any size.
+    z = (np.array(signed, dtype=object)[code] * np.array(ys, dtype=object)[partner]
+         * np.array(xs, dtype=object)).sum(axis=1)
+    return tuple(z.tolist()), d
 
 
 class Element:

@@ -153,8 +153,12 @@ def _unbounded_int_output():
     """Lift the interpreter's int-to-str digit limit while a command runs.
 
     Norms and field data are exact integers of any size; the caller's
-    limit (Python 3.10.7+ and 3.11+) is restored on the way out.
+    limit is restored on the way out.  Interpreters before 3.10.7 have
+    no limit to lift.
     """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -311,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to this path instead of stdout")
 
     p = sub.add_parser("mul-table", help="emit the structure-constant table")
-    p.add_argument("--t", type=_int_in_range(1), required=True)
+    p.add_argument("--t", type=_int_in_range(1, 10), required=True)
     p.add_argument("--gammas", type=_fraction_list, required=True,
                    help="comma-separated stage parameters, e.g. -1,-1")
     p.add_argument("--convention", type=_convention,

@@ -85,22 +85,33 @@ class WGenerator:
         return f"WGenerator(w={self.w!r}, q={self.q}, m={self.m})"
 
 
-def make_w(t: int, basis_choice: Sequence[int], coeffs: Sequence[int]) -> WGenerator:
-    """Generator a1 + a2*e_i + a3*e_j + a4*e_k in the depth-t integer algebra."""
-    if len(basis_choice) != 3 or len(set(basis_choice)) != 3:
+def _placement(t: int, indices: Sequence[int]):
+    """The map (a1, a2, a3, a4) -> a1 + a2*e_i + a3*e_j + a4*e_k at depth t,
+    once (i, j, k) are checked to be three distinct indices in 1..2**t - 1."""
+    if len(indices) != 3 or len(set(indices)) != 3:
         raise ValueError("basis_choice must be three distinct indices")
-    if any(i < 1 for i in basis_choice):
+    if any(i < 1 for i in indices):
         raise ValueError("basis indices must be >= 1")
-    if len(coeffs) != 4:
-        raise ValueError("expected four integer coefficients")
     sig = integer_signature(t)
-    vec = [0] * sig.dimension
-    vec[0] = coeffs[0]
-    for idx, c in zip(basis_choice, coeffs[1:]):
+    for idx in indices:
         if idx >= sig.dimension:
             raise ValueError(f"basis index {idx} out of range for depth {t}")
-        vec[idx] += c
-    return WGenerator(sig.element(vec))
+
+    def place(coeffs: Sequence[int]) -> Element:
+        vec = [0] * sig.dimension
+        vec[0] = coeffs[0]
+        for idx, c in zip(indices, coeffs[1:]):
+            vec[idx] = c
+        return sig.element(vec)
+    return place
+
+
+def make_w(t: int, basis_choice: Sequence[int], coeffs: Sequence[int]) -> WGenerator:
+    """Generator a1 + a2*e_i + a3*e_j + a4*e_k in the depth-t integer algebra."""
+    place = _placement(t, basis_choice)
+    if len(coeffs) != 4:
+        raise ValueError("expected four integer coefficients")
+    return WGenerator(place(coeffs))
 
 
 class UElement:
@@ -299,17 +310,8 @@ def four_square_root(m: int, target_indices: Sequence[int], t: int) -> Element:
     """
     if m < 1:
         raise ValueError("target must be a positive integer")
-    quad = _four_square_decomposition(m)
-    sig = integer_signature(t)
-    if len(target_indices) != 3 or len(set(target_indices)) != 3:
-        raise ValueError("target_indices must be three distinct indices")
-    vec = [0] * sig.dimension
-    vec[0] = quad[0]
-    for idx, c in zip(target_indices, quad[1:]):
-        if not 1 <= idx < sig.dimension:
-            raise ValueError(f"basis index {idx} out of range for depth {t}")
-        vec[idx] += c
-    return sig.element(vec)
+    place = _placement(t, target_indices)
+    return place(_four_square_decomposition(m))
 
 
 def _four_square_decomposition(m: int) -> Tuple[int, int, int, int]:

@@ -54,6 +54,12 @@ class TestMakeAlgebra:
         with pytest.raises(TypeError):
             quaternions().element([0.5, 0, 0, 0])
 
+    def test_depth_must_be_an_int(self):
+        with pytest.raises(TypeError):
+            make_algebra(2.0, [-1, -1])
+        with pytest.raises(TypeError):
+            make_algebra(True, [-1])
+
 
 class TestVectorSpace:
     def test_add(self):
@@ -254,7 +260,7 @@ class TestKernel:
         """Dense, rational, basis, two-term and zero operands, paired.
 
         The dense operand has no zero coefficient, so products with it
-        take the summed route at depths 4-8 and sparse ones the support
+        take the dense gather at depths 4-8 and sparse ones the support
         loop.  At depths 7 and 8 one dense pair stands for the rest: the
         recursion takes 0.05-0.2 s for each.
         """
@@ -347,13 +353,7 @@ class TestKernel:
         sig = make_algebra(30, [Fraction(-1, 2)] * 30, LEFT)
         p, q = (1 << 29) | 5, (3 << 27) | 6
         assert basis_product(p, q, sig)[1] == p ^ q
-        assert not hasattr(sig, "_scaled") and not hasattr(sig, "_rows")
-
-    @staticmethod
-    def _clear_caches():
-        # The parameter data lives on each signature; fresh signatures
-        # read the planes again.
-        algebra._planes.cache_clear()
+        assert not hasattr(sig, "_scaled")
 
     def test_matches_recursion(self):
         rng = random.Random(20)
@@ -365,20 +365,63 @@ class TestKernel:
                     assert self._mismatches(self._pairs(sig, rng)) == [], \
                         (t, conv, gammas)
 
-    def test_corrupted_plane_is_caught(self):
-        # One flipped sign in the depth-3 planes must show in the
-        # comparison, and must not reach the twist suite's oracle.
-        self._clear_caches()
-        try:
-            codes, _ = algebra._planes(3)
-            codes[2 ^ 7][2] ^= 1            # sign of e_2 * e_7
-            sig = make_algebra(3, (-1, 2, Fraction(1, 2)), RIGHT)
-            assert self._mismatches(self._pairs(sig, random.Random(22)))
+    def test_dense_products_are_exact_past_64_bits(self):
+        # Coefficients near 2**40 fit in int64 but their products do not;
+        # near 10**30 they fit in no machine word.
+        rng = random.Random(25)
+        for t in range(4, 9):
+            for conv in Convention:
+                sig = make_algebra(t, self.MIXED[:t], conv)
+                for size in (1 << 40, 10 ** 30):
+                    x, y = (sig.element([rng.choice((1, -1)) * (size + rng.randint(-99, 99))
+                                         for _ in range(sig.dimension)]) for _ in range(2))
+                    assert self._mismatches([(x, y), (Fraction(1, 3) * x, y)]) == [], \
+                        (t, conv, size)
+
+    def test_both_sides_of_the_support_pair_switch(self):
+        # Against a full operand, the pair loop runs for supports up to s
+        # and the dense gather from s + 1 on; both read the same plane.
+        rng = random.Random(26)
+        for t, s in ((4, 12), (6, 36)):
+            n = 1 << t
+            assert 2 * n * s <= n * (n + 8) < 2 * n * (s + 1)
+            for conv in Convention:
+                sig = make_algebra(t, self.MIXED[:t], conv)
+                full = sig.element([rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(n)])
+                for support in (s, s + 1):
+                    coeffs = [0] * n
+                    for p in rng.sample(range(n), support):
+                        coeffs[p] = rng.choice((1, -1)) * rng.randint(1, 9)
+                    part = sig.element(coeffs)
+                    assert self._mismatches([(full, part), (part, full)]) == [], \
+                        (t, conv, support)
+
+    @staticmethod
+    def _flipped_planes(t, k, p):
+        """``_planes`` with the sign bit of code[k, p] flipped at depth t, in both views."""
+        planes = algebra._planes
+        code, partner, _ = planes(t)
+        bad = code.copy()
+        bad[k, p] ^= 1
+        bad.flags.writeable = False
+        flipped = (bad, partner, bad.tolist())
+        return lambda depth: flipped if depth == t else planes(depth)
+
+    def test_corrupted_plane_is_caught(self, monkeypatch):
+        # One flipped sign of e_2 * e_7 must show in the comparison, on the
+        # pair loop at depth 3 and on the dense gather at depth 5, and must
+        # not reach the twist suite's oracle.
+        rng = random.Random(22)
+        for t in (3, 5):
+            monkeypatch.setattr(algebra, "_planes", self._flipped_planes(t, 2 ^ 7, 2))
+            sig = make_algebra(t, self.MIXED[:t], RIGHT)
             assert self._mismatches([(sig.basis(2), sig.basis(7))])
+            dense = [sig.element([rng.choice((1, -1)) * rng.randint(1, 9)
+                                  for _ in range(sig.dimension)]) for _ in range(2)]
+            assert self._mismatches([tuple(dense)])
             assert run_twist_suite(exhaustive_depth=3, random_pairs=10,
-                                   table_depth=3).passed
-        finally:
-            self._clear_caches()
+                                   table_depth=t).passed
+            monkeypatch.undo()
 
 
 class TestStoredForm:

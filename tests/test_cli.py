@@ -157,6 +157,16 @@ class TestFibNorm:
         finally:
             sys.set_int_max_str_digits(previous)
 
+    def test_interpreter_without_a_digit_limit(self, capsys, monkeypatch):
+        # Python 3.10.0-3.10.6 has no get_int_max_str_digits: nothing to lift.
+        commands = (["twist", "--t", "2", "--p", "1", "--q", "2"],
+                    ["fib-norm", "--n", "5", "--alpha1", "2/3", "--alpha2", "-7/2"])
+        want = [invoke(capsys, *argv) for argv in commands]
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        for argv, (code, out, _) in zip(commands, want):
+            assert code == 0
+            assert invoke(capsys, *argv) == (0, out, "")
+
 
 class TestThreshold:
     def test_unit_parameters(self, capsys):
@@ -361,6 +371,7 @@ class TestUsageErrors:
         ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "30", "--k", "1"],
         ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "24",
          "--symbols", "1"],
+        ["mul-table", "--t", "11", "--gammas", ",".join(["-1"] * 11)],
     ])
     def test_out_of_range_counts_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

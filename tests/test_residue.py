@@ -295,6 +295,19 @@ class TestFourSquareRoot:
         with pytest.raises(ValueError):
             four_square_root(0, (1, 2, 3), 2)
 
+    def test_bad_indices_rejected_before_the_search(self, monkeypatch):
+        # The same checks and messages as make_w, made before the
+        # four-square search (0.56 s at this m).
+        def search(m):
+            raise AssertionError("searched before checking the indices")
+        monkeypatch.setattr(resmod, "_four_square_decomposition", search)
+        for indices in ((1, 1, 2), (0, 1, 2), (1, 2, 9), (1, 2)):
+            with pytest.raises(ValueError) as want:
+                make_w(2, indices, (1, 1, 1, 1))
+            with pytest.raises(ValueError) as got:
+                four_square_root(2 ** 22 - 1, indices, 2)
+            assert str(got.value) == str(want.value)
+
 
 class TestResidueField:
     def test_golden_field_data(self, golden_field):
