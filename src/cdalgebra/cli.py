@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
+import itertools
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .algebra import Convention, make_algebra
 from .fibonacci import (QuaternionParams, energy, fib_norm_direct,
                         fib_norm_formula, invertibility_threshold)
-from .residue import ResidueField, UElement, make_w, residue_field
+from .residue import (ResidueField, UElement, decode_symbols, encode_symbols,
+                      make_w, residue_field)
 from .suites import SUITES
 from .twist import (MAX_TABLE_DEPTH, BlockKind, TwistTable, build_table,
                     partition_blocks, twist_sign)
@@ -89,63 +90,71 @@ def _convention(text: str) -> Convention:
             f"convention must be one of {[c.value for c in Convention]}") from exc
 
 
-# ---- serialization ----------------------------------------------------------
+# ---- output -----------------------------------------------------------------
+#
+# Handlers validate and compute eagerly, then return their text as an
+# iterable of chunks; ``run`` writes the chunks as they come.  Tables (one
+# row a chunk) and fields are written straight from their arrays and reps,
+# in the bytes ``csv`` and ``json.dumps(..., indent=2)`` would write: the
+# cells are ints and bit strings, so nothing needs quoting or escaping.
 
-def mask_string(mask: int, t: int) -> str:
-    """Stage-selection mask as a bit string, highest stage first."""
-    return format(mask, f"0{t}b") if t else ""
+_CSV_ROW = "{},{},{},{},{}\n"
+_TABLE_ENTRY = ('    {{\n      "p": {},\n      "q": {},\n      "index": {},\n'
+                '      "sign": {},\n      "gamma_mask": "{}"\n    }}')
+_FIELD_ENTRY = ('    {{\n      "k": {},\n      "a": {},\n      "b": {},\n'
+                '      "norm": {}\n    }}')
 
 
-def table_rows(table: TwistTable) -> List[dict]:
-    rows = []
+def _table_chunks(table: TwistTable, cell: str, sep: str) -> Iterator[str]:
+    """One chunk per row p: ``cell`` filled with p, q, p ^ q, sign and mask bits."""
+    bits = [format(m, f"0{table.t}b") for m in range(table.dimension)]
     for p in range(table.dimension):
-        for q in range(table.dimension):
-            coeff = table.entry(p, q)
-            rows.append({
-                "p": p, "q": q, "index": p ^ q,
-                "sign": coeff.sign,
-                "gamma_mask": mask_string(coeff.gamma_mask, table.t),
-            })
-    return rows
+        row = zip(table.base_signs[p].tolist(), table.gamma_masks[p].tolist())
+        yield sep.join([cell.format(p, q, p ^ q, s, bits[m])
+                        for q, (s, m) in enumerate(row)])
 
 
-def table_to_dict(table: TwistTable, gammas: Sequence[Fraction]) -> dict:
-    return {
-        "t": table.t,
-        "convention": table.convention.value,
-        "gammas": [str(Fraction(g)) for g in gammas],
-        "entries": table_rows(table),
-    }
+def _field_text(field: ResidueField, cell: str, sep: str) -> str:
+    """``cell`` filled with k, a, b, norm and element for every label.
+
+    One chunk: at under 100 bytes a label, the text is small beside the
+    about 620 bytes a class that ``field.reps`` holds.
+    """
+    return sep.join([cell.format(k, u.a, u.b, u.norm(), u)
+                     for k, u in enumerate(field.reps)])
 
 
-def field_to_dict(field: ResidueField) -> dict:
-    return {
-        "p": field.p,
-        "s": field.s,
-        "pi": [field.pi.a, field.pi.b],
-        "w_trace": field.gen.q,
-        "w_norm": field.gen.m,
-        "t": field.gen.w.signature.t,
-        "w_coeffs": list(field.gen.w.coeffs),
-        "labels": [{"k": k, "a": u.a, "b": u.b, "norm": u.norm()}
-                   for k, u in enumerate(field.reps)],
-    }
+def _json_list(header: dict, key: str, chunks: Iterable[str]) -> Iterator[str]:
+    """``json.dumps({**header, key: entries}, indent=2) + "\\n"``, streamed.
+
+    ``chunks`` hold the entries, rendered at list depth and joined by
+    ",\\n"; there is at least one.
+    """
+    yield json.dumps(header, indent=2)[:-2] + f',\n  "{key}": [\n'
+    sep = ""
+    for chunk in chunks:
+        yield sep
+        yield chunk
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
-def field_rows(field: ResidueField) -> List[dict]:
-    return [{"k": k, "a": u.a, "b": u.b, "norm": u.norm(), "element": str(u)}
-            for k, u in enumerate(field.reps)]
+def _fail_after(chunks: Iterable[str], message: str) -> Iterator[str]:
+    """Write ``chunks``, then report ``message`` as a contract violation."""
+    yield from chunks
+    raise CliError(message)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {output}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+def _write(chunks: Iterable[str], output: Optional[str]) -> None:
+    if not output:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+        return
+    try:
+        with open(output, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise CliError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 @contextlib.contextmanager
@@ -167,51 +176,35 @@ def _unbounded_int_output():
         sys.set_int_max_str_digits(previous)
 
 
-def _csv_text(rows: List[dict], columns: List[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({c: row[c] for c in columns})
-    return buf.getvalue()
-
-
 # ---- subcommand handlers ----------------------------------------------------
 
-def _cmd_mul_table(args) -> int:
-    gammas = args.gammas
-    sig = make_algebra(args.t, gammas, args.convention)  # validates count/nonzero
+def _cmd_mul_table(args) -> Iterable[str]:
+    sig = make_algebra(args.t, args.gammas, args.convention)  # validates count/nonzero
     table = build_table(args.t, args.convention)
     if args.format == "csv":
-        text = _csv_text(table_rows(table), ["p", "q", "index", "sign", "gamma_mask"])
-    else:
-        text = json.dumps(table_to_dict(table, sig.gammas), indent=2) + "\n"
-    _emit(text, args.output)
-    return 0
+        return itertools.chain(["p,q,index,sign,gamma_mask\n"],
+                               _table_chunks(table, _CSV_ROW, ""))
+    header = {"t": table.t, "convention": table.convention.value,
+              "gammas": [str(Fraction(g)) for g in sig.gammas]}
+    return _json_list(header, "entries", _table_chunks(table, _TABLE_ENTRY, ",\n"))
 
 
-def _cmd_twist(args) -> int:
+def _cmd_twist(args) -> Iterable[str]:
     sign = twist_sign(args.p, args.q, args.t, args.convention)
-    _emit(f"sign={sign:+d} index={args.p ^ args.q}\n", args.output)
-    return 0
+    return [f"sign={sign:+d} index={args.p ^ args.q}\n"]
 
 
-def _cmd_blocks(args) -> int:
-    table = build_table(args.t, args.convention)
-    kinds = partition_blocks(table)
-    lines = []
-    for row in kinds:
-        lines.append(" ".join(f"{BlockKind(k).label():>3}" for k in row))
-    total = kinds.size
-    lines.append(f"all {total} blocks classified: PASS")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+def _cmd_blocks(args) -> Iterable[str]:
+    kinds = partition_blocks(build_table(args.t, args.convention))
+    lines = [" ".join(f"{BlockKind(k).label():>3}" for k in row) + "\n" for row in kinds]
+    lines.append(f"all {kinds.size} blocks classified: PASS\n")
+    return lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Iterable[str]:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ok = True
-    chunks = []
+    lines = []
     for name in names:
         kwargs = {}
         if name == "core" and args.samples is not None:
@@ -220,33 +213,28 @@ def _cmd_verify(args) -> int:
             kwargs["depths"] = tuple(range(1, args.t + 1))
         result = SUITES[name](**kwargs)
         ok = ok and result.passed
-        chunks.append(result.summary())
-    _emit("\n".join(chunks) + "\n", args.output)
-    if not ok:
-        raise CliError("one or more suites failed")
-    return 0
+        lines.append(result.summary() + "\n")
+    return lines if ok else _fail_after(lines, "one or more suites failed")
 
 
-def _cmd_fib_norm(args) -> int:
+def _cmd_fib_norm(args) -> Iterable[str]:
     params = QuaternionParams(args.alpha1, args.alpha2)
     direct = Fraction(fib_norm_direct(args.n, params))
     formula = Fraction(fib_norm_formula(args.n, params))
     equal = direct == formula
-    _emit(f"direct={direct}\nformula={formula}\nequal={str(equal).lower()}\n",
-          args.output)
-    if not equal:
-        raise CliError("closed form disagrees with the direct norm")
-    return 0
+    lines = [f"direct={direct}\nformula={formula}\nequal={str(equal).lower()}\n"]
+    if equal:
+        return lines
+    return _fail_after(lines, "closed form disagrees with the direct norm")
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args) -> Iterable[str]:
     params = QuaternionParams(args.alpha1, args.alpha2)
     e = energy(params)
     n0 = invertibility_threshold(params, n_max=args.nmax)
     if n0 is None:
         raise CliError(f"sign did not stabilize by n={args.nmax}")
-    _emit(f"energy={e}\nenergy_sign={e.sign():+d}\nn0={n0}\n", args.output)
-    return 0
+    return [f"energy={e}\nenergy_sign={e.sign():+d}\nn0={n0}\n"]
 
 
 def _build_field(args) -> ResidueField:
@@ -261,17 +249,17 @@ def _build_field(args) -> ResidueField:
     return field
 
 
-def _cmd_residue_field(args) -> int:
+def _cmd_residue_field(args) -> Iterable[str]:
     field = _build_field(args)
     if args.format == "csv":
-        text = _csv_text(field_rows(field), ["k", "a", "b", "norm", "element"])
-    else:
-        text = json.dumps(field_to_dict(field), indent=2) + "\n"
-    _emit(text, args.output)
-    return 0
+        return ["k,a,b,norm,element\n", _field_text(field, _CSV_ROW, "")]
+    header = {"p": field.p, "s": field.s, "pi": [field.pi.a, field.pi.b],
+              "w_trace": field.gen.q, "w_norm": field.gen.m,
+              "t": field.gen.w.signature.t, "w_coeffs": list(field.gen.w.coeffs)}
+    return _json_list(header, "labels", [_field_text(field, _FIELD_ENTRY, ",\n")])
 
 
-def _cmd_label(args) -> int:
+def _cmd_label(args) -> Iterable[str]:
     field = _build_field(args)
     if (args.u is None) == (args.k is None):
         raise CliError("provide exactly one of --u or --k")
@@ -279,28 +267,23 @@ def _cmd_label(args) -> int:
         if len(args.u) != 2:
             raise CliError("--u takes exactly two coordinates a,b")
         u = UElement(args.u[0], args.u[1], field.gen)
-        _emit(f"label={field.label(u)}\n", args.output)
-    else:
-        u = field.unlabel(args.k)
-        _emit(f"element={u.a},{u.b}\n", args.output)
-    return 0
+        return [f"label={field.label(u)}\n"]
+    u = field.unlabel(args.k)
+    return [f"element={u.a},{u.b}\n"]
 
 
-def _cmd_encode(args) -> int:
-    from .residue import decode_symbols, encode_symbols
-
+def _cmd_encode(args) -> Iterable[str]:
     field = _build_field(args)
     bad = [k for k in args.symbols if not 0 <= k < field.p]
     if bad:
         raise CliError(f"symbols out of range for field size {field.p}: {bad}")
     encoded = encode_symbols(args.symbols, field)
-    lines = [f"{u.a},{u.b}" for u in encoded]
+    lines = [f"{u.a},{u.b}\n" for u in encoded]
     decoded = decode_symbols(encoded, field)
-    lines.append("decoded=" + ",".join(str(k) for k in decoded))
-    _emit("\n".join(lines) + "\n", args.output)
-    if decoded != list(args.symbols):
-        raise CliError("decode of the encoded stream does not round-trip")
-    return 0
+    lines.append("decoded=" + ",".join(str(k) for k in decoded) + "\n")
+    if decoded == list(args.symbols):
+        return lines
+    return _fail_after(lines, "decode of the encoded stream does not round-trip")
 
 
 # ---- parser -----------------------------------------------------------------
@@ -429,13 +412,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_join_negative_values(argv))
     try:
         with _unbounded_int_output():
-            return args.func(args)
-    except CliError as exc:
+            _write(args.func(args), args.output)
+    except BrokenPipeError as exc:
+        # The reader left early.  Point stdout at devnull, so the flush at
+        # interpreter exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 1
+    except (CliError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 def main() -> None:

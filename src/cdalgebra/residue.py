@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import Iterable, List, Sequence, Tuple
 
@@ -24,11 +23,6 @@ MAX_FIELD_SIZE = 2 ** 20
 def integer_signature(t: int) -> AlgebraSignature:
     """All-(-1) doubling algebra of depth t, the home of integer elements."""
     return AlgebraSignature(t, (-1,) * t, Convention.CONJUGATE_RIGHT)
-
-
-def round_half_away(x: Fraction) -> int:
-    """Nearest integer, ties away from zero."""
-    return _round_quotient(x.numerator, x.denominator)
 
 
 def _round_quotient(a: int, n: int) -> int:

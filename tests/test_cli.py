@@ -1,18 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import csv
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdalgebra.algebra import Convention
+from cdalgebra.algebra import Convention, make_algebra
 from cdalgebra.cli import run
 from cdalgebra.fibonacci import fib
 from cdalgebra.residue import make_w, residue_field
@@ -98,6 +100,160 @@ class TestMulTable:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("p,q,index,sign,gamma_mask")
+
+
+# ---- oracle: the dict-per-entry serializers the CLI streams past -----------
+
+def mask_string(mask, t):
+    return format(mask, f"0{t}b") if t else ""
+
+
+def table_rows(table):
+    rows = []
+    for p in range(table.dimension):
+        for q in range(table.dimension):
+            coeff = table.entry(p, q)
+            rows.append({"p": p, "q": q, "index": p ^ q, "sign": coeff.sign,
+                         "gamma_mask": mask_string(coeff.gamma_mask, table.t)})
+    return rows
+
+
+def table_to_dict(table, gammas):
+    return {"t": table.t, "convention": table.convention.value,
+            "gammas": [str(Fraction(g)) for g in gammas],
+            "entries": table_rows(table)}
+
+
+def field_to_dict(field):
+    return {"p": field.p, "s": field.s, "pi": [field.pi.a, field.pi.b],
+            "w_trace": field.gen.q, "w_norm": field.gen.m,
+            "t": field.gen.w.signature.t, "w_coeffs": list(field.gen.w.coeffs),
+            "labels": [{"k": k, "a": u.a, "b": u.b, "norm": u.norm()}
+                       for k, u in enumerate(field.reps)]}
+
+
+def field_rows(field):
+    return [{"k": k, "a": u.a, "b": u.b, "norm": u.norm(), "element": str(u)}
+            for k, u in enumerate(field.reps)]
+
+
+def csv_text(rows, columns):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({c: row[c] for c in columns})
+    return buf.getvalue()
+
+
+class TestOutputBytes:
+    GAMMAS = ("-1", "2", "1/2", "-3/4", "5", "7/3")
+    FIELD = ("--w", "1,1,1,1", "--t", "2")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("convention", list(Convention))
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_mul_table_matches_dict_oracle(self, capsys, t, convention, fmt):
+        gammas = ",".join(self.GAMMAS[:t])
+        code, out, err = invoke(capsys, "mul-table", "--t", str(t), "--gammas", gammas,
+                                "--convention", convention.value, "--format", fmt)
+        assert (code, err) == (0, "")
+        table = build_table(t, convention)
+        if fmt == "csv":
+            want = csv_text(table_rows(table), ["p", "q", "index", "sign", "gamma_mask"])
+        else:
+            sig = make_algebra(t, [Fraction(g) for g in self.GAMMAS[:t]], convention)
+            want = json.dumps(table_to_dict(table, sig.gammas), indent=2) + "\n"
+        assert out == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("p, pi", [(13, (-1, 2)), (61, (5, 2))])
+    def test_residue_field_matches_dict_oracle(self, capsys, p, pi, fmt):
+        code, out, err = invoke(capsys, "residue-field", "--p", str(p),
+                                "--pi", f"{pi[0]},{pi[1]}", *self.FIELD, "--format", fmt)
+        assert (code, err) == (0, "")
+        field = residue_field(make_w(2, (1, 2, 3), (1, 1, 1, 1)).element(*pi))
+        if fmt == "csv":
+            want = csv_text(field_rows(field), ["k", "a", "b", "norm", "element"])
+        else:
+            want = json.dumps(field_to_dict(field), indent=2) + "\n"
+        assert out == want
+
+    @pytest.mark.parametrize("argv", [
+        ["mul-table", "--t", "3", "--gammas", "-1,2,1/2", "--format", "json"],
+        ["mul-table", "--t", "4", "--gammas", "-1,-1,-1,-1", "--convention", "eq31"],
+        ["residue-field", "--pi", "5,2", "--w", "1,1,1,1", "--t", "2", "--format", "json"],
+        ["blocks", "--t", "4"],
+        ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", "4,7,12"],
+    ])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "out.txt"
+        assert invoke(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+
+    def test_contract_error_creates_no_file(self, capsys, tmp_path):
+        target = tmp_path / "field.csv"
+        code, out, err = invoke(capsys, "residue-field", "--pi", "2,0", *self.FIELD,
+                                "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "prime" in err
+        assert not target.exists()
+
+
+class TestStreaming:
+    """The CLI as a process: a closed reader ends in an error line, memory stays bounded."""
+
+    @staticmethod
+    def buffered_env():
+        """Block-buffered stdout, the interpreter's default for a pipe."""
+        return dict(_src_env(), PYTHONUNBUFFERED="")
+
+    def test_closed_reader_is_one_error_line(self):
+        # 6 MB of CSV, far past the pipe buffer: the reader leaves after one line.
+        proc = subprocess.Popen([sys.executable, "-m", "cdalgebra.cli", "mul-table",
+                                 "--t", "9", "--gammas", ",".join(["-1"] * 9)],
+                                env=self.buffered_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "p,q,index,sign,gamma_mask\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == "error: cannot write stdout: Broken pipe\n"
+
+    def test_reader_gone_before_the_first_write(self):
+        # The error leaves stdout on devnull, so the flush at exit stays quiet.
+        script = ("import os, sys\n"
+                  "from cdalgebra.cli import run\n"
+                  "code = run(['twist', '--t', '2', '--p', '1', '--q', '2'])\n"
+                  "assert os.path.samestat(os.fstat(1), os.stat(os.devnull))\n"
+                  "sys.exit(code)\n")
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-c", script], env=self.buffered_env(),
+                                  stdout=write, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "error: cannot write stdout: Broken pipe\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_depth_ten_peak_memory(self, fmt):
+        # A fresh parent process, so RUSAGE_CHILDREN sees this one child only.
+        script = ("import resource, subprocess, sys\n"
+                  "subprocess.run([sys.executable, '-m', 'cdalgebra.cli', *sys.argv[1:]],\n"
+                  "               stdout=subprocess.DEVNULL, check=True)\n"
+                  "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+        proc = subprocess.run([sys.executable, "-c", script, "mul-table", "--t", "10",
+                               "--gammas", ",".join(["-1"] * 10), "--format", fmt],
+                              env=self.buffered_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 120 * 1024, f"peak RSS {int(proc.stdout)} KB"
 
 
 class TestBlocks:
