@@ -7,7 +7,6 @@ of all late enough terms, is the sign of an exact golden-field element.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -16,12 +15,13 @@ from typing import Optional, Tuple, Union
 from .algebra import (AlgebraSignature, Element, Rational, _ratio, _scaled_constants,
                       as_rational)
 
-# Indices below FIB_MEMO are memoised, which covers the closed-form norm up
-# to n = 511 in about 84 KB.  Larger indices use fast doubling, so a large
-# index costs O(log n) products and no call grows the memo past it.
+# Indices below FIB_MEMO are read from a memo built once at import (about
+# 0.2 ms and 84 KB), which covers the closed-form norm up to n = 511.
+# Larger indices use fast doubling, so a large index costs O(log n) products.
 FIB_MEMO = 1024
 _fib_cache = [0, 1]
-_fib_lock = threading.Lock()
+while len(_fib_cache) < FIB_MEMO:
+    _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
 
 
 def fib(n: int) -> int:
@@ -30,10 +30,6 @@ def fib(n: int) -> int:
         raise ValueError("index must be >= 0")
     if n >= FIB_MEMO:
         return _fib_doubling(n)[0]
-    if n >= len(_fib_cache):
-        with _fib_lock:
-            while n >= len(_fib_cache):
-                _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
     return _fib_cache[n]
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, List, Sequence, Tuple
 
@@ -20,8 +21,12 @@ logger = logging.getLogger(__name__)
 MAX_FIELD_SIZE = 2 ** 20
 
 
+@lru_cache(maxsize=None, typed=True)
 def integer_signature(t: int) -> AlgebraSignature:
-    """All-(-1) doubling algebra of depth t, the home of integer elements."""
+    """All-(-1) doubling algebra of depth t, the home of integer elements.
+
+    One signature per depth, so its scaled constants are built once.
+    """
     return AlgebraSignature(t, (-1,) * t, Convention.CONJUGATE_RIGHT)
 
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraSignature, Convention, Element, _mul, make_algebra
+from .algebra import AlgebraSignature, Convention, Element, Rational, make_algebra
 from . import fibonacci as fibmod
 from . import residue as resmod
 from . import twist as twistmod
@@ -139,7 +139,13 @@ def _basis_law_checks(sig: AlgebraSignature, out: SuiteResult) -> None:
 
 def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
                     table_depth: int = 8, seed: int = 20250102) -> SuiteResult:
-    """Structure constants against the doubling recursion, plus table laws."""
+    """Structure constants against the stage-by-stage doubling descent, plus
+    table, block and power-row laws.
+
+    Each basis-product value is compared with ``_descent_coefficient`` under
+    the signature's own parameters; the tests check that descent against the
+    vector recursion ``algebra._mul`` on every pair up to depth 5.
+    """
     rng = random.Random(seed)
     out = SuiteResult("twist")
     mixed = (2, -3, Fraction(5, 7), Fraction(-1, 2), 11, -1, Fraction(3, 4), 5)
@@ -152,8 +158,8 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
                     for q in range(sig.dimension):
                         coeff, idx = twistmod.basis_product(p, q, sig)
                         out.expect(idx == p ^ q, "index law", f"{tag} ({p},{q})")
-                        out.expect(_recursive_basis_product(p, q, sig)
-                                   == _scaled_unit(coeff.value(sig.gammas), idx, sig),
+                        out.expect(coeff.value(sig.gammas)
+                                   == _descent_value(p, q, sig),
                                    "coefficient", f"{tag} ({p},{q})")
     for t in (6, 7, 8):
         sig = make_algebra(t, (-1,) * t, Convention.CONJUGATE_RIGHT)
@@ -161,8 +167,8 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
             p = rng.randrange(sig.dimension)
             q = rng.randrange(sig.dimension)
             coeff, idx = twistmod.basis_product(p, q, sig)
-            out.expect(_recursive_basis_product(p, q, sig)
-                       == _scaled_unit(coeff.value(sig.gammas), idx, sig),
+            out.expect(idx == p ^ q
+                       and coeff.value(sig.gammas) == _descent_value(p, q, sig),
                        "random coefficient", f"t={t} ({p},{q})")
     for t in range(1, table_depth + 1):
         for conv in Convention:
@@ -198,16 +204,43 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
     return out
 
 
-def _scaled_unit(c, p: int, sig: AlgebraSignature) -> tuple:
-    return (0,) * p + (c,) + (0,) * (sig.dimension - p - 1)
+def _descent_coefficient(p: int, q: int) -> Tuple[int, int]:
+    """(sign, gamma_mask) of the eq11 basis product e_p * e_q, one doubling
+    stage at a time from the top bit of p | q down.
+
+    This is the doubling formula applied to two basis elements, written
+    independently of the bit algebra in ``twist._coefficient``.
+    """
+    sign = 1
+    mask = 0
+    t = (p | q).bit_length()
+    while t > 0:
+        t -= 1
+        half = 1 << t
+        ph, qh = p >> t & 1, q >> t & 1
+        p &= half - 1
+        q &= half - 1
+        if ph == 0 and qh == 0:
+            continue
+        if ph == 0:  # low * high: recurse on (q, p)
+            p, q = q, p
+        elif qh == 0:  # high * low: right factor is conjugated
+            if q != 0:
+                sign = -sign
+        else:  # high * high: conjugated right factor, swapped, parameter
+            if q != 0:
+                sign = -sign
+            mask |= half
+            p, q = q, p
+    return sign, mask
 
 
-def _recursive_basis_product(p: int, q: int, sig: AlgebraSignature) -> tuple:
-    """e_p * e_q by the doubling recursion (``algebra._mul``), independent of
-    the structure-constant kernel behind ``Element.__mul__``."""
+def _descent_value(p: int, q: int, sig: AlgebraSignature) -> Rational:
+    """The coefficient of e_p * e_q under sig's parameters, by the descent;
+    eq31 is eq11 with the operands swapped."""
     if sig.convention is Convention.CONJUGATE_LEFT:
         p, q = q, p
-    return _mul(_scaled_unit(1, p, sig), _scaled_unit(1, q, sig), sig.gammas)
+    return twistmod.TwistCoefficient(*_descent_coefficient(p, q)).value(sig.gammas)
 
 
 def run_fib_suite(norm_range: int = 40, random_params: int = 200,

@@ -107,7 +107,7 @@ def test_criterion_04_sign_criterion():
 def test_criterion_05_twist_oracle_equivalence():
     start = time.perf_counter()
     result = run_twist_suite(random_pairs=10_000, seed=20250205)
-    _report(5, "structure constants equal elementwise products", result.failures,
+    _report(5, "structure constants equal the doubling descent", result.failures,
             time.perf_counter() - start, 30.0)
     # Every pair at depths 1-5 (both conventions, two parameter choices),
     # then 10,000 random pairs at each of depths 6-8.

@@ -32,8 +32,10 @@ class TestFib:
             fib(-1)
 
     def test_memo_stays_bounded(self):
+        # The memo is whole from import on, and no call grows it.
+        assert len(fibmod._fib_cache) == fibmod.FIB_MEMO
         fib(10 ** 5)
-        assert len(fibmod._fib_cache) <= fibmod.FIB_MEMO
+        assert len(fibmod._fib_cache) == fibmod.FIB_MEMO
 
     def test_recurrence_across_the_memo_bound(self):
         for n in range(fibmod.FIB_MEMO - 3, fibmod.FIB_MEMO + 4):

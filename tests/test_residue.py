@@ -106,6 +106,14 @@ class TestMakeW:
         gen = make_w(3, (1, 2, 4), (1, 1, 1, 1))
         assert gen.q == 2 and gen.m == 4
 
+    def test_one_integer_signature_per_depth(self):
+        # The scaled constants live on the signature, so sharing it means
+        # building them once per depth.
+        sig = make_w(2, (1, 2, 3), (1, 1, 1, 1)).w.signature
+        assert make_w(2, (1, 2, 3), (0, 1, 0, 0)).w.signature is sig
+        assert four_square_root(37, (1, 2, 3), 2).signature is sig
+        assert make_w(3, (1, 2, 4), (1, 1, 1, 1)).w.signature is not sig
+
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
             make_w(2, (1, 2, 3), (0, 0, 0, 0))
@@ -388,6 +396,22 @@ class TestResidueField:
         monkeypatch.setattr(resmod, "is_prime_u", lambda x: True)
         with pytest.raises(ValueError, match="degenerate"):
             residue_field(golden_gen.element(2, 0))
+
+    @pytest.mark.parametrize("p, pi", [(13, (-1, 2)), (61, (5, 2))])
+    def test_reduce_gives_the_class_representative(self, golden_gen, p, pi):
+        field = residue_field(golden_gen.element(*pi))
+        assert field.p == p
+        rng = random.Random(p)
+        for _ in range(200):
+            u = golden_gen.element(rng.randint(-90, 90), rng.randint(-90, 90))
+            rep = field.reduce(u)
+            assert rep == field.reps[field.label(u)]
+            assert rep.norm() < p
+            z = golden_gen.element(rng.randint(-9, 9), rng.randint(-9, 9))
+            assert field.reduce(u + z * field.pi) == rep
+        other = make_w(2, (1, 2, 3), (0, 1, 0, 0))
+        with pytest.raises(ValueError):
+            field.reduce(other.element(1, 1))
 
     def test_mismatched_subring_rejected(self, golden_field):
         other = make_w(2, (1, 2, 3), (0, 1, 0, 0))

@@ -2,6 +2,9 @@
 
 import re
 
+import pytest
+
+from cdalgebra import twist
 from cdalgebra.algebra import Element
 from cdalgebra.suites import (SuiteResult, run_core_suite, run_fib_suite,
                               run_residue_suite, run_twist_suite)
@@ -66,3 +69,23 @@ def test_every_power_check_catches_a_non_power_associative_product(monkeypatch):
     pairs_per_sample = result.counts["power associativity"] // (
         samples * len(depths) * 2)
     assert len(failing) == pairs_per_sample == 10
+
+
+@pytest.mark.parametrize("at, wrong, seen_under_minus_one", [
+    ((3, 5), lambda sign, mask: (-sign, mask), True),
+    # Same mask parity: all-(-1) parameters give the same value.
+    ((3, 7), lambda sign, mask: (sign, 0), False),
+])
+def test_twist_suite_catches_a_wrong_structure_constant(
+        monkeypatch, at, wrong, seen_under_minus_one):
+    coefficient = twist._coefficient
+
+    def corrupted(p, q):
+        out = coefficient(p, q)
+        return wrong(*out) if (p, q) == at else out
+
+    monkeypatch.setattr(twist, "_coefficient", corrupted)
+    result = run_twist_suite(exhaustive_depth=3, random_pairs=10, table_depth=1)
+    failing = [f for f in result.failures if f.startswith("coefficient: ")]
+    assert failing
+    assert any("gammas=(-1," in f for f in failing) == seen_under_minus_one

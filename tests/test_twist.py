@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cdalgebra.algebra import Convention, make_algebra
+from cdalgebra.algebra import Convention, _mul, make_algebra
+from cdalgebra.suites import _descent_coefficient, _descent_value
 from cdalgebra.twist import (MAX_TABLE_DEPTH, BlockClassificationError,
                              BlockKind, TwistCoefficient, TwistTable,
                              _bit_reverse, _coefficient, basis_product,
@@ -47,32 +48,8 @@ def _unit(p, n):
 
 
 # ---- oracles: the stage-by-stage forms the bit algebra replaced -------------
-
-def _descent_coefficient(p, q):
-    """(sign, gamma_mask) of the eq11 basis product, one stage at a time."""
-    sign = 1
-    mask = 0
-    t = (p | q).bit_length()
-    while t > 0:
-        t -= 1
-        half = 1 << t
-        ph, qh = p >> t & 1, q >> t & 1
-        p &= half - 1
-        q &= half - 1
-        if ph == 0 and qh == 0:
-            continue
-        if ph == 0:  # low * high: recurse on (q, p)
-            p, q = q, p
-        elif qh == 0:  # high * low: right factor is conjugated
-            if q != 0:
-                sign = -sign
-        else:  # high * high: conjugated right factor, swapped, parameter
-            if q != 0:
-                sign = -sign
-            mask |= half
-            p, q = q, p
-    return sign, mask
-
+#
+# The descent is cdalgebra.suites._descent_coefficient, which verify shares.
 
 def _doubling_planes(t, convention):
     """(base_signs, gamma_masks) by quadrant doubling of both planes."""
@@ -408,6 +385,24 @@ def _corrupt(signs, t, how, rng):
 
 
 class TestBitAlgebraAgainstOracles:
+    def test_descent_equals_the_recursion_on_unit_vectors(self):
+        # The descent is the twist suite's oracle; here it meets the vector
+        # recursion, with eq31 as eq11 on swapped operands.
+        mixed = (2, Fraction(-1, 3), 5, Fraction(7, 2), -11)
+        for t in range(1, 6):
+            n = 1 << t
+            units = [tuple(_unit(p, n)) for p in range(n)]
+            for conv in Convention:
+                for gammas in ((-1,) * t, mixed[:t]):
+                    sig = make_algebra(t, gammas, conv)
+                    for p in range(n):
+                        for q in range(n):
+                            a, b = (q, p) if conv is LEFT else (p, q)
+                            want = [0] * n
+                            want[p ^ q] = _descent_value(p, q, sig)
+                            got = _mul(units[a], units[b], sig.gammas)
+                            assert list(got) == want, (t, conv, gammas, p, q)
+
     def test_coefficient_exhaustive_through_depth_eight(self):
         n = 1 << 8
         for p in range(n):
