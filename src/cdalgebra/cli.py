@@ -117,8 +117,9 @@ def _table_chunks(table: TwistTable, cell: str, sep: str) -> Iterator[str]:
 def _field_text(field: ResidueField, cell: str, sep: str) -> str:
     """``cell`` filled with k, a, b, norm and element for every label.
 
-    One chunk: at under 100 bytes a label, the text is small beside the
-    about 620 bytes a class that ``field.reps`` holds.
+    One chunk: a CSV row is about 32 bytes and a JSON entry about 85.  At
+    p = 1,021,441 a CSV table peaks at the 354 MB that ``label`` needs for
+    the same field, a JSON one at 421 MB.
     """
     return sep.join([cell.format(k, u.a, u.b, u.norm(), u)
                      for k, u in enumerate(field.reps)])

@@ -5,6 +5,7 @@ import logging
 import operator
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -179,6 +180,54 @@ class TestUElementArithmetic:
         with pytest.raises(TypeError):
             UElement(Fraction(1, 2), 0, golden_gen)
 
+    def test_bools_refused(self, golden_gen, golden_field):
+        for a, b in ((True, 0), (0, False), (False, True)):
+            with pytest.raises(TypeError, match="not bool"):
+                UElement(a, b, golden_gen)
+        x = golden_gen.element(2, -1)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, True)
+        with pytest.raises(TypeError):
+            golden_field.unlabel(True)
+        with pytest.raises(TypeError):
+            encode_symbols([4, False], golden_field)
+
+    def test_generator_required(self, golden_gen):
+        with pytest.raises(TypeError, match="WGenerator"):
+            UElement(1, 2, golden_gen.w)
+
+    def test_equal_elements_hash_equal(self, golden_gen):
+        # An element with b == 0 equals the integer a, so it hashes like a;
+        # with b != 0 it equals no integer.
+        other = make_w(2, (1, 2, 3), (0, 1, 0, 0))
+        for a in range(-6, 7):
+            for b in range(-3, 4):
+                u = golden_gen.element(a, b)
+                assert u == golden_gen.element(a, b)
+                assert hash(u) == hash(golden_gen.element(a, b))
+                assert len({u, golden_gen.element(a, b)}) == 1
+                if b == 0:
+                    assert u == a and hash(u) == hash(a) and len({u, a}) == 1
+                    assert u * u.conjugate() == a * a
+                else:
+                    assert u != a and all(u != c for c in range(-50, 50))
+                    assert len({u, a}) == 2
+                assert u != other.element(a, b)
+
+    def test_internal_results_are_plain_elements(self, golden_gen):
+        # Sums, products, negatives, conjugates and remainders skip the
+        # public constructor; they must still be what it would build.
+        x, y = golden_gen.element(7, -3), golden_gen.element(-2, 5)
+        results = [x + y, x - y, x * y, 3 * x, x * -4, x + 2, 2 - x, -x,
+                   x.conjugate(), u_mod(x, y)]
+        for u in results:
+            assert type(u) is UElement and u.gen is golden_gen
+            assert type(u.a) is int and type(u.b) is int
+            assert u == UElement(u.a, u.b, golden_gen)
+            with pytest.raises(AttributeError):
+                u.a = 0
+
 
 class TestPrimality:
     def test_norm_thirteen_prime(self, golden_gen):
@@ -277,6 +326,59 @@ class TestUMod:
         best = min((x - y.gen.element(za, zb) * y).norm()
                    for za in range(-10, 10) for zb in range(-10, 10))
         assert best == 28
+
+    def test_one_log_record_per_missed_rounding(self, golden_gen, caplog):
+        # The neighbour search, and its debug record, run exactly when the
+        # nearest rounding misses the norm bound.
+        rng = random.Random(31)
+        pi = golden_gen.element(-1, 2)
+        xs = [golden_gen.element(rng.randint(-80, 80), rng.randint(-80, 80))
+              for _ in range(400)]
+        misses = 0
+        for x in xs:
+            prod = x * pi.conjugate()
+            z = golden_gen.element(fraction_round(Fraction(prod.a, 13)),
+                                   fraction_round(Fraction(prod.b, 13)))
+            misses += (x - z * pi).norm() >= 13
+        with caplog.at_level(logging.DEBUG, logger="cdalgebra.residue"):
+            assert [u_mod(x, pi) for x in xs] == [fraction_u_mod(x, pi) for x in xs]
+        assert 20 < misses == len([r for r in caplog.records if "neighbor" in r.message])
+
+
+class TestPublicBoundary:
+    """Non-elements are refused with TypeError where they enter."""
+
+    def test_u_mod(self, golden_gen):
+        pi = golden_gen.element(-1, 2)
+        for x, y in ((5, pi), (pi, 5), (pi.to_element(), pi), (pi, (-1, 2))):
+            with pytest.raises(TypeError, match="UElement"):
+                u_mod(x, y)
+
+    def test_field_entry_points(self, golden_gen, golden_field):
+        for bad in (5, (-3, 1), golden_gen.element(-3, 1).to_element()):
+            with pytest.raises(TypeError, match="UElement"):
+                golden_field.label(bad)
+            with pytest.raises(TypeError, match="UElement"):
+                golden_field.reduce(bad)
+            with pytest.raises(TypeError, match="UElement"):
+                decode_symbols([golden_gen.element(1, 1), bad], golden_field)
+            with pytest.raises(TypeError, match="UElement"):
+                residue_field(bad)
+            with pytest.raises(TypeError, match="UElement"):
+                is_prime_u(bad)
+        for bad in (Fraction(1), 1.0, "1"):
+            with pytest.raises(TypeError):
+                golden_field.unlabel(bad)
+
+    def test_non_integer_scalars(self, golden_gen):
+        x = golden_gen.element(2, -1)
+        for bad in (Fraction(1, 2), 0.5, "2"):
+            with pytest.raises(TypeError):
+                x * bad
+            with pytest.raises(TypeError):
+                bad * x
+            with pytest.raises(TypeError):
+                x + bad
 
 
 class TestFourSquareRoot:
@@ -560,3 +662,95 @@ class TestCodec:
     def test_symbol_out_of_range(self, golden_field):
         with pytest.raises(ValueError):
             encode_symbols([13], golden_field)
+
+
+def _points_with_norm_below(gen, bound):
+    """All (b, a) with a*a + q*a*b + m*b*b < bound, for a definite form."""
+    q, m = gen.q, gen.m
+    disc = 4 * m - q * q
+    b_max = isqrt((4 * bound) // disc)
+    for b in range(-b_max, b_max + 1):
+        rest = 4 * bound - disc * b * b
+        if rest <= 0:
+            continue
+        r = isqrt(rest - 1)  # (2a + qb)^2 <= 4*norm < 4*bound
+        lo = -(q * b + r)
+        hi = r - q * b
+        for twice_a in range(lo, hi + 1):
+            if twice_a % 2:
+                continue
+            a = twice_a // 2
+            if a * a + q * a * b + m * b * b < bound:
+                yield b, a
+
+
+def oracle_reps(pi):
+    """The per-point table build (the oracle): every point of norm below p
+    is a candidate for its class, compared on (norm, b < 0, b, a)."""
+    gen, p = pi.gen, pi.norm()
+    s = (-pi.a * pow(pi.b, -1, p)) % p
+    reps = [None] * p
+    for b, a in _points_with_norm_below(gen, p):
+        k = (a + b * s) % p
+        cand = (a * a + gen.q * a * b + gen.m * b * b, b < 0, b, a)
+        if reps[k] is None or cand < reps[k][0]:
+            reps[k] = (cand, UElement(a, b, gen))
+    assert all(entry is not None for entry in reps)
+    return tuple(entry[1] for entry in reps)
+
+
+def coordinates(reps):
+    return [(u.a, u.b, type(u.a), type(u.b)) for u in reps]
+
+
+def representations(gen, p):
+    """Every (a, b) with a*a + q*a*b + m*b*b == p, for a definite form:
+    (2a + q*b)^2 = 4p - disc*b*b must be a square of q*b's parity."""
+    q, m = gen.q, gen.m
+    disc = 4 * m - q * q
+    out = []
+    for b in range(-isqrt(4 * p // disc), isqrt(4 * p // disc) + 1):
+        x = isqrt(4 * p - disc * b * b)
+        if x * x == 4 * p - disc * b * b:
+            out += [((sx - q * b) // 2, b) for sx in {x, -x} if (sx - q * b) % 2 == 0]
+    return out
+
+
+class TestTableBuild:
+    """The one-pass build against the per-point oracle."""
+
+    GENERATORS = {"golden": (1, 1, 1, 1), "euclidean": (1, 1, 1, 0),
+                  "gaussian e1": (0, 1, 0, 0), "gaussian 1+e1": (1, 1, 0, 0)}
+
+    @pytest.mark.parametrize("coeffs", GENERATORS.values(), ids=GENERATORS.keys())
+    def test_every_prime_below_2000(self, coeffs):
+        gen = make_w(2, (1, 2, 3), coeffs)
+        oracle = {}    # associates generate one ideal: one s, one table
+        fields = 0
+        for p in range(2, 2000):
+            if not resmod._is_prime(p):
+                continue
+            for a, b in representations(gen, p):
+                pi = gen.element(a, b)
+                field = residue_field(pi, verify=False)
+                assert field.p == p
+                if (p, field.s) not in oracle:
+                    oracle[p, field.s] = coordinates(oracle_reps(pi))
+                assert coordinates(field.reps) == oracle[p, field.s], (p, a, b)
+                fields += 1
+        assert fields > 550
+
+    def test_large_field(self, golden_gen):
+        pi = golden_gen.element(-133, 107)
+        assert coordinates(residue_field(pi, verify=False).reps) == coordinates(oracle_reps(pi))
+
+    @pytest.mark.parametrize("coeffs", [(0, 1, 0, 0), (1, 1, 0, 0)])
+    def test_ties_prefer_a_nonnegative_w_coordinate(self, coeffs):
+        # Modulo a prime over 2 in the Gaussian integers the four units
+        # share class 1 and norm 1; b < 0 loses first, then the least
+        # (b, a) wins, so -1 is picked where (b, a) alone would pick the
+        # unit with b = -1.
+        gen = make_w(2, (1, 2, 3), coeffs)
+        for a, b in representations(gen, 2):
+            field = residue_field(gen.element(a, b))
+            assert [(u.a, u.b) for u in field.reps] == [(0, 0), (-1, 0)]
