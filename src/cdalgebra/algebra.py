@@ -63,7 +63,35 @@ def as_rational(value: Rational) -> Rational:
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
-class AlgebraSignature:
+class _Frozen:
+    """Base of the slot value types: no attribute can be set or deleted.
+
+    Pickling and copying restore the stored slots without rerunning the
+    constructor's validation; a lazily kept slot not yet filled stays empty.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        cls = type(self)
+        return _restore, (cls, {name: getattr(self, name)
+                                for name in cls.__slots__ if hasattr(self, name)})
+
+
+def _restore(cls: type, slots: dict) -> _Frozen:
+    x = object.__new__(cls)
+    for name, value in slots.items():
+        object.__setattr__(x, name, value)
+    return x
+
+
+class AlgebraSignature(_Frozen):
     """Doubling depth, stage parameters, and product convention.
 
     Two elements interoperate only when their signatures compare equal.
@@ -87,9 +115,6 @@ class AlgebraSignature:
         object.__setattr__(self, "gammas", gammas)
         object.__setattr__(self, "convention", Convention(convention))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraSignature is immutable")
-
     @property
     def dimension(self) -> int:
         return 1 << self.t
@@ -102,11 +127,6 @@ class AlgebraSignature:
 
     def __hash__(self) -> int:
         return hash((self.t, self.gammas, self.convention))
-
-    def __reduce__(self):
-        # Rebuilt through __init__: __setattr__ refuses slot-by-slot
-        # restoring, and the cached constants are recomputed on first use.
-        return (type(self), (self.t, self.gammas, self.convention))
 
     def __repr__(self) -> str:
         gs = ", ".join(str(g) for g in self.gammas)
@@ -291,7 +311,7 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
     return tuple(z.tolist()), d
 
 
-class Element:
+class Element(_Frozen):
     """Immutable element of a Cayley-Dickson algebra.
 
     Coefficients are exact scalars; index 0 is the coefficient of the
@@ -301,11 +321,11 @@ class Element:
     An element is stored as integer numerators over one denominator, in
     lowest terms: den > 0, gcd(den, *nums) = 1, so den = 1 exactly when
     every coefficient is an integer. The form is canonical, so equality
-    and hashing compare it directly. ``coeffs`` is built from it on first
-    read and kept.
+    and hashing compare it directly. ``coeffs`` is computed from it on
+    each read; at den 1 it is the numerator tuple itself.
     """
 
-    __slots__ = ("signature", "_nums", "_den", "_coeffs")
+    __slots__ = ("signature", "_nums", "_den")
 
     def __init__(self, signature: AlgebraSignature, coeffs: Iterable[Rational]):
         coeffs = tuple(map(as_rational, coeffs))
@@ -322,21 +342,11 @@ class Element:
         _set_signature(self, signature)
         _set_nums(self, nums)
         _set_den(self, den)
-        _set_coeffs(self, coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Element is immutable")
 
     @property
     def coeffs(self) -> tuple:
-        try:
-            return self._coeffs
-        except AttributeError:
-            pass
         den = self._den
-        coeffs = self._nums if den == 1 else tuple([_ratio(v, den) for v in self._nums])
-        _set_coeffs(self, coeffs)
-        return coeffs
+        return self._nums if den == 1 else tuple([_ratio(v, den) for v in self._nums])
 
     def _check_compatible(self, other: Element) -> None:
         if self.signature is not other.signature and self.signature != other.signature:
@@ -402,13 +412,8 @@ class Element:
     def __hash__(self) -> int:
         return hash((self.signature, self._nums, self._den))
 
-    def __reduce__(self):
-        # Rebuilt from the stored form: __setattr__ refuses slot-by-slot
-        # restoring, and ``coeffs`` is recomputed on first read.
-        return (_element, (self.signature, self._nums, self._den))
-
     def __getitem__(self, p: int) -> Rational:
-        return self.coeffs[p]
+        return _ratio(self._nums[p], self._den)
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -468,7 +473,7 @@ class Element:
         return f"<{body}>"
 
 
-_set_signature, _set_nums, _set_den, _set_coeffs = (
+_set_signature, _set_nums, _set_den = (
     Element.__dict__[name].__set__ for name in Element.__slots__)
 
 

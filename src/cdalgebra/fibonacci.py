@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple, Union
 
-from .algebra import (AlgebraSignature, Element, Rational, _ratio, _scaled_constants,
-                      as_rational)
+from .algebra import (AlgebraSignature, Element, Rational, _Frozen, _ratio,
+                      _scaled_constants, as_rational)
 
 # Indices below FIB_MEMO are read from a memo built once at import (about
 # 0.2 ms and 84 KB), which covers the closed-form norm up to n = 511.
@@ -72,7 +72,7 @@ def horadam(n: int, params: HoradamParams) -> Rational:
     return as_rational(params.p * fib(n - 1) + params.q * fib(n))
 
 
-class GoldenNumber:
+class GoldenNumber(_Frozen):
     """Exact element u + v*a of the quadratic field with a*a = a + 1.
 
     a is the positive root (the golden ratio), which is irrational, so
@@ -82,12 +82,9 @@ class GoldenNumber:
 
     __slots__ = ("u", "v")
 
-    def __init__(self, u: Union[Rational, str] = 0, v: Union[Rational, str] = 0):
-        object.__setattr__(self, "u", u if type(u) is Fraction else Fraction(u))
-        object.__setattr__(self, "v", v if type(v) is Fraction else Fraction(v))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GoldenNumber is immutable")
+    def __init__(self, u: Rational = 0, v: Rational = 0):
+        object.__setattr__(self, "u", u if type(u) is Fraction else Fraction(as_rational(u)))
+        object.__setattr__(self, "v", v if type(v) is Fraction else Fraction(as_rational(v)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GoldenNumber):
@@ -275,7 +272,7 @@ def energy(params: Union[QuaternionParams, Tuple[Rational, Rational]]) -> Golden
     elif len(params) != 2:
         raise ValueError(f"expected a parameter pair (a1, a2), got {len(params)} entries")
     else:
-        u, v, _, d = _closed_form(_scaled_constants([-Fraction(a) for a in params]))
+        u, v, _, d = _closed_form(_scaled_constants([-as_rational(a) for a in params]))
     return GoldenNumber(Fraction(u, 5 * d), Fraction(v, 5 * d))
 
 

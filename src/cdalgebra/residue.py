@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterable, List, Sequence, Tuple
 
-from .algebra import AlgebraSignature, Convention, Element
+from .algebra import AlgebraSignature, Convention, Element, _Frozen
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +41,7 @@ def _round_quotient(a: int, n: int) -> int:
     return floor if a >= 0 else -floor
 
 
-class WGenerator:
+class WGenerator(_Frozen):
     """Integer element w with its quadratic data: trace q and norm m.
 
     w satisfies w*w - q*w + m = 0, which is all the subring arithmetic
@@ -63,9 +63,6 @@ class WGenerator:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WGenerator is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WGenerator):
@@ -120,7 +117,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-class UElement:
+class UElement(_Frozen):
     """Element a + b*w of the subring generated by one integer element.
 
     Arithmetic reduces through w*w = q*w - m, so the ring is commutative
@@ -138,9 +135,6 @@ class UElement:
         _set_a(self, a)
         _set_b(self, b)
         _set_gen(self, gen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UElement is immutable")
 
     def _check(self, other: UElement) -> None:
         if self.gen is not other.gen and self.gen != other.gen:

@@ -17,7 +17,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraSignature, Convention, Element, Rational
+from .algebra import AlgebraSignature, Convention, Element, Rational, _Frozen
 
 MAX_TABLE_DEPTH = 12
 
@@ -134,7 +134,7 @@ def twist_sign(p: int, q: int, t: int,
     return sign if mask.bit_count() % 2 == 0 else -sign
 
 
-class TwistTable:
+class TwistTable(_Frozen):
     """Dense table of structure coefficients for one depth and convention.
 
     ``base_signs[p, q]`` and ``gamma_masks[p, q]`` carry the symbolic
@@ -156,8 +156,9 @@ class TwistTable:
         object.__setattr__(self, "base_signs", base_signs)
         object.__setattr__(self, "gamma_masks", gamma_masks)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistTable is immutable")
+    def __reduce__(self):
+        # Through the constructor, so that unpickled arrays are read-only again.
+        return TwistTable, (self.t, self.convention, self.base_signs, self.gamma_masks)
 
     @property
     def dimension(self) -> int:
@@ -191,6 +192,8 @@ def build_table(t: int,
     can be checked against each other.  The eq31 table is the opposite
     product's, returned as transposed views of the eq11 planes.
     """
+    if not isinstance(t, int) or isinstance(t, bool):
+        raise TypeError(f"table depth must be an int, got {type(t).__name__}")
     if t < 1:
         raise ValueError("table depth must be >= 1")
     if t > MAX_TABLE_DEPTH:

@@ -2,8 +2,11 @@
 
 import ast
 import copy
+import dataclasses
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -14,11 +17,49 @@ from cdalgebra import algebra
 from cdalgebra.algebra import (Convention, Element, _conj, _mul, as_rational,
                                make_algebra, octonions, power_left_nested,
                                quadratic_check, quaternions, sedenions)
+from cdalgebra.fibonacci import GoldenNumber
+from cdalgebra.residue import ResidueField, make_w, residue_field
 from cdalgebra.suites import GAMMA_POOL, run_twist_suite
-from cdalgebra.twist import basis_product
+from cdalgebra.twist import TwistTable, basis_product, build_table
 
 RIGHT = Convention.CONJUGATE_RIGHT
 LEFT = Convention.CONJUGATE_LEFT
+
+
+def _golden_gen():
+    return make_w(2, (1, 2, 3), (1, 1, 1, 1))
+
+
+def _golden_field():
+    return residue_field(_golden_gen().element(-1, 2))
+
+
+def _elements(t):
+    """Depth-t elements over mixed parameters, at den 1 and den 2."""
+    sig = make_algebra(t, [Fraction(-1, 2) if i % 2 else -3 for i in range(t)])
+    n = sig.dimension
+    return [sig.element([i - 3 for i in range(n)]),
+            sig.element([Fraction(i - 3, 2) for i in range(n)])]
+
+
+def _signatures():
+    kept = quaternions()
+    kept._constants()  # fills the lazily kept slot
+    return [make_algebra(3, [-1, Fraction(2, 3), 5], LEFT), kept]
+
+
+# Every immutable value type, each case a factory of a few instances.
+FROZEN_VALUES = [
+    pytest.param(_signatures, id="signature"),
+    *(pytest.param(lambda t=t: _elements(t), id=str(t)) for t in (0, 2, 9)),
+    *(pytest.param(lambda conv=conv: [build_table(3, conv)], id=f"table-{conv.value}")
+      for conv in Convention),
+    pytest.param(lambda: [GoldenNumber(Fraction(-11, 2), 8), GoldenNumber(1)], id="golden"),
+    pytest.param(lambda: [_golden_gen()], id="wgenerator"),
+    pytest.param(lambda: [_golden_gen().element(-1, 2), _golden_gen().element(3, 0)],
+                 id="uelement"),
+    pytest.param(lambda: [_golden_field()], id="field-p13"),
+]
 
 
 class TestMakeAlgebra:
@@ -476,15 +517,44 @@ class TestStoredForm:
             assert x == rebuilt and hash(x) == hash(rebuilt), x
             assert list(map(type, x.coeffs)) == list(map(type, rebuilt.coeffs))
 
-    @pytest.mark.parametrize("t", [0, 2, 9])
-    def test_pickle_and_copy_round_trip(self, t):
-        sig = make_algebra(t, [Fraction(-1, 2) if i % 2 else -3 for i in range(t)])
-        n = sig.dimension
-        for coeffs in ([i - 3 for i in range(n)], [Fraction(i - 3, 2) for i in range(n)]):
-            x = sig.element(coeffs)
-            for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
-                assert y == x and hash(y) == hash(x)
-                assert list(map(type, y.coeffs)) == list(map(type, x.coeffs))
+    @pytest.mark.parametrize("make", FROZEN_VALUES)
+    def test_pickle_and_copy_round_trip(self, make):
+        for x in make():
+            restored = [pickle.loads(pickle.dumps(x, protocol))
+                        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for y in restored + [copy.copy(x), copy.deepcopy(x)]:
+                assert type(y) is type(x) and y == x
+                if type(x).__hash__ is not None:
+                    assert hash(y) == hash(x)
+                if isinstance(x, Element):
+                    assert list(map(type, y.coeffs)) == list(map(type, x.coeffs))
+                if isinstance(x, TwistTable):
+                    assert not y.base_signs.flags.writeable
+                    assert not y.gamma_masks.flags.writeable
+                if isinstance(x, ResidueField):
+                    assert [y.label(u) for u in x.reps] == list(range(x.p))
+                    assert [y.unlabel(k) for k in range(y.p)] == list(x.reps)
+                names = ([f.name for f in dataclasses.fields(x)] if dataclasses.is_dataclass(x)
+                         else type(x).__slots__)
+                for name in names:
+                    with pytest.raises(AttributeError):
+                        setattr(y, name, None)
+                    with pytest.raises(AttributeError):
+                        delattr(y, name)
+                assert y == x
+
+    def test_field_pickle_loads_in_a_fresh_interpreter(self):
+        field = _golden_field()
+        src = str(Path(algebra.__file__).resolve().parents[1])
+        script = ("import pickle, sys\n"
+                  f"sys.path.insert(0, {src!r})\n"
+                  "field = pickle.loads(sys.stdin.buffer.read())\n"
+                  "assert [field.label(u) for u in field.reps] == list(range(field.p))\n"
+                  "sys.stdout.buffer.write(pickle.dumps(field))\n")
+        proc = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(field),
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert pickle.loads(proc.stdout) == field
 
     def test_invalid_coefficients_still_refused(self):
         H = quaternions()

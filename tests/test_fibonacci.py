@@ -147,6 +147,15 @@ class TestGoldenNumber:
         assert x * Fraction(1, 2) == GoldenNumber(Fraction(1, 2), 1)
         assert x - Fraction(1, 2) == GoldenNumber(Fraction(1, 2), 2)
 
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/2"])
+    def test_inexact_coordinates_refused(self, bad):
+        with pytest.raises(TypeError):
+            GoldenNumber(bad, 0)
+        with pytest.raises(TypeError):
+            GoldenNumber(1, bad)
+        with pytest.raises(TypeError):
+            GoldenNumber(1, 2) + bad
+
 
 class TestFibonacciQuaternion:
     def test_first_coefficients(self):
@@ -275,6 +284,12 @@ class TestEnergy:
         e = energy((-1, 0))
         assert e == GoldenNumber(0, Fraction(-1, 5))
         assert e.sign() == -1
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, True])
+    def test_inexact_parameters_refused(self, bad):
+        for params in ((bad, 1), (1, bad)):
+            with pytest.raises(TypeError):
+                energy(params)
 
     def test_pair_of_any_other_length_rejected(self):
         for params in ((), (1,), (1, 2, 3)):

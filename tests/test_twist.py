@@ -293,6 +293,11 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             build_table(13)
 
+    @pytest.mark.parametrize("t", [True, False, 2.0, "2", Fraction(2)])
+    def test_depth_must_be_an_int(self, t):
+        with pytest.raises(TypeError):
+            build_table(t)
+
     def test_tables_immutable(self):
         table = build_table(3)
         with pytest.raises((ValueError, AttributeError)):
