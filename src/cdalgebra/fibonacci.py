@@ -59,6 +59,10 @@ class HoradamParams:
     p: Rational
     q: Rational
 
+    def __post_init__(self):
+        object.__setattr__(self, "p", as_rational(self.p))
+        object.__setattr__(self, "q", as_rational(self.q))
+
 
 def horadam(n: int, params: HoradamParams) -> Rational:
     """n-th term of the Fibonacci recurrence started at (p, q).
@@ -68,7 +72,7 @@ def horadam(n: int, params: HoradamParams) -> Rational:
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
-        return as_rational(params.p)
+        return params.p
     return as_rational(params.p * fib(n - 1) + params.q * fib(n))
 
 
@@ -113,6 +117,7 @@ class GoldenNumber(_Frozen):
 
     def __mul__(self, other) -> GoldenNumber:
         if isinstance(other, (int, Fraction)):
+            other = as_rational(other)
             return GoldenNumber(self.u * other, self.v * other)
         other = self._coerce(other)
         u1, v1, u2, v2 = self.u, self.v, other.u, other.v

@@ -17,7 +17,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraSignature, Convention, Element, Rational, _Frozen
+from .algebra import AlgebraSignature, Convention, Element, Rational, _Frozen, as_rational
 
 MAX_TABLE_DEPTH = 12
 
@@ -41,15 +41,18 @@ class TwistCoefficient:
     gamma_mask: int
 
     def __post_init__(self):
+        if type(self.sign) is not int or type(self.gamma_mask) is not int:
+            raise TypeError("sign and gamma_mask must be ints")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if self.gamma_mask < 0:
             raise ValueError("gamma_mask must be nonnegative")
 
     def value(self, gammas: Sequence[Rational]) -> Rational:
-        """Evaluate against concrete stage parameters."""
+        """Evaluate against concrete stage parameters, each an exact rational."""
         v: Rational = self.sign
         for i, g in enumerate(gammas):
+            g = as_rational(g)
             if self.gamma_mask >> i & 1:
                 v = v * g
         return v
@@ -177,6 +180,10 @@ class TwistTable(_Frozen):
         return (self.t == other.t and self.convention is other.convention
                 and np.array_equal(self.base_signs, other.base_signs)
                 and np.array_equal(self.gamma_masks, other.gamma_masks))
+
+    def __hash__(self) -> int:
+        # Equal tables share depth and convention; hashing the planes would cost O(4**t).
+        return hash((self.t, self.convention))
 
     def __repr__(self) -> str:
         return f"TwistTable(t={self.t}, convention={self.convention.value})"

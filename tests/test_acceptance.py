@@ -109,9 +109,9 @@ def test_criterion_05_twist_oracle_equivalence():
     result = run_twist_suite(random_pairs=10_000, seed=20250205)
     _report(5, "structure constants equal the doubling descent", result.failures,
             time.perf_counter() - start, 30.0)
-    # Every pair at depths 1-5 (both conventions, two parameter choices),
-    # then 10,000 random pairs at each of depths 6-8.
-    assert result.counts["coefficient"] == 4 * sum(4 ** t for t in range(1, 6))
+    # Every pair at depths 1-5 in both conventions, then 10,000 random pairs
+    # at each of depths 6-8; each pair is one exact (sign, mask, index) check.
+    assert result.counts["coefficient"] == 2 * sum(4 ** t for t in range(1, 6))
     assert result.counts["random coefficient"] == 30_000
 
 

@@ -68,6 +68,13 @@ class TestHoradam:
         assert horadam(2, p) == Fraction(5, 6)
         assert horadam(3, p) == Fraction(5, 6) + Fraction(1, 3)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1"])
+    def test_inexact_start_refused(self, bad):
+        with pytest.raises(TypeError):
+            HoradamParams(bad, 1)
+        with pytest.raises(TypeError):
+            HoradamParams(1, bad)
+
     def test_alternative_start_convention_is_wrong(self):
         # Reading the superscripts as (h_1, h_2) instead of (h_0, h_1)
         # breaks the closed form, which pins the convention in use.
@@ -143,9 +150,12 @@ class TestGoldenNumber:
     def test_arithmetic_with_plain_numbers(self):
         x = GoldenNumber(1, 2)
         assert x + 1 == GoldenNumber(2, 2)
-        assert 3 * x == GoldenNumber(3, 6)
-        assert x * Fraction(1, 2) == GoldenNumber(Fraction(1, 2), 1)
         assert x - Fraction(1, 2) == GoldenNumber(Fraction(1, 2), 2)
+        for scalar, want in ((3, GoldenNumber(3, 6)),
+                             (Fraction(1, 2), GoldenNumber(Fraction(1, 2), 1))):
+            for y in (x * scalar, scalar * x):
+                assert y == want
+                assert type(y.u) is Fraction and type(y.v) is Fraction
 
     @pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/2"])
     def test_inexact_coordinates_refused(self, bad):
@@ -155,6 +165,10 @@ class TestGoldenNumber:
             GoldenNumber(1, bad)
         with pytest.raises(TypeError):
             GoldenNumber(1, 2) + bad
+        with pytest.raises(TypeError):
+            GoldenNumber(1, 2) * bad
+        with pytest.raises(TypeError):
+            bad * GoldenNumber(1, 2)
 
 
 class TestFibonacciQuaternion:

@@ -71,13 +71,12 @@ def test_every_power_check_catches_a_non_power_associative_product(monkeypatch):
     assert len(failing) == pairs_per_sample == 10
 
 
-@pytest.mark.parametrize("at, wrong, seen_under_minus_one", [
-    ((3, 5), lambda sign, mask: (-sign, mask), True),
+@pytest.mark.parametrize("at, wrong", [
+    ((3, 5), lambda sign, mask: (-sign, mask)),
     # Same mask parity: all-(-1) parameters give the same value.
-    ((3, 7), lambda sign, mask: (sign, 0), False),
+    ((3, 7), lambda sign, mask: (sign, 0)),
 ])
-def test_twist_suite_catches_a_wrong_structure_constant(
-        monkeypatch, at, wrong, seen_under_minus_one):
+def test_twist_suite_catches_a_wrong_structure_constant(monkeypatch, at, wrong):
     coefficient = twist._coefficient
 
     def corrupted(p, q):
@@ -86,6 +85,38 @@ def test_twist_suite_catches_a_wrong_structure_constant(
 
     monkeypatch.setattr(twist, "_coefficient", corrupted)
     result = run_twist_suite(exhaustive_depth=3, random_pairs=10, table_depth=1)
-    failing = [f for f in result.failures if f.startswith("coefficient: ")]
-    assert failing
-    assert any("gammas=(-1," in f for f in failing) == seen_under_minus_one
+    assert [f for f in result.failures if f.startswith("coefficient: ")]
+
+
+# Stages 6 and 7 dropped from every mask that holds both: the parity, and so
+# every value under all-(-1) parameters, stays the same.
+DEEP_PAIR = 0b1100000
+
+
+def test_random_coefficients_catch_a_same_parity_mask_at_depth_seven(monkeypatch):
+    coefficient = twist._coefficient
+
+    def corrupted(p, q):
+        sign, mask = coefficient(p, q)
+        return sign, mask ^ DEEP_PAIR if mask & DEEP_PAIR == DEEP_PAIR else mask
+
+    monkeypatch.setattr(twist, "_coefficient", corrupted)
+    result = run_twist_suite(exhaustive_depth=1, table_depth=1)
+    assert result.failures
+    assert all(f.startswith("random coefficient: t=") for f in result.failures)
+
+
+def test_sign_table_catches_a_same_parity_mask_plane(monkeypatch):
+    build_table = twist.build_table
+
+    def corrupted(t, convention):
+        table = build_table(t, convention)
+        masks = table.gamma_masks.copy()
+        masks[masks & DEEP_PAIR == DEEP_PAIR] ^= DEEP_PAIR
+        return twist.TwistTable(t, table.convention, table.base_signs.copy(), masks)
+
+    monkeypatch.setattr(twist, "build_table", corrupted)
+    result = run_twist_suite(exhaustive_depth=1, random_pairs=10)
+    assert result.failures
+    assert all(f.startswith("sign table: t=") and "pointwise" in f
+               for f in result.failures)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cdalgebra.algebra import Convention, _mul, make_algebra
-from cdalgebra.suites import _descent_coefficient, _descent_value
+from cdalgebra.suites import _descent_coefficient
 from cdalgebra.twist import (MAX_TABLE_DEPTH, BlockClassificationError,
                              BlockKind, TwistCoefficient, TwistTable,
                              _bit_reverse, _coefficient, basis_product,
@@ -50,6 +50,14 @@ def _unit(p, n):
 # ---- oracles: the stage-by-stage forms the bit algebra replaced -------------
 #
 # The descent is cdalgebra.suites._descent_coefficient, which verify shares.
+
+def _descent_value(p, q, sig):
+    """The coefficient of e_p * e_q under sig's parameters, by the descent;
+    eq31 is eq11 with the operands swapped."""
+    if sig.convention is LEFT:
+        p, q = q, p
+    return TwistCoefficient(*_descent_coefficient(p, q)).value(sig.gammas)
+
 
 def _doubling_planes(t, convention):
     """(base_signs, gamma_masks) by quadrant doubling of both planes."""
@@ -152,6 +160,19 @@ class TestBasisProduct:
         assert coeff.sign == -1
         assert coeff.gamma_mask == 0b11
         assert coeff.value(sig.gammas) == Fraction(10, 3)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, "1"])
+    def test_value_refuses_inexact_parameters(self, bad):
+        for mask in (0, 1):
+            with pytest.raises(TypeError):
+                TwistCoefficient(1, mask).value([bad])
+
+    @pytest.mark.parametrize("bad", [True, 1.0, Fraction(-1)])
+    def test_sign_and_mask_must_be_ints(self, bad):
+        with pytest.raises(TypeError):
+            TwistCoefficient(bad, 0)
+        with pytest.raises(TypeError):
+            TwistCoefficient(1, bad)
 
     def test_out_of_range(self):
         sig = make_algebra(2, [-1, -1], RIGHT)
