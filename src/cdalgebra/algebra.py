@@ -16,8 +16,6 @@ from math import gcd, lcm
 from operator import add, floordiv, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 Rational = Union[int, Fraction]
 
 
@@ -257,8 +255,10 @@ def _planes(t: int) -> tuple:
     """The parameter-free depth-t eq11 table as read-only arrays over [k, p].
 
     ``code[k, p]`` is 2 * mask + (sign < 0) of e_p * e_(p^k), ``partner[k, p]``
-    is p ^ k, and the support-pair loop reads ``codes = code.tolist()``.
+    is p ^ k, and the support-pair loop reads ``codes = code.tolist()`` at
+    depths 4 and up.
     """
+    import numpy as np
     from .twist import build_table  # twist imports this module
 
     table = build_table(t)
@@ -268,6 +268,19 @@ def _planes(t: int) -> tuple:
             + (table.base_signs[p, partner] < 0))
     code.flags.writeable = partner.flags.writeable = False
     return code, partner, code.tolist()
+
+
+@lru_cache(maxsize=None)
+def _small_codes(t: int) -> list:
+    """``_planes(t)[2]`` from ``twist._coefficient``, with no array built.
+
+    For the depths whose dimension n <= 8 lets every operand pair pass the
+    support-pair switch (2 * n * n <= n * (n + 8)); 16 and 64 calls.
+    """
+    from .twist import _coefficient
+    n = 1 << t
+    rows = [[_coefficient(p, p ^ k) for p in range(n)] for k in range(n)]
+    return [[2 * mask + (sign < 0) for sign, mask in row] for row in rows]
 
 
 def _ratio(v: int, den: int) -> Rational:
@@ -293,11 +306,11 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
         (x0, x1), (y0, y1) = xs, ys
         return (x0 * y0 * d + x1 * y1 * signed[2], (x0 * y1 + x1 * y0) * d), d
     n = len(xs)
-    code, partner, codes = _planes(t)
     px = [(p, v) for p, v in enumerate(xs) if v]
     py = [(q, v) for q, v in enumerate(ys) if v]
     if 2 * len(px) * len(py) <= n * (n + 8):
-        # Few support pairs (small depths included): visit only those.
+        # Few support pairs (every pair up to n = 8): visit only those.
+        codes = _small_codes(t) if n <= 8 else _planes(t)[2]
         z = [0] * n
         for p, xp in px:
             for q, yq in py:
@@ -306,6 +319,8 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
         return tuple(z), d
     # Dense: one gather over the plane.  Object arrays keep every entry a
     # Python int, so the sums are exact at any size.
+    import numpy as np
+    code, partner, _ = _planes(t)
     z = (np.array(signed, dtype=object)[code] * np.array(ys, dtype=object)[partner]
          * np.array(xs, dtype=object)).sum(axis=1)
     return tuple(z.tolist()), d

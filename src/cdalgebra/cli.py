@@ -23,16 +23,17 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
 
 from .algebra import Convention, make_algebra
-from .fibonacci import (QuaternionParams, energy, fib_norm_direct,
-                        fib_norm_formula, invertibility_threshold)
-from .residue import (ResidueField, UElement, decode_symbols, encode_symbols,
-                      make_w, residue_field)
-from .suites import SUITES
 from .twist import (MAX_TABLE_DEPTH, BlockKind, TwistTable, build_table,
                     partition_blocks, twist_sign)
+
+if TYPE_CHECKING:
+    from .residue import ResidueField
+
+# Handlers import the fibonacci, residue and suites modules themselves, so
+# a process loads only what its subcommand runs.
 
 
 class CliError(Exception):
@@ -203,6 +204,7 @@ def _cmd_blocks(args) -> Iterable[str]:
 
 
 def _cmd_verify(args) -> Iterable[str]:
+    from .suites import SUITES
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ok = True
     lines = []
@@ -219,6 +221,7 @@ def _cmd_verify(args) -> Iterable[str]:
 
 
 def _cmd_fib_norm(args) -> Iterable[str]:
+    from .fibonacci import QuaternionParams, fib_norm_direct, fib_norm_formula
     params = QuaternionParams(args.alpha1, args.alpha2)
     direct = Fraction(fib_norm_direct(args.n, params))
     formula = Fraction(fib_norm_formula(args.n, params))
@@ -230,6 +233,7 @@ def _cmd_fib_norm(args) -> Iterable[str]:
 
 
 def _cmd_threshold(args) -> Iterable[str]:
+    from .fibonacci import QuaternionParams, energy, invertibility_threshold
     params = QuaternionParams(args.alpha1, args.alpha2)
     e = energy(params)
     n0 = invertibility_threshold(params, n_max=args.nmax)
@@ -239,6 +243,7 @@ def _cmd_threshold(args) -> Iterable[str]:
 
 
 def _build_field(args) -> ResidueField:
+    from .residue import UElement, make_w, residue_field
     basis = args.basis if args.basis else [1, 2, 3]
     if len(args.pi) != 2:
         raise CliError("--pi takes exactly two coordinates a,b")
@@ -267,13 +272,14 @@ def _cmd_label(args) -> Iterable[str]:
     if args.u is not None:
         if len(args.u) != 2:
             raise CliError("--u takes exactly two coordinates a,b")
-        u = UElement(args.u[0], args.u[1], field.gen)
+        u = field.gen.element(args.u[0], args.u[1])
         return [f"label={field.label(u)}\n"]
     u = field.unlabel(args.k)
     return [f"element={u.a},{u.b}\n"]
 
 
 def _cmd_encode(args) -> Iterable[str]:
+    from .residue import decode_symbols, encode_symbols
     field = _build_field(args)
     bad = [k for k in args.symbols if not 0 <= k < field.p]
     if bad:

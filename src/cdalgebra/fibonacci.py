@@ -93,7 +93,7 @@ class GoldenNumber(_Frozen):
     def __eq__(self, other) -> bool:
         if isinstance(other, GoldenNumber):
             return self.u == other.u and self.v == other.v
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.v == 0 and self.u == other
         return NotImplemented
 

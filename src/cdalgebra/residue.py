@@ -181,7 +181,7 @@ class UElement(_Frozen):
         if isinstance(other, UElement):
             return (self.a == other.a and self.b == other.b
                     and (self.gen is other.gen or self.gen == other.gen))
-        if isinstance(other, int):
+        if _is_int(other):
             return self.b == 0 and self.a == other
         return NotImplemented
 

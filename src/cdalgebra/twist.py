@@ -13,17 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, List, Sequence, Tuple
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 from .algebra import AlgebraSignature, Convention, Element, Rational, _Frozen, as_rational
 
+if TYPE_CHECKING:
+    import numpy as np
+
 MAX_TABLE_DEPTH = 12
 
-# (-1) ** popcount(mask) for every gamma mask of a table within the guard.
-_MASK_SIGN = np.array([-1 if m.bit_count() & 1 else 1
-                       for m in range(1 << MAX_TABLE_DEPTH)], dtype=np.int8)
+
+@lru_cache(maxsize=None)
+def _mask_sign() -> np.ndarray:
+    """(-1) ** popcount(mask) for every gamma mask of a table within the guard."""
+    import numpy as np
+    signs = np.array([-1 if m.bit_count() & 1 else 1
+                      for m in range(1 << MAX_TABLE_DEPTH)], dtype=np.int8)
+    signs.setflags(write=False)
+    return signs
 
 
 class BlockClassificationError(Exception):
@@ -172,11 +180,12 @@ class TwistTable(_Frozen):
 
     def sign_table(self) -> np.ndarray:
         """Collapsed signs under all-(-1) parameters, as an int8 matrix."""
-        return self.base_signs * _MASK_SIGN[self.gamma_masks]
+        return self.base_signs * _mask_sign()[self.gamma_masks]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistTable):
             return NotImplemented
+        import numpy as np
         return (self.t == other.t and self.convention is other.convention
                 and np.array_equal(self.base_signs, other.base_signs)
                 and np.array_equal(self.gamma_masks, other.gamma_masks))
@@ -206,6 +215,7 @@ def build_table(t: int,
     if t > MAX_TABLE_DEPTH:
         raise ValueError(f"depth {t} exceeds the resource guard "
                          f"({MAX_TABLE_DEPTH}); use twist_sign for pointwise queries")
+    import numpy as np
     convention = Convention(convention)
     index = np.arange(1 << t, dtype=np.uint16)
     masks = np.bitwise_and.outer(index, index)
@@ -248,24 +258,31 @@ class BlockKind(IntEnum):
     A_CORNER = 7
 
     def pattern(self) -> np.ndarray:
-        return _BLOCK_PATTERNS[0 if self is BlockKind.A_CORNER else self]
+        return _block_patterns()[0 if self is BlockKind.A_CORNER else self]
 
     def label(self) -> str:
         return _BLOCK_LABELS[self]
 
 
-_BLOCK_PATTERNS = np.array(
-    [
-        [[1, 1], [1, -1]],    # A
-        [[1, -1], [1, 1]],    # B
-        [[1, -1], [-1, -1]],  # C
-        [[-1, 1], [-1, -1]],  # -B
-        [[-1, 1], [1, 1]],    # -C
-        [[1, 1], [-1, 1]],    # B transposed
-        [[-1, -1], [1, -1]],  # -B transposed
-    ],
-    dtype=np.int8,
-)
+@lru_cache(maxsize=None)
+def _block_patterns() -> np.ndarray:
+    """The tile of each BlockKind below A_CORNER, indexed by kind."""
+    import numpy as np
+    patterns = np.array(
+        [
+            [[1, 1], [1, -1]],    # A
+            [[1, -1], [1, 1]],    # B
+            [[1, -1], [-1, -1]],  # C
+            [[-1, 1], [-1, -1]],  # -B
+            [[-1, 1], [1, 1]],    # -C
+            [[1, 1], [-1, 1]],    # B transposed
+            [[-1, -1], [1, -1]],  # -B transposed
+        ],
+        dtype=np.int8,
+    )
+    patterns.setflags(write=False)
+    return patterns
+
 
 _BLOCK_LABELS = {
     BlockKind.A: "A",
@@ -289,6 +306,7 @@ def bit_reversal_permutation(t: int) -> np.ndarray:
     Built by doubling: the reversals of t + 1 bits are those of t bits,
     shifted left, followed by the same with the low bit set.
     """
+    import numpy as np
     rev = np.zeros(1, dtype=np.int64)
     for _ in range(t):
         rev = np.concatenate((2 * rev, 2 * rev + 1))
@@ -302,15 +320,22 @@ def _tile_codes(bits: np.ndarray) -> np.ndarray:
     (P+h, Q) and (P+h, Q+h) as bits 0-3.
     """
     h = len(bits) // 2
-    b = bits.view(np.uint8)
+    b = bits.view("uint8")
     return b[:h, :h] | b[:h, h:] << 1 | b[h:, :h] << 2 | b[h:, h:] << 3
 
 
-# Negative-entry code of a tile -> BlockKind, -1 where no pattern matches;
-# the extra last code stands for a tile holding an entry other than +-1.
-_CODE_KIND = np.full(17, -1, dtype=np.int8)
-for _kind, _pattern in enumerate(_BLOCK_PATTERNS):
-    _CODE_KIND[_tile_codes(_pattern == -1)[0, 0]] = _kind
+@lru_cache(maxsize=None)
+def _code_kind() -> np.ndarray:
+    """Negative-entry code of a tile -> BlockKind, -1 where no pattern matches.
+
+    The extra last code stands for a tile holding an entry other than +-1.
+    """
+    import numpy as np
+    kinds = np.full(17, -1, dtype=np.int8)
+    for kind, pattern in enumerate(_block_patterns()):
+        kinds[_tile_codes(pattern == -1)[0, 0]] = kind
+    kinds.setflags(write=False)
+    return kinds
 
 
 def partition_blocks(table: TwistTable, strict: bool = False) -> np.ndarray:
@@ -333,11 +358,12 @@ def partition_blocks(table: TwistTable, strict: bool = False) -> np.ndarray:
     outside the five published patterns (the transposed-B kinds that the
     right-conjugating table produces).
     """
+    import numpy as np
     signs = table.sign_table()
     codes = _tile_codes(signs == -1)
     codes[(codes | _tile_codes(signs == 1)) != 15] = 16
     rev = bit_reversal_permutation(table.t - 1)
-    kinds = _CODE_KIND[codes[np.ix_(rev, rev)]]
+    kinds = _code_kind()[codes[np.ix_(rev, rev)]]
     h = len(rev)
 
     def tile(i: int, j: int) -> list:

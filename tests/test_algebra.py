@@ -437,6 +437,12 @@ class TestKernel:
                     assert self._mismatches([(full, part), (part, full)]) == [], \
                         (t, conv, support)
 
+    def test_small_codes_are_the_plane_codes(self):
+        # Depths 2-3 read their codes from twist._coefficient instead of the
+        # plane; both routes give the same list.
+        for t in range(1, 5):
+            assert algebra._small_codes(t) == algebra._planes(t)[2], t
+
     @staticmethod
     def _flipped_planes(t, k, p):
         """``_planes`` with the sign bit of code[k, p] flipped at depth t, in both views."""
@@ -448,13 +454,23 @@ class TestKernel:
         flipped = (bad, partner, bad.tolist())
         return lambda depth: flipped if depth == t else planes(depth)
 
+    @staticmethod
+    def _flipped_small_codes(t, k, p):
+        """``_small_codes`` with the sign bit of codes[k][p] flipped at depth t."""
+        small = algebra._small_codes
+        bad = [row[:] for row in small(t)]
+        bad[k][p] ^= 1
+        return lambda depth: bad if depth == t else small(depth)
+
     def test_corrupted_plane_is_caught(self, monkeypatch):
         # One flipped sign of e_2 * e_7 must show in the comparison, on the
-        # pair loop at depth 3 and on the dense gather at depth 5, and must
-        # not reach the twist suite's oracle.
+        # pair loop at depth 3 (whose codes come from _small_codes) and on
+        # the dense gather at depth 5 (from _planes), and must not reach the
+        # twist suite's oracle.
         rng = random.Random(22)
-        for t in (3, 5):
-            monkeypatch.setattr(algebra, "_planes", self._flipped_planes(t, 2 ^ 7, 2))
+        for t, name, flip in ((3, "_small_codes", self._flipped_small_codes),
+                              (5, "_planes", self._flipped_planes)):
+            monkeypatch.setattr(algebra, name, flip(t, 2 ^ 7, 2))
             sig = make_algebra(t, self.MIXED[:t], RIGHT)
             assert self._mismatches([(sig.basis(2), sig.basis(7))])
             dense = [sig.element([rng.choice((1, -1)) * rng.randint(1, 9)

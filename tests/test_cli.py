@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdalgebra import algebra, fibonacci, residue, twist
 from cdalgebra.algebra import Convention, make_algebra
 from cdalgebra.cli import run
 from cdalgebra.fibonacci import fib
@@ -429,16 +430,57 @@ def _src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+# Subcommands that need no array: their processes load neither numpy nor
+# sympy.  Tables, blocks and products at depth 4 and up still load numpy.
+# ``import cdalgebra`` loads no submodule, and the CLI module only the two
+# it parses with; handlers import the rest.
+_ARRAY_FREE = (
+    ["twist", "--t", "30", "--p", "5", "--q", "9"],
+    ["fib-norm", "--n", "10", "--alpha1", "2", "--alpha2", "3"],
+    ["threshold", "--alpha1", "2", "--alpha2", "3"],
+    ["verify", "--suite", "fib"],
+    ["residue-field", "--p", "13", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2"],
+    ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--u", "3,4"],
+    ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", "1,2,3"],
+)
+
+
 def test_residue_field_runs_without_sympy():
     script = ("import sys\n"
+              "import cdalgebra\n"
+              "loaded = [m for m in sys.modules if m.startswith('cdalgebra.')]\n"
+              "assert not loaded, f'import cdalgebra loaded {loaded}'\n"
               "from cdalgebra import cli\n"
-              "code = cli.run(['residue-field', '--p', '13', '--pi', '-1,2',\n"
-              "                '--w', '1,1,1,1', '--t', '2'])\n"
-              "assert code == 0, code\n"
-              "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+              "loaded = {m for m in sys.modules if m.startswith('cdalgebra.')}\n"
+              "assert loaded == {'cdalgebra.algebra', 'cdalgebra.twist',\n"
+              "                  'cdalgebra.cli'}, loaded\n"
+              f"for argv in {_ARRAY_FREE!r}:\n"
+              "    code = cli.run(argv)\n"
+              "    assert code == 0, (argv, code)\n"
+              "    for name in ('numpy', 'sympy'):\n"
+              "        assert name not in sys.modules, f'{argv[0]} imported {name}'\n")
     proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_resolve_on_first_use():
+    import cdalgebra
+
+    homes = {"algebra": algebra, "twist": twist, "fibonacci": fibonacci,
+             "residue": residue}
+    assert cdalgebra.__all__[-1] == "__version__"
+    for name in cdalgebra.__all__[:-1]:
+        home = homes[cdalgebra._HOME[name]]
+        assert getattr(cdalgebra, name) is getattr(home, name), name
+    assert [getattr(cdalgebra, module) for module in homes] == list(homes.values())
+    namespace = {}
+    exec("from cdalgebra import *", namespace)
+    for name in cdalgebra.__all__:
+        assert namespace[name] is getattr(cdalgebra, name), name
+    assert set(cdalgebra.__all__) <= set(dir(cdalgebra))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cdalgebra.no_such_name
 
 
 class TestLabelCommand:

@@ -170,6 +170,13 @@ class TestGoldenNumber:
         with pytest.raises(TypeError):
             bad * GoldenNumber(1, 2)
 
+    def test_bools_are_not_equal_numbers(self):
+        # The ints 1 and 0 are; bools compare unequal in either order.
+        for x, flag in ((GoldenNumber(1), True), (GoldenNumber(0), False)):
+            assert x == int(flag) and int(flag) == x
+            assert not x == flag and not flag == x
+            assert x != flag and flag != x
+
 
 class TestFibonacciQuaternion:
     def test_first_coefficients(self):

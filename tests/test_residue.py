@@ -192,6 +192,11 @@ class TestUElementArithmetic:
             golden_field.unlabel(True)
         with pytest.raises(TypeError):
             encode_symbols([4, False], golden_field)
+        # The ints 1 and 0 are equal elements; bools compare unequal in either order.
+        for u, flag in ((golden_gen.element(1, 0), True), (golden_gen.element(0, 0), False)):
+            assert u == int(flag) and int(flag) == u
+            assert not u == flag and not flag == u
+            assert u != flag and flag != u
 
     def test_generator_required(self, golden_gen):
         with pytest.raises(TypeError, match="WGenerator"):
