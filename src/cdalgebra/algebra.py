@@ -153,6 +153,8 @@ class AlgebraSignature(_Frozen):
 
     def basis(self, p: int) -> Element:
         """The basis element with index ``p`` (``basis(0)`` is the unit)."""
+        if type(p) is bool:
+            raise TypeError("basis index must be an int, not bool")
         if not 0 <= p < self.dimension:
             raise ValueError(f"basis index {p} out of range for dimension {self.dimension}")
         return _element(self, (0,) * p + (1,) + (0,) * (self.dimension - p - 1), 1)
@@ -256,7 +258,7 @@ def _planes(t: int) -> tuple:
 
     ``code[k, p]`` is 2 * mask + (sign < 0) of e_p * e_(p^k), ``partner[k, p]``
     is p ^ k, and the support-pair loop reads ``codes = code.tolist()`` at
-    depths 4 and up.
+    depths 7 and 8.
     """
     import numpy as np
     from .twist import build_table  # twist imports this module
@@ -274,8 +276,10 @@ def _planes(t: int) -> tuple:
 def _small_codes(t: int) -> list:
     """``_planes(t)[2]`` from ``twist._coefficient``, with no array built.
 
-    For the depths whose dimension n <= 8 lets every operand pair pass the
-    support-pair switch (2 * n * n <= n * (n + 8)); 16 and 64 calls.
+    For the support-pair loop at depths 2-6 (n <= 64).  On a 2-vCPU host
+    the n * n calls take about 2 and 8 ms at n = 32 and 64, against 70-100 ms
+    to import numpy for the plane; at n = 128 and 256 they would take about
+    30 and 120 ms, so depths 7 and 8 keep the plane.
     """
     from .twist import _coefficient
     n = 1 << t
@@ -310,7 +314,7 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
     py = [(q, v) for q, v in enumerate(ys) if v]
     if 2 * len(px) * len(py) <= n * (n + 8):
         # Few support pairs (every pair up to n = 8): visit only those.
-        codes = _small_codes(t) if n <= 8 else _planes(t)[2]
+        codes = _small_codes(t) if n <= 64 else _planes(t)[2]
         z = [0] * n
         for p, xp in px:
             for q, yq in py:

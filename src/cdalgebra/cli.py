@@ -417,6 +417,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_negative_values(argv))
+    if args.command == "verify" and args.suite not in ("core", "all"):
+        for flag in ("t", "samples"):
+            if getattr(args, flag) is not None:
+                parser.error(f"--{flag} sizes the core suite, not --suite {args.suite}")
     try:
         with _unbounded_int_output():
             _write(args.func(args), args.output)

@@ -173,8 +173,7 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
                            for p, q in sample),
                        "sign table", f"{tag} matches pointwise products")
             try:
-                kinds = twistmod.partition_blocks(
-                    table, strict=(conv is Convention.CONJUGATE_LEFT))
+                kinds = twistmod.partition_blocks(table)
                 out.expect(kinds[0, 0] == twistmod.BlockKind.A_CORNER,
                            "blocks", f"{tag} corner kind")
             except twistmod.BlockClassificationError as exc:

@@ -113,6 +113,8 @@ def _coefficient(p: int, q: int) -> Tuple[int, int]:
 def basis_product(p: int, q: int, sig: AlgebraSignature) -> Tuple[TwistCoefficient, int]:
     """Coefficient and index of the product of basis elements p and q."""
     n = sig.dimension
+    if type(p) is bool or type(q) is bool:
+        raise TypeError("basis indices must be ints, not bool")
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError(f"basis indices ({p}, {q}) out of range for dimension {n}")
     if sig.convention is Convention.CONJUGATE_LEFT:
@@ -137,6 +139,8 @@ def twist_sign(p: int, q: int, t: int,
     the depth: the range check compares bit lengths instead of building
     2**t.
     """
+    if type(p) is bool or type(q) is bool:
+        raise TypeError("basis indices must be ints, not bool")
     if p < 0 or q < 0 or (p | q).bit_length() > t:
         raise ValueError(f"basis indices ({p}, {q}) out of range for depth {t}")
     if convention == Convention.CONJUGATE_LEFT:
@@ -241,11 +245,10 @@ def build_table(t: int,
 class BlockKind(IntEnum):
     """2x2 tile patterns of a collapsed sign table in tree order.
 
-    A, B, C and the negated B and C are the published tile alphabet;
-    the left-conjugating table uses exactly those.  The right-conjugating
-    table is the opposite product (its sign table is the transpose), so
-    its B-family tiles appear transposed and are reported as distinct
-    kinds rather than silently folded in.
+    A, B, C and the negated B and C are the published tile alphabet, the
+    one the left-conjugating table uses.  The right-conjugating table is
+    the opposite product (its sign table is the transpose), so its
+    alphabet has the B family transposed: A, Bt, C, -Bt, -C.
     """
 
     A = 0
@@ -258,41 +261,30 @@ class BlockKind(IntEnum):
     A_CORNER = 7
 
     def pattern(self) -> np.ndarray:
-        return _block_patterns()[0 if self is BlockKind.A_CORNER else self]
+        import numpy as np
+        return np.array(_TILES[0 if self is BlockKind.A_CORNER else self][1], dtype=np.int8)
 
     def label(self) -> str:
-        return _BLOCK_LABELS[self]
+        return "A0" if self is BlockKind.A_CORNER else _TILES[self][0]
 
 
-@lru_cache(maxsize=None)
-def _block_patterns() -> np.ndarray:
-    """The tile of each BlockKind below A_CORNER, indexed by kind."""
-    import numpy as np
-    patterns = np.array(
-        [
-            [[1, 1], [1, -1]],    # A
-            [[1, -1], [1, 1]],    # B
-            [[1, -1], [-1, -1]],  # C
-            [[-1, 1], [-1, -1]],  # -B
-            [[-1, 1], [1, 1]],    # -C
-            [[1, 1], [-1, 1]],    # B transposed
-            [[-1, -1], [1, -1]],  # -B transposed
-        ],
-        dtype=np.int8,
-    )
-    patterns.setflags(write=False)
-    return patterns
+# Label and tile of each BlockKind below A_CORNER, indexed by kind.
+_TILES = (
+    ("A", ((1, 1), (1, -1))),
+    ("B", ((1, -1), (1, 1))),
+    ("C", ((1, -1), (-1, -1))),
+    ("-B", ((-1, 1), (-1, -1))),
+    ("-C", ((-1, 1), (1, 1))),
+    ("Bt", ((1, 1), (-1, 1))),
+    ("-Bt", ((-1, -1), (1, -1))),
+)
 
-
-_BLOCK_LABELS = {
-    BlockKind.A: "A",
-    BlockKind.B: "B",
-    BlockKind.C: "C",
-    BlockKind.NEG_B: "-B",
-    BlockKind.NEG_C: "-C",
-    BlockKind.B_TRANSPOSED: "Bt",
-    BlockKind.NEG_B_TRANSPOSED: "-Bt",
-    BlockKind.A_CORNER: "A0",
+# Each convention's tile alphabet, as BlockKind states it.
+_ALPHABET = {
+    Convention.CONJUGATE_LEFT: (BlockKind.A, BlockKind.B, BlockKind.C,
+                                BlockKind.NEG_B, BlockKind.NEG_C),
+    Convention.CONJUGATE_RIGHT: (BlockKind.A, BlockKind.B_TRANSPOSED, BlockKind.C,
+                                 BlockKind.NEG_B_TRANSPOSED, BlockKind.NEG_C),
 }
 
 
@@ -325,20 +317,21 @@ def _tile_codes(bits: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _code_kind() -> np.ndarray:
-    """Negative-entry code of a tile -> BlockKind, -1 where no pattern matches.
+def _code_kind(convention: Convention) -> np.ndarray:
+    """Negative-entry code of a tile -> BlockKind of the convention's
+    alphabet, -1 for every other tile.
 
     The extra last code stands for a tile holding an entry other than +-1.
     """
     import numpy as np
     kinds = np.full(17, -1, dtype=np.int8)
-    for kind, pattern in enumerate(_block_patterns()):
-        kinds[_tile_codes(pattern == -1)[0, 0]] = kind
+    for kind in _ALPHABET[convention]:
+        kinds[_tile_codes(kind.pattern() == -1)[0, 0]] = kind
     kinds.setflags(write=False)
     return kinds
 
 
-def partition_blocks(table: TwistTable, strict: bool = False) -> np.ndarray:
+def partition_blocks(table: TwistTable) -> np.ndarray:
     """Classify every aligned 2x2 tile of the sign table in tree order.
 
     The tile partition theorem holds in the enumeration where sibling
@@ -351,19 +344,17 @@ def partition_blocks(table: TwistTable, strict: bool = False) -> np.ndarray:
     four quadrants of the sign table; only the n/2 x n/2 code matrix is
     permuted into tree order.
 
-    Returns a matrix of BlockKind codes, one per tile.  The origin tile
-    holds the unit row and column and is reported as A_CORNER after
-    being checked against pattern A.  An unmatched tile raises
-    BlockClassificationError; with ``strict=True`` so does any tile
-    outside the five published patterns (the transposed-B kinds that the
-    right-conjugating table produces).
+    Returns a matrix of BlockKind codes, one per tile, each in the
+    alphabet of the table's convention.  The origin tile holds the unit
+    row and column and is reported as A_CORNER after being checked
+    against pattern A.  Any other tile raises BlockClassificationError.
     """
     import numpy as np
     signs = table.sign_table()
     codes = _tile_codes(signs == -1)
     codes[(codes | _tile_codes(signs == 1)) != 15] = 16
     rev = bit_reversal_permutation(table.t - 1)
-    kinds = _code_kind()[codes[np.ix_(rev, rev)]]
+    kinds = _code_kind(table.convention)[codes[np.ix_(rev, rev)]]
     h = len(rev)
 
     def tile(i: int, j: int) -> list:
@@ -372,15 +363,12 @@ def partition_blocks(table: TwistTable, strict: bool = False) -> np.ndarray:
 
     if (kinds < 0).any():
         i, j = np.argwhere(kinds < 0)[0]
+        entries = tile(i, j)
+        alphabet = f"the {table.convention.value} alphabet"
+        kind = next((k for k in BlockKind if k.pattern().tolist() == entries), None)
         raise BlockClassificationError(
-            f"tile ({i}, {j}) matches no allowed pattern: {tile(i, j)}")
-    if strict:
-        bad = np.isin(kinds, (BlockKind.B_TRANSPOSED, BlockKind.NEG_B_TRANSPOSED))
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise BlockClassificationError(
-                f"tile ({i}, {j}) is a transposed-B pattern, outside the "
-                f"published alphabet: {tile(i, j)}")
+            f"tile ({i}, {j}) matches no pattern of {alphabet}: {entries}" if kind is None
+            else f"tile ({i}, {j}) is pattern {kind.label()}, outside {alphabet}: {entries}")
     if kinds[0, 0] != BlockKind.A:
         raise BlockClassificationError(
             f"unit-corner tile is not pattern A: {tile(0, 0)}")
@@ -394,6 +382,8 @@ def shuffle(p: int, q: int, t: int) -> List[Tuple[int, int]]:
     Yields one (p_bit, q_bit) pair per stage, the order in which the
     walk on the tile patterns consumes them.
     """
+    if type(p) is bool or type(q) is bool:
+        raise TypeError("indices must be ints, not bool")
     if not (0 <= p < 1 << t and 0 <= q < 1 << t):
         raise ValueError(f"indices ({p}, {q}) out of range for depth {t}")
     return [(p >> b & 1, q >> b & 1) for b in range(t - 1, -1, -1)]
@@ -494,12 +484,11 @@ def power_row_operands(r: int, k: int, i: int, t: int) -> Tuple[int, int]:
     return row, col
 
 
-def check_power_row_claim(r: int, k: int, i: int, t: int,
-                 convention: Convention = Convention.CONJUGATE_LEFT) -> PowerRowReport:
+def check_power_row_claim(r: int, k: int, i: int, t: int) -> PowerRowReport:
     """Evaluate the four claimed products via the sign oracle.
 
     The claim is stated for the left-conjugating convention with all
-    parameters -1, which is the default here.
+    parameters -1, which is what the oracle evaluates.
     """
     row, col = power_row_operands(r, k, i, t)
     base_sign = (-1) ** (r + 2)
@@ -508,6 +497,7 @@ def check_power_row_claim(r: int, k: int, i: int, t: int,
     cells = []
     tree_cells = []
     half = 1 << (t - 1)
+    left = Convention.CONJUGATE_LEFT
     rrow, rcol = _bit_reverse(row, t), _bit_reverse(col, t)
     for dr in (0, 1):
         for dc in (0, 1):
@@ -515,11 +505,11 @@ def check_power_row_claim(r: int, k: int, i: int, t: int,
             cells.append(ProductCell(
                 row=p, col=q,
                 claimed_sign=claim[(dr, dc)],
-                actual_sign=twist_sign(p, q, t, convention),
+                actual_sign=twist_sign(p, q, t, left),
                 actual_index=p ^ q,
             ))
             tree_cells.append(
-                twist_sign(rrow ^ (dr * half), rcol ^ (dc * half), t, convention))
+                twist_sign(rrow ^ (dr * half), rcol ^ (dc * half), t, left))
     m_stated = (1 << k) ^ col
     m_computed = row ^ col
     actual = tuple(c.actual_index for c in cells)
@@ -557,6 +547,5 @@ def admissible_triples(t: int) -> Iterator[Tuple[int, int, int]]:
                 yield r, k, i
 
 
-def sweep_power_row_claims(t: int,
-                 convention: Convention = Convention.CONJUGATE_LEFT) -> List[PowerRowReport]:
-    return [check_power_row_claim(r, k, i, t, convention) for r, k, i in admissible_triples(t)]
+def sweep_power_row_claims(t: int) -> List[PowerRowReport]:
+    return [check_power_row_claim(r, k, i, t) for r, k, i in admissible_triples(t)]

@@ -16,11 +16,9 @@ from cdalgebra.fibonacci import (QuaternionParams, energy, fib_norm_direct,
 from cdalgebra.residue import make_w, residue_field
 from cdalgebra.suites import (run_core_suite, run_fib_suite, run_residue_suite,
                               run_twist_suite)
-from cdalgebra.twist import (BlockKind, build_table, partition_blocks,
-                             sweep_power_row_claims)
+from cdalgebra.twist import sweep_power_row_claims
 
 RIGHT = Convention.CONJUGATE_RIGHT
-LEFT = Convention.CONJUGATE_LEFT
 
 
 def _report(number: int, name: str, failures: list, elapsed: float, limit: float):
@@ -117,30 +115,12 @@ def test_criterion_05_twist_oracle_equivalence():
 
 def test_criterion_06_tile_partition():
     start = time.perf_counter()
-    failures = []
-    published = {BlockKind.A_CORNER, BlockKind.A, BlockKind.B, BlockKind.C,
-                 BlockKind.NEG_B, BlockKind.NEG_C}
-    for t in range(1, 9):
-        # The tile alphabet claim is stated for the left-conjugating
-        # product; its table must classify strictly.
-        try:
-            kinds = partition_blocks(build_table(t, LEFT), strict=True)
-        except Exception as exc:
-            failures.append(f"t={t} left: {exc}")
-            continue
-        if kinds.size != (1 << (t - 1)) ** 2:
-            failures.append(f"t={t}: {kinds.size} tiles")
-        extra = {BlockKind(k) for k in set(kinds.flatten().tolist())} - published
-        if extra:
-            failures.append(f"t={t}: unexpected kinds {extra}")
-        # The opposite product's table classifies with the B family
-        # transposed; every tile must still be recognized.
-        try:
-            partition_blocks(build_table(t, RIGHT))
-        except Exception as exc:
-            failures.append(f"t={t} right: {exc}")
-    _report(6, "all 2x2 tiles classify", failures,
+    result = run_twist_suite()
+    _report(6, "all 2x2 tiles classify", result.failures,
             time.perf_counter() - start, 10.0)
+    # Depths 1-8 in both conventions: every tile of each table lies in its
+    # convention's alphabet, the published A, B, C, -B, -C for eq31.
+    assert result.counts["blocks"] == 16
 
 
 def test_criterion_07_power_row_verdicts():

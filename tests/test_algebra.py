@@ -438,9 +438,9 @@ class TestKernel:
                         (t, conv, support)
 
     def test_small_codes_are_the_plane_codes(self):
-        # Depths 2-3 read their codes from twist._coefficient instead of the
+        # Depths 2-6 read their codes from twist._coefficient instead of the
         # plane; both routes give the same list.
-        for t in range(1, 5):
+        for t in range(1, 9):
             assert algebra._small_codes(t) == algebra._planes(t)[2], t
 
     @staticmethod
@@ -463,19 +463,21 @@ class TestKernel:
         return lambda depth: bad if depth == t else small(depth)
 
     def test_corrupted_plane_is_caught(self, monkeypatch):
-        # One flipped sign of e_2 * e_7 must show in the comparison, on the
-        # pair loop at depth 3 (whose codes come from _small_codes) and on
-        # the dense gather at depth 5 (from _planes), and must not reach the
-        # twist suite's oracle.
+        # One flipped sign of e_2 * e_7 must show in the comparison and must
+        # not reach the twist suite's oracle.  The pair loop reads
+        # _small_codes at depths 3 and 5 and _planes at depth 7; the dense
+        # gather reads _planes (at depth 3 dense operands take the pair loop).
         rng = random.Random(22)
-        for t, name, flip in ((3, "_small_codes", self._flipped_small_codes),
-                              (5, "_planes", self._flipped_planes)):
+        for t, name, flip, dense_reads_it in (
+                (3, "_small_codes", self._flipped_small_codes, True),
+                (5, "_small_codes", self._flipped_small_codes, False),
+                (7, "_planes", self._flipped_planes, True)):
             monkeypatch.setattr(algebra, name, flip(t, 2 ^ 7, 2))
             sig = make_algebra(t, self.MIXED[:t], RIGHT)
             assert self._mismatches([(sig.basis(2), sig.basis(7))])
             dense = [sig.element([rng.choice((1, -1)) * rng.randint(1, 9)
                                   for _ in range(sig.dimension)]) for _ in range(2)]
-            assert self._mismatches([tuple(dense)])
+            assert bool(self._mismatches([tuple(dense)])) is dense_reads_it
             assert run_twist_suite(exhaustive_depth=3, random_pairs=10,
                                    table_depth=t).passed
             monkeypatch.undo()

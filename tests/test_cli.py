@@ -442,6 +442,8 @@ _ARRAY_FREE = (
     ["residue-field", "--p", "13", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2"],
     ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--u", "3,4"],
     ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", "1,2,3"],
+    # Sparse products up to depth 6 read codes from twist._coefficient.
+    ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "6", "--u", "3,4"],
 )
 
 
@@ -578,6 +580,17 @@ class TestUsageErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ")
         assert "must be >= " in line
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", suite, *flags]
+        for suite in ("fib", "twist", "residue")
+        for flags in (["--t", "3"], ["--samples", "5"])])
+    def test_core_suite_flags_need_the_core_suite(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {argv[3]} sizes the core suite, not --suite {argv[2]}"
 
 
 # ---- fuzz: every input ends in a result or an error line --------------------

@@ -101,10 +101,15 @@ _SEVEN_PATTERNS = np.array(
      [[-1, -1], [1, -1]]], dtype=np.int8)
 
 
-def _pattern_blocks(signs, t):
-    """Outcome of partition_blocks at strict False and True, by matching each
-    tile of the tree-order sign table against the seven patterns: the kinds
-    as a list, or the error text."""
+# Each convention's alphabet, by BlockKind value: eq31 holds the published
+# A, B, C, -B, -C, and eq11, its transpose, the same with the B family transposed.
+_ALPHABETS = {LEFT: (0, 1, 2, 3, 4), RIGHT: (0, 5, 2, 6, 4)}
+
+
+def _pattern_blocks(signs, t, convention):
+    """Outcome of partition_blocks on a table of this convention, by matching
+    each tile of the tree-order sign table against the seven patterns: the
+    kinds as a list, or the error text."""
     rev = np.array([int(format(p, f"0{t}b")[::-1], 2) for p in range(1 << t)])
     signs = signs[np.ix_(rev, rev)]
     nb = len(rev) // 2
@@ -112,20 +117,18 @@ def _pattern_blocks(signs, t):
     kinds = np.full((nb, nb), -1, dtype=np.int8)
     for kind_value, pattern in enumerate(_SEVEN_PATTERNS):
         kinds[(tiles == pattern).all(axis=(2, 3))] = kind_value
-    if (kinds < 0).any():
-        i, j = np.argwhere(kinds < 0)[0]
-        text = f"tile ({i}, {j}) matches no allowed pattern: {tiles[i, j].tolist()}"
-        return text, text
-    corner = f"unit-corner tile is not pattern A: {tiles[0, 0].tolist()}"
-    loose = corner if kinds[0, 0] != BlockKind.A else None
-    strict = loose
-    bad = np.isin(kinds, (BlockKind.B_TRANSPOSED, BlockKind.NEG_B_TRANSPOSED))
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        strict = (f"tile ({i}, {j}) is a transposed-B pattern, outside the "
-                  f"published alphabet: {tiles[i, j].tolist()}")
+    outside = ~np.isin(kinds, _ALPHABETS[convention])
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        alphabet = f"the {convention.value} alphabet"
+        if kinds[i, j] < 0:
+            return f"tile ({i}, {j}) matches no pattern of {alphabet}: {tiles[i, j].tolist()}"
+        return (f"tile ({i}, {j}) is pattern {BlockKind(kinds[i, j]).label()}, "
+                f"outside {alphabet}: {tiles[i, j].tolist()}")
+    if kinds[0, 0] != BlockKind.A:
+        return f"unit-corner tile is not pattern A: {tiles[0, 0].tolist()}"
     kinds[0, 0] = BlockKind.A_CORNER
-    return loose or kinds.tolist(), strict or kinds.tolist()
+    return kinds.tolist()
 
 
 class TestBasisProduct:
@@ -178,6 +181,18 @@ class TestBasisProduct:
         sig = make_algebra(2, [-1, -1], RIGHT)
         with pytest.raises(ValueError):
             basis_product(4, 0, sig)
+
+    def test_bool_indices_are_refused(self):
+        # A bool would silently stand for index 0 or 1.
+        sig = make_algebra(2, [-1, -1], RIGHT)
+        calls = (sig.basis, lambda b: basis_product(b, 2, sig),
+                 lambda b: basis_product(2, b, sig), lambda b: twist_sign(b, 2, 2),
+                 lambda b: twist_sign(2, b, 2), lambda b: shuffle(b, 1, 2),
+                 lambda b: shuffle(1, b, 2))
+        for call in calls:
+            for bad in (True, False):
+                with pytest.raises(TypeError, match="not bool"):
+                    call(bad)
 
     def test_agrees_with_element_multiplication(self):
         rng = random.Random(12)
@@ -333,7 +348,7 @@ class TestPartitionBlocks:
 
     def test_left_convention_uses_published_kinds(self):
         for t in range(1, 9):
-            kinds = partition_blocks(build_table(t, LEFT), strict=True)
+            kinds = partition_blocks(build_table(t, LEFT))
             present = {BlockKind(k) for k in np.unique(kinds)}
             assert present <= {BlockKind.A_CORNER, BlockKind.A, BlockKind.B,
                                BlockKind.C, BlockKind.NEG_B, BlockKind.NEG_C}
@@ -341,10 +356,25 @@ class TestPartitionBlocks:
     def test_right_convention_transposes_b_family(self):
         kinds = partition_blocks(build_table(4, RIGHT))
         present = {BlockKind(k) for k in np.unique(kinds)}
-        assert BlockKind.B_TRANSPOSED in present
-        assert BlockKind.B not in present
-        with pytest.raises(BlockClassificationError):
-            partition_blocks(build_table(4, RIGHT), strict=True)
+        assert present == {BlockKind.A_CORNER, BlockKind.A, BlockKind.B_TRANSPOSED,
+                           BlockKind.C, BlockKind.NEG_B_TRANSPOSED, BlockKind.NEG_C}
+
+    @pytest.mark.parametrize("conv, foreign", [(LEFT, "Bt"), (RIGHT, "B")])
+    def test_a_tile_of_the_other_alphabet_raises(self, conv, foreign):
+        # One B-family tile transposed: eq31 then holds a Bt tile, eq11 a B.
+        t = 4
+        table = build_table(t, conv)
+        kinds = partition_blocks(table)
+        i, j = np.argwhere(np.isin(kinds, (BlockKind.B, BlockKind.B_TRANSPOSED)))[0]
+        rev, h = bit_reversal_permutation(t - 1), 1 << (t - 1)
+        block = np.ix_([rev[i], rev[i] + h], [rev[j], rev[j] + h])
+        signs = table.sign_table()
+        signs[block] = signs[block].T
+        bad = TwistTable(t, conv, signs, np.zeros_like(table.gamma_masks))
+        with pytest.raises(BlockClassificationError,
+                           match=rf"^tile \({i}, {j}\) is pattern {foreign}, "
+                                 rf"outside the {conv.value} alphabet"):
+            partition_blocks(bad)
 
     def test_block_counts_at_depth_three(self):
         kinds = partition_blocks(build_table(3, LEFT))
@@ -379,16 +409,17 @@ def test_bit_reversal_permutation_matches_the_string_reversal():
         assert rev.tolist() == [_bit_reverse(p, t) for p in range(1 << t)]
 
 
-def _outcome(table, strict):
+def _outcome(table):
     try:
-        return partition_blocks(table, strict=strict).tolist()
+        return partition_blocks(table).tolist()
     except BlockClassificationError as exc:
         return str(exc)
 
 
-def _corrupt(signs, t, how, rng):
-    """A copy of the sign table with one tile changed, as a table whose
-    masks are all zero, so that its sign_table is exactly that copy."""
+def _corrupt(signs, t, how, rng, convention):
+    """A copy of the sign table with one tile changed, as a table of the
+    same convention whose masks are all zero, so that its sign_table is
+    exactly that copy."""
     signs = signs.copy()
     h = 1 << (t - 1)
     i, j = (0, 0) if how == "corner" else (rng.randrange(h), rng.randrange(h))
@@ -407,7 +438,7 @@ def _corrupt(signs, t, how, rng):
         tile = BlockKind.B.pattern()
     signs[np.ix_(rows, cols)] = tile
     n = 1 << t
-    return TwistTable(t, RIGHT, signs, np.zeros((n, n), dtype=np.uint16))
+    return TwistTable(t, convention, signs, np.zeros((n, n), dtype=np.uint16))
 
 
 class TestBitAlgebraAgainstOracles:
@@ -486,11 +517,10 @@ class TestBitAlgebraAgainstOracles:
                 signs = table.sign_table()
                 cases = [(table, signs)]
                 for how in hows if t <= 8 else hows[t % 2::2]:
-                    bad = _corrupt(signs, t, how, rng)
+                    bad = _corrupt(signs, t, how, rng, conv)
                     cases.append((bad, bad.sign_table()))
                 for case, case_signs in cases:
-                    want = _pattern_blocks(case_signs, t)
-                    assert (_outcome(case, False), _outcome(case, True)) == want
+                    assert _outcome(case) == _pattern_blocks(case_signs, t, conv)
 
 
 class TestShuffle:
