@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, floordiv, mul, neg, sub
+from operator import add, floordiv, index, mul, neg, sub
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -59,6 +59,13 @@ def as_rational(value: Rational) -> Rational:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
+
+
+def _index(value) -> int:
+    """``operator.index(value)``, refusing bool: it would stand for 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError("index must be an int, not bool")
+    return index(value)
 
 
 class _Frozen:
@@ -153,8 +160,7 @@ class AlgebraSignature(_Frozen):
 
     def basis(self, p: int) -> Element:
         """The basis element with index ``p`` (``basis(0)`` is the unit)."""
-        if type(p) is bool:
-            raise TypeError("basis index must be an int, not bool")
+        p = _index(p)
         if not 0 <= p < self.dimension:
             raise ValueError(f"basis index {p} out of range for dimension {self.dimension}")
         return _element(self, (0,) * p + (1,) + (0,) * (self.dimension - p - 1), 1)
@@ -217,8 +223,8 @@ def _scale(c, a: tuple) -> tuple:
 def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
     """eq11 doubling product on raw coefficient tuples, recursing on halves.
 
-    ``Element`` products use it above KERNEL_MAX_DEPTH, where no plane is
-    built; up to there it is the oracle the kernel is tested against.
+    ``Element`` products use it above KERNEL_MAX_DEPTH, where no code table
+    is built; up to there it is the oracle the kernel is tested against.
     """
     n = len(a)
     if n == 1:
@@ -247,44 +253,38 @@ def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
 # * prod(den(gamma_i), i not in mask), so a product is integer arithmetic on
 # the stored numerators with a single gcd reduction at the end.
 
-# Planes stop here: a sparse product above would first pay for its plane
-# (about 270 ms at depth 11, where the recursion takes about 1 ms).
+# Codes stop here: _codes(t) takes about 20 ms and 4 MB at t = 9, 0.1 s and 24 MB
+# at t = 10, 0.45 s and 107 MB at t = 11, where the recursion squares in 1 ms.
 KERNEL_MAX_DEPTH = 8
 
 
 @lru_cache(maxsize=None)
-def _planes(t: int) -> tuple:
-    """The parameter-free depth-t eq11 table as read-only arrays over [k, p].
+def _codes(t: int) -> list:
+    """The parameter-free eq11 table at depth t >= 1 as nested lists over [k][p].
 
-    ``code[k, p]`` is 2 * mask + (sign < 0) of e_p * e_(p^k), ``partner[k, p]``
-    is p ^ k, and the support-pair loop reads ``codes = code.tolist()`` at
-    depths 7 and 8.
+    ``codes[k][p]`` is 2 * mask + (sign < 0) of e_p * e_(p^k).  With h = 2**(t-1), P < h,
+    Q = P ^ k: row k appends e_(P+h) e_(Q+h) = gamma_t conj(e_Q) e_P, row k + h is
+    e_P e_(Q+h) = e_Q e_P, then e_(P+h) e_Q = e_P conj(e_Q); conj(e_Q) = -e_Q if Q != 0.
     """
-    import numpy as np
-    from .twist import build_table  # twist imports this module
-
-    table = build_table(t)
-    p = np.arange(1 << t)
-    partner = p ^ p[:, None]
-    code = (2 * table.gamma_masks[p, partner].astype(np.intp)
-            + (table.base_signs[p, partner] < 0))
-    code.flags.writeable = partner.flags.writeable = False
-    return code, partner, code.tolist()
+    old = _codes(t - 1) if t > 1 else [[0]]  # depth 0: e_0 * e_0 = e_0
+    h = len(old)
+    low, high = [], []
+    for k, row in enumerate(old):
+        crossed = [row[p ^ k] for p in range(h)]
+        low.append(row + [(c ^ (p != k)) | 2 * h for p, c in enumerate(crossed)])
+        high.append(crossed + [c ^ (p != k) for p, c in enumerate(row)])
+    return low + high
 
 
 @lru_cache(maxsize=None)
-def _small_codes(t: int) -> list:
-    """``_planes(t)[2]`` from ``twist._coefficient``, with no array built.
-
-    For the support-pair loop at depths 2-6 (n <= 64).  On a 2-vCPU host
-    the n * n calls take about 2 and 8 ms at n = 32 and 64, against 70-100 ms
-    to import numpy for the plane; at n = 128 and 256 they would take about
-    30 and 120 ms, so depths 7 and 8 keep the plane.
-    """
-    from .twist import _coefficient
-    n = 1 << t
-    rows = [[_coefficient(p, p ^ k) for p in range(n)] for k in range(n)]
-    return [[2 * mask + (sign < 0) for sign, mask in row] for row in rows]
+def _planes(t: int) -> tuple:
+    """``_codes(t)`` as a read-only array ``code[k, p]``, with ``partner[k, p]`` = p ^ k."""
+    import numpy as np
+    p = np.arange(1 << t)
+    partner = p ^ p[:, None]
+    code = np.array(_codes(t), dtype=np.intp)
+    code.flags.writeable = partner.flags.writeable = False
+    return code, partner
 
 
 def _ratio(v: int, den: int) -> Rational:
@@ -314,7 +314,7 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
     py = [(q, v) for q, v in enumerate(ys) if v]
     if 2 * len(px) * len(py) <= n * (n + 8):
         # Few support pairs (every pair up to n = 8): visit only those.
-        codes = _small_codes(t) if n <= 64 else _planes(t)[2]
+        codes = _codes(t)
         z = [0] * n
         for p, xp in px:
             for q, yq in py:
@@ -324,7 +324,7 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
     # Dense: one gather over the plane.  Object arrays keep every entry a
     # Python int, so the sums are exact at any size.
     import numpy as np
-    code, partner, _ = _planes(t)
+    code, partner = _planes(t)
     z = (np.array(signed, dtype=object)[code] * np.array(ys, dtype=object)[partner]
          * np.array(xs, dtype=object)).sum(axis=1)
     return tuple(z.tolist()), d

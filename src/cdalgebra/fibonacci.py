@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple, Union
 
-from .algebra import (AlgebraSignature, Element, Rational, _Frozen, _ratio,
+from .algebra import (AlgebraSignature, Element, Rational, _Frozen, _index, _ratio,
                       _scaled_constants, as_rational)
 
 # Indices below FIB_MEMO are read from a memo built once at import (about
@@ -24,10 +24,17 @@ while len(_fib_cache) < FIB_MEMO:
     _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
 
 
-def fib(n: int) -> int:
-    """Exact Fibonacci number: a shared memo below FIB_MEMO, fast doubling above."""
+def _fib_index(n) -> int:
+    """A public Fibonacci index as an int >= 0, checked once at the boundary."""
+    n = _index(n)
     if n < 0:
         raise ValueError("index must be >= 0")
+    return n
+
+
+def fib(n: int) -> int:
+    """Exact Fibonacci number: a shared memo below FIB_MEMO, fast doubling above."""
+    n = _fib_index(n)
     if n >= FIB_MEMO:
         return _fib_doubling(n)[0]
     return _fib_cache[n]
@@ -48,8 +55,8 @@ def _fib_doubling(n: int) -> Tuple[int, int]:
 
 
 def _fib_pair(k: int) -> Tuple[int, int]:
-    """(f_k, f_(k+1)): memo below FIB_MEMO, fast doubling above; k < 0 raises."""
-    return _fib_doubling(k) if k >= FIB_MEMO else (fib(k), fib(k + 1))
+    """(f_k, f_(k+1)) for an int k >= 0: memo below FIB_MEMO - 1, fast doubling above."""
+    return _fib_doubling(k) if k >= FIB_MEMO - 1 else (_fib_cache[k], _fib_cache[k + 1])
 
 
 @dataclass(frozen=True)
@@ -69,11 +76,11 @@ def horadam(n: int, params: HoradamParams) -> Rational:
 
     Equals p * f_{n-1} + q * f_n, so big indices stay cheap.
     """
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    n = _fib_index(n)
     if n == 0:
         return params.p
-    return as_rational(params.p * fib(n - 1) + params.q * fib(n))
+    f0, f1 = _fib_pair(n - 1)
+    return as_rational(params.p * f0 + params.q * f1)
 
 
 class GoldenNumber(_Frozen):
@@ -245,7 +252,7 @@ def _closed_form(constants: tuple) -> Tuple[int, int, int, int]:
 
 def fibonacci_quaternion(n: int, params: QuaternionParams) -> Element:
     """Quaternion with coefficients (f_n, f_{n+1}, f_{n+2}, f_{n+3})."""
-    f0, f1 = _fib_pair(n)
+    f0, f1 = _fib_pair(_fib_index(n))
     return params.signature().element((f0, f1, f0 + f1, f0 + 2 * f1))
 
 
@@ -260,6 +267,7 @@ def fib_norm_formula(n: int, params: QuaternionParams) -> Rational:
     u, v, z and D are read from the norm weights (``_closed_form``), and
     L_k = f_(k-1) + f_(k+1) are the Lucas numbers.
     """
+    n = _fib_index(n)
     f0, f1 = _fib_pair(2 * n)
     u, v, z, d = params._form
     return _ratio(u * (2 * f1 - f0) + v * (2 * f0 + f1) - 2 * (-1) ** n * z, 5 * d)
@@ -347,10 +355,8 @@ class BinetCheck:
 
 def binet_residual(n: int) -> BinetCheck:
     """Check the closed form for f_n exactly in the golden field."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    n = _fib_index(n)
     p = golden_power(n)
-    expected_v = fib(n)
-    expected_u = 1 if n == 0 else fib(n - 1)
+    expected_u, expected_v = (1, 0) if n == 0 else _fib_pair(n - 1)
     return BinetCheck(n=n, power_u=p.u, power_v=p.v,
                       expected_u=expected_u, expected_v=expected_v)

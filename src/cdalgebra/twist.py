@@ -16,7 +16,8 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
-from .algebra import AlgebraSignature, Convention, Element, Rational, _Frozen, as_rational
+from .algebra import (AlgebraSignature, Convention, Element, Rational, _Frozen, _index,
+                      as_rational)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,8 +114,7 @@ def _coefficient(p: int, q: int) -> Tuple[int, int]:
 def basis_product(p: int, q: int, sig: AlgebraSignature) -> Tuple[TwistCoefficient, int]:
     """Coefficient and index of the product of basis elements p and q."""
     n = sig.dimension
-    if type(p) is bool or type(q) is bool:
-        raise TypeError("basis indices must be ints, not bool")
+    p, q = _index(p), _index(q)
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError(f"basis indices ({p}, {q}) out of range for dimension {n}")
     if sig.convention is Convention.CONJUGATE_LEFT:
@@ -139,8 +139,7 @@ def twist_sign(p: int, q: int, t: int,
     the depth: the range check compares bit lengths instead of building
     2**t.
     """
-    if type(p) is bool or type(q) is bool:
-        raise TypeError("basis indices must be ints, not bool")
+    p, q = _index(p), _index(q)
     if p < 0 or q < 0 or (p | q).bit_length() > t:
         raise ValueError(f"basis indices ({p}, {q}) out of range for depth {t}")
     if convention == Convention.CONJUGATE_LEFT:
@@ -382,8 +381,7 @@ def shuffle(p: int, q: int, t: int) -> List[Tuple[int, int]]:
     Yields one (p_bit, q_bit) pair per stage, the order in which the
     walk on the tile patterns consumes them.
     """
-    if type(p) is bool or type(q) is bool:
-        raise TypeError("indices must be ints, not bool")
+    p, q = _index(p), _index(q)
     if not (0 <= p < 1 << t and 0 <= q < 1 << t):
         raise ValueError(f"indices ({p}, {q}) out of range for depth {t}")
     return [(p >> b & 1, q >> b & 1) for b in range(t - 1, -1, -1)]

@@ -8,12 +8,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
 import pytest
 
-from cdalgebra import algebra
+from cdalgebra import algebra, twist
 from cdalgebra.algebra import (Convention, Element, _conj, _mul, as_rational,
                                make_algebra, octonions, power_left_nested,
                                quadratic_check, quaternions, sedenions)
@@ -421,7 +422,7 @@ class TestKernel:
 
     def test_both_sides_of_the_support_pair_switch(self):
         # Against a full operand, the pair loop runs for supports up to s
-        # and the dense gather from s + 1 on; both read the same plane.
+        # and the dense gather from s + 1 on; both read the same codes.
         rng = random.Random(26)
         for t, s in ((4, 12), (6, 36)):
             n = 1 << t
@@ -437,47 +438,46 @@ class TestKernel:
                     assert self._mismatches([(full, part), (part, full)]) == [], \
                         (t, conv, support)
 
-    def test_small_codes_are_the_plane_codes(self):
-        # Depths 2-6 read their codes from twist._coefficient instead of the
-        # plane; both routes give the same list.
+    def test_codes_are_the_structure_constants(self):
+        # The doubled codes against two independent derivations: the
+        # pointwise coefficient and the sign-plane doubling of build_table.
         for t in range(1, 9):
-            assert algebra._small_codes(t) == algebra._planes(t)[2], t
+            n = 1 << t
+            table = build_table(t)
+            for k, row in enumerate(algebra._codes(t)):
+                assert len(row) == n, (t, k)
+                for p, code in enumerate(row):
+                    sign, mask = twist._coefficient(p, p ^ k)
+                    assert code == 2 * mask + (sign < 0), (t, k, p)
+                    assert code == (2 * int(table.gamma_masks[p, p ^ k])
+                                    + (table.base_signs[p, p ^ k] < 0)), (t, k, p)
 
     @staticmethod
-    def _flipped_planes(t, k, p):
-        """``_planes`` with the sign bit of code[k, p] flipped at depth t, in both views."""
-        planes = algebra._planes
-        code, partner, _ = planes(t)
-        bad = code.copy()
-        bad[k, p] ^= 1
-        bad.flags.writeable = False
-        flipped = (bad, partner, bad.tolist())
-        return lambda depth: flipped if depth == t else planes(depth)
-
-    @staticmethod
-    def _flipped_small_codes(t, k, p):
-        """``_small_codes`` with the sign bit of codes[k][p] flipped at depth t."""
-        small = algebra._small_codes
-        bad = [row[:] for row in small(t)]
+    def _flipped_codes(t, k, p):
+        """``_codes`` with the sign bit of codes[k][p] flipped at depth t."""
+        codes = algebra._codes
+        codes(algebra.KERNEL_MAX_DEPTH)  # every depth doubled from true codes first
+        bad = [row[:] for row in codes(t)]
         bad[k][p] ^= 1
-        return lambda depth: bad if depth == t else small(depth)
+        return lambda depth: bad if depth == t else codes(depth)
 
     def test_corrupted_plane_is_caught(self, monkeypatch):
         # One flipped sign of e_2 * e_7 must show in the comparison and must
-        # not reach the twist suite's oracle.  The pair loop reads
-        # _small_codes at depths 3 and 5 and _planes at depth 7; the dense
-        # gather reads _planes (at depth 3 dense operands take the pair loop).
+        # not reach the twist suite's oracle.  The pair loop and the dense
+        # gather both read _codes (at depth 3 dense operands take the pair
+        # loop; from depth 4 on they take the gather).
         rng = random.Random(22)
-        for t, name, flip, dense_reads_it in (
-                (3, "_small_codes", self._flipped_small_codes, True),
-                (5, "_small_codes", self._flipped_small_codes, False),
-                (7, "_planes", self._flipped_planes, True)):
-            monkeypatch.setattr(algebra, name, flip(t, 2 ^ 7, 2))
+        for t in (3, 5, 7):
+            monkeypatch.setattr(algebra, "_codes", self._flipped_codes(t, 2 ^ 7, 2))
+            # An empty plane cache, so the gather reads the flipped codes.
+            planes = lru_cache(maxsize=None)(algebra._planes.__wrapped__)
+            monkeypatch.setattr(algebra, "_planes", planes)
             sig = make_algebra(t, self.MIXED[:t], RIGHT)
             assert self._mismatches([(sig.basis(2), sig.basis(7))])
             dense = [sig.element([rng.choice((1, -1)) * rng.randint(1, 9)
                                   for _ in range(sig.dimension)]) for _ in range(2)]
-            assert bool(self._mismatches([tuple(dense)])) is dense_reads_it
+            assert self._mismatches([tuple(dense)])
+            assert planes.cache_info().currsize == (t > 3)  # the gather ran
             assert run_twist_suite(exhaustive_depth=3, random_pairs=10,
                                    table_depth=t).passed
             monkeypatch.undo()

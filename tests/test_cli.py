@@ -431,9 +431,9 @@ def _src_env():
 
 
 # Subcommands that need no array: their processes load neither numpy nor
-# sympy.  Tables, blocks and products at depth 4 and up still load numpy.
-# ``import cdalgebra`` loads no submodule, and the CLI module only the two
-# it parses with; handlers import the rest.
+# sympy.  Tables, blocks and dense products at depth 4 and up still load
+# numpy.  ``import cdalgebra`` loads no submodule, and the CLI module only
+# the two it parses with; handlers import the rest.
 _ARRAY_FREE = (
     ["twist", "--t", "30", "--p", "5", "--q", "9"],
     ["fib-norm", "--n", "10", "--alpha1", "2", "--alpha2", "3"],
@@ -442,8 +442,11 @@ _ARRAY_FREE = (
     ["residue-field", "--p", "13", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2"],
     ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--u", "3,4"],
     ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", "1,2,3"],
-    # Sparse products up to depth 6 read codes from twist._coefficient.
-    ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "6", "--u", "3,4"],
+    # Sparse products read codes doubled in lists, at every kernel depth.
+    *(["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", t, "--u", "3,4"]
+      for t in ("6", "7", "8")),
+    *(["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", t, "--symbols", "1,2,3"]
+      for t in ("7", "8")),
 )
 
 

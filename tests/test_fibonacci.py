@@ -4,6 +4,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cdalgebra import fibonacci as fibmod
@@ -49,6 +50,41 @@ class TestFib:
         for n in range(1200):
             assert fibmod._fib_doubling(n) == (a, b)
             a, b = b, a + b
+
+
+class TestIndices:
+    """Every public index is checked once: integer types give the int
+    answer, bools and floats raise TypeError, negatives ValueError."""
+
+    PARAMS = QuaternionParams(1, 1)
+    CALLS = (fib, lambda n: horadam(n, HoradamParams(2, 1)), binet_residual,
+             lambda n: fibonacci_quaternion(n, TestIndices.PARAMS),
+             lambda n: fib_norm_direct(n, TestIndices.PARAMS),
+             lambda n: fib_norm_formula(n, TestIndices.PARAMS))
+
+    def test_numpy_integers_give_the_int_answer(self):
+        for call in self.CALLS:
+            for n in (0, 1, 40, 60, fibmod.FIB_MEMO - 1, 1500):
+                got, want = call(np.int64(n)), call(n)
+                assert got == want and repr(got) == repr(want), (call, n)
+
+    def test_formula_at_a_numpy_index_is_the_exact_int(self):
+        for n in (40, 60):
+            got = fib_norm_formula(np.int64(n), self.PARAMS)
+            assert type(got) is int and got == fib_norm_direct(n, self.PARAMS) == 3 * fib(2 * n + 3)
+
+    def test_bools_and_floats_are_refused(self):
+        for call in self.CALLS:
+            for bad in (True, False):
+                with pytest.raises(TypeError, match="not bool"):
+                    call(bad)
+            with pytest.raises(TypeError):
+                call(3.0)
+
+    def test_negative_rejected(self):
+        for call in self.CALLS:
+            with pytest.raises(ValueError, match=">= 0"):
+                call(-1)
 
 
 class TestHoradam:

@@ -183,7 +183,8 @@ class TestBasisProduct:
             basis_product(4, 0, sig)
 
     def test_bool_indices_are_refused(self):
-        # A bool would silently stand for index 0 or 1.
+        # A bool would silently stand for index 0 or 1.  Other integer
+        # types give the int answer; a float is no index.
         sig = make_algebra(2, [-1, -1], RIGHT)
         calls = (sig.basis, lambda b: basis_product(b, 2, sig),
                  lambda b: basis_product(2, b, sig), lambda b: twist_sign(b, 2, 2),
@@ -193,6 +194,11 @@ class TestBasisProduct:
             for bad in (True, False):
                 with pytest.raises(TypeError, match="not bool"):
                     call(bad)
+            with pytest.raises(TypeError):
+                call(3.0)
+            want = call(3)
+            got = call(np.int64(3))
+            assert got == want and repr(got) == repr(want)
 
     def test_agrees_with_element_multiplication(self):
         rng = random.Random(12)
