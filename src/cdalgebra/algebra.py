@@ -107,8 +107,7 @@ class AlgebraSignature(_Frozen):
 
     def __init__(self, t: int, gammas: Sequence[Rational],
                  convention: Convention = Convention.CONJUGATE_RIGHT):
-        if not isinstance(t, int) or isinstance(t, bool):
-            raise TypeError(f"doubling depth must be an int, got {type(t).__name__}")
+        t = _index(t)
         if t < 0:
             raise ValueError(f"doubling depth must be >= 0, got {t}")
         gammas = tuple(as_rational(g) for g in gammas)
@@ -252,10 +251,22 @@ def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
 # constant is the integer sign * prod(num(gamma_i), i in mask)
 # * prod(den(gamma_i), i not in mask), so a product is integer arithmetic on
 # the stored numerators with a single gcd reduction at the end.
+#
+# Three paths read the codes up to KERNEL_MAX_DEPTH.  At depths 2-3, and for
+# dense operands at 4-5, _straight(t) is the product written out as one compiled
+# function: dense products take 0.7 / 2.1 / 7.5 / 30 us at t = 2-5 against
+# 3.8 / 10 / 26 / 72 us by the paths below, and compiling takes 0.2 / 0.4 /
+# 1.5 / 4.4 ms once per depth.  Operands with few nonzero coefficient pairs run
+# a loop over those pairs; at t = 4-5 it is the faster path up to about n**2 / 6
+# pairs (measured crossings near 34 pairs at t = 4 and 190 at t = 5).  Dense
+# operands at t = 6-8 take one gather over _planes(t) in numpy object arrays.
 
 # Codes stop here: _codes(t) takes about 20 ms and 4 MB at t = 9, 0.1 s and 24 MB
 # at t = 10, 0.45 s and 107 MB at t = 11, where the recursion squares in 1 ms.
 KERNEL_MAX_DEPTH = 8
+# Generated products stop here; their source grows fourfold a depth (14 KB at
+# t = 5, 55 KB at t = 6).
+STRAIGHT_MAX_DEPTH = 5
 
 
 @lru_cache(maxsize=None)
@@ -274,6 +285,39 @@ def _codes(t: int) -> list:
         low.append(row + [(c ^ (p != k)) | 2 * h for p, c in enumerate(crossed)])
         high.append(crossed + [c ^ (p != k) for p, c in enumerate(row)])
     return low + high
+
+
+@lru_cache(maxsize=None)
+def _straight(t: int):
+    """The eq11 product at depth t as one compiled function of (xs, ys, signed).
+
+    Output k is sum over masks of m_mask * (sum of +-x_p * y_(p^k) over the p
+    whose code has that mask), with m_mask = signed[2 * mask]: one monomial
+    product per mask, 3**t in all rather than 4**t.  The source is built only
+    from the integers of ``_codes(t)`` and never from operand values.
+    """
+    n = 1 << t
+    sums = []
+    for k, row in enumerate(_codes(t)):
+        groups = {}
+        for p, code in enumerate(row):
+            groups.setdefault(code >> 1, ([], []))[code & 1].append(f"x{p} * y{p ^ k}")
+        terms = []
+        for mask, (plus, minus) in groups.items():
+            # Positive terms lead; a group with none is subtracted whole.
+            sign, lead, rest = ("+", plus, minus) if plus else ("-", minus, ())
+            inner = " + ".join(lead) + "".join(f" - {m}" for m in rest)
+            terms.append(f" {sign} m{mask} * ({inner})")
+        sums.append("".join(terms).lstrip(" +"))  # mask 0 holds x0 * y_k
+    ms = ", ".join(f"m{mask}, _" for mask in range(n))
+    source = (f"def product(xs, ys, signed):\n"
+              f" {''.join(f'x{p}, ' for p in range(n))}= xs\n"
+              f" {''.join(f'y{p}, ' for p in range(n))}= ys\n"
+              f" {ms}, = signed\n"
+              f" return ({', '.join(sums)},)\n")
+    namespace = {}
+    exec(compile(source, f"<eq11 product at depth {t}>", "exec"), namespace)
+    return namespace["product"]
 
 
 @lru_cache(maxsize=None)
@@ -306,28 +350,35 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
         return (xs[0] * ys[0],), 1
     signed, d, _ = sig._constants()
     if t == 1:
-        # Depth-1 case written out: signed[0] = D and signed[2] = D * gamma.
+        # Written out: through _straight(1) this call takes about 1.5x as long.
+        # signed[0] = D and signed[2] = D * gamma.
         (x0, x1), (y0, y1) = xs, ys
         return (x0 * y0 * d + x1 * y1 * signed[2], (x0 * y1 + x1 * y0) * d), d
+    if t <= 3:
+        return _straight(t)(xs, ys, signed), d
     n = len(xs)
-    px = [(p, v) for p, v in enumerate(xs) if v]
+    pairs = (n - xs.count(0)) * (n - ys.count(0))
+    if t <= STRAIGHT_MAX_DEPTH:
+        if 6 * pairs > n * n:
+            return _straight(t)(xs, ys, signed), d
+    elif 2 * pairs > n * (n + 8):
+        # Dense: one gather over the plane.  Object arrays keep every entry
+        # a Python int, so the sums are exact at any size.
+        import numpy as np
+        code, partner = _planes(t)
+        z = (np.array(signed, dtype=object)[code] * np.array(ys, dtype=object)[partner]
+             * np.array(xs, dtype=object)).sum(axis=1)
+        return tuple(z.tolist()), d
+    # Few support pairs: visit only those.
+    codes = _codes(t)
+    z = [0] * n
     py = [(q, v) for q, v in enumerate(ys) if v]
-    if 2 * len(px) * len(py) <= n * (n + 8):
-        # Few support pairs (every pair up to n = 8): visit only those.
-        codes = _codes(t)
-        z = [0] * n
-        for p, xp in px:
+    for p, xp in enumerate(xs):
+        if xp:
             for q, yq in py:
                 k = p ^ q
                 z[k] += xp * yq * signed[codes[k][p]]
-        return tuple(z), d
-    # Dense: one gather over the plane.  Object arrays keep every entry a
-    # Python int, so the sums are exact at any size.
-    import numpy as np
-    code, partner = _planes(t)
-    z = (np.array(signed, dtype=object)[code] * np.array(ys, dtype=object)[partner]
-         * np.array(xs, dtype=object)).sum(axis=1)
-    return tuple(z.tolist()), d
+    return tuple(z), d
 
 
 class Element(_Frozen):
@@ -432,7 +483,7 @@ class Element(_Frozen):
         return hash((self.signature, self._nums, self._den))
 
     def __getitem__(self, p: int) -> Rational:
-        return _ratio(self._nums[p], self._den)
+        return _ratio(self._nums[_index(p)], self._den)
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -458,7 +509,10 @@ class Element(_Frozen):
         return _ratio(s, d * self._den * self._den)
 
     def inverse(self) -> Element:
-        """Two-sided inverse; fails on zero and on zero divisors.
+        """Two-sided inverse; fails exactly where the norm is zero.
+
+        Zero divisors of nonzero norm are invertible: in the sedenions,
+        e1 + e10 annihilates e4 - e15 and has inverse (e1 + e10) / -2.
 
         conj(x) / norm(x) = conj(nums) * D * den / s, with the sign of s
         moved onto the numerators.

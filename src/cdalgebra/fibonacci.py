@@ -317,6 +317,7 @@ def invertibility_threshold(params: QuaternionParams, n_max: int = 200) -> Optio
     energy, which rational parameters never give: E = 0 needs u = v = 0, and
     eliminating a1 leaves a2**2 + 7*a2 + 1 = 0, with no rational root.
     """
+    n_max = _index(n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     target = energy(params).sign()

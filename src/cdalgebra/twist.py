@@ -211,8 +211,7 @@ def build_table(t: int,
     can be checked against each other.  The eq31 table is the opposite
     product's, returned as transposed views of the eq11 planes.
     """
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise TypeError(f"table depth must be an int, got {type(t).__name__}")
+    t = _index(t)
     if t < 1:
         raise ValueError("table depth must be >= 1")
     if t > MAX_TABLE_DEPTH:

@@ -12,6 +12,7 @@ from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cdalgebra import algebra, twist
@@ -99,8 +100,14 @@ class TestMakeAlgebra:
     def test_depth_must_be_an_int(self):
         with pytest.raises(TypeError):
             make_algebra(2.0, [-1, -1])
-        with pytest.raises(TypeError):
-            make_algebra(True, [-1])
+        for bad in (True, False):
+            with pytest.raises(TypeError, match="not bool"):
+                make_algebra(bad, [-1] * bad)
+
+    def test_numpy_depth_is_stored_as_an_int(self):
+        sig = make_algebra(np.int64(2), [-1, -1])
+        assert type(sig.t) is int
+        assert sig == quaternions() and hash(sig) == hash(quaternions())
 
 
 class TestVectorSpace:
@@ -126,6 +133,14 @@ class TestVectorSpace:
             x + y
         with pytest.raises(ValueError):
             x * y
+
+    def test_coefficient_index_refuses_bool(self):
+        # A bool would silently read coefficient 0 or 1.
+        x = quaternions().element([5, 6, 7, 8])
+        for bad in (True, False):
+            with pytest.raises(TypeError, match="not bool"):
+                x[bad]
+        assert (x[np.int64(1)], x[-1], (Fraction(1, 2) * x)[2]) == (6, 8, Fraction(7, 2))
 
     def test_elements_immutable(self):
         x = quaternions().one()
@@ -246,6 +261,16 @@ class TestInverse:
         with pytest.raises(ZeroDivisionError):
             quaternions().zero().inverse()
 
+    def test_sedenion_zero_divisor_is_invertible(self):
+        # e1 + e10 annihilates e4 - e15, yet its norm is 2: only a zero
+        # norm blocks the inverse.
+        S = sedenions()
+        x = S.basis(1) + S.basis(10)
+        assert (x * (S.basis(4) - S.basis(15))).is_zero()
+        assert x.norm() == 2
+        assert x.inverse() == Fraction(-1, 2) * x
+        assert x * x.inverse() == x.inverse() * x == S.one()
+
     def test_norm_zero_sedenion_not_invertible(self):
         # Nonzero element whose norm vanishes through a sign split.
         sig = make_algebra(4, [1, -1, -1, -1], RIGHT)
@@ -302,9 +327,10 @@ class TestKernel:
         """Dense, rational, basis, two-term and zero operands, paired.
 
         The dense operand has no zero coefficient, so products with it
-        take the dense gather at depths 4-8 and sparse ones the support
-        loop.  At depths 7 and 8 one dense pair stands for the rest: the
-        recursion takes 0.05-0.2 s for each.
+        take the straight-line function at depths 2-5 and the dense
+        gather at 6-8, and sparse ones from depth 4 the support loop.  At
+        depths 7 and 8 one dense pair stands for the rest: the recursion
+        takes 0.05-0.2 s for each.
         """
         n = sig.dimension
         dense = sig.element([rng.randint(1, 9) * rng.choice((1, -1)) for _ in range(n)])
@@ -420,23 +446,56 @@ class TestKernel:
                     assert self._mismatches([(x, y), (Fraction(1, 3) * x, y)]) == [], \
                         (t, conv, size)
 
-    def test_both_sides_of_the_support_pair_switch(self):
-        # Against a full operand, the pair loop runs for supports up to s
-        # and the dense gather from s + 1 on; both read the same codes.
-        rng = random.Random(26)
-        for t, s in ((4, 12), (6, 36)):
+    def test_straight_line_depths_match_recursion(self):
+        # Depths 1-5, where the written-out and generated products run:
+        # dense and sparse operands, small and past 2**64, of both signs.
+        rng = random.Random(27)
+        for t in range(1, 6):
             n = 1 << t
-            assert 2 * n * s <= n * (n + 8) < 2 * n * (s + 1)
+            for conv in Convention:
+                for gammas in ((-1,) * t, self.MIXED[:t]):
+                    sig = make_algebra(t, gammas, conv)
+                    operands = []
+                    for base in (0, 1 << 70):
+                        for support in sorted({1, 2, n // 4 or 1, n // 2, n - 1, n}):
+                            coeffs = [0] * n
+                            for p in rng.sample(range(n), support):
+                                coeffs[p] = rng.choice((1, -1)) * (base + rng.randint(1, 9))
+                            operands.append(sig.element(coeffs))
+                    pairs = [(x, y) for x in operands for y in rng.sample(operands, 4)]
+                    pairs.append((Fraction(-2, 3) * operands[-1], operands[-2]))
+                    assert self._mismatches(pairs) == [], (t, conv, gammas)
+
+    @staticmethod
+    def _fresh_caches(monkeypatch):
+        """Empty stand-ins for the caches of the generated products and planes."""
+        caches = {name: lru_cache(maxsize=None)(getattr(algebra, name).__wrapped__)
+                  for name in ("_straight", "_planes")}
+        for name, cache in caches.items():
+            monkeypatch.setattr(algebra, name, cache)
+        return caches
+
+    def test_both_sides_of_the_support_pair_switch(self, monkeypatch):
+        # Against a full operand, the pair loop runs for supports up to s
+        # and the generated function (t = 4, 5) or the dense gather (t = 6)
+        # from s + 1 on; all read the same codes.
+        rng = random.Random(26)
+        for t, s, path in ((4, 2, "_straight"), (5, 5, "_straight"), (6, 36, "_planes")):
+            n = 1 << t
             for conv in Convention:
                 sig = make_algebra(t, self.MIXED[:t], conv)
                 full = sig.element([rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(n)])
                 for support in (s, s + 1):
+                    caches = self._fresh_caches(monkeypatch)
                     coeffs = [0] * n
                     for p in rng.sample(range(n), support):
                         coeffs[p] = rng.choice((1, -1)) * rng.randint(1, 9)
                     part = sig.element(coeffs)
                     assert self._mismatches([(full, part), (part, full)]) == [], \
                         (t, conv, support)
+                    assert caches[path].cache_info().currsize == (support > s), \
+                        (t, conv, support)
+                    monkeypatch.undo()
 
     def test_codes_are_the_structure_constants(self):
         # The doubled codes against two independent derivations: the
@@ -462,22 +521,27 @@ class TestKernel:
         return lambda depth: bad if depth == t else codes(depth)
 
     def test_corrupted_plane_is_caught(self, monkeypatch):
-        # One flipped sign of e_2 * e_7 must show in the comparison and must
-        # not reach the twist suite's oracle.  The pair loop and the dense
-        # gather both read _codes (at depth 3 dense operands take the pair
-        # loop; from depth 4 on they take the gather).
+        # One flipped sign of e_2 * e_7 must show on every product path, each
+        # with empty caches, and must not reach the twist suite's oracle.
+        # The path is named by the cache that filled: the generated function
+        # (dense at t = 3 and 5), none for the pair loop (sparse at t = 5),
+        # the planes of the gather (dense at t = 7).
         rng = random.Random(22)
-        for t in (3, 5, 7):
+        for t, support, path in ((3, 8, "_straight"), (5, 32, "_straight"), (5, 4, None),
+                                 (7, 128, "_planes")):
             monkeypatch.setattr(algebra, "_codes", self._flipped_codes(t, 2 ^ 7, 2))
-            # An empty plane cache, so the gather reads the flipped codes.
-            planes = lru_cache(maxsize=None)(algebra._planes.__wrapped__)
-            monkeypatch.setattr(algebra, "_planes", planes)
+            caches = self._fresh_caches(monkeypatch)
             sig = make_algebra(t, self.MIXED[:t], RIGHT)
-            assert self._mismatches([(sig.basis(2), sig.basis(7))])
-            dense = [sig.element([rng.choice((1, -1)) * rng.randint(1, 9)
-                                  for _ in range(sig.dimension)]) for _ in range(2)]
-            assert self._mismatches([tuple(dense)])
-            assert planes.cache_info().currsize == (t > 3)  # the gather ran
+            operands = []
+            for must in (2, 7):
+                coeffs = [0] * sig.dimension
+                others = [p for p in range(sig.dimension) if p != must]
+                for p in [must] + rng.sample(others, support - 1):
+                    coeffs[p] = rng.choice((1, -1)) * rng.randint(1, 9)
+                operands.append(sig.element(coeffs))
+            assert self._mismatches([tuple(operands)]), (t, support)
+            assert {name: cache.cache_info().currsize for name, cache in caches.items()} \
+                == {name: int(name == path) for name in caches}, (t, support)
             assert run_twist_suite(exhaustive_depth=3, random_pairs=10,
                                    table_depth=t).passed
             monkeypatch.undo()

@@ -475,6 +475,16 @@ class TestInvertibilityThreshold:
         assert found is not None
         assert invertibility_threshold(found, 0) is None
 
+    def test_window_is_an_index(self):
+        params = QuaternionParams(1, 1)
+        for bad in (True, False):
+            with pytest.raises(TypeError, match="not bool"):
+                invertibility_threshold(params, n_max=bad)
+        with pytest.raises(TypeError):
+            invertibility_threshold(params, n_max=50.0)
+        assert invertibility_threshold(params, n_max=np.int64(50)) == \
+            invertibility_threshold(params, n_max=50)
+
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
             invertibility_threshold(QuaternionParams(1, 1), -1)

@@ -337,8 +337,14 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("t", [True, False, 2.0, "2", Fraction(2)])
     def test_depth_must_be_an_int(self, t):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="not bool" if isinstance(t, bool) else None):
             build_table(t)
+
+    def test_numpy_depth_is_stored_as_an_int(self):
+        for conv in Convention:
+            table = build_table(np.int64(3), conv)
+            assert type(table.t) is int
+            assert table == build_table(3, conv)
 
     def test_tables_immutable(self):
         table = build_table(3)
