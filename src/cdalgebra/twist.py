@@ -4,10 +4,11 @@ A product of two basis elements e_p * e_q is a signed parameter monomial
 times the basis element e_(p ^ q).  The monomial's stage parameters are
 the bits of p & q, and its sign is a parity of p and q computed in
 O(log L) word operations on L-bit indices.  This module computes that
-coefficient, materializes full tables (masks as p & q, signs by quadrant
-doubling), partitions sign tables into the five 2x2 block patterns, and
-checks the published product-table claim for rows indexed by powers of
-two.
+coefficient, materializes full tables (masks as p & q, signs doubled
+together with their transpose, so that no stage transposes), collapses
+them to sign tables (the base signs times the parity of p & q),
+partitions sign tables into the five 2x2 block patterns, and checks the
+published product-table claim for rows indexed by powers of two.
 """
 from __future__ import annotations
 
@@ -23,16 +24,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_TABLE_DEPTH = 12
-
-
-@lru_cache(maxsize=None)
-def _mask_sign() -> np.ndarray:
-    """(-1) ** popcount(mask) for every gamma mask of a table within the guard."""
-    import numpy as np
-    signs = np.array([-1 if m.bit_count() & 1 else 1
-                      for m in range(1 << MAX_TABLE_DEPTH)], dtype=np.int8)
-    signs.setflags(write=False)
-    return signs
 
 
 class BlockClassificationError(Exception):
@@ -151,9 +142,17 @@ def twist_sign(p: int, q: int, t: int,
 class TwistTable(_Frozen):
     """Dense table of structure coefficients for one depth and convention.
 
-    ``base_signs[p, q]`` and ``gamma_masks[p, q]`` carry the symbolic
-    coefficient; ``sign_table()`` collapses it under all-(-1) parameters.
+    ``base_signs[p, q]`` (int8) and ``gamma_masks[p, q]`` (uint16) carry
+    the symbolic coefficient that ``entry``, ``__eq__`` and the table
+    writers read.  Other dtypes are refused rather than truncated on read.
     Tables are immutable once built.
+
+    Precondition: ``gamma_masks[p, q] == p & q``, as ``build_table`` makes
+    it.  ``sign_table()`` rests on it: it derives the parity of each mask
+    from the index and ignores the stored mask plane.  The constructor
+    does not enforce it, so that checkers can be tested on tables with
+    wrong masks; on such a table ``sign_table()`` disagrees with
+    ``entry()``.
     """
 
     __slots__ = ("t", "convention", "base_signs", "gamma_masks")
@@ -161,6 +160,11 @@ class TwistTable(_Frozen):
     def __init__(self, t: int, convention: Convention,
                  base_signs: np.ndarray, gamma_masks: np.ndarray):
         n = 1 << t
+        for name, plane, dtype in (("base_signs", base_signs, "int8"),
+                                   ("gamma_masks", gamma_masks, "uint16")):
+            if getattr(plane, "dtype", None) != dtype:
+                raise TypeError(f"{name} must be a {dtype} array, "
+                                f"got {getattr(plane, 'dtype', type(plane).__name__)}")
         if base_signs.shape != (n, n) or gamma_masks.shape != (n, n):
             raise ValueError("table arrays do not match the stated depth")
         base_signs.setflags(write=False)
@@ -182,8 +186,24 @@ class TwistTable(_Frozen):
         return TwistCoefficient(int(self.base_signs[p, q]), int(self.gamma_masks[p, q]))
 
     def sign_table(self) -> np.ndarray:
-        """Collapsed signs under all-(-1) parameters, as an int8 matrix."""
-        return self.base_signs * _mask_sign()[self.gamma_masks]
+        """Collapsed signs under all-(-1) parameters, as a new int8 matrix.
+
+        The mask of e_p * e_q is p & q, so the collapsed sign is the base
+        sign times (-1) ** popcount(p & q): the Sylvester-Hadamard matrix,
+        doubled as [[H, H], [H, -H]] into the result's own buffer.  The
+        stored mask plane is not read, so the result holds only for a
+        table that meets the class precondition.
+        """
+        import numpy as np
+        n = self.dimension
+        signs = np.empty((n, n), dtype=np.int8)
+        signs[0, 0] = 1
+        h = 1
+        while h < n:
+            signs[:h, h:2 * h] = signs[h:2 * h, :h] = signs[:h, :h]
+            np.negative(signs[:h, :h], out=signs[h:2 * h, h:2 * h])
+            h *= 2
+        return np.multiply(signs, self.base_signs, out=signs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistTable):
@@ -208,8 +228,12 @@ def build_table(t: int,
     The mask of e_p * e_q is p & q.  The signs are assembled by quadrant
     doubling: the size-2**t table from the size-2**(t-1) one, with the
     same quadrant rules the elementwise descent uses, so the two routes
-    can be checked against each other.  The eq31 table is the opposite
-    product's, returned as transposed views of the eq11 planes.
+    can be checked against each other.  The eq11 plane S doubles together
+    with its transpose, each new pair written from contiguous copies of
+    the old one, so no stage transposes.  The eq31 table is the opposite
+    product's, whose signs are the transpose: the last stage writes only
+    S (eq11) or its transpose (eq31), and both are C-contiguous.  The mask
+    plane is symmetric, so it serves both conventions.
     """
     t = _index(t)
     if t < 1:
@@ -220,24 +244,29 @@ def build_table(t: int,
     import numpy as np
     convention = Convention(convention)
     index = np.arange(1 << t, dtype=np.uint16)
-    masks = np.bitwise_and.outer(index, index)
-    signs = np.ones((2, 2), dtype=np.int8)
+    masks = np.bitwise_and.outer(index, index)  # symmetric, so eq31's too
+    left = convention is Convention.CONJUGATE_LEFT
+    signs = signs_t = np.ones((2, 2), dtype=np.int8)
     for stage in range(2, t + 1):
         h = 1 << (stage - 1)
-        s = np.empty((2 * h, 2 * h), dtype=np.int8)
-        st = np.ascontiguousarray(signs.T)
-        # (p, q+h) <- (q, p); (p+h, q) <- (p, q) negated on q != 0;
-        # (p+h, q+h) <- (q, p) negated on q != 0.
-        s[:h, :h] = signs
-        s[:h, h:] = st
-        np.negative(signs, out=s[h:, :h])
-        s[h:, 0] = signs[:, 0]
-        np.negative(st, out=s[h:, h:])
-        s[h:, h] = st[:, 0]
-        signs = s
-    if convention is Convention.CONJUGATE_LEFT:
-        signs, masks = signs.T, masks.T
-    return TwistTable(t, convention, signs, masks)
+        last = stage == t
+        s = st = None  # the last stage writes only the plane it returns
+        if not last or not left:
+            # S: [[S, St], [-S, -St]] with columns 0 and h positive.
+            s = np.empty((2 * h, 2 * h), dtype=np.int8)
+            s[:h, :h] = signs
+            s[:h, h:] = signs_t
+            np.negative(s[:h], out=s[h:])
+            s[h:, ::h] = 1
+        if not last or left:
+            # St: [[St, -St], [S, -S]] with rows 0 and h positive.
+            st = np.empty((2 * h, 2 * h), dtype=np.int8)
+            st[:h, :h] = signs_t
+            st[h:, :h] = signs
+            np.negative(st[:, :h], out=st[:, h:])
+            st[::h, h:] = 1
+        signs, signs_t = s, st
+    return TwistTable(t, convention, signs_t if left else signs, masks)
 
 
 class BlockKind(IntEnum):

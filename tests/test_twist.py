@@ -95,6 +95,14 @@ def _parity_sign_table(t, signs, masks):
     return np.where(parity & 1, -signs, signs)
 
 
+def _parity(t):
+    """(-1) ** popcount(p & q) as an int8 plane, by the oracle's fold."""
+    n = 1 << t
+    index = np.arange(n, dtype=np.uint16)
+    return _parity_sign_table(t, np.ones((n, n), dtype=np.int8),
+                              np.bitwise_and.outer(index, index))
+
+
 _SEVEN_PATTERNS = np.array(
     [[[1, 1], [1, -1]], [[1, -1], [1, 1]], [[1, -1], [-1, -1]],
      [[-1, 1], [-1, -1]], [[-1, 1], [1, 1]], [[1, 1], [-1, 1]],
@@ -346,6 +354,31 @@ class TestBuildTable:
             assert type(table.t) is int
             assert table == build_table(3, conv)
 
+    def test_planes_are_contiguous_and_eq31_is_the_transpose(self):
+        # An elementwise pass over a transposed view costs several times
+        # one over a contiguous plane, so every plane is laid out in C order.
+        for t in range(1, MAX_TABLE_DEPTH + 1):
+            tables = {conv: build_table(t, conv) for conv in Convention}
+            for table in tables.values():
+                for plane, dtype in ((table.base_signs, np.int8),
+                                     (table.gamma_masks, np.uint16),
+                                     (table.sign_table(), np.int8)):
+                    assert plane.dtype == dtype and plane.flags.c_contiguous, (t, dtype)
+            for name in ("base_signs", "gamma_masks"):
+                assert np.array_equal(getattr(tables[LEFT], name),
+                                      getattr(tables[RIGHT], name).T), (t, name)
+
+    @pytest.mark.parametrize("name", ["base_signs", "gamma_masks"])
+    def test_planes_of_another_dtype_are_refused(self, name):
+        # A float plane would be truncated on read: a mask of 1.7 read as 1,
+        # a sign of 1.9 kept in the sign table.
+        table = build_table(2)
+        planes = {"base_signs": table.base_signs, "gamma_masks": table.gamma_masks}
+        for bad in (np.full((4, 4), 1.7), planes[name].astype(np.int64),
+                    planes[name].tolist()):
+            with pytest.raises(TypeError, match=f"^{name} must be"):
+                TwistTable(2, RIGHT, **{**planes, name: bad})
+
     def test_tables_immutable(self):
         table = build_table(3)
         with pytest.raises((ValueError, AttributeError)):
@@ -382,7 +415,8 @@ class TestPartitionBlocks:
         block = np.ix_([rev[i], rev[i] + h], [rev[j], rev[j] + h])
         signs = table.sign_table()
         signs[block] = signs[block].T
-        bad = TwistTable(t, conv, signs, np.zeros_like(table.gamma_masks))
+        bad = TwistTable(t, conv, signs * _parity(t), np.zeros_like(table.gamma_masks))
+        assert np.array_equal(bad.sign_table(), signs)
         with pytest.raises(BlockClassificationError,
                            match=rf"^tile \({i}, {j}\) is pattern {foreign}, "
                                  rf"outside the {conv.value} alphabet"):
@@ -430,8 +464,9 @@ def _outcome(table):
 
 def _corrupt(signs, t, how, rng, convention):
     """A copy of the sign table with one tile changed, as a table of the
-    same convention whose masks are all zero, so that its sign_table is
-    exactly that copy."""
+    same convention whose base signs are that copy times the parity of
+    p & q (its masks are all zero), so that its sign_table is exactly
+    that copy."""
     signs = signs.copy()
     h = 1 << (t - 1)
     i, j = (0, 0) if how == "corner" else (rng.randrange(h), rng.randrange(h))
@@ -450,7 +485,9 @@ def _corrupt(signs, t, how, rng, convention):
         tile = BlockKind.B.pattern()
     signs[np.ix_(rows, cols)] = tile
     n = 1 << t
-    return TwistTable(t, convention, signs, np.zeros((n, n), dtype=np.uint16))
+    bad = TwistTable(t, convention, signs * _parity(t), np.zeros((n, n), dtype=np.uint16))
+    assert np.array_equal(bad.sign_table(), signs)
+    return bad
 
 
 class TestBitAlgebraAgainstOracles:
