@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, floordiv, index, mul, neg, sub
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -203,45 +203,10 @@ def sedenions(convention: Convention = Convention.CONJUGATE_RIGHT) -> AlgebraSig
     return AlgebraSignature(4, (-1, -1, -1, -1), convention)
 
 
-# ---- coefficient-vector kernels (tuples of exact scalars) ------------------
-
 def _conj(a: tuple) -> tuple:
     # Negating every coordinate but the scalar one is what the recursive
     # definition (conjugate low half, negate high half) unrolls to.
     return a[:1] + tuple(map(neg, a[1:]))
-
-
-def _add(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
-
-
-def _scale(c, a: tuple) -> tuple:
-    return tuple(map(mul, repeat(c), a))
-
-
-def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
-    """eq11 doubling product on raw coefficient tuples, recursing on halves.
-
-    ``Element`` products use it above KERNEL_MAX_DEPTH, where no code table
-    is built; up to there it is the oracle the kernel is tested against.
-    """
-    n = len(a)
-    if n == 1:
-        return (a[0] * b[0],)
-    if n == 2:
-        # Depth-1 case written out; conjugation is the identity on scalars.
-        g = gammas[-1]
-        return (a[0] * b[0] + g * b[1] * a[1], a[0] * b[1] + a[1] * b[0])
-    if not any(a) or not any(b):
-        return (0,) * n
-    h = n // 2
-    g = gammas[-1]
-    rest = gammas[:-1]
-    a1, a2 = a[:h], a[h:]
-    b1, b2 = b[:h], b[h:]
-    lo = _add(_mul(a1, b1, rest), _scale(g, _mul(_conj(b2), a2, rest)))
-    hi = _add(_mul(a2, _conj(b1), rest), _mul(b2, a1, rest))
-    return lo + hi
 
 
 # ---- structure-constant kernel ----------------------------------------------
@@ -252,18 +217,76 @@ def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
 # * prod(den(gamma_i), i not in mask), so a product is integer arithmetic on
 # the stored numerators with a single gcd reduction at the end.
 #
-# Three paths read the codes up to KERNEL_MAX_DEPTH.  At depths 2-3, and for
-# dense operands at 4-5, _straight(t) is the product written out as one compiled
-# function: dense products take 0.7 / 2.1 / 7.5 / 30 us at t = 2-5 against
-# 3.8 / 10 / 26 / 72 us by the paths below, and compiling takes 0.2 / 0.4 /
-# 1.5 / 4.4 ms once per depth.  Operands with few nonzero coefficient pairs run
-# a loop over those pairs; at t = 4-5 it is the faster path up to about n**2 / 6
-# pairs (measured crossings near 34 pairs at t = 4 and 190 at t = 5).  Dense
-# operands at t = 6-8 take one gather over _planes(t) in numpy object arrays.
+# Every Element product runs here, at every depth, by one of three paths.  At
+# depths 2-3, and for dense operands at 4-5, _straight(t) is the product written
+# out as one compiled function: dense products take 0.7 / 2.1 / 7.5 / 30 us at
+# t = 2-5 against 3.8 / 10 / 26 / 72 us by the paths below, and compiling takes
+# 0.2 / 0.4 / 1.5 / 4.4 ms once per depth.  Operands with few nonzero
+# coefficient pairs run a loop over those pairs, which reads the codes up to
+# KERNEL_MAX_DEPTH and _coefficient above it; at t = 4-5 it is the faster path
+# up to about n**2 / 6 pairs (measured crossings near 34 pairs at t = 4 and 190
+# at t = 5).  Dense operands at t = 6 to GATHER_MAX_DEPTH take one gather over
+# _planes(t) in numpy object arrays, and the pair loop above it.  The doubling
+# recursion these paths replaced is the oracle the tests compare them against.
 
-# Codes stop here: _codes(t) takes about 20 ms and 4 MB at t = 9, 0.1 s and 24 MB
-# at t = 10, 0.45 s and 107 MB at t = 11, where the recursion squares in 1 ms.
+
+def _coefficient(p: int, q: int) -> Tuple[int, int]:
+    """(sign, gamma_mask) of the eq11 basis product, in O(log L) word operations.
+
+    The descent on the top bit of p | q applies one line of the doubling
+    product per stage j: a swap of the factors' lower bits where the right
+    factor has bit j (the product order reverses), a sign flip where the
+    left factor has bit j and the right factor is a nonzero pure vector
+    below it (its conjugate appears), and the stage parameter where both
+    factors have bit j.  Swaps never change the unordered pair of bits at a
+    stage, so the parameter enters exactly at a = p & q.  The orientation
+    o_j (whether the factors are swapped at stage j) is the parity of a
+    above j, reset to q_k at the nearest stage k > j where d = p ^ q is set:
+    o = R ^ G with R_j the parity of a above j and G_j = q_k ^ R_k.  R is an
+    xor-shift prefix cascade and G a segmented fill with the bits of d as
+    blockers, each log2(L) shifts of L = (p | q).bit_length() bits, so the
+    depth does not enter.  eq31 is the opposite product, so callers reach
+    it by passing (q, p).
+    """
+    a = p & q
+    d = p ^ q
+    width = (p | q).bit_length()
+    parity = a >> 1  # R_j: parity of the bits of a above j
+    shift = 1
+    while shift < width:
+        parity ^= parity >> shift
+        shift <<= 1
+    # G_j: copy q_k ^ R_k down from each stage k where d is set, through
+    # the stages below it that are not themselves set in d.
+    known = d >> 1
+    fill = ((q ^ parity) & d) >> 1
+    shift = 1
+    while shift < width:
+        fill |= fill >> shift & ~known
+        known |= known >> shift
+        shift <<= 1
+    orient = parity ^ fill
+    left = p ^ (orient & d)
+    # Stages above the lowest set bit of a factor see it nonzero below.
+    p_below = -(p & -p) << 1
+    q_below = -(q & -q) << 1
+    flips = left & ((orient & p_below) | (~orient & q_below))
+    return -1 if flips.bit_count() & 1 else 1, a
+
+
+# The pair loop reads codes up to here and calls _coefficient above, so a
+# sparse product builds no table above depth 8: _codes(t) would take about
+# 20 ms and 4 MB at t = 9, 0.1 s and 24 MB at t = 10, 0.45 s and 107 MB at
+# t = 11, where a four-term product by _coefficient takes 0.10 / 0.16 / 0.50 ms
+# at t = 9 / 10 / 12 (the doubling recursion took 1.0 / 1.7 / 6.0 ms).
 KERNEL_MAX_DEPTH = 8
+# Dense products gather up to here.  Codes and planes take about 35 ms / 0.1 s
+# at t = 9 / 10, once per process; then a dense product takes 23 / 104 ms,
+# where the recursion took 113 / 555 ms.  After a dense t = 10 product about
+# 37 MB stays cached, 50 MB with the lower depths' codes.  Above, dense
+# products run the pair loop, about 8.5 s at t = 11 against 2.3 s by the
+# recursion; nothing in the package makes one.
+GATHER_MAX_DEPTH = 10
 # Generated products stop here; their source grows fourfold a depth (14 KB at
 # t = 5, 55 KB at t = 6).
 STRAIGHT_MAX_DEPTH = 5
@@ -342,8 +365,8 @@ def _ratio(v: int, den: int) -> Rational:
 def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
     """eq11 product of numerator tuples through the structure constants.
 
-    For depths 0..KERNEL_MAX_DEPTH. Returns (z, D) with D = prod(den(gamma_i)):
-    the product of xs / dx and ys / dy is z / (D * dx * dy).
+    At every depth. Returns (z, D) with D = prod(den(gamma_i)): the product
+    of xs / dx and ys / dy is z / (D * dx * dy).
     """
     t = sig.t
     if t == 0:
@@ -361,7 +384,7 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
     if t <= STRAIGHT_MAX_DEPTH:
         if 6 * pairs > n * n:
             return _straight(t)(xs, ys, signed), d
-    elif 2 * pairs > n * (n + 8):
+    elif t <= GATHER_MAX_DEPTH and 2 * pairs > n * (n + 8):
         # Dense: one gather over the plane.  Object arrays keep every entry
         # a Python int, so the sums are exact at any size.
         import numpy as np
@@ -370,14 +393,21 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
              * np.array(xs, dtype=object)).sum(axis=1)
         return tuple(z.tolist()), d
     # Few support pairs: visit only those.
-    codes = _codes(t)
     z = [0] * n
     py = [(q, v) for q, v in enumerate(ys) if v]
-    for p, xp in enumerate(xs):
-        if xp:
-            for q, yq in py:
-                k = p ^ q
-                z[k] += xp * yq * signed[codes[k][p]]
+    if t <= KERNEL_MAX_DEPTH:
+        codes = _codes(t)
+        for p, xp in enumerate(xs):
+            if xp:
+                for q, yq in py:
+                    k = p ^ q
+                    z[k] += xp * yq * signed[codes[k][p]]
+    else:
+        for p, xp in enumerate(xs):
+            if xp:
+                for q, yq in py:
+                    sign, mask = _coefficient(p, q)
+                    z[p ^ q] += xp * yq * signed[2 * mask + (sign < 0)]
     return tuple(z), d
 
 
@@ -460,8 +490,6 @@ class Element(_Frozen):
             a, b = self, other
             if sig.convention is _CONJUGATE_LEFT:
                 a, b = b, a
-            if sig.t > KERNEL_MAX_DEPTH:
-                return Element(sig, _mul(a.coeffs, b.coeffs, sig.gammas))
             z, d = _kernel_mul(a._nums, b._nums, sig)
             return _element(sig, z, d * a._den * b._den)
         if isinstance(other, (int, Fraction)):

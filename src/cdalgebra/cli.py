@@ -72,13 +72,15 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+# An empty value is the empty list; an empty item in a list is refused.
+
 def _fraction_list(text: str) -> List[Fraction]:
-    return [_fraction(part) for part in text.split(",") if part != ""]
+    return [_fraction(part) for part in text.split(",")] if text else []
 
 
 def _int_list(text: str) -> List[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")] if text else []
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from exc
 

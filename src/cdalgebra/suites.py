@@ -134,7 +134,8 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
 
     Each basis product is compared once with ``_descent_coefficient``, as
     exact (sign, gamma_mask, index) data that no parameter choice can hide;
-    the tests check the descent against the vector recursion ``algebra._mul``.
+    the tests check the descent against the vector recursion ``_mul`` in
+    ``tests/oracles.py``.
     """
     rng = random.Random(seed)
     out = SuiteResult("twist")
@@ -191,7 +192,7 @@ def _descent_coefficient(p: int, q: int) -> Tuple[int, int]:
     stage at a time from the top bit of p | q down.
 
     This is the doubling formula applied to two basis elements, written
-    independently of the bit algebra in ``twist._coefficient``.
+    independently of the bit algebra in ``algebra._coefficient``.
     """
     sign = 1
     mask = 0

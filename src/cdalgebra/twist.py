@@ -3,7 +3,8 @@
 A product of two basis elements e_p * e_q is a signed parameter monomial
 times the basis element e_(p ^ q).  The monomial's stage parameters are
 the bits of p & q, and its sign is a parity of p and q computed in
-O(log L) word operations on L-bit indices.  This module computes that
+O(log L) word operations on L-bit indices (``algebra._coefficient``,
+which the product kernel also reads).  This module evaluates that
 coefficient, materializes full tables (masks as p & q, signs doubled
 together with their transpose, so that no stage transposes), collapses
 them to sign tables (the base signs times the parity of p & q),
@@ -17,8 +18,8 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
-from .algebra import (AlgebraSignature, Convention, Element, Rational, _Frozen, _index,
-                      as_rational)
+from .algebra import (AlgebraSignature, Convention, Element, Rational, _coefficient, _Frozen,
+                      _index, as_rational)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,56 +59,17 @@ class TwistCoefficient:
         return v
 
 
-def _coefficient(p: int, q: int) -> Tuple[int, int]:
-    """(sign, gamma_mask) of the eq11 basis product, in O(log L) word operations.
-
-    The descent on the top bit of p | q applies one line of the doubling
-    product per stage j: a swap of the factors' lower bits where the right
-    factor has bit j (the product order reverses), a sign flip where the
-    left factor has bit j and the right factor is a nonzero pure vector
-    below it (its conjugate appears), and the stage parameter where both
-    factors have bit j.  Swaps never change the unordered pair of bits at a
-    stage, so the parameter enters exactly at a = p & q.  The orientation
-    o_j (whether the factors are swapped at stage j) is the parity of a
-    above j, reset to q_k at the nearest stage k > j where d = p ^ q is set:
-    o = R ^ G with R_j the parity of a above j and G_j = q_k ^ R_k.  R is an
-    xor-shift prefix cascade and G a segmented fill with the bits of d as
-    blockers, each log2(L) shifts of L = (p | q).bit_length() bits, so the
-    depth does not enter.  eq31 is the opposite product, so callers reach
-    it by passing (q, p).
-    """
-    a = p & q
-    d = p ^ q
-    width = (p | q).bit_length()
-    parity = a >> 1  # R_j: parity of the bits of a above j
-    shift = 1
-    while shift < width:
-        parity ^= parity >> shift
-        shift <<= 1
-    # G_j: copy q_k ^ R_k down from each stage k where d is set, through
-    # the stages below it that are not themselves set in d.
-    known = d >> 1
-    fill = ((q ^ parity) & d) >> 1
-    shift = 1
-    while shift < width:
-        fill |= fill >> shift & ~known
-        known |= known >> shift
-        shift <<= 1
-    orient = parity ^ fill
-    left = p ^ (orient & d)
-    # Stages above the lowest set bit of a factor see it nonzero below.
-    p_below = -(p & -p) << 1
-    q_below = -(q & -q) << 1
-    flips = left & ((orient & p_below) | (~orient & q_below))
-    return -1 if flips.bit_count() & 1 else 1, a
+def _basis_indices(p: int, q: int, n: int) -> Tuple[int, int]:
+    """(p, q) as ints, each checked to index a basis of dimension n."""
+    p, q = _index(p), _index(q)
+    if not (0 <= p < n and 0 <= q < n):
+        raise ValueError(f"basis indices ({p}, {q}) out of range for dimension {n}")
+    return p, q
 
 
 def basis_product(p: int, q: int, sig: AlgebraSignature) -> Tuple[TwistCoefficient, int]:
     """Coefficient and index of the product of basis elements p and q."""
-    n = sig.dimension
-    p, q = _index(p), _index(q)
-    if not (0 <= p < n and 0 <= q < n):
-        raise ValueError(f"basis indices ({p}, {q}) out of range for dimension {n}")
+    p, q = _basis_indices(p, q, sig.dimension)
     if sig.convention is Convention.CONJUGATE_LEFT:
         sign, mask = _coefficient(q, p)
     else:
@@ -183,6 +145,7 @@ class TwistTable(_Frozen):
         return 1 << self.t
 
     def entry(self, p: int, q: int) -> TwistCoefficient:
+        p, q = _basis_indices(p, q, self.dimension)
         return TwistCoefficient(int(self.base_signs[p, q]), int(self.gamma_masks[p, q]))
 
     def sign_table(self) -> np.ndarray:

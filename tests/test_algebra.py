@@ -15,14 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdalgebra import algebra, twist
-from cdalgebra.algebra import (Convention, Element, _conj, _mul, as_rational,
+from cdalgebra import algebra
+from cdalgebra.algebra import (Convention, Element, _conj, as_rational,
                                make_algebra, octonions, power_left_nested,
                                quadratic_check, quaternions, sedenions)
 from cdalgebra.fibonacci import GoldenNumber
 from cdalgebra.residue import ResidueField, make_w, residue_field
 from cdalgebra.suites import GAMMA_POOL, run_twist_suite
 from cdalgebra.twist import TwistTable, basis_product, build_table
+from oracles import _mul
 
 RIGHT = Convention.CONJUGATE_RIGHT
 LEFT = Convention.CONJUGATE_LEFT
@@ -316,11 +317,11 @@ class TestPowers:
 
 
 class TestKernel:
-    """Element products (the structure-constant kernel at depths 2-8)
-    against the doubling recursion ``algebra._mul``."""
+    """Element products (the structure-constant kernel, at every depth)
+    against the doubling recursion ``oracles._mul``."""
 
     MIXED = (2, -3, Fraction(5, 7), Fraction(-1, 2), 11, -1, Fraction(3, 4), 5,
-             Fraction(-9, 4))
+             Fraction(-9, 4), -7, Fraction(2, 9), 3)
 
     @staticmethod
     def _pairs(sig, rng):
@@ -466,6 +467,39 @@ class TestKernel:
                     pairs.append((Fraction(-2, 3) * operands[-1], operands[-2]))
                     assert self._mismatches(pairs) == [], (t, conv, gammas)
 
+    def test_sparse_products_above_the_code_depth_match_recursion(self):
+        # Depths 9-12, where the pair loop reads _coefficient, not codes.
+        rng = random.Random(28)
+        for t in range(9, 13):
+            n = 1 << t
+            for conv in Convention:
+                for gammas in ((-1,) * t, self.MIXED[:t]):
+                    sig = make_algebra(t, gammas, conv)
+                    operands = []
+                    for support in (1, 2, 4, 16):
+                        coeffs = [0] * n
+                        for p in rng.sample(range(n), support):
+                            coeffs[p] = rng.choice((1, -1)) * rng.randint(1, 9)
+                        operands.append(sig.element(coeffs))
+                    # Each support meets the next; the recursion takes up to
+                    # 0.15 s for a pair of 16 terms at t = 12.
+                    pairs = list(zip(operands, operands[1:] + operands[:1]))
+                    pairs.append((Fraction(-2, 3) * operands[-1], operands[-2]))
+                    assert self._mismatches(pairs) == [], (t, conv, gammas)
+
+    def test_dense_products_gather_up_to_depth_ten(self, monkeypatch):
+        # One dense pair a depth.  At t = 10 the parameters are -1: under
+        # rational ones the recursion takes 0.9 s rather than 0.5 s.
+        rng = random.Random(29)
+        for t, gammas, conv in ((9, self.MIXED[:9], RIGHT), (10, (-1,) * 10, LEFT)):
+            caches = self._fresh_caches(monkeypatch)
+            sig = make_algebra(t, gammas, conv)
+            x, y = (sig.element([rng.choice((1, -1)) * rng.randint(1, 9)
+                                 for _ in range(sig.dimension)]) for _ in range(2))
+            assert self._mismatches([(x, y)]) == [], t
+            assert caches["_planes"].cache_info().currsize == 1, t
+            monkeypatch.undo()
+
     @staticmethod
     def _fresh_caches(monkeypatch):
         """Empty stand-ins for the caches of the generated products and planes."""
@@ -477,13 +511,18 @@ class TestKernel:
 
     def test_both_sides_of_the_support_pair_switch(self, monkeypatch):
         # Against a full operand, the pair loop runs for supports up to s
-        # and the generated function (t = 4, 5) or the dense gather (t = 6)
-        # from s + 1 on; all read the same codes.
+        # and the generated function (t = 4, 5) or the dense gather (t = 6,
+        # 9) from s + 1 on; all read the same structure constants.  At t = 9
+        # the parameters are -1: under rational ones the recursion takes
+        # about 0.2 s for each of the eight products.
         rng = random.Random(26)
-        for t, s, path in ((4, 2, "_straight"), (5, 5, "_straight"), (6, 36, "_planes")):
+        for t, s, path, gammas in ((4, 2, "_straight", self.MIXED[:4]),
+                                   (5, 5, "_straight", self.MIXED[:5]),
+                                   (6, 36, "_planes", self.MIXED[:6]),
+                                   (9, 260, "_planes", (-1,) * 9)):
             n = 1 << t
             for conv in Convention:
-                sig = make_algebra(t, self.MIXED[:t], conv)
+                sig = make_algebra(t, gammas, conv)
                 full = sig.element([rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(n)])
                 for support in (s, s + 1):
                     caches = self._fresh_caches(monkeypatch)
@@ -506,7 +545,7 @@ class TestKernel:
             for k, row in enumerate(algebra._codes(t)):
                 assert len(row) == n, (t, k)
                 for p, code in enumerate(row):
-                    sign, mask = twist._coefficient(p, p ^ k)
+                    sign, mask = algebra._coefficient(p, p ^ k)
                     assert code == 2 * mask + (sign < 0), (t, k, p)
                     assert code == (2 * int(table.gamma_masks[p, p ^ k])
                                     + (table.base_signs[p, p ^ k] < 0)), (t, k, p)
@@ -520,16 +559,30 @@ class TestKernel:
         bad[k][p] ^= 1
         return lambda depth: bad if depth == t else codes(depth)
 
+    @staticmethod
+    def _flipped_coefficient(p, q):
+        """``_coefficient`` with the sign of e_p * e_q flipped."""
+        coefficient = algebra._coefficient
+
+        def flipped(a, b):
+            sign, mask = coefficient(a, b)
+            return (-sign if (a, b) == (p, q) else sign), mask
+        return flipped
+
     def test_corrupted_plane_is_caught(self, monkeypatch):
         # One flipped sign of e_2 * e_7 must show on every product path, each
         # with empty caches, and must not reach the twist suite's oracle.
         # The path is named by the cache that filled: the generated function
-        # (dense at t = 3 and 5), none for the pair loop (sparse at t = 5),
-        # the planes of the gather (dense at t = 7).
+        # (dense at t = 3 and 5), none for the pair loop (sparse at t = 5,
+        # and at t = 9, where it reads _coefficient, not the codes), the
+        # planes of the gather (dense at t = 7).
         rng = random.Random(22)
         for t, support, path in ((3, 8, "_straight"), (5, 32, "_straight"), (5, 4, None),
-                                 (7, 128, "_planes")):
-            monkeypatch.setattr(algebra, "_codes", self._flipped_codes(t, 2 ^ 7, 2))
+                                 (7, 128, "_planes"), (9, 4, None)):
+            if t > algebra.KERNEL_MAX_DEPTH:
+                monkeypatch.setattr(algebra, "_coefficient", self._flipped_coefficient(2, 7))
+            else:
+                monkeypatch.setattr(algebra, "_codes", self._flipped_codes(t, 2 ^ 7, 2))
             caches = self._fresh_caches(monkeypatch)
             sig = make_algebra(t, self.MIXED[:t], RIGHT)
             operands = []

@@ -449,6 +449,9 @@ _ARRAY_FREE = (
       for t in ("6", "7", "8")),
     *(["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", t, "--symbols", "1,2,3"]
       for t in ("7", "8")),
+    # Above the code depth, sparse products call the pointwise coefficient.
+    ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "12", "--u", "3,4"],
+    ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "12", "--symbols", "1,2,3"],
 )
 
 
@@ -585,6 +588,28 @@ class TestUsageErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ")
         assert "must be >= " in line
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", "1,,2"],
+        ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", ","],
+        ["label", "--pi", "-1,2,", "--w", "1,1,1,1", "--t", "2", "--u", "3,4"],
+        ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--u", ",3,4"],
+        ["residue-field", "--pi", "-1,2", "--w", "1,1,,1,1", "--t", "2"],
+        ["residue-field", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--basis", "1,2,3,"],
+        ["mul-table", "--t", "3", "--gammas", "-1,,-1"],
+        ["mul-table", "--t", "2", "--gammas", "-1,-1,"],
+    ])
+    def test_empty_list_items_are_usage_errors(self, capsys, argv):
+        # An item dropped in silence would leave a truncated input.
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: argument --")
+
+    def test_an_empty_value_is_the_empty_list(self, capsys):
+        argv = ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", ""]
+        assert invoke(capsys, *argv) == (0, "decoded=\n", "")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", suite, *flags]

@@ -6,15 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cdalgebra.algebra import Convention, _mul, make_algebra
+from cdalgebra.algebra import Convention, _coefficient, make_algebra
 from cdalgebra.suites import _descent_coefficient
 from cdalgebra.twist import (MAX_TABLE_DEPTH, BlockClassificationError,
                              BlockKind, TwistCoefficient, TwistTable,
-                             _bit_reverse, _coefficient, basis_product,
+                             _bit_reverse, basis_product,
                              basis_product_element, bit_reversal_permutation,
                              build_table, partition_blocks, power_row_operands,
                              check_power_row_claim, sweep_power_row_claims, shuffle,
                              shuffle_string, twist_sign)
+from oracles import _mul
 
 RIGHT = Convention.CONJUGATE_RIGHT
 LEFT = Convention.CONJUGATE_LEFT
@@ -194,10 +195,12 @@ class TestBasisProduct:
         # A bool would silently stand for index 0 or 1.  Other integer
         # types give the int answer; a float is no index.
         sig = make_algebra(2, [-1, -1], RIGHT)
+        table = build_table(2, RIGHT)
         calls = (sig.basis, lambda b: basis_product(b, 2, sig),
                  lambda b: basis_product(2, b, sig), lambda b: twist_sign(b, 2, 2),
                  lambda b: twist_sign(2, b, 2), lambda b: shuffle(b, 1, 2),
-                 lambda b: shuffle(1, b, 2))
+                 lambda b: shuffle(1, b, 2), lambda b: table.entry(b, 2),
+                 lambda b: table.entry(2, b))
         for call in calls:
             for bad in (True, False):
                 with pytest.raises(TypeError, match="not bool"):
@@ -335,6 +338,13 @@ class TestBuildTable:
             for q in range(16):
                 coeff, _ = basis_product(p, q, sig)
                 assert table.entry(p, q) == coeff
+
+    @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_entry_out_of_range(self, p, q):
+        # numpy would read -1 as the last row, and 4 as an IndexError.
+        with pytest.raises(ValueError, match=rf"^basis indices \({p}, {q}\) out of range "
+                                             r"for dimension 4$"):
+            build_table(2).entry(p, q)
 
     def test_deterministic_rebuild(self):
         assert build_table(6, RIGHT) == build_table(6, RIGHT)
