@@ -225,9 +225,9 @@ def _conj(a: tuple) -> tuple:
 # coefficient pairs run a loop over those pairs, which reads the codes up to
 # KERNEL_MAX_DEPTH and _coefficient above it; at t = 4-5 it is the faster path
 # up to about n**2 / 6 pairs (measured crossings near 34 pairs at t = 4 and 190
-# at t = 5).  Dense operands at t = 6 to GATHER_MAX_DEPTH take one gather over
-# _planes(t) in numpy object arrays, and the pair loop above it.  The doubling
-# recursion these paths replaced is the oracle the tests compare them against.
+# at t = 5).  Dense operands from t = 6 on split into halves by the eq11 stage
+# rule down to _straight(5) (_halves), so no table is built above depth 5.  The
+# doubling recursion to scalars is the oracle the tests compare them against.
 
 
 def _coefficient(p: int, q: int) -> Tuple[int, int]:
@@ -280,13 +280,6 @@ def _coefficient(p: int, q: int) -> Tuple[int, int]:
 # t = 11, where a four-term product by _coefficient takes 0.10 / 0.16 / 0.50 ms
 # at t = 9 / 10 / 12 (the doubling recursion took 1.0 / 1.7 / 6.0 ms).
 KERNEL_MAX_DEPTH = 8
-# Dense products gather up to here.  Codes and planes take about 35 ms / 0.1 s
-# at t = 9 / 10, once per process; then a dense product takes 23 / 104 ms,
-# where the recursion took 113 / 555 ms.  After a dense t = 10 product about
-# 37 MB stays cached, 50 MB with the lower depths' codes.  Above, dense
-# products run the pair loop, about 8.5 s at t = 11 against 2.3 s by the
-# recursion; nothing in the package makes one.
-GATHER_MAX_DEPTH = 10
 # Generated products stop here; their source grows fourfold a depth (14 KB at
 # t = 5, 55 KB at t = 6).
 STRAIGHT_MAX_DEPTH = 5
@@ -343,15 +336,22 @@ def _straight(t: int):
     return namespace["product"]
 
 
-@lru_cache(maxsize=None)
-def _planes(t: int) -> tuple:
-    """``_codes(t)`` as a read-only array ``code[k, p]``, with ``partner[k, p]`` = p ^ k."""
-    import numpy as np
-    p = np.arange(1 << t)
-    partner = p ^ p[:, None]
-    code = np.array(_codes(t), dtype=np.intp)
-    code.flags.writeable = partner.flags.writeable = False
-    return code, partner
+def _halves(xs: tuple, ys: tuple, gammas: tuple, base: list) -> tuple:
+    """eq11 product at depth len(gammas) by halves, down to _straight(STRAIGHT_MAX_DEPTH).
+
+    ``base`` is the start of the full scaled constants, so every half product
+    carries the whole D and the last parameter g = num / den enters as * num // den.
+    """
+    if len(gammas) == STRAIGHT_MAX_DEPTH:
+        return _straight(STRAIGHT_MAX_DEPTH)(xs, ys, base)
+    h = len(xs) >> 1
+    a1, a2, b1, b2 = xs[:h], xs[h:], ys[:h], ys[h:]
+    rest, g = gammas[:-1], gammas[-1]
+    num, den = g.numerator, g.denominator
+    low = [u + v * num // den for u, v in zip(_halves(a1, b1, rest, base),
+                                              _halves(_conj(b2), a2, rest, base))]
+    high = map(add, _halves(a2, _conj(b1), rest, base), _halves(b2, a1, rest, base))
+    return (*low, *high)
 
 
 def _ratio(v: int, den: int) -> Rational:
@@ -365,8 +365,8 @@ def _ratio(v: int, den: int) -> Rational:
 def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
     """eq11 product of numerator tuples through the structure constants.
 
-    At every depth. Returns (z, D) with D = prod(den(gamma_i)): the product
-    of xs / dx and ys / dy is z / (D * dx * dy).
+    At every depth, dense operands above depth 5 by halves.  Returns (z, D) with
+    D = prod(den(gamma_i)): the product of xs / dx and ys / dy is z / (D * dx * dy).
     """
     t = sig.t
     if t == 0:
@@ -384,14 +384,8 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
     if t <= STRAIGHT_MAX_DEPTH:
         if 6 * pairs > n * n:
             return _straight(t)(xs, ys, signed), d
-    elif t <= GATHER_MAX_DEPTH and 2 * pairs > n * (n + 8):
-        # Dense: one gather over the plane.  Object arrays keep every entry
-        # a Python int, so the sums are exact at any size.
-        import numpy as np
-        code, partner = _planes(t)
-        z = (np.array(signed, dtype=object)[code] * np.array(ys, dtype=object)[partner]
-             * np.array(xs, dtype=object)).sum(axis=1)
-        return tuple(z.tolist()), d
+    elif 2 * pairs > n * (n + 8):
+        return _halves(xs, ys, sig.gammas, signed[:2 << STRAIGHT_MAX_DEPTH]), d
     # Few support pairs: visit only those.
     z = [0] * n
     py = [(q, v) for q, v in enumerate(ys) if v]
@@ -604,6 +598,7 @@ def quadratic_check(x: Element) -> bool:
 
 def power_left_nested(x: Element, k: int) -> Element:
     """x**k computed as ((x*x)*x)*..., the pinned power convention."""
+    k = _index(k)
     if k < 0:
         raise ValueError("exponent must be >= 0")
     acc = x.signature.one()

@@ -138,6 +138,7 @@ class GoldenNumber(_Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> GoldenNumber:
+        n = _index(n)
         if n < 0:
             raise ValueError("exponent must be >= 0")
         acc = GoldenNumber(1, 0)

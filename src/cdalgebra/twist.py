@@ -92,8 +92,8 @@ def twist_sign(p: int, q: int, t: int,
     the depth: the range check compares bit lengths instead of building
     2**t.
     """
-    p, q = _index(p), _index(q)
-    if p < 0 or q < 0 or (p | q).bit_length() > t:
+    p, q, t = _index(p), _index(q), _index(t)
+    if p < 0 or q < 0 or (p | q).bit_length() > t:  # also every t < 0
         raise ValueError(f"basis indices ({p}, {q}) out of range for depth {t}")
     if convention == Convention.CONJUGATE_LEFT:
         p, q = q, p
@@ -372,8 +372,8 @@ def shuffle(p: int, q: int, t: int) -> List[Tuple[int, int]]:
     Yields one (p_bit, q_bit) pair per stage, the order in which the
     walk on the tile patterns consumes them.
     """
-    p, q = _index(p), _index(q)
-    if not (0 <= p < 1 << t and 0 <= q < 1 << t):
+    p, q, t = _index(p), _index(q), _index(t)
+    if not (t >= 0 and 0 <= p < 1 << t and 0 <= q < 1 << t):
         raise ValueError(f"indices ({p}, {q}) out of range for depth {t}")
     return [(p >> b & 1, q >> b & 1) for b in range(t - 1, -1, -1)]
 

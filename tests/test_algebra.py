@@ -315,6 +315,15 @@ class TestPowers:
         with pytest.raises(ValueError):
             power_left_nested(quaternions().one(), -1)
 
+    @pytest.mark.parametrize("k, error, message", [
+        (True, TypeError, "not bool"), (False, TypeError, "not bool"),
+        (2.0, TypeError, None), (-1, ValueError, "exponent must be >= 0")])
+    def test_exponent_is_an_index(self, k, error, message):
+        x = quaternions().element([1, 2, 3, 4])
+        with pytest.raises(error, match=message):
+            power_left_nested(x, k)
+        assert power_left_nested(x, np.int64(2)) == x * x
+
 
 class TestKernel:
     """Element products (the structure-constant kernel, at every depth)
@@ -328,8 +337,8 @@ class TestKernel:
         """Dense, rational, basis, two-term and zero operands, paired.
 
         The dense operand has no zero coefficient, so products with it
-        take the straight-line function at depths 2-5 and the dense
-        gather at 6-8, and sparse ones from depth 4 the support loop.  At
+        take the straight-line function at depths 2-5 and the product by
+        halves at 6-8, and sparse ones from depth 4 the support loop.  At
         depths 7 and 8 one dense pair stands for the rest: the recursion
         takes 0.05-0.2 s for each.
         """
@@ -487,54 +496,67 @@ class TestKernel:
                     pairs.append((Fraction(-2, 3) * operands[-1], operands[-2]))
                     assert self._mismatches(pairs) == [], (t, conv, gammas)
 
-    def test_dense_products_gather_up_to_depth_ten(self, monkeypatch):
-        # One dense pair a depth.  At t = 10 the parameters are -1: under
-        # rational ones the recursion takes 0.9 s rather than 0.5 s.
+    def test_dense_products_by_halves_up_to_depth_ten(self, monkeypatch):
+        # One dense pair a depth, split by halves down to the generated depth-5
+        # product.  At t = 7 and 9 a stage above 5 has a denominator (3/4,
+        # -9/4); at t = 10 the parameters are -1: under rational ones the
+        # recursion takes 0.9 s rather than 0.5 s.
         rng = random.Random(29)
-        for t, gammas, conv in ((9, self.MIXED[:9], RIGHT), (10, (-1,) * 10, LEFT)):
-            caches = self._fresh_caches(monkeypatch)
-            sig = make_algebra(t, gammas, conv)
+        for t, conv in zip(range(6, 11), (RIGHT, LEFT, RIGHT, LEFT, LEFT)):
+            straight = self._fresh_straight(monkeypatch)
+            sig = make_algebra(t, self.MIXED[:t] if t in (7, 9) else (-1,) * t, conv)
             x, y = (sig.element([rng.choice((1, -1)) * rng.randint(1, 9)
                                  for _ in range(sig.dimension)]) for _ in range(2))
             assert self._mismatches([(x, y)]) == [], t
-            assert caches["_planes"].cache_info().currsize == 1, t
+            assert straight.cache_info().currsize == 1, t
             monkeypatch.undo()
 
     @staticmethod
-    def _fresh_caches(monkeypatch):
-        """Empty stand-ins for the caches of the generated products and planes."""
-        caches = {name: lru_cache(maxsize=None)(getattr(algebra, name).__wrapped__)
-                  for name in ("_straight", "_planes")}
-        for name, cache in caches.items():
-            monkeypatch.setattr(algebra, name, cache)
-        return caches
+    def _fresh_straight(monkeypatch):
+        """An empty stand-in for the cache of the generated products."""
+        straight = lru_cache(maxsize=None)(algebra._straight.__wrapped__)
+        monkeypatch.setattr(algebra, "_straight", straight)
+        return straight
 
     def test_both_sides_of_the_support_pair_switch(self, monkeypatch):
         # Against a full operand, the pair loop runs for supports up to s
-        # and the generated function (t = 4, 5) or the dense gather (t = 6,
-        # 9) from s + 1 on; all read the same structure constants.  At t = 9
-        # the parameters are -1: under rational ones the recursion takes
-        # about 0.2 s for each of the eight products.
+        # and the generated function from s + 1 on, written out at t = 4-5
+        # and reached by halves at t = 6 and 9; all read the same structure
+        # constants.  At t = 9 the parameters are -1: under rational ones the
+        # recursion takes about 0.2 s for each of the eight products.
         rng = random.Random(26)
-        for t, s, path, gammas in ((4, 2, "_straight", self.MIXED[:4]),
-                                   (5, 5, "_straight", self.MIXED[:5]),
-                                   (6, 36, "_planes", self.MIXED[:6]),
-                                   (9, 260, "_planes", (-1,) * 9)):
+        for t, s, gammas in ((4, 2, self.MIXED[:4]), (5, 5, self.MIXED[:5]),
+                             (6, 36, self.MIXED[:6]), (9, 260, (-1,) * 9)):
             n = 1 << t
             for conv in Convention:
                 sig = make_algebra(t, gammas, conv)
                 full = sig.element([rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(n)])
                 for support in (s, s + 1):
-                    caches = self._fresh_caches(monkeypatch)
+                    straight = self._fresh_straight(monkeypatch)
                     coeffs = [0] * n
                     for p in rng.sample(range(n), support):
                         coeffs[p] = rng.choice((1, -1)) * rng.randint(1, 9)
                     part = sig.element(coeffs)
                     assert self._mismatches([(full, part), (part, full)]) == [], \
                         (t, conv, support)
-                    assert caches[path].cache_info().currsize == (support > s), \
+                    assert straight.cache_info().currsize == (support > s), \
                         (t, conv, support)
                     monkeypatch.undo()
+
+    def test_dense_products_import_no_numpy(self):
+        # By halves, a dense product reads no table above depth 5 and no array.
+        src = str(Path(algebra.__file__).resolve().parents[1])
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {src!r})\n"
+                  "from cdalgebra.algebra import make_algebra\n"
+                  "for t in range(6, 11):\n"
+                  "    sig = make_algebra(t, [-1] * t)\n"
+                  "    x = sig.element(range(1, sig.dimension + 1))\n"
+                  "    assert (x * x).scalar_part() == -sum(c * c for c in x.coeffs[1:]) + 1\n"
+                  "assert 'numpy' not in sys.modules, 'a dense product imported numpy'\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_codes_are_the_structure_constants(self):
         # The doubled codes against two independent derivations: the
@@ -571,19 +593,20 @@ class TestKernel:
 
     def test_corrupted_plane_is_caught(self, monkeypatch):
         # One flipped sign of e_2 * e_7 must show on every product path, each
-        # with empty caches, and must not reach the twist suite's oracle.
-        # The path is named by the cache that filled: the generated function
-        # (dense at t = 3 and 5), none for the pair loop (sparse at t = 5,
-        # and at t = 9, where it reads _coefficient, not the codes), the
-        # planes of the gather (dense at t = 7).
+        # with an empty cache of generated products, and must not reach the
+        # twist suite's oracle.  The seam is the code at the given depth, or
+        # the pointwise coefficient (None: the pair loop above the code
+        # depth, sparse t = 9).  Dense operands fill the cache: generated at
+        # t = 3 and 5, by halves onto the depth-5 code at t = 7 and 9; sparse
+        # ones (t = 5 and 9) run the pair loop and leave it empty.
         rng = random.Random(22)
-        for t, support, path in ((3, 8, "_straight"), (5, 32, "_straight"), (5, 4, None),
-                                 (7, 128, "_planes"), (9, 4, None)):
-            if t > algebra.KERNEL_MAX_DEPTH:
+        for t, support, seam in ((3, 8, 3), (5, 32, 5), (5, 4, 5), (7, 128, 5),
+                                 (9, 4, None), (9, 512, 5)):
+            if seam is None:
                 monkeypatch.setattr(algebra, "_coefficient", self._flipped_coefficient(2, 7))
             else:
-                monkeypatch.setattr(algebra, "_codes", self._flipped_codes(t, 2 ^ 7, 2))
-            caches = self._fresh_caches(monkeypatch)
+                monkeypatch.setattr(algebra, "_codes", self._flipped_codes(seam, 2 ^ 7, 2))
+            straight = self._fresh_straight(monkeypatch)
             sig = make_algebra(t, self.MIXED[:t], RIGHT)
             operands = []
             for must in (2, 7):
@@ -593,8 +616,7 @@ class TestKernel:
                     coeffs[p] = rng.choice((1, -1)) * rng.randint(1, 9)
                 operands.append(sig.element(coeffs))
             assert self._mismatches([tuple(operands)]), (t, support)
-            assert {name: cache.cache_info().currsize for name, cache in caches.items()} \
-                == {name: int(name == path) for name in caches}, (t, support)
+            assert straight.cache_info().currsize == (support == sig.dimension), (t, support)
             assert run_twist_suite(exhaustive_depth=3, random_pairs=10,
                                    table_depth=t).passed
             monkeypatch.undo()

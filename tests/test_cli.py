@@ -439,8 +439,8 @@ _ARRAY_FREE = (
     ["fib-norm", "--n", "10", "--alpha1", "2", "--alpha2", "3"],
     ["threshold", "--alpha1", "2", "--alpha2", "3"],
     ["verify", "--suite", "fib"],
-    # Dense products up to depth 5 run generated code, not the numpy gather.
-    ["verify", "--suite", "core", "--t", "5", "--samples", "5"],
+    # Dense products run generated code up to depth 5 and by halves above.
+    *(["verify", "--suite", "core", "--t", t, "--samples", "5"] for t in ("5", "6")),
     ["residue-field", "--p", "13", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2"],
     ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--u", "3,4"],
     ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", "1,2,3"],

@@ -145,6 +145,15 @@ class TestGoldenNumber:
             p = golden_power(n)
             assert p == GoldenNumber(fib(n - 1), fib(n))
 
+    @pytest.mark.parametrize("n, error, message", [
+        (True, TypeError, "not bool"), (False, TypeError, "not bool"),
+        (2.0, TypeError, None), (-1, ValueError, "exponent must be >= 0")])
+    def test_exponent_is_an_index(self, n, error, message):
+        # A bool would stand for the exponent 0 or 1.
+        with pytest.raises(error, match=message):
+            golden_power(n)
+        assert golden_power(np.int64(5)) == golden_power(5)
+
     def test_sign_positive_cases(self):
         assert GoldenNumber(1, 0).sign() == 1
         assert GoldenNumber(0, 1).sign() == 1

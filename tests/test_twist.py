@@ -293,6 +293,15 @@ class TestTwistSign:
         with pytest.raises(ValueError):
             twist_sign(-1, 0, 2)
 
+    @pytest.mark.parametrize("depth, error, message", [
+        (1.5, TypeError, None), (2.0, TypeError, None), (True, TypeError, "not bool"),
+        (-1, ValueError, "out of range for depth -1")])
+    def test_depth_is_an_index(self, depth, error, message):
+        # A float or bool depth is no depth, and a negative one is out of range.
+        with pytest.raises(error, match=message):
+            twist_sign(3, 1, depth)
+        assert twist_sign(3, 1, np.int64(2)) == twist_sign(3, 1, 2)
+
     def test_depth_above_the_indices_costs_nothing(self):
         # Stages above the top bit of p | q contribute nothing, so a
         # depth of ten million answers at once and as at depth 2.
@@ -599,6 +608,16 @@ class TestShuffle:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             shuffle(4, 0, 2)
+
+    @pytest.mark.parametrize("depth, error, message", [
+        (2.0, TypeError, None), (True, TypeError, "not bool"),
+        (-1, ValueError, "out of range for depth -1")])
+    def test_depth_is_an_index(self, depth, error, message):
+        # A float or bool depth is no depth; a negative one gets the range
+        # message, not "negative shift count".
+        with pytest.raises(error, match=message):
+            shuffle(0, 0, depth)
+        assert shuffle(2, 1, np.int64(2)) == shuffle(2, 1, 2)
 
 
 class TestPowerRowReports:
