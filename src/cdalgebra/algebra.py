@@ -45,8 +45,8 @@ _CONJUGATE_LEFT = Convention.CONJUGATE_LEFT
 def as_rational(value: Rational) -> Rational:
     """Coerce to an exact scalar, rejecting floats.
 
-    Fractions with denominator 1 collapse to int so that integer-only
-    computations stay on the fast path.
+    Fractions with denominator 1 and int subclasses collapse to int, so
+    that integer-only computations stay on the fast path.
     """
     if type(value) is int:
         return value
@@ -55,7 +55,7 @@ def as_rational(value: Rational) -> Rational:
     if isinstance(value, bool):
         raise TypeError("bool is not a valid scalar")
     if isinstance(value, int):
-        return value
+        return int(value)
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
@@ -227,7 +227,10 @@ def _conj(a: tuple) -> tuple:
 # up to about n**2 / 6 pairs (measured crossings near 34 pairs at t = 4 and 190
 # at t = 5).  Dense operands from t = 6 on split into halves by the eq11 stage
 # rule down to _straight(5) (_halves), so no table is built above depth 5.  The
-# doubling recursion to scalars is the oracle the tests compare them against.
+# halves take over past about n**2 / 2 pairs at t = 6-8, and past n**2 / 32
+# above KERNEL_MAX_DEPTH, where each pair costs a _coefficient call of about
+# 1.3-2 us (measured crossings near n**2 / 32 at t = 9-11).  The doubling
+# recursion to scalars is the oracle the tests compare them against.
 
 
 def _coefficient(p: int, q: int) -> Tuple[int, int]:
@@ -384,7 +387,7 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
     if t <= STRAIGHT_MAX_DEPTH:
         if 6 * pairs > n * n:
             return _straight(t)(xs, ys, signed), d
-    elif 2 * pairs > n * (n + 8):
+    elif 2 * pairs > (n * (n + 8) if t <= KERNEL_MAX_DEPTH else n * n // 16):
         return _halves(xs, ys, sig.gammas, signed[:2 << STRAIGHT_MAX_DEPTH]), d
     # Few support pairs: visit only those.
     z = [0] * n

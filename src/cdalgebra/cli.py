@@ -200,7 +200,8 @@ def _cmd_twist(args) -> Iterable[str]:
 
 def _cmd_blocks(args) -> Iterable[str]:
     kinds = partition_blocks(build_table(args.t, args.convention))
-    lines = [" ".join(f"{BlockKind(k).label():>3}" for k in row) + "\n" for row in kinds]
+    labels = [f"{kind.label():>3}" for kind in BlockKind]  # indexed by kind value
+    lines = [" ".join([labels[k] for k in row]) + "\n" for row in kinds.tolist()]
     lines.append(f"all {kinds.size} blocks classified: PASS\n")
     return lines
 

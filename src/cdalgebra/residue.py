@@ -456,10 +456,12 @@ def _verify_field(field: ResidueField) -> None:
     The labelling is additive and onto, multiplicative iff w*w labels as
     s*s, and its kernel holds pi; both it and (pi) have index p, so they
     are equal and the p representatives checked below are the field.
+    They are distinct because reps[k] labels as k for every k: equal
+    coordinates would give equal labels.
     """
     p, s, reps = field.p, field.s, field.reps
-    if len({(u.a, u.b) for u in reps}) != p:
-        raise ArithmeticError("representatives are not distinct")
+    if len(reps) != p:
+        raise ArithmeticError(f"{len(reps)} representatives for {p} classes")
     for k, u in enumerate(reps):
         if field.label(u) != k:
             raise ArithmeticError(f"representative {u} mislabelled as {k}")

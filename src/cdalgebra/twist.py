@@ -415,45 +415,65 @@ class PowerRowReport:
     +1 sibling is a top-bit flip); in that reading the four products
     always form a C tile up to one global sign, which is compared
     against both published exponents, (-1)**(r+2) from the table and
-    (-1)**(k-r+1) from the supporting walk.
+    (-1)**(k-r+1) from the supporting walk.  Only the eight measured
+    products are stored; every verdict is derived from them.
     """
 
     r: int
     k: int
     i: int
     t: int
-    row_base: int
-    col_base: int
-    m_stated: int
-    m_computed: int
-    supported_index_reading: str
     cells: Tuple[ProductCell, ...]
-    literal_signs_match_claim: bool
     tree_cells: Tuple[int, int, int, int]
-    tree_forms_c_tile: bool
-    tree_corner_sign: int
-    tree_matches_table_sign: bool
-    tree_matches_walk_sign: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r, "k": self.k, "i": self.i, "t": self.t,
-            "row_base": self.row_base, "col_base": self.col_base,
-            "m_stated": self.m_stated, "m_computed": self.m_computed,
-            "supported_index_reading": self.supported_index_reading,
-            "literal_signs_match_claim": self.literal_signs_match_claim,
-            "tree_cells": list(self.tree_cells),
-            "tree_forms_c_tile": self.tree_forms_c_tile,
-            "tree_corner_sign": self.tree_corner_sign,
-            "tree_matches_table_sign": self.tree_matches_table_sign,
-            "tree_matches_walk_sign": self.tree_matches_walk_sign,
-            "cells": [
-                {"row": c.row, "col": c.col, "claimed_sign": c.claimed_sign,
-                 "actual_sign": c.actual_sign, "actual_index": c.actual_index,
-                 "sign_matches": c.sign_matches}
-                for c in self.cells
-            ],
-        }
+    @property
+    def row_base(self) -> int:
+        return self.cells[0].row
+
+    @property
+    def col_base(self) -> int:
+        return self.cells[0].col
+
+    @property
+    def m_stated(self) -> int:
+        return (1 << self.k) ^ self.col_base
+
+    @property
+    def m_computed(self) -> int:
+        return self.row_base ^ self.col_base
+
+    @property
+    def supported_index_reading(self) -> str:
+        """Which of m_computed and m_stated the actual indices fit as
+        (m, m + 1, m + 1, m): "both", "computed", "stated" or "neither"."""
+        actual = tuple(c.actual_index for c in self.cells)
+        computed, stated = (actual == (m, m + 1, m + 1, m)
+                            for m in (self.m_computed, self.m_stated))
+        if computed:
+            return "both" if stated else "computed"
+        return "stated" if stated else "neither"
+
+    @property
+    def literal_signs_match_claim(self) -> bool:
+        return all(c.sign_matches for c in self.cells)
+
+    @property
+    def tree_forms_c_tile(self) -> bool:
+        corner = self.tree_cells[0]
+        return self.tree_cells == (corner, -corner, -corner, -corner)
+
+    @property
+    def tree_corner_sign(self) -> int:
+        """The C tile's global sign, 0 when the tree cells form no C tile."""
+        return self.tree_cells[0] if self.tree_forms_c_tile else 0
+
+    @property
+    def tree_matches_table_sign(self) -> bool:
+        return self.tree_corner_sign == (-1) ** (self.r + 2)
+
+    @property
+    def tree_matches_walk_sign(self) -> bool:
+        return self.tree_corner_sign == (-1) ** (self.k - self.r + 1)
 
     def summary(self) -> str:
         tree = "C-tile" if self.tree_forms_c_tile else "not a C-tile"
@@ -483,49 +503,16 @@ def check_power_row_claim(r: int, k: int, i: int, t: int) -> PowerRowReport:
     base_sign = (-1) ** (r + 2)
     claim = {(0, 0): base_sign, (0, 1): -base_sign,
              (1, 0): -base_sign, (1, 1): -base_sign}
-    cells = []
-    tree_cells = []
     half = 1 << (t - 1)
     left = Convention.CONJUGATE_LEFT
     rrow, rcol = _bit_reverse(row, t), _bit_reverse(col, t)
-    for dr in (0, 1):
-        for dc in (0, 1):
-            p, q = row + dr, col + dc
-            cells.append(ProductCell(
-                row=p, col=q,
-                claimed_sign=claim[(dr, dc)],
-                actual_sign=twist_sign(p, q, t, left),
-                actual_index=p ^ q,
-            ))
-            tree_cells.append(
-                twist_sign(rrow ^ (dr * half), rcol ^ (dc * half), t, left))
-    m_stated = (1 << k) ^ col
-    m_computed = row ^ col
-    actual = tuple(c.actual_index for c in cells)
-    fits_computed = actual == (m_computed, m_computed + 1, m_computed + 1, m_computed)
-    fits_stated = actual == (m_stated, m_stated + 1, m_stated + 1, m_stated)
-    if fits_computed and fits_stated:
-        reading = "both"
-    elif fits_computed:
-        reading = "computed"
-    elif fits_stated:
-        reading = "stated"
-    else:
-        reading = "neither"
-    corner = tree_cells[0]
-    forms_c = tuple(tree_cells) == (corner, -corner, -corner, -corner)
-    return PowerRowReport(
-        r=r, k=k, i=i, t=t, row_base=row, col_base=col,
-        m_stated=m_stated, m_computed=m_computed,
-        supported_index_reading=reading,
-        cells=tuple(cells),
-        literal_signs_match_claim=all(c.sign_matches for c in cells),
-        tree_cells=tuple(tree_cells),
-        tree_forms_c_tile=forms_c,
-        tree_corner_sign=corner if forms_c else 0,
-        tree_matches_table_sign=forms_c and corner == base_sign,
-        tree_matches_walk_sign=forms_c and corner == (-1) ** (k - r + 1),
-    )
+    cells = tuple(ProductCell(row=row + dr, col=col + dc, claimed_sign=claimed,
+                              actual_sign=twist_sign(row + dr, col + dc, t, left),
+                              actual_index=(row + dr) ^ (col + dc))
+                  for (dr, dc), claimed in claim.items())
+    tree_cells = tuple(twist_sign(rrow ^ (dr * half), rcol ^ (dc * half), t, left)
+                       for dr, dc in claim)
+    return PowerRowReport(r=r, k=k, i=i, t=t, cells=cells, tree_cells=tree_cells)
 
 
 def admissible_triples(t: int) -> Iterator[Tuple[int, int, int]]:

@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -521,12 +522,15 @@ class TestKernel:
     def test_both_sides_of_the_support_pair_switch(self, monkeypatch):
         # Against a full operand, the pair loop runs for supports up to s
         # and the generated function from s + 1 on, written out at t = 4-5
-        # and reached by halves at t = 6 and 9; all read the same structure
-        # constants.  At t = 9 the parameters are -1: under rational ones the
-        # recursion takes about 0.2 s for each of the eight products.
+        # and reached by halves at t = 6, 9 and 10; all read the same
+        # structure constants.  Above depth 8 the pair loop calls
+        # _coefficient, and the halves take over past n**2 / 32 pairs.  At
+        # t = 9-10 the parameters are -1: under rational ones the recursion
+        # takes about 0.2 s for each of the eight products at t = 9.
         rng = random.Random(26)
         for t, s, gammas in ((4, 2, self.MIXED[:4]), (5, 5, self.MIXED[:5]),
-                             (6, 36, self.MIXED[:6]), (9, 260, (-1,) * 9)):
+                             (6, 36, self.MIXED[:6]), (9, 16, (-1,) * 9),
+                             (10, 32, (-1,) * 10)):
             n = 1 << t
             for conv in Convention:
                 sig = make_algebra(t, gammas, conv)
@@ -654,6 +658,17 @@ class TestStoredForm:
             assert den > 0 and gcd(den, *nums) == 1, x
             assert (den == 1) == all(type(c) is int for c in x.coeffs), x
             assert list(x.coeffs) == [Fraction(v, den) for v in nums]
+
+    def test_int_subclasses_are_stored_as_int(self):
+        class K(IntEnum):
+            A = 3
+            M = -1
+
+        x = quaternions().element([K.A, 1, 0, 0])
+        assert [type(v) for v in x.coeffs] == [int] * 4 and x == quaternions().element([3, 1, 0, 0])
+        sig = make_algebra(2, [K.M, K.M])
+        assert [type(g) for g in sig.gammas] == [int, int] and sig == quaternions()
+        assert repr(sig) == repr(quaternions())
 
     def test_integer_coeffs_are_the_numerators(self):
         x = quaternions().element([3, -2, 0, 1])

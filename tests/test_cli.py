@@ -268,6 +268,17 @@ class TestBlocks:
         assert code == 0
         assert out.splitlines()[0].strip() == "A0"
 
+    @pytest.mark.parametrize("convention", list(Convention))
+    def test_depth_five_matrix(self, capsys, convention):
+        # One right-aligned label per tile, rows in tree order: every label
+        # of the convention's alphabet occurs at t = 5.
+        code, out, _ = invoke(capsys, "blocks", "--t", "5", "--convention", convention.value)
+        assert code == 0
+        kinds = twist.partition_blocks(build_table(5, convention))
+        rows = [" ".join(f"{twist.BlockKind(k).label():>3}" for k in row) + "\n"
+                for row in kinds]
+        assert out == "".join(rows) + "all 256 blocks classified: PASS\n"
+
 
 class TestVerify:
     def test_residue_suite(self, capsys):

@@ -569,6 +569,17 @@ class TestCertificate:
         assert not exhaustive_field_check(bad)
         assert not certified(bad)
 
+    @pytest.mark.parametrize("edit", ["duplicate", "one short"])
+    def test_wrong_count_of_distinct_representatives_fails_both(self, field, edit):
+        reps = list(field.reps)
+        if edit == "duplicate":
+            reps[3] = reps[2]
+        else:
+            del reps[-1]
+        bad = dataclasses.replace(field, reps=tuple(reps))
+        assert not exhaustive_field_check(bad)
+        assert not certified(bad)
+
     def test_large_class_mate_fails_both(self, field):
         reps = list(field.reps)
         reps[5] = reps[5] + 3 * field.pi

@@ -1,6 +1,7 @@
 """Unit tests for structure constants, sign tables and tile partition."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -635,30 +636,25 @@ class TestPowerRowReports:
     def test_single_report(self):
         report = check_power_row_claim(1, 2, 3, 4)
         assert report.supported_index_reading == "both"
+        assert (report.row_base, report.col_base) == power_row_operands(1, 2, 3, 4)
         assert report.m_computed == report.row_base ^ report.col_base
         assert report.tree_forms_c_tile
         assert len(report.cells) == 4
-        d = report.to_dict()
-        assert d["r"] == 1 and len(d["cells"]) == 4
 
-    def test_sweep_depth_five_reading_is_consistent(self):
-        reports = sweep_power_row_claims(5)
-        assert len(reports) == 10
-        # The computed reading of the result index holds everywhere; the
-        # stated one only coincides when r = 1 collapses the two.
-        for report in reports:
-            assert report.supported_index_reading in ("computed", "both")
-            assert (report.supported_index_reading == "both") == (report.r == 1)
-            assert report.tree_forms_c_tile
-
-    def test_sweep_corner_signs_frozen(self):
-        # Oracle-computed corner signs of the tree-order tiles at depth 5.
-        reports = sweep_power_row_claims(5)
-        assert [r.tree_corner_sign for r in reports] == [
-            1, 1, 1, -1, -1, 1, -1, -1, 1, 1]
-        # Neither published exponent matches every triple.
-        assert not all(r.tree_matches_table_sign for r in reports)
-        assert not all(r.tree_matches_walk_sign for r in reports)
+    def test_depth_thirty_verdicts_pinned(self):
+        # Every admissible triple at t = 30.  The computed reading of the
+        # result index holds everywhere; the stated one coincides with it
+        # only where r = 1.  Every tree reading forms a C tile, and neither
+        # published exponent gives its sign everywhere.
+        reports = sweep_power_row_claims(30)
+        assert len(reports) == 4060
+        assert Counter((r.supported_index_reading, r.r == 1) for r in reports) == {
+            ("both", True): 406, ("computed", False): 3654}
+        assert all(r.tree_forms_c_tile for r in reports)
+        assert Counter(r.tree_corner_sign for r in reports) == {1: 2849, -1: 1211}
+        assert sum(r.tree_matches_table_sign for r in reports) == 2016
+        assert sum(r.tree_matches_walk_sign for r in reports) == 2226
+        assert not any(r.literal_signs_match_claim for r in reports)
 
     def test_literal_reading_never_forms_the_claimed_pattern(self):
         # In plain XOR indexing the four products never reproduce the
