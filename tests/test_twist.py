@@ -641,6 +641,25 @@ class TestPowerRowReports:
         assert report.tree_forms_c_tile
         assert len(report.cells) == 4
 
+    def test_sweep_depth_five_reading_is_consistent(self):
+        reports = sweep_power_row_claims(5)
+        assert len(reports) == 10
+        # The computed reading of the result index holds everywhere; the
+        # stated one only coincides when r = 1 collapses the two.
+        for report in reports:
+            assert report.supported_index_reading in ("computed", "both")
+            assert (report.supported_index_reading == "both") == (report.r == 1)
+            assert report.tree_forms_c_tile
+
+    def test_sweep_corner_signs_frozen(self):
+        # Oracle-computed corner signs of the tree-order tiles at depth 5.
+        reports = sweep_power_row_claims(5)
+        assert [r.tree_corner_sign for r in reports] == [
+            1, 1, 1, -1, -1, 1, -1, -1, 1, 1]
+        # Neither published exponent matches every triple.
+        assert not all(r.tree_matches_table_sign for r in reports)
+        assert not all(r.tree_matches_walk_sign for r in reports)
+
     def test_depth_thirty_verdicts_pinned(self):
         # Every admissible triple at t = 30.  The computed reading of the
         # result index holds everywhere; the stated one coincides with it
