@@ -46,7 +46,8 @@ def as_rational(value: Rational) -> Rational:
     """Coerce to an exact scalar, rejecting floats.
 
     Fractions with denominator 1 and int subclasses collapse to int, so
-    that integer-only computations stay on the fast path.
+    that integer-only computations stay on the fast path; other Fraction
+    subclasses come back as a plain Fraction.
     """
     if type(value) is int:
         return value
@@ -57,7 +58,8 @@ def as_rational(value: Rational) -> Rational:
     if isinstance(value, int):
         return int(value)
     if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
+        num, den = value.numerator, value.denominator
+        return num if den == 1 else Fraction(num, den)
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
 
 
@@ -283,6 +285,9 @@ def _coefficient(p: int, q: int) -> Tuple[int, int]:
 # t = 11, where a four-term product by _coefficient takes 0.10 / 0.16 / 0.50 ms
 # at t = 9 / 10 / 12 (the doubling recursion took 1.0 / 1.7 / 6.0 ms).
 KERNEL_MAX_DEPTH = 8
+# Dense tables (twist.build_table) stop here: one of depth 12 holds 4**12
+# entries in about 50 MB.
+MAX_TABLE_DEPTH = 12
 # Generated products stop here; their source grows fourfold a depth (14 KB at
 # t = 5, 55 KB at t = 6).
 STRAIGHT_MAX_DEPTH = 5
@@ -295,6 +300,9 @@ def _codes(t: int) -> list:
     ``codes[k][p]`` is 2 * mask + (sign < 0) of e_p * e_(p^k).  With h = 2**(t-1), P < h,
     Q = P ^ k: row k appends e_(P+h) e_(Q+h) = gamma_t conj(e_Q) e_P, row k + h is
     e_P e_(Q+h) = e_Q e_P, then e_(P+h) e_Q = e_P conj(e_Q); conj(e_Q) = -e_Q if Q != 0.
+
+    Read by the pair loop of ``_kernel_mul``, by ``_straight`` and by the
+    CLI's ``mul-table``, which renders its rows from them.
     """
     old = _codes(t - 1) if t > 1 else [[0]]  # depth 0: e_0 * e_0 = e_0
     h = len(old)

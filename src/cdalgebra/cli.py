@@ -23,17 +23,25 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import Convention, make_algebra
-from .twist import (MAX_TABLE_DEPTH, BlockKind, TwistTable, build_table,
-                    partition_blocks, twist_sign)
+from .algebra import MAX_TABLE_DEPTH, Convention, _codes, make_algebra
 
 if TYPE_CHECKING:
     from .residue import ResidueField
 
-# Handlers import the fibonacci, residue and suites modules themselves, so
-# a process loads only what its subcommand runs.
+# Handlers import the twist, fibonacci, residue and suites modules
+# themselves, so a process loads only what its subcommand runs: only
+# ``blocks`` and the twist suite of ``verify`` load numpy.
+_TWIST_NAMES = ("BlockKind", "TwistTable", "build_table", "partition_blocks", "twist_sign")
+
+
+def __getattr__(name: str):
+    """The twist names this module once imported, read from ``twist`` on each use."""
+    if name in _TWIST_NAMES:
+        from . import twist
+        return getattr(twist, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -97,32 +105,48 @@ def _convention(text: str) -> Convention:
 #
 # Handlers validate and compute eagerly, then return their text as an
 # iterable of chunks; ``run`` writes the chunks as they come.  Tables (one
-# row a chunk) and fields are written straight from their arrays and reps,
-# in the bytes ``csv`` and ``json.dumps(..., indent=2)`` would write: the
-# cells are ints and bit strings, so nothing needs quoting or escaping.
+# row a chunk) and fields are written straight from the kernel's codes and
+# the field's reps, in the bytes ``csv`` and ``json.dumps(..., indent=2)``
+# would write: the cells are ints and bit strings, so nothing needs quoting
+# or escaping.
 
 _CSV_ROW = "{},{},{},{},{}\n"
-_TABLE_ENTRY = ('    {{\n      "p": {},\n      "q": {},\n      "index": {},\n'
-                '      "sign": {},\n      "gamma_mask": "{}"\n    }}')
+# A table cell in three parts: the row's head, filled with p; the text
+# between q and p ^ q; the tail, filled with the sign and the mask bits.
+_CSV_CELL = ("{},", ",", ",{},{}\n")
+_TABLE_ENTRY = ('    {{\n      "p": {},\n      "q": ', ',\n      "index": ',
+                ',\n      "sign": {},\n      "gamma_mask": "{}"\n    }}')
 _FIELD_ENTRY = ('    {{\n      "k": {},\n      "a": {},\n      "b": {},\n'
                 '      "norm": {}\n    }}')
 
 
-def _table_chunks(table: TwistTable, cell: str, sep: str) -> Iterator[str]:
-    """One chunk per row p: ``cell`` filled with p, q, p ^ q, sign and mask bits."""
-    bits = [format(m, f"0{table.t}b") for m in range(table.dimension)]
-    for p in range(table.dimension):
-        row = zip(table.base_signs[p].tolist(), table.gamma_masks[p].tolist())
-        yield sep.join([cell.format(p, q, p ^ q, s, bits[m])
-                        for q, (s, m) in enumerate(row)])
+def _table_chunks(t: int, convention: Convention, cell: Tuple[str, str, str],
+                  sep: str) -> Iterator[str]:
+    """One chunk per row p: a ``cell`` for each q, with p, q, p ^ q, sign and mask bits.
+
+    Read from the kernel's codes, 2 * mask + (sign < 0): the code of e_p * e_q
+    is ``codes[p ^ q][p]`` under eq11 and ``codes[p ^ q][q]`` under eq31, the
+    opposite product.  Each row gathers its codes over k = p ^ q, one per
+    code row, then reads them in q order; each code's tail is rendered once.
+    """
+    head, mid, tail = cell
+    n = 1 << t
+    codes = _codes(t)
+    tails = [tail.format(-1 if c & 1 else 1, format(c >> 1, f"0{t}b")) for c in range(2 * n)]
+    left = convention is Convention.CONJUGATE_LEFT
+    qs = range(n)
+    for p in qs:
+        by_k = [r[p ^ k] for k, r in enumerate(codes)] if left else [r[p] for r in codes]
+        row = head.format(p)
+        yield sep.join([f"{row}{q}{mid}{p ^ q}{tails[by_k[p ^ q]]}" for q in qs])
 
 
 def _field_text(field: ResidueField, cell: str, sep: str) -> str:
     """``cell`` filled with k, a, b, norm and element for every label.
 
     One chunk: a CSV row is about 32 bytes and a JSON entry about 85.  At
-    p = 1,021,441 a CSV table peaks at the 354 MB that ``label`` needs for
-    the same field, a JSON one at 421 MB.
+    p = 1,021,441 a CSV table peaks at 275 MB and a JSON one at 378 MB,
+    against the 240 MB that ``label`` needs for the same field.
     """
     return sep.join([cell.format(k, u.a, u.b, u.norm(), u)
                      for k, u in enumerate(field.reps)])
@@ -184,21 +208,23 @@ def _unbounded_int_output():
 
 def _cmd_mul_table(args) -> Iterable[str]:
     sig = make_algebra(args.t, args.gammas, args.convention)  # validates count/nonzero
-    table = build_table(args.t, args.convention)
     if args.format == "csv":
         return itertools.chain(["p,q,index,sign,gamma_mask\n"],
-                               _table_chunks(table, _CSV_ROW, ""))
-    header = {"t": table.t, "convention": table.convention.value,
+                               _table_chunks(sig.t, sig.convention, _CSV_CELL, ""))
+    header = {"t": sig.t, "convention": sig.convention.value,
               "gammas": [str(Fraction(g)) for g in sig.gammas]}
-    return _json_list(header, "entries", _table_chunks(table, _TABLE_ENTRY, ",\n"))
+    return _json_list(header, "entries",
+                      _table_chunks(sig.t, sig.convention, _TABLE_ENTRY, ",\n"))
 
 
 def _cmd_twist(args) -> Iterable[str]:
+    from .twist import twist_sign
     sign = twist_sign(args.p, args.q, args.t, args.convention)
     return [f"sign={sign:+d} index={args.p ^ args.q}\n"]
 
 
 def _cmd_blocks(args) -> Iterable[str]:
+    from .twist import BlockKind, build_table, partition_blocks
     kinds = partition_blocks(build_table(args.t, args.convention))
     labels = [f"{kind.label():>3}" for kind in BlockKind]  # indexed by kind value
     lines = [" ".join([labels[k] for k in row]) + "\n" for row in kinds.tolist()]

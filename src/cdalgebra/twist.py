@@ -18,13 +18,11 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
-from .algebra import (AlgebraSignature, Convention, Element, Rational, _coefficient, _Frozen,
-                      _index, as_rational)
+from .algebra import (MAX_TABLE_DEPTH, AlgebraSignature, Convention, Element, Rational,
+                      _coefficient, _Frozen, _index, as_rational)
 
 if TYPE_CHECKING:
     import numpy as np
-
-MAX_TABLE_DEPTH = 12
 
 
 class BlockClassificationError(Exception):

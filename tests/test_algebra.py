@@ -670,6 +670,19 @@ class TestStoredForm:
         assert [type(g) for g in sig.gammas] == [int, int] and sig == quaternions()
         assert repr(sig) == repr(quaternions())
 
+    def test_fraction_subclasses_are_stored_as_fraction_or_int(self):
+        class F(Fraction):
+            pass
+
+        assert [type(as_rational(v)) for v in (F(1, 2), F(3, 1))] == [Fraction, int]
+        x = quaternions().element([F(1, 2), F(3, 1), 0, 0])
+        assert [type(v) for v in x.coeffs] == [Fraction, int, int, int]
+        assert x == quaternions().element([Fraction(1, 2), 3, 0, 0])
+        sig = make_algebra(2, [F(1, 2), F(3, 1)])
+        assert [type(g) for g in sig.gammas] == [Fraction, int]
+        assert sig == make_algebra(2, [Fraction(1, 2), 3])
+        assert repr(sig) == repr(make_algebra(2, [Fraction(1, 2), 3]))
+
     def test_integer_coeffs_are_the_numerators(self):
         x = quaternions().element([3, -2, 0, 1])
         assert x.coeffs is x._nums

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdalgebra import algebra, fibonacci, residue, twist
+from cdalgebra import algebra, cli, fibonacci, residue, twist
 from cdalgebra.algebra import Convention, make_algebra
 from cdalgebra.cli import run
 from cdalgebra.fibonacci import fib
@@ -147,13 +147,26 @@ def csv_text(rows, columns):
     return buf.getvalue()
 
 
+def assert_same_text(out, want):
+    """``out == want``, reported at the first line that differs.
+
+    pytest's own report diffs the whole text, which takes minutes at the
+    megabytes of a depth-8 table.
+    """
+    if out != want:
+        got, expected = out.splitlines(), want.splitlines()
+        line = next((i for i, pair in enumerate(zip(got, expected)) if pair[0] != pair[1]),
+                    min(len(got), len(expected)))
+        pytest.fail(f"line {line + 1}: got {got[line:line + 1]}, want {expected[line:line + 1]}")
+
+
 class TestOutputBytes:
-    GAMMAS = ("-1", "2", "1/2", "-3/4", "5", "7/3")
+    GAMMAS = ("-1", "2", "1/2", "-3/4", "5", "7/3", "-2/5", "3")
     FIELD = ("--w", "1,1,1,1", "--t", "2")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("convention", list(Convention))
-    @pytest.mark.parametrize("t", range(1, 7))
+    @pytest.mark.parametrize("t", range(1, 9))
     def test_mul_table_matches_dict_oracle(self, capsys, t, convention, fmt):
         gammas = ",".join(self.GAMMAS[:t])
         code, out, err = invoke(capsys, "mul-table", "--t", str(t), "--gammas", gammas,
@@ -165,7 +178,7 @@ class TestOutputBytes:
         else:
             sig = make_algebra(t, [Fraction(g) for g in self.GAMMAS[:t]], convention)
             want = json.dumps(table_to_dict(table, sig.gammas), indent=2) + "\n"
-        assert out == want
+        assert_same_text(out, want)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("p, pi", [(13, (-1, 2)), (61, (5, 2))])
@@ -178,7 +191,7 @@ class TestOutputBytes:
             want = csv_text(field_rows(field), ["k", "a", "b", "norm", "element"])
         else:
             want = json.dumps(field_to_dict(field), indent=2) + "\n"
-        assert out == want
+        assert_same_text(out, want)
 
     @pytest.mark.parametrize("argv", [
         ["mul-table", "--t", "3", "--gammas", "-1,2,1/2", "--format", "json"],
@@ -442,11 +455,16 @@ def _src_env():
 
 
 # Subcommands that need no array: their processes load neither numpy nor
-# sympy.  Tables, blocks and dense products at depth 4 and up still load
-# numpy.  ``import cdalgebra`` loads no submodule, and the CLI module only
-# the two it parses with; handlers import the rest.
+# sympy.  Only ``blocks`` and the twist suite of ``verify`` build arrays and
+# load numpy; no Element operation does, dense or sparse, at any depth.  ``import cdalgebra`` loads
+# no submodule, and the CLI module only ``algebra``, which it parses with;
+# handlers import the rest.
 _ARRAY_FREE = (
     ["twist", "--t", "30", "--p", "5", "--q", "9"],
+    # Tables are rendered from the kernel's codes.
+    ["mul-table", "--t", "6", "--gammas", "2,-3,1/2,-1,3,-1"],
+    ["mul-table", "--t", "8", "--gammas", ",".join(["-1"] * 8), "--convention", "eq31"],
+    ["mul-table", "--t", "4", "--gammas", "-1,2,1/2,-3/4", "--format", "json"],
     ["fib-norm", "--n", "10", "--alpha1", "2", "--alpha2", "3"],
     ["threshold", "--alpha1", "2", "--alpha2", "3"],
     ["verify", "--suite", "fib"],
@@ -473,8 +491,7 @@ def test_residue_field_runs_without_sympy():
               "assert not loaded, f'import cdalgebra loaded {loaded}'\n"
               "from cdalgebra import cli\n"
               "loaded = {m for m in sys.modules if m.startswith('cdalgebra.')}\n"
-              "assert loaded == {'cdalgebra.algebra', 'cdalgebra.twist',\n"
-              "                  'cdalgebra.cli'}, loaded\n"
+              "assert loaded == {'cdalgebra.algebra', 'cdalgebra.cli'}, loaded\n"
               f"for argv in {_ARRAY_FREE!r}:\n"
               "    code = cli.run(argv)\n"
               "    assert code == 0, (argv, code)\n"
@@ -483,6 +500,36 @@ def test_residue_field_runs_without_sympy():
     proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul-table", "--t", "6", "--gammas", "2,-3,1/2,-1,3,-1"],
+    ["mul-table", "--t", "4", "--gammas", "-1,2,1/2,-3/4", "--format", "json"],
+    ["fib-norm", "--n", "10", "--alpha1", "2", "--alpha2", "3"],
+    ["threshold", "--alpha1", "2", "--alpha2", "3"],
+    ["residue-field", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2"],
+    ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "8", "--u", "3,4"],
+    ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", "1,2,3"],
+    ["blocks", "--t", "3"],  # builds arrays
+], ids=lambda argv: argv[0])
+def test_process_imports_only_what_its_subcommand_runs(argv):
+    # ``-X importtime`` names every module the process imports on stderr.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cdalgebra.cli", *argv],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "cdalgebra.algebra" in imported
+    loads_tables = argv[0] == "blocks"
+    assert ("numpy" in imported) is loads_tables
+    assert ("cdalgebra.twist" in imported) is loads_tables
+
+
+def test_cli_module_reads_twist_names_from_twist():
+    for name in cli._TWIST_NAMES:
+        assert getattr(cli, name) is getattr(twist, name), name
+    with pytest.raises(AttributeError, match="no attribute 'sign_table'"):
+        cli.sign_table
 
 
 def test_package_exports_resolve_on_first_use():

@@ -1,6 +1,7 @@
 """Unit tests for integer subrings, modulo reduction, fields and labelling."""
 
 import dataclasses
+import gc
 import logging
 import operator
 import random
@@ -759,6 +760,22 @@ class TestTableBuild:
     def test_large_field(self, golden_gen):
         pi = golden_gen.element(-133, 107)
         assert coordinates(residue_field(pi, verify=False).reps) == coordinates(oracle_reps(pi))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, golden_gen, monkeypatch, enabled):
+        # The build pauses the cyclic collector and leaves it as it found
+        # it, also when it raises.
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            residue_field(golden_gen.element(-1, 2))
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(resmod, "isqrt", lambda n: 0)  # row 0, a = 0 only
+            with pytest.raises(ArithmeticError, match="without small representatives"):
+                residue_field(golden_gen.element(-1, 2))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
 
     @pytest.mark.parametrize("coeffs", [(0, 1, 0, 0), (1, 1, 0, 0)])
     def test_ties_prefer_a_nonnegative_w_coordinate(self, coeffs):
