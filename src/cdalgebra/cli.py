@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -156,8 +155,11 @@ def _json_list(header: dict, key: str, chunks: Iterable[str]) -> Iterator[str]:
     """``json.dumps({**header, key: entries}, indent=2) + "\\n"``, streamed.
 
     ``chunks`` hold the entries, rendered at list depth and joined by
-    ",\\n"; there is at least one.
+    ",\\n"; there is at least one.  ``json`` is imported here, in the one
+    place that writes it, so CSV and text subcommands do not load it.
     """
+    import json
+
     yield json.dumps(header, indent=2)[:-2] + f',\n  "{key}": [\n'
     sep = ""
     for chunk in chunks:

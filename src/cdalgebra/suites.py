@@ -17,6 +17,7 @@ from . import residue as resmod
 from . import twist as twistmod
 
 GAMMA_POOL = (-1, 1, -2, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
+NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x)
 
 
 @dataclass
@@ -36,10 +37,16 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def expect(self, condition: bool, family: str, detail: str) -> None:
+    def expect(self, condition: bool, family: str, detail: str, *args: object) -> None:
+        """Count one check of ``family``; record it if it fails.
+
+        ``detail`` is a ``str.format`` template for ``args``, formatted only
+        when a failure is recorded (the first ``max_recorded``), so a passing
+        check never renders its inputs. With no ``args`` it is recorded as given.
+        """
         self.counts[family] = self.counts.get(family, 0) + 1
         if not condition and len(self.failures) < self.max_recorded:
-            self.failures.append(f"{family}: {detail}")
+            self.failures.append(f"{family}: {detail.format(*args) if args else detail}")
 
     def summary(self) -> str:
         status = "ok" if self.passed else "FAILED"
@@ -83,27 +90,28 @@ def _pair_law_checks(x: Element, y: Element, out: SuiteResult) -> None:
     Powers are built left-nested (x^(k+1) = x^k * x), so only the pairs
     x^i * x^j with j >= 2 can disagree with them.
     """
-    tag = f"t={x.signature.t} {x.signature.convention.value}"
+    t, conv = x.signature.t, x.signature.convention.value
     xc = x.conjugate()
     xy = x * y
-    out.expect(xc.conjugate() == x, "involution", tag)
-    out.expect(xy.conjugate() == y.conjugate() * xc, "antiautomorphism", tag)
+    out.expect(xc.conjugate() == x, "involution", "t={} {}", t, conv)
+    out.expect(xy.conjugate() == y.conjugate() * xc, "antiautomorphism",
+               "t={} {}", t, conv)
     s = x + xc
     out.expect(not any(s.coeffs[1:]) and s.coeffs[0] == x.trace(),
-               "trace scalar", tag)
+               "trace scalar", "t={} {}", t, conv)
     n = x * xc
     out.expect(not any(n.coeffs[1:]) and n.coeffs[0] == x.norm(),
-               "norm scalar", tag)
-    out.expect(x * (y * x) == xy * x, "flexibility", tag)
+               "norm scalar", "t={} {}", t, conv)
+    out.expect(x * (y * x) == xy * x, "flexibility", "t={} {}", t, conv)
     powers = [x.signature.one(), x]
     for _ in range(5):
         powers.append(powers[-1] * x)
     quad = powers[2] - x.trace() * x + x.signature.scalar(x.norm())
-    out.expect(quad.is_zero(), "quadratic", tag)
+    out.expect(quad.is_zero(), "quadratic", "t={} {}", t, conv)
     for i in range(1, 5):
         for j in range(2, 7 - i):
             out.expect(powers[i] * powers[j] == powers[i + j],
-                       "power associativity", f"{tag} ({i},{j})")
+                       "power associativity", "t={} {} ({},{})", t, conv, i, j)
 
 
 def _basis_law_checks(sig: AlgebraSignature, out: SuiteResult) -> None:
@@ -113,18 +121,18 @@ def _basis_law_checks(sig: AlgebraSignature, out: SuiteResult) -> None:
     basis = [sig.basis(p) for p in range(n)]
     for p in range(n):
         sq = basis[p] * basis[p]
-        out.expect(not any(sq.coeffs[1:]), "basis square", f"{tag} e{p}")
+        out.expect(not any(sq.coeffs[1:]), "basis square", "{} e{}", tag, p)
         ep_sq = sq.scalar_part()
         x = basis[(p + 1) % n]
         out.expect(basis[p] * (basis[p] * x) == ep_sq * x,
-                   "basis double product", f"{tag} left by e{p}")
+                   "basis double product", "{} left by e{}", tag, p)
         out.expect((x * basis[p]) * basis[p] == ep_sq * x,
-                   "basis double product", f"{tag} right by e{p}")
+                   "basis double product", "{} right by e{}", tag, p)
     for p in range(1, n):
         for q in range(1, n):
             if p != q:
                 out.expect(basis[p] * basis[q] == -(basis[q] * basis[p]),
-                           "anticommutation", f"{tag} e{p},e{q}")
+                           "anticommutation", "{} e{},e{}", tag, p, q)
 
 
 def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
@@ -145,13 +153,15 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
             tag = f"t={t} {conv.value}"
             for p in range(sig.dimension):
                 for q in range(sig.dimension):
-                    out.expect(_matches_descent(p, q, sig), "coefficient", f"{tag} ({p},{q})")
+                    out.expect(_matches_descent(p, q, sig), "coefficient",
+                               "{} ({},{})", tag, p, q)
     for t in (6, 7, 8):
         sig = make_algebra(t, (-1,) * t, Convention.CONJUGATE_RIGHT)
         for _ in range(random_pairs):
             p = rng.randrange(sig.dimension)
             q = rng.randrange(sig.dimension)
-            out.expect(_matches_descent(p, q, sig), "random coefficient", f"t={t} ({p},{q})")
+            out.expect(_matches_descent(p, q, sig), "random coefficient",
+                       "t={} ({},{})", t, p, q)
     for t in range(1, table_depth + 1):
         for conv in Convention:
             tag = f"t={t} {conv.value}"
@@ -160,30 +170,30 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
             signs = table.sign_table()
             n = table.dimension
             out.expect(bool((signs[0] == 1).all() and (signs[:, 0] == 1).all()),
-                       "sign table", f"{tag} unit row and column")
+                       "sign table", "{} unit row and column", tag)
             out.expect(bool((signs.diagonal()[1:] == -1).all()),
-                       "sign table", f"{tag} diagonal")
+                       "sign table", "{} diagonal", tag)
             pure = signs[1:, 1:]
             anti = pure * pure.T == -1
             # Every pair off the diagonal anticommutes; the diagonal is not counted.
             ok = bool(anti.sum() - anti.trace() == anti.size - len(anti))
-            out.expect(ok, "sign table", f"{tag} anticommutation")
+            out.expect(ok, "sign table", "{} anticommutation", tag)
             sample = [(rng.randrange(n), rng.randrange(n)) for _ in range(64)]
             out.expect(all(signs[p, q] == twistmod.twist_sign(p, q, t, conv)
                            and table.entry(p, q) == twistmod.basis_product(p, q, sig)[0]
                            for p, q in sample),
-                       "sign table", f"{tag} matches pointwise products")
+                       "sign table", "{} matches pointwise products", tag)
             try:
                 kinds = twistmod.partition_blocks(table)
                 out.expect(kinds[0, 0] == twistmod.BlockKind.A_CORNER,
-                           "blocks", f"{tag} corner kind")
+                           "blocks", "{} corner kind", tag)
             except twistmod.BlockClassificationError as exc:
-                out.expect(False, "blocks", f"{tag} {exc}")
+                out.expect(False, "blocks", "{} {}", tag, exc)
     for report in twistmod.sweep_power_row_claims(5):
-        triple = f"({report.r},{report.k},{report.i})"
+        triple = report.r, report.k, report.i
         out.expect(report.supported_index_reading in ("computed", "both"),
-                   "power row", f"{triple} index reading")
-        out.expect(report.tree_forms_c_tile, "power row", f"{triple} C tile")
+                   "power row", "({},{},{}) index reading", *triple)
+        out.expect(report.tree_forms_c_tile, "power row", "({},{},{}) C tile", *triple)
     return out
 
 
@@ -234,20 +244,20 @@ def run_fib_suite(norm_range: int = 40, random_params: int = 200,
     unit = fibmod.QuaternionParams(1, 1)
     for n in range(norm_range + 1):
         out.expect(fibmod.fib_norm_direct(n, unit) == 3 * fibmod.fib(2 * n + 3),
-                   "unit norm", f"n={n}")
+                   "unit norm", "n={}", n)
     for _ in range(random_params):
         n = rng.randrange(0, 31)
         params = _random_params(rng)
         direct = fibmod.fib_norm_direct(n, params)
         out.expect(direct == fibmod.fib_norm_formula(n, params),
-                   "closed form", f"n={n} params={params}")
+                   "closed form", "n={} params={}", n, params)
         a1, a2 = params.alpha1, params.alpha2
         f = fibmod.fib
         quad = (f(n) ** 2 + a1 * f(n + 1) ** 2 + a2 * f(n + 2) ** 2
                 + a1 * a2 * f(n + 3) ** 2)
-        out.expect(direct == quad, "diagonal form", f"n={n} params={params}")
+        out.expect(direct == quad, "diagonal form", "n={} params={}", n, params)
     for n in range(61):
-        out.expect(fibmod.binet_residual(n).holds, "root power", f"n={n}")
+        out.expect(fibmod.binet_residual(n).holds, "root power", "n={}", n)
     for _ in range(64):
         x = fibmod.GoldenNumber(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
@@ -260,22 +270,21 @@ def run_fib_suite(norm_range: int = 40, random_params: int = 200,
     for _ in range(threshold_params):
         params = _random_params(rng)
         e = fibmod.energy(params)
-        out.expect(not e.is_zero(), "energy", f"zero for {params}")
+        out.expect(not e.is_zero(), "energy", "zero for {}", params)
         if e.is_zero():
             continue
         n0 = fibmod.invertibility_threshold(params, n_max=200)
-        out.expect(n0 is not None, "threshold", f"no stabilization by 200 for {params}")
+        out.expect(n0 is not None, "threshold", "no stabilization by 200 for {}", params)
         if n0 is not None and n0 > 0:
             prev = fibmod.fib_norm_direct(n0 - 1, params)
             sign = 0 if prev == 0 else (1 if prev > 0 else -1)
-            out.expect(sign != e.sign(), "threshold", f"not minimal for {params}")
+            out.expect(sign != e.sign(), "threshold", "not minimal for {}", params)
     return out
 
 
 def _random_params(rng: random.Random) -> "fibmod.QuaternionParams":
     def draw():
-        return Fraction(rng.choice([x for x in range(-9, 10) if x]),
-                        rng.randint(1, 9))
+        return Fraction(rng.choice(NONZERO_DIGITS), rng.randint(1, 9))
     return fibmod.QuaternionParams(draw(), draw())
 
 
@@ -304,18 +313,18 @@ def run_residue_suite(pairs: int = 500, seed: int = 20250104) -> SuiteResult:
             while y.is_zero():
                 y = g.element(rng.randint(-25, 25), rng.randint(-25, 25))
             out.expect(resmod.u_mod(x, y).norm() < y.norm(), "remainder bound",
-                       f"{x} mod {y} over (q={g.q}, m={g.m})")
+                       "{} mod {} over (q={}, m={})", x, y, g.q, g.m)
     for _ in range(per_gen):
         x = gen.element(rng.randint(-80, 80), rng.randint(-80, 80))
         out.expect(resmod.u_mod(x, pi).norm() < 13, "prime remainder bound",
-                   f"{x} mod the golden prime")
+                   "{} mod the golden prime", x)
     for i in range(13):
         for j in range(13):
             ui, uj = fieldp.reps[i], fieldp.reps[j]
             out.expect(fieldp.label(resmod.u_mod(ui + uj, pi)) == (i + j) % 13,
-                       "labelling", f"additive at ({i},{j})")
+                       "labelling", "additive at ({},{})", i, j)
             out.expect(fieldp.label(resmod.u_mod(ui * uj, pi)) == (i * j) % 13,
-                       "labelling", f"multiplicative at ({i},{j})")
+                       "labelling", "multiplicative at ({},{})", i, j)
     for _ in range(100):
         x = gen.element(rng.randint(-30, 30), rng.randint(-30, 30))
         z = gen.element(rng.randint(-10, 10), rng.randint(-10, 10))
@@ -325,7 +334,7 @@ def run_residue_suite(pairs: int = 500, seed: int = 20250104) -> SuiteResult:
         for m in range(1, 51):
             z = resmod.four_square_root(m, (1, 2, 3), t)
             residue = z * z - (2 * z[0]) * z + m * z.signature.one()
-            out.expect(residue.is_zero(), "quadratic root", f"m={m} t={t}")
+            out.expect(residue.is_zero(), "quadratic root", "m={} t={}", m, t)
     ks = [rng.randrange(13) for _ in range(32)]
     out.expect(resmod.decode_symbols(resmod.encode_symbols(ks, fieldp), fieldp) == ks,
                "codec", "round trip")

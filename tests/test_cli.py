@@ -513,16 +513,29 @@ def test_residue_field_runs_without_sympy():
     ["blocks", "--t", "3"],  # builds arrays
 ], ids=lambda argv: argv[0])
 def test_process_imports_only_what_its_subcommand_runs(argv):
-    # ``-X importtime`` names every module the process imports on stderr.
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cdalgebra.cli", *argv],
-                          env=_src_env(), capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported = _process_imports(argv)
     assert "cdalgebra.algebra" in imported
     loads_tables = argv[0] == "blocks"
     assert ("numpy" in imported) is loads_tables
     assert ("cdalgebra.twist" in imported) is loads_tables
+    assert ("json" in imported) is ("json" in argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["twist", "--t", "30", "--p", "5", "--q", "9"],
+    ["verify", "--suite", "fib"],
+], ids=lambda argv: argv[0])
+def test_only_json_output_loads_json(argv):
+    assert "json" not in _process_imports(argv)
+
+
+def _process_imports(argv):
+    """Every module a CLI process imports, as ``-X importtime`` names them on stderr."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cdalgebra.cli", *argv],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
 
 
 def test_cli_module_reads_twist_names_from_twist():
