@@ -286,7 +286,7 @@ def _coefficient(p: int, q: int) -> Tuple[int, int]:
 # at t = 9 / 10 / 12 (the doubling recursion took 1.0 / 1.7 / 6.0 ms).
 KERNEL_MAX_DEPTH = 8
 # Dense tables (twist.build_table) stop here: one of depth 12 holds 4**12
-# entries in about 50 MB.
+# int8 signs in 16 MB, and its sign table takes 16 MB more.
 MAX_TABLE_DEPTH = 12
 # Generated products stop here; their source grows fourfold a depth (14 KB at
 # t = 5, 55 KB at t = 6).

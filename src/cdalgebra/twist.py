@@ -5,18 +5,19 @@ times the basis element e_(p ^ q).  The monomial's stage parameters are
 the bits of p & q, and its sign is a parity of p and q computed in
 O(log L) word operations on L-bit indices (``algebra._coefficient``,
 which the product kernel also reads).  This module evaluates that
-coefficient, materializes full tables (masks as p & q, signs doubled
-together with their transpose, so that no stage transposes), collapses
-them to sign tables (the base signs times the parity of p & q),
-partitions sign tables into the five 2x2 block patterns, and checks the
-published product-table claim for rows indexed by powers of two.
+coefficient, materializes tables as one sign plane (doubled together
+with its transpose, so that no stage transposes; masks are p & q, taken
+where they are read and never stored), collapses them to sign tables
+(the base signs times the parity of p & q), partitions sign tables into
+the five 2x2 block patterns, and checks the published product-table
+claim for rows indexed by powers of two.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (MAX_TABLE_DEPTH, AlgebraSignature, Convention, Element, Rational,
                       _coefficient, _Frozen, _index, as_rational)
@@ -48,7 +49,14 @@ class TwistCoefficient:
             raise ValueError("gamma_mask must be nonnegative")
 
     def value(self, gammas: Sequence[Rational]) -> Rational:
-        """Evaluate against concrete stage parameters, each an exact rational."""
+        """Evaluate against concrete stage parameters, each an exact rational.
+
+        A mask that selects a stage beyond the given parameters is refused.
+        """
+        if self.gamma_mask.bit_length() > len(gammas):
+            raise ValueError(f"gamma_mask {self.gamma_mask:#b} selects stage "
+                             f"{self.gamma_mask.bit_length()}, but {len(gammas)} "
+                             f"parameters are given")
         v: Rational = self.sign
         for i, g in enumerate(gammas):
             g = as_rational(g)
@@ -102,58 +110,76 @@ def twist_sign(p: int, q: int, t: int,
 class TwistTable(_Frozen):
     """Dense table of structure coefficients for one depth and convention.
 
-    ``base_signs[p, q]`` (int8) and ``gamma_masks[p, q]`` (uint16) carry
-    the symbolic coefficient that ``entry``, ``__eq__`` and the table
-    writers read.  Other dtypes are refused rather than truncated on read.
-    Tables are immutable once built.
+    ``base_signs[p, q]`` (int8) is the sign of e_p * e_q.  Its mask is
+    p & q, which ``entry``, ``__eq__`` and the ``gamma_masks`` property
+    derive where they read it, so no mask plane is kept.  Other dtypes
+    are refused rather than truncated on read.  Tables are immutable once
+    built.
 
-    Precondition: ``gamma_masks[p, q] == p & q``, as ``build_table`` makes
-    it.  ``sign_table()`` rests on it: it derives the parity of each mask
-    from the index and ignores the stored mask plane.  The constructor
-    does not enforce it, so that checkers can be tested on tables with
-    wrong masks; on such a table ``sign_table()`` disagrees with
-    ``entry()``.
+    A ``gamma_masks`` plane may still be passed in, so that checkers can
+    be tested on tables whose masks are wrong.  It is validated, stored
+    read-only and read by ``entry``, ``__eq__`` and ``gamma_masks``, but
+    not by ``sign_table()``, which derives the parity of each mask from
+    the index: on a table whose plane is not p & q, ``sign_table()``
+    disagrees with ``entry()``.
     """
 
-    __slots__ = ("t", "convention", "base_signs", "gamma_masks")
+    __slots__ = ("t", "convention", "base_signs", "_masks")
 
-    def __init__(self, t: int, convention: Convention,
-                 base_signs: np.ndarray, gamma_masks: np.ndarray):
+    def __init__(self, t: int, convention: Convention, base_signs: np.ndarray,
+                 gamma_masks: Optional[np.ndarray] = None):
         n = 1 << t
-        for name, plane, dtype in (("base_signs", base_signs, "int8"),
-                                   ("gamma_masks", gamma_masks, "uint16")):
+        planes = (("base_signs", base_signs, "int8"),)
+        if gamma_masks is not None:
+            planes += (("gamma_masks", gamma_masks, "uint16"),)
+        for name, plane, dtype in planes:
             if getattr(plane, "dtype", None) != dtype:
                 raise TypeError(f"{name} must be a {dtype} array, "
                                 f"got {getattr(plane, 'dtype', type(plane).__name__)}")
-        if base_signs.shape != (n, n) or gamma_masks.shape != (n, n):
-            raise ValueError("table arrays do not match the stated depth")
-        base_signs.setflags(write=False)
-        gamma_masks.setflags(write=False)
+            if plane.shape != (n, n):
+                raise ValueError("table arrays do not match the stated depth")
+        for _, plane, _ in planes:
+            plane.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "convention", Convention(convention))
         object.__setattr__(self, "base_signs", base_signs)
-        object.__setattr__(self, "gamma_masks", gamma_masks)
+        object.__setattr__(self, "_masks", gamma_masks)
 
     def __reduce__(self):
         # Through the constructor, so that unpickled arrays are read-only again.
-        return TwistTable, (self.t, self.convention, self.base_signs, self.gamma_masks)
+        return TwistTable, (self.t, self.convention, self.base_signs, self._masks)
 
     @property
     def dimension(self) -> int:
         return 1 << self.t
 
+    @property
+    def gamma_masks(self) -> np.ndarray:
+        """The uint16 mask plane, read-only: p & q unless one was passed in.
+
+        A derived plane is built afresh on each read (2 * 4**t bytes) and
+        not kept; read single masks with ``entry``.
+        """
+        if self._masks is not None:
+            return self._masks
+        import numpy as np
+        index = np.arange(self.dimension, dtype=np.uint16)
+        masks = np.bitwise_and.outer(index, index)
+        masks.setflags(write=False)
+        return masks
+
     def entry(self, p: int, q: int) -> TwistCoefficient:
         p, q = _basis_indices(p, q, self.dimension)
-        return TwistCoefficient(int(self.base_signs[p, q]), int(self.gamma_masks[p, q]))
+        mask = p & q if self._masks is None else int(self._masks[p, q])
+        return TwistCoefficient(int(self.base_signs[p, q]), mask)
 
     def sign_table(self) -> np.ndarray:
         """Collapsed signs under all-(-1) parameters, as a new int8 matrix.
 
         The mask of e_p * e_q is p & q, so the collapsed sign is the base
         sign times (-1) ** popcount(p & q): the Sylvester-Hadamard matrix,
-        doubled as [[H, H], [H, -H]] into the result's own buffer.  The
-        stored mask plane is not read, so the result holds only for a
-        table that meets the class precondition.
+        doubled as [[H, H], [H, -H]] into the result's own buffer.  A mask
+        plane passed to the constructor is not read.
         """
         import numpy as np
         n = self.dimension
@@ -172,7 +198,8 @@ class TwistTable(_Frozen):
         import numpy as np
         return (self.t == other.t and self.convention is other.convention
                 and np.array_equal(self.base_signs, other.base_signs)
-                and np.array_equal(self.gamma_masks, other.gamma_masks))
+                and (self._masks is None and other._masks is None
+                     or np.array_equal(self.gamma_masks, other.gamma_masks)))
 
     def __hash__(self) -> int:
         # Equal tables share depth and convention; hashing the planes would cost O(4**t).
@@ -184,17 +211,16 @@ class TwistTable(_Frozen):
 
 def build_table(t: int,
                 convention: Convention = Convention.CONJUGATE_RIGHT) -> TwistTable:
-    """Materialize the full coefficient table.
+    """Materialize the table's sign plane; its masks are p & q.
 
-    The mask of e_p * e_q is p & q.  The signs are assembled by quadrant
-    doubling: the size-2**t table from the size-2**(t-1) one, with the
-    same quadrant rules the elementwise descent uses, so the two routes
-    can be checked against each other.  The eq11 plane S doubles together
-    with its transpose, each new pair written from contiguous copies of
-    the old one, so no stage transposes.  The eq31 table is the opposite
-    product's, whose signs are the transpose: the last stage writes only
-    S (eq11) or its transpose (eq31), and both are C-contiguous.  The mask
-    plane is symmetric, so it serves both conventions.
+    The signs are assembled by quadrant doubling: the size-2**t table
+    from the size-2**(t-1) one, with the same quadrant rules the
+    elementwise descent uses, so the two routes can be checked against
+    each other.  The eq11 plane S doubles together with its transpose,
+    each new pair written from contiguous copies of the old one, so no
+    stage transposes.  The eq31 table is the opposite product's, whose
+    signs are the transpose: the last stage writes only S (eq11) or its
+    transpose (eq31), and both are C-contiguous.
     """
     t = _index(t)
     if t < 1:
@@ -204,8 +230,6 @@ def build_table(t: int,
                          f"({MAX_TABLE_DEPTH}); use twist_sign for pointwise queries")
     import numpy as np
     convention = Convention(convention)
-    index = np.arange(1 << t, dtype=np.uint16)
-    masks = np.bitwise_and.outer(index, index)  # symmetric, so eq31's too
     left = convention is Convention.CONJUGATE_LEFT
     signs = signs_t = np.ones((2, 2), dtype=np.int8)
     for stage in range(2, t + 1):
@@ -227,7 +251,7 @@ def build_table(t: int,
             np.negative(st[:, :h], out=st[:, h:])
             st[::h, h:] = 1
         signs, signs_t = s, st
-    return TwistTable(t, convention, signs_t if left else signs, masks)
+    return TwistTable(t, convention, signs_t if left else signs)
 
 
 class BlockKind(IntEnum):

@@ -568,12 +568,13 @@ class TestKernel:
         for t in range(1, 9):
             n = 1 << t
             table = build_table(t)
+            masks = table.gamma_masks  # built on each read
             for k, row in enumerate(algebra._codes(t)):
                 assert len(row) == n, (t, k)
                 for p, code in enumerate(row):
                     sign, mask = algebra._coefficient(p, p ^ k)
                     assert code == 2 * mask + (sign < 0), (t, k, p)
-                    assert code == (2 * int(table.gamma_masks[p, p ^ k])
+                    assert code == (2 * int(masks[p, p ^ k])
                                     + (table.base_signs[p, p ^ k] < 0)), (t, k, p)
 
     @staticmethod

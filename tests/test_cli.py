@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cdalgebra import algebra, cli, fibonacci, residue, twist
 from cdalgebra.algebra import Convention, make_algebra
-from cdalgebra.cli import run
+from cdalgebra.cli import MAX_FIELD_DEPTH, run
 from cdalgebra.fibonacci import fib
 from cdalgebra.residue import make_w, residue_field
 from cdalgebra.twist import build_table
@@ -582,6 +582,22 @@ class TestLabelCommand:
         assert code == 1
         assert "--u or --k" in err
 
+    @pytest.mark.parametrize("t", [13, 16])
+    def test_depth_beyond_the_table_guard(self, capsys, t):
+        # A field builds no table, so only MAX_FIELD_DEPTH bounds its depth;
+        # the labels are those of the depth-2 field.
+        argv = ("--pi", "-1,2", "--w", "1,1,1,1", "--t", str(t))
+        assert invoke(capsys, "label", *argv, "--u", "3,4") == (0, "label=5\n", "")
+        assert invoke(capsys, "label", *argv, "--k", "9") == (0, "element=3,-1\n", "")
+
+    def test_depth_above_the_field_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", str(MAX_FIELD_DEPTH + 1),
+                 "--u", "3,4"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (f"error: argument --t: must be >= 2 and <= "
+                                           f"{MAX_FIELD_DEPTH}, got {MAX_FIELD_DEPTH + 1}\n")
+
     @pytest.mark.parametrize("coords", ["1", "-3,1,9"])
     def test_u_takes_exactly_two_coordinates(self, capsys, coords):
         code, out, err = invoke(capsys, "label", *self.ARGS, "--u", coords)
@@ -646,7 +662,7 @@ class TestUsageErrors:
         ["mul-table", "--t", "0", "--gammas", ""],
         ["blocks", "--t", "0"],
         ["residue-field", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "1"],
-        ["residue-field", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "13"],
+        ["residue-field", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "21"],
         ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "30", "--k", "1"],
         ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "24",
          "--symbols", "1"],

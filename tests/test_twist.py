@@ -1,6 +1,8 @@
 """Unit tests for structure constants, sign tables and tile partition."""
 
+import pickle
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -179,6 +181,14 @@ class TestBasisProduct:
         for mask in (0, 1):
             with pytest.raises(TypeError):
                 TwistCoefficient(1, mask).value([bad])
+
+    def test_value_refuses_a_mask_beyond_the_parameters(self):
+        # Bit 2 selects stage 3; with two parameters it was once dropped.
+        for mask in (0b100, 0b101, 0b1000):
+            with pytest.raises(ValueError, match=f"^gamma_mask {mask:#b} selects stage"):
+                TwistCoefficient(1, mask).value([2, 3])
+        assert TwistCoefficient(-1, 0b11).value([2, 3]) == -6
+        assert TwistCoefficient(1, 0).value([]) == 1
 
     @pytest.mark.parametrize("bad", [True, 1.0, Fraction(-1)])
     def test_sign_and_mask_must_be_ints(self, bad):
@@ -404,6 +414,47 @@ class TestBuildTable:
         with pytest.raises((ValueError, AttributeError)):
             table.base_signs[0, 0] = -1
 
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_table_keeps_only_its_sign_plane(self, conv):
+        # Masks are p & q where they are read: a table keeps its n**2 int8
+        # signs and no uint16 mask plane (3 n**2 bytes kept with one).
+        n = 1 << 10
+        build_table(10, conv)  # numpy's first-call caches are not the table's
+        tracemalloc.start()
+        try:
+            table = build_table(10, conv)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.1 * n * n and peak < 2 * n * n, (kept, peak)
+        assert table.gamma_masks is not table.gamma_masks  # built on each read
+
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_pickle_holds_only_the_sign_plane(self, conv):
+        n = 1 << 10
+        table = build_table(10, conv)
+        for protocol in range(3, pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(table, protocol)
+            assert len(data) < 1.1 * n * n, (protocol, len(data))
+            restored = pickle.loads(data)
+            assert restored == table
+            assert not restored.base_signs.flags.writeable
+            assert not restored.gamma_masks.flags.writeable
+
+    def test_a_passed_mask_plane_is_stored_and_read(self):
+        # The plane is there so that checkers can be tested on wrong masks.
+        table = build_table(3, LEFT)
+        assert TwistTable(3, LEFT, table.base_signs, table.gamma_masks.copy()) == table
+        masks = table.gamma_masks.copy()
+        masks[5, 6] ^= 1
+        bad = TwistTable(3, LEFT, table.base_signs, masks)
+        assert bad.gamma_masks is masks and not masks.flags.writeable
+        assert bad != table and table != bad
+        assert bad.entry(5, 6) == TwistCoefficient(table.entry(5, 6).sign, (5 & 6) ^ 1)
+        assert pickle.loads(pickle.dumps(bad)) == bad
+        # sign_table() derives the parity from the index, not from the plane.
+        assert np.array_equal(bad.sign_table(), table.sign_table())
+
 
 class TestPartitionBlocks:
     def test_depth_one_single_corner(self):
@@ -435,7 +486,7 @@ class TestPartitionBlocks:
         block = np.ix_([rev[i], rev[i] + h], [rev[j], rev[j] + h])
         signs = table.sign_table()
         signs[block] = signs[block].T
-        bad = TwistTable(t, conv, signs * _parity(t), np.zeros_like(table.gamma_masks))
+        bad = TwistTable(t, conv, signs * _parity(t))
         assert np.array_equal(bad.sign_table(), signs)
         with pytest.raises(BlockClassificationError,
                            match=rf"^tile \({i}, {j}\) is pattern {foreign}, "
@@ -504,8 +555,7 @@ def _corrupt(signs, t, how, rng, convention):
     else:  # the corner becomes pattern B
         tile = BlockKind.B.pattern()
     signs[np.ix_(rows, cols)] = tile
-    n = 1 << t
-    bad = TwistTable(t, convention, signs * _parity(t), np.zeros((n, n), dtype=np.uint16))
+    bad = TwistTable(t, convention, signs * _parity(t))
     assert np.array_equal(bad.sign_table(), signs)
     return bad
 
