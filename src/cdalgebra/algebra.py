@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, floordiv, index, mul, neg, sub
 from typing import Iterable, Sequence, Tuple, Union
@@ -140,9 +140,11 @@ class AlgebraSignature(_Frozen):
 
     def _constants(self) -> tuple:
         """``_scaled_constants(self.gammas)``, computed on first use and kept."""
-        if not hasattr(self, "_scaled"):
+        try:
+            return self._scaled
+        except AttributeError:
             object.__setattr__(self, "_scaled", _scaled_constants(self.gammas))
-        return self._scaled
+            return self._scaled
 
     # ---- element factories -------------------------------------------------
 
@@ -222,8 +224,9 @@ def _conj(a: tuple) -> tuple:
 # Every Element product runs here, at every depth, by one of three paths.  At
 # depths 2-3, and for dense operands at 4-5, _straight(t) is the product written
 # out as one compiled function: dense products take 0.7 / 2.1 / 7.5 / 30 us at
-# t = 2-5 against 3.8 / 10 / 26 / 72 us by the paths below, and compiling takes
-# 0.2 / 0.4 / 1.5 / 4.4 ms once per depth.  Operands with few nonzero
+# t = 2-5 against 3.8 / 10 / 26 / 72 us by the paths below, and compiling it
+# with the norm and conjugate below takes 0.2 / 0.4 / 1.2 / 4.0 ms once per
+# depth.  Operands with few nonzero
 # coefficient pairs run a loop over those pairs, which reads the codes up to
 # KERNEL_MAX_DEPTH and _coefficient above it; at t = 4-5 it is the faster path
 # up to about n**2 / 6 pairs (measured crossings near 34 pairs at t = 4 and 190
@@ -233,6 +236,13 @@ def _conj(a: tuple) -> tuple:
 # above KERNEL_MAX_DEPTH, where each pair costs a _coefficient call of about
 # 1.3-2 us (measured crossings near n**2 / 32 at t = 9-11).  The doubling
 # recursion to scalars is the oracle the tests compare them against.
+#
+# The same compile writes out the norm (the weighted sum of squares) and the
+# scaled conjugate that inverse returns, so at t <= STRAIGHT_MAX_DEPTH norm and
+# inverse read _straight(t) too: norm takes 0.30 / 0.39 / 0.60 / 0.87 / 1.5 us
+# at t = 1-5 against 0.60 / 0.79 / 0.97 / 1.4 / 2.1 us by sum(map(...)), and
+# inverse 1.1 / 1.7 / 1.4 / 1.8 / 3.3 us against 1.9 / 2.8 / 2.5 / 3.2 / 4.8 us.
+# Above that depth both stay loops (_norm_sum, _conjugate).
 
 
 def _coefficient(p: int, q: int) -> Tuple[int, int]:
@@ -295,7 +305,7 @@ STRAIGHT_MAX_DEPTH = 5
 
 @lru_cache(maxsize=None)
 def _codes(t: int) -> list:
-    """The parameter-free eq11 table at depth t >= 1 as nested lists over [k][p].
+    """The parameter-free eq11 table at depth t as nested lists over [k][p].
 
     ``codes[k][p]`` is 2 * mask + (sign < 0) of e_p * e_(p^k).  With h = 2**(t-1), P < h,
     Q = P ^ k: row k appends e_(P+h) e_(Q+h) = gamma_t conj(e_Q) e_P, row k + h is
@@ -304,7 +314,9 @@ def _codes(t: int) -> list:
     Read by the pair loop of ``_kernel_mul``, by ``_straight`` and by the
     CLI's ``mul-table``, which renders its rows from them.
     """
-    old = _codes(t - 1) if t > 1 else [[0]]  # depth 0: e_0 * e_0 = e_0
+    if not t:
+        return [[0]]  # e_0 * e_0 = e_0
+    old = _codes(t - 1)
     h = len(old)
     low, high = [], []
     for k, row in enumerate(old):
@@ -315,13 +327,15 @@ def _codes(t: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _straight(t: int):
-    """The eq11 product at depth t as one compiled function of (xs, ys, signed).
+def _straight(t: int) -> tuple:
+    """(product, norm, conjugate) at depth t, compiled together as written-out code.
 
-    Output k is sum over masks of m_mask * (sum of +-x_p * y_(p^k) over the p
-    whose code has that mask), with m_mask = signed[2 * mask]: one monomial
-    product per mask, 3**t in all rather than 4**t.  The source is built only
-    from the integers of ``_codes(t)`` and never from operand values.
+    ``product(xs, ys, signed)`` is the eq11 product: output k is sum over masks
+    of m_mask * (sum of +-x_p * y_(p^k) over the p whose code has that mask),
+    with m_mask = signed[2 * mask]: one monomial product per mask, 3**t in all
+    rather than 4**t.  ``norm(xs, weights)`` is sum(x_p * x_p * weights[p]) and
+    ``conjugate(xs, m)`` is (x_0 * m, -x_1 * m, ...).  The source is built only
+    from the depth and the integers of ``_codes(t)``, never from operand values.
     """
     n = 1 << t
     sums = []
@@ -337,14 +351,34 @@ def _straight(t: int):
             terms.append(f" {sign} m{mask} * ({inner})")
         sums.append("".join(terms).lstrip(" +"))  # mask 0 holds x0 * y_k
     ms = ", ".join(f"m{mask}, _" for mask in range(n))
+    x_names = "".join(f"x{p}, " for p in range(n))
     source = (f"def product(xs, ys, signed):\n"
-              f" {''.join(f'x{p}, ' for p in range(n))}= xs\n"
+              f" {x_names}= xs\n"
               f" {''.join(f'y{p}, ' for p in range(n))}= ys\n"
               f" {ms}, = signed\n"
-              f" return ({', '.join(sums)},)\n")
+              f" return ({', '.join(sums)},)\n"
+              f"def norm(xs, weights):\n"
+              f" {x_names}= xs\n"
+              f" {''.join(f'w{p}, ' for p in range(n))}= weights\n"
+              f" return {' + '.join(f'x{p} * x{p} * w{p}' for p in range(n))}\n"
+              f"def conjugate(xs, m):\n"
+              f" {x_names}= xs\n"
+              f" n = -m\n"
+              f" return (x0 * m, {''.join(f'x{p} * n, ' for p in range(1, n))})\n")
     namespace = {}
-    exec(compile(source, f"<eq11 product at depth {t}>", "exec"), namespace)
-    return namespace["product"]
+    exec(compile(source, f"<eq11 kernel at depth {t}>", "exec"), namespace)
+    return namespace["product"], namespace["norm"], namespace["conjugate"]
+
+
+def _norm_sum(xs: tuple, weights: list) -> int:
+    """sum(x_p * x_p * weights[p]): the norm numerator above STRAIGHT_MAX_DEPTH."""
+    return sum(map(mul, map(mul, xs, xs), weights))
+
+
+def _conjugate(xs: tuple, m: int) -> tuple:
+    """(x_0 * m, -x_1 * m, ...): conj(xs) scaled, above STRAIGHT_MAX_DEPTH."""
+    n = -m
+    return (xs[0] * m, *[x * n for x in xs[1:]])
 
 
 def _halves(xs: tuple, ys: tuple, gammas: tuple, base: list) -> tuple:
@@ -354,7 +388,7 @@ def _halves(xs: tuple, ys: tuple, gammas: tuple, base: list) -> tuple:
     carries the whole D and the last parameter g = num / den enters as * num // den.
     """
     if len(gammas) == STRAIGHT_MAX_DEPTH:
-        return _straight(STRAIGHT_MAX_DEPTH)(xs, ys, base)
+        return _straight(STRAIGHT_MAX_DEPTH)[0](xs, ys, base)
     h = len(xs) >> 1
     a1, a2, b1, b2 = xs[:h], xs[h:], ys[:h], ys[h:]
     rest, g = gammas[:-1], gammas[-1]
@@ -389,30 +423,29 @@ def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
         (x0, x1), (y0, y1) = xs, ys
         return (x0 * y0 * d + x1 * y1 * signed[2], (x0 * y1 + x1 * y0) * d), d
     if t <= 3:
-        return _straight(t)(xs, ys, signed), d
+        return _straight(t)[0](xs, ys, signed), d
     n = len(xs)
     pairs = (n - xs.count(0)) * (n - ys.count(0))
     if t <= STRAIGHT_MAX_DEPTH:
         if 6 * pairs > n * n:
-            return _straight(t)(xs, ys, signed), d
+            return _straight(t)[0](xs, ys, signed), d
     elif 2 * pairs > (n * (n + 8) if t <= KERNEL_MAX_DEPTH else n * n // 16):
         return _halves(xs, ys, sig.gammas, signed[:2 << STRAIGHT_MAX_DEPTH]), d
-    # Few support pairs: visit only those.
+    # Few support pairs: visit only those, found by scans in C.
     z = [0] * n
-    py = [(q, v) for q, v in enumerate(ys) if v]
+    py = [(q, ys[q]) for q in compress(range(n), ys)]
+    px = [(p, xs[p]) for p in compress(range(n), xs)]
     if t <= KERNEL_MAX_DEPTH:
         codes = _codes(t)
-        for p, xp in enumerate(xs):
-            if xp:
-                for q, yq in py:
-                    k = p ^ q
-                    z[k] += xp * yq * signed[codes[k][p]]
+        for p, xp in px:
+            for q, yq in py:
+                k = p ^ q
+                z[k] += xp * yq * signed[codes[k][p]]
     else:
-        for p, xp in enumerate(xs):
-            if xp:
-                for q, yq in py:
-                    sign, mask = _coefficient(p, q)
-                    z[p ^ q] += xp * yq * signed[2 * mask + (sign < 0)]
+        for p, xp in px:
+            for q, yq in py:
+                sign, mask = _coefficient(p, q)
+                z[p ^ q] += xp * yq * signed[2 * mask + (sign < 0)]
     return tuple(z), d
 
 
@@ -490,8 +523,9 @@ class Element(_Frozen):
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            self._check_compatible(other)
             sig = self.signature
+            if sig is not other.signature:
+                self._check_compatible(other)
             a, b = self, other
             if sig.convention is _CONJUGATE_LEFT:
                 a, b = b, a
@@ -530,16 +564,18 @@ class Element(_Frozen):
         """Scalar c with x + conjugate(x) = c * 1."""
         return 2 * self.scalar_part()
 
-    def _norm_numerator(self) -> tuple:
-        """(s, D) with norm = s / (D * den**2): s = sum(nums[p]**2 * weights[p])."""
-        xs = self._nums
-        _, d, weights = self.signature._constants()
-        return sum(map(mul, map(mul, xs, xs), weights)), d
-
     def norm(self) -> Rational:
-        """Scalar c with x * conjugate(x) = c * 1."""
-        s, d = self._norm_numerator()
-        return _ratio(s, d * self._den * self._den)
+        """Scalar c with x * conjugate(x) = c * 1.
+
+        c = s / (D * den**2) with s = sum(nums[p]**2 * weights[p]), written
+        out up to STRAIGHT_MAX_DEPTH.
+        """
+        sig = self.signature
+        _, d, weights = sig._constants()
+        t = sig.t
+        s = (_straight(t)[1] if t <= STRAIGHT_MAX_DEPTH else _norm_sum)(self._nums, weights)
+        den = self._den
+        return _ratio(s, d * den * den)
 
     def inverse(self) -> Element:
         """Two-sided inverse; fails exactly where the norm is zero.
@@ -550,14 +586,21 @@ class Element(_Frozen):
         conj(x) / norm(x) = conj(nums) * D * den / s, with the sign of s
         moved onto the numerators.
         """
-        s, d = self._norm_numerator()
+        sig = self.signature
+        _, d, weights = sig._constants()
+        t = sig.t
+        if t <= STRAIGHT_MAX_DEPTH:
+            _, norm, conjugate = _straight(t)
+        else:
+            norm, conjugate = _norm_sum, _conjugate
+        xs = self._nums
+        s = norm(xs, weights)
         if s == 0:
             raise ZeroDivisionError("element has norm zero and is not invertible")
         m = d * self._den
         if s < 0:
             s, m = -s, -m
-        xs = self._nums
-        return _element(self.signature, (xs[0] * m,) + tuple(map(mul, xs[1:], repeat(-m))), s)
+        return _element(sig, conjugate(xs, m), s)
 
     def scalar_part(self) -> Rational:
         return _ratio(self._nums[0], self._den)

@@ -251,6 +251,8 @@ def _cmd_verify(args) -> Iterable[str]:
             kwargs["samples"] = args.samples
         if name == "core" and args.t is not None:
             kwargs["depths"] = tuple(range(1, args.t + 1))
+        if args.seed is not None:
+            kwargs["seed"] = args.seed
         result = SUITES[name](**kwargs)
         ok = ok and result.passed
         lines.append(result.summary() + "\n")
@@ -374,6 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--samples", type=_int_in_range(1), default=None,
                    help="random samples per depth for the core suite")
+    p.add_argument("--seed", type=_int_in_range(0), default=None,
+                   help="seed of every suite run (default: each suite's own)")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 

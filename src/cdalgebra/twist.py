@@ -19,8 +19,8 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import (MAX_TABLE_DEPTH, AlgebraSignature, Convention, Element, Rational,
-                      _coefficient, _Frozen, _index, as_rational)
+from .algebra import (_CONJUGATE_LEFT, MAX_TABLE_DEPTH, AlgebraSignature, Convention,
+                      Element, Rational, _coefficient, _Frozen, _index, as_rational)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,6 +65,19 @@ class TwistCoefficient:
         return v
 
 
+def _twist_coefficient(sign: int, mask: int) -> TwistCoefficient:
+    """TwistCoefficient(sign, mask) for a pair from ``_coefficient``, unchecked.
+
+    The internal constructor: a sign of +-1 and a nonnegative int mask are
+    correct by construction, so ``__post_init__`` does not run again.
+    """
+    c = object.__new__(TwistCoefficient)
+    fields = c.__dict__
+    fields["sign"] = sign
+    fields["gamma_mask"] = mask
+    return c
+
+
 def _basis_indices(p: int, q: int, n: int) -> Tuple[int, int]:
     """(p, q) as ints, each checked to index a basis of dimension n."""
     p, q = _index(p), _index(q)
@@ -74,13 +87,20 @@ def _basis_indices(p: int, q: int, n: int) -> Tuple[int, int]:
 
 
 def basis_product(p: int, q: int, sig: AlgebraSignature) -> Tuple[TwistCoefficient, int]:
-    """Coefficient and index of the product of basis elements p and q."""
-    p, q = _basis_indices(p, q, sig.dimension)
-    if sig.convention is Convention.CONJUGATE_LEFT:
+    """Coefficient and index of the product of basis elements p and q.
+
+    The range check compares bit lengths, as ``twist_sign`` does, so that no
+    2**t is built.
+    """
+    p, q = _index(p), _index(q)
+    if p < 0 or q < 0 or (p | q).bit_length() > sig.t:
+        raise ValueError(f"basis indices ({p}, {q}) out of range for dimension "
+                         f"{sig.dimension}")
+    if sig.convention is _CONJUGATE_LEFT:
         sign, mask = _coefficient(q, p)
     else:
         sign, mask = _coefficient(p, q)
-    return TwistCoefficient(sign, mask), p ^ q
+    return _twist_coefficient(sign, mask), p ^ q
 
 
 def basis_product_element(p: int, q: int, sig: AlgebraSignature) -> Element:

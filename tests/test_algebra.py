@@ -135,6 +135,18 @@ class TestVectorSpace:
             x + y
         with pytest.raises(ValueError):
             x * y
+        # Equal dimension, different parameters or convention: nothing but
+        # the signature check stops the product.
+        a = quaternions().element([1, 2, 3, 4])
+        for other in (make_algebra(2, [-1, 2]), quaternions(LEFT)):
+            b = other.element([5, 6, 7, 8])
+            for left, right in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="different algebras"):
+                    left * right
+        # An equal signature that is a distinct object multiplies as the same.
+        twin = quaternions().element([5, 6, 7, 8])
+        assert twin.signature is not a.signature
+        assert a * twin == a * a.signature.element([5, 6, 7, 8])
 
     def test_coefficient_index_refuses_bool(self):
         # A bool would silently read coefficient 0 or 1.
@@ -511,6 +523,44 @@ class TestKernel:
             assert self._mismatches([(x, y)]) == [], t
             assert straight.cache_info().currsize == 1, t
             monkeypatch.undo()
+
+    def test_norms_share_the_generated_products_cache(self, monkeypatch):
+        # Up to depth 5, norm and inverse read the code compiled with the
+        # (dense) product, one cache entry per depth; above it they compile
+        # nothing.
+        rng = random.Random(31)
+        for t in range(1, 8):
+            straight = self._fresh_straight(monkeypatch)
+            sig = make_algebra(t, self.MIXED[:t], RIGHT)
+            shallow = t <= algebra.STRAIGHT_MAX_DEPTH
+            for x in self._operands(sig, rng):
+                x.norm()
+                assert straight.cache_info().currsize == shallow, t
+                x.inverse()
+                if shallow:
+                    x * x
+            assert straight.cache_info().currsize == shallow, t
+            monkeypatch.undo()
+
+    def test_four_term_products_at_depth_twelve_match_the_pair_oracle(self):
+        # The support scan of the pair loop above the code depth, against
+        # the sum over support pairs of the pointwise structure constants.
+        rng = random.Random(32)
+        t = 12
+        n = 1 << t
+        for conv in Convention:
+            sig = make_algebra(t, self.MIXED[:t], conv)
+            for _ in range(3):
+                terms = [{p: rng.choice((1, -1)) * rng.randint(1, 9)
+                          for p in rng.sample(range(n), 4)} for _ in range(2)]
+                x, y = (sig.element(map(support.get, range(n), [0] * n))
+                        for support in terms)
+                want = [0] * n
+                for p, xp in terms[0].items():
+                    for q, yq in terms[1].items():
+                        coeff, k = basis_product(p, q, sig)
+                        want[k] += xp * yq * coeff.value(sig.gammas)
+                assert (x * y).coeffs == tuple(map(as_rational, want)), conv
 
     @staticmethod
     def _fresh_straight(monkeypatch):

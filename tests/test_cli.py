@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdalgebra import algebra, cli, fibonacci, residue, twist
+from cdalgebra import algebra, cli, fibonacci, residue, suites, twist
 from cdalgebra.algebra import Convention, make_algebra
 from cdalgebra.cli import MAX_FIELD_DEPTH, run
 from cdalgebra.fibonacci import fib
 from cdalgebra.residue import make_w, residue_field
+from cdalgebra.suites import run_core_suite, run_fib_suite
 from cdalgebra.twist import build_table
 
 
@@ -305,6 +306,39 @@ class TestVerify:
                               "--samples", "5", "--t", "2")
         assert code == 0
         assert "core:" in out
+
+    def test_seed_reaches_the_suite_run(self, capsys, monkeypatch):
+        # The same seed prints the same report, the one the suite gives.
+        want = run_core_suite(samples=5, seed=7).summary() + "\n"
+        for _ in range(2):
+            assert invoke(capsys, "verify", "--suite", "core", "--samples", "5",
+                          "--seed", "7") == (0, want, "")
+        want = run_fib_suite(seed=0).summary() + "\n"
+        assert invoke(capsys, "verify", "--suite", "fib", "--seed", "0") == (0, want, "")
+        # A passing report does not show its seed, so record the calls: every
+        # suite of --suite all gets the seed, and none gets one without it.
+        calls = []
+        passed = run_core_suite(samples=1, depths=(1,))
+
+        def record(**kwargs):
+            calls.append(kwargs)
+            return passed
+        for name in suites.SUITES:
+            monkeypatch.setitem(suites.SUITES, name, record)
+        for argv, seeds in ((["--seed", "5"], [5] * 4), ([], [None] * 4)):
+            calls.clear()
+            assert invoke(capsys, "verify", "--suite", "all", *argv)[0] == 0
+            assert [kwargs.get("seed") for kwargs in calls] == seeds, argv
+
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "must be >= 0, got -1"), ("x", "not an integer: 'x'"),
+        ("1.5", "not an integer: '1.5'"), ("", "not an integer: ''")])
+    def test_a_bad_seed_is_a_usage_error(self, capsys, seed, message):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--suite", "fib", "--seed", seed])
+        assert exc.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: argument --seed: {message}"
 
 
 class TestFibNorm:
@@ -739,7 +773,8 @@ _COMMANDS = st.one_of(
     # Both bounds required: the defaults would run the full core sweep.
     _command("verify", {"suite": st.just("core"),
                         "samples": st.integers(-2, 2).map(str),
-                        "t": st.integers(-2, 3).map(str)}),
+                        "t": st.integers(-2, 3).map(str)},
+             {"seed": st.one_of(st.integers(-2, 2).map(str), st.just("x"))}),
     _command("fib-norm", {"n": st.integers(-3, 30).map(str),
                           "alpha1": _rational, "alpha2": _rational}),
     _command("threshold", {"alpha1": _rational, "alpha2": _rational},

@@ -201,14 +201,46 @@ class TestBasisProduct:
         sig = make_algebra(2, [-1, -1], RIGHT)
         with pytest.raises(ValueError):
             basis_product(4, 0, sig)
+        # At depth 30 the range is checked by bit length, in both conventions.
+        top = (1 << 30) - 1
+        for conv in Convention:
+            sig = make_algebra(30, [-1] * 30, conv)
+            for p, q in ((-1, 0), (0, -1), (-1, -1), (1 << 30, 0), (0, 1 << 30),
+                         (top + 1, top), (top, (1 << 31) | 1)):
+                with pytest.raises(ValueError, match="out of range for dimension 1073741824"):
+                    basis_product(p, q, sig)
+            coeff, index = basis_product(top, top, sig)
+            assert index == 0 and coeff.gamma_mask == top and coeff.sign in (1, -1)
+
+    def test_coefficients_are_the_public_values(self):
+        # Built by the internal constructor, a coefficient equals, hashes,
+        # pickles and prints as the one the validating constructor builds.
+        for t, pairs in ((3, [(p, q) for p in range(8) for q in range(8)]),
+                         (30, [((1 << 29) | 5, (3 << 27) | 6), ((1 << 30) - 1,) * 2])):
+            for conv in Convention:
+                sig = make_algebra(t, [-1] * t, conv)
+                for p, q in pairs:
+                    got = basis_product(p, q, sig)[0]
+                    want = TwistCoefficient(got.sign, got.gamma_mask)
+                    assert type(got) is TwistCoefficient
+                    assert got == want and hash(got) == hash(want)
+                    assert repr(got) == repr(want) and vars(got) == vars(want)
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                        data = pickle.dumps(got, protocol)
+                        assert data == pickle.dumps(want, protocol)
+                        assert pickle.loads(data) == want
+                    with pytest.raises(AttributeError):
+                        got.sign = -got.sign
 
     def test_bool_indices_are_refused(self):
         # A bool would silently stand for index 0 or 1.  Other integer
         # types give the int answer; a float is no index.
         sig = make_algebra(2, [-1, -1], RIGHT)
+        deep = make_algebra(30, [-1] * 30, LEFT)
         table = build_table(2, RIGHT)
         calls = (sig.basis, lambda b: basis_product(b, 2, sig),
-                 lambda b: basis_product(2, b, sig), lambda b: twist_sign(b, 2, 2),
+                 lambda b: basis_product(2, b, sig), lambda b: basis_product(b, 2, deep),
+                 lambda b: basis_product(2, b, deep), lambda b: twist_sign(b, 2, 2),
                  lambda b: twist_sign(2, b, 2), lambda b: shuffle(b, 1, 2),
                  lambda b: shuffle(1, b, 2), lambda b: table.entry(b, 2),
                  lambda b: table.entry(2, b))
