@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple, Union
 
-from .algebra import (AlgebraSignature, Element, Rational, _Frozen, _index, _ratio,
-                      _scaled_constants, as_rational)
+from .algebra import (AlgebraSignature, Element, Rational, _Frozen, _element, _index,
+                      _ratio, _scaled_constants, as_rational)
 
 # Indices below FIB_MEMO are read from a memo built once at import (about
 # 0.2 ms and 84 KB), which covers the closed-form norm up to n = 511.
@@ -254,7 +254,7 @@ def _closed_form(constants: tuple) -> Tuple[int, int, int, int]:
 def fibonacci_quaternion(n: int, params: QuaternionParams) -> Element:
     """Quaternion with coefficients (f_n, f_{n+1}, f_{n+2}, f_{n+3})."""
     f0, f1 = _fib_pair(_fib_index(n))
-    return params.signature().element((f0, f1, f0 + f1, f0 + 2 * f1))
+    return _element(params.signature(), (f0, f1, f0 + f1, f0 + 2 * f1), 1)
 
 
 def fib_norm_direct(n: int, params: QuaternionParams) -> Rational:

