@@ -158,8 +158,8 @@ class AlgebraSignature(_Frozen):
         return self.basis(0)
 
     def scalar(self, c: Rational) -> Element:
-        coeffs = [as_rational(c)] + [0] * (self.dimension - 1)
-        return Element(self, coeffs)
+        c = as_rational(c)
+        return _element(self, (c.numerator,) + (0,) * (self.dimension - 1), c.denominator)
 
     def basis(self, p: int) -> Element:
         """The basis element with index ``p`` (``basis(0)`` is the unit)."""
@@ -298,6 +298,9 @@ KERNEL_MAX_DEPTH = 8
 # Dense tables (twist.build_table) stop here: one of depth 12 holds 4**12
 # int8 signs in 16 MB, and its sign table takes 16 MB more.
 MAX_TABLE_DEPTH = 12
+# Residue-field generators build no table; one of depth t has 2**t slots and a
+# norm over them: a `label` process takes about 0.5 s and 57 MB at t = 20.
+MAX_FIELD_DEPTH = 20
 # Generated products stop here; their source grows fourfold a depth (14 KB at
 # t = 5, 55 KB at t = 6).
 STRAIGHT_MAX_DEPTH = 5

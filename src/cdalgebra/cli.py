@@ -24,16 +24,10 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import Convention, _codes, make_algebra
+from .algebra import MAX_FIELD_DEPTH, Convention, _codes, make_algebra
 
 if TYPE_CHECKING:
     from .residue import ResidueField
-
-# Field commands build no table, so MAX_TABLE_DEPTH does not bound them.
-# Their cost at depth t is the generator's check over 2**t coefficients:
-# make_w, residue_field and label take about 1.2 s and 81 MB at t = 20,
-# inside the budget that residue.MAX_FIELD_SIZE allows one field.
-MAX_FIELD_DEPTH = 20
 
 # Handlers import the twist, fibonacci, residue and suites modules
 # themselves, so a process loads only what its subcommand runs: only
@@ -150,8 +144,8 @@ def _field_text(field: ResidueField, cell: str, sep: str) -> str:
     """``cell`` filled with k, a, b, norm and element for every label.
 
     One chunk: a CSV row is about 32 bytes and a JSON entry about 85.  At
-    p = 1,021,441 a CSV table peaks at 275 MB and a JSON one at 378 MB,
-    against the 240 MB that ``label`` needs for the same field.
+    p = 1,021,441 a CSV table peaks at 171 MB and a JSON one at 275 MB,
+    against the 72 MB that ``label`` needs for the same field.
     """
     return sep.join([cell.format(k, u.a, u.b, u.norm(), u)
                      for k, u in enumerate(field.reps)])

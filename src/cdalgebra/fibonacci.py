@@ -105,7 +105,7 @@ class GoldenNumber(_Frozen):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.u, self.v))
+        return hash(self.u) if self.v == 0 else hash((self.u, self.v))
 
     def __add__(self, other) -> GoldenNumber:
         other = self._coerce(other)

@@ -15,13 +15,14 @@ from itertools import repeat
 from math import isqrt
 from typing import Iterable, List, Tuple
 
-from .algebra import AlgebraSignature, Convention, Element, _Frozen, _restore
+from .algebra import (MAX_FIELD_DEPTH, AlgebraSignature, Convention, Element, _element,
+                      _Frozen, _index, _restore, as_rational)
 
 logger = logging.getLogger(__name__)
 
 # Largest residue field built.  At p = 1,021,441 a `label` process builds
-# and certifies its field in 0.6-1.0 s at a 99 MB peak (one core of a
-# 2-vCPU host, Python 3.11): about 80 bytes and 0.6 us per class over the
+# and certifies its field in 0.5-0.6 s at a 72 MB peak (one core of a
+# 2-vCPU host, Python 3.11): about 54 bytes and 0.5 us per class over the
 # 17 MB and 0.1 s of a p = 13 run.
 MAX_FIELD_SIZE = 2 ** 20
 
@@ -47,24 +48,20 @@ def _round_quotient(a: int, n: int) -> int:
 class WGenerator(_Frozen):
     """Integer element w with its quadratic data: trace q and norm m.
 
-    w satisfies w*w - q*w + m = 0, which is all the subring arithmetic
-    needs; m must be nonzero.
+    Every element of a doubling algebra satisfies w*w - q*w + m = 0 (Schafer,
+    1966, ch. III), which is all the subring arithmetic needs; m must be nonzero.
     """
 
     __slots__ = ("w", "q", "m")
 
     def __init__(self, w: Element):
-        q = w.trace()
-        m = w.norm()
-        if not all(isinstance(c, int) for c in w.coeffs):
+        if w._den != 1:  # the canonical form has den 1 exactly at integer coefficients
             raise ValueError("generator must have integer coefficients")
+        m = w.norm()
         if m == 0:
             raise ValueError("generator has norm zero and spans no quadratic ring")
-        check = w * w - q * w + m * w.signature.one()
-        if not check.is_zero():
-            raise ArithmeticError("generator fails its own quadratic relation")
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", w.trace())
         object.__setattr__(self, "m", m)
 
     def __eq__(self, other) -> bool:
@@ -87,8 +84,12 @@ class WGenerator(_Frozen):
 
 
 def _placement(t: int, indices: Sequence[int]):
-    """The map (a1, a2, a3, a4) -> a1 + a2*e_i + a3*e_j + a4*e_k at depth t,
-    once (i, j, k) are checked to be three distinct indices in 1..2**t - 1."""
+    """The map of integers (a1, a2, a3, a4) -> a1 + a2*e_i + a3*e_j + a4*e_k at depth
+    t, once t <= MAX_FIELD_DEPTH and (i, j, k) are distinct indices in 1..2**t - 1."""
+    t = _index(t)
+    if t > MAX_FIELD_DEPTH:
+        raise ValueError(f"depth {t} exceeds MAX_FIELD_DEPTH = {MAX_FIELD_DEPTH}")
+    indices = [_index(i) for i in indices]
     if len(indices) != 3 or len(set(indices)) != 3:
         raise ValueError("basis_choice must be three distinct indices")
     if any(i < 1 for i in indices):
@@ -99,11 +100,13 @@ def _placement(t: int, indices: Sequence[int]):
             raise ValueError(f"basis index {idx} out of range for depth {t}")
 
     def place(coeffs: Sequence[int]) -> Element:
+        coeffs = [as_rational(c) for c in coeffs]
+        if any(type(c) is not int for c in coeffs):
+            raise ValueError("generator must have integer coefficients")
         vec = [0] * sig.dimension
-        vec[0] = coeffs[0]
-        for idx, c in zip(indices, coeffs[1:]):
+        for idx, c in zip([0, *indices], coeffs):
             vec[idx] = c
-        return sig.element(vec)
+        return _element(sig, tuple(vec), 1)
     return place
 
 
@@ -203,8 +206,7 @@ class UElement(_Frozen):
 
     def to_element(self) -> Element:
         """Embed back into the ambient algebra."""
-        one = self.gen.w.signature.one()
-        return self.a * one + self.b * self.gen.w
+        return self.gen.w.signature.scalar(self.a) + self.b * self.gen.w
 
     def __repr__(self) -> str:
         return f"UElement({self.a}, {self.b})"
@@ -348,6 +350,7 @@ def four_square_root(m: int, target_indices: Sequence[int], t: int) -> Element:
     integers with a1^2 + a2^2 + a3^2 + a4^2 = m (one always exists) and
     places the last three on the chosen basis indices.
     """
+    m = _index(m)
     if m < 1:
         raise ValueError("target must be a positive integer")
     place = _placement(t, target_indices)
@@ -453,13 +456,11 @@ class ResidueField:
             raise TypeError(f"symbol must be an integer, got {type(k).__name__}")
         if not 0 <= k < self.p:
             raise ValueError(f"symbol {k} out of range for field size {self.p}")
-        reps = self.reps
-        return _u(reps.xs[k], reps.ys[k], reps.gen)
+        return self.reps[k]
 
     def reduce(self, u: UElement) -> UElement:
         """Canonical representative of u's class."""
-        k, reps = self.label(u), self.reps
-        return _u(reps.xs[k], reps.ys[k], reps.gen)
+        return self.reps[self.label(u)]
 
 
 def residue_field(pi: UElement, verify: bool = True) -> ResidueField:
@@ -488,18 +489,20 @@ def residue_field(pi: UElement, verify: bool = True) -> ResidueField:
     # One pass over the points of norm below p.  With x = 2a + q*b,
     # 4*norm(a + b*w) = x*x + disc*b*b, so norm < p exactly when
     # x*x <= 4p - 1 - disc*b*b: row b holds the a with |2a + q*b| <= r.
-    # Class k keeps its least norm in norms[k] and the winning point in
-    # xs[k], ys[k]; equal norms go to the least (b < 0, b, a).  The
-    # placeholder norm p is beaten by every point.
+    # Class k keeps its least norm in norms[k] and the winning point in xs[k],
+    # ys[k]; equal norms go to the least (b < 0, b, a).  The placeholder norm p
+    # is beaten by every point.  Rows slice one list of a, so classes share ints.
     q, m = gen.q, gen.m
     disc = 4 * m - q * q
     bound = 4 * p - 1
     b_max = isqrt(bound // disc)
+    a_max = (isqrt(bound) + abs(q) * b_max) // 2
+    a_coords = list(range(-a_max, a_max + 1))
     norms, xs, ys = [p] * p, [0] * p, [0] * p
     for b in range(-b_max, b_max + 1):
         r = isqrt(bound - disc * b * b)
         qb, mbb, sb = q * b, m * b * b, s * b
-        for a in range(-((r + qb) // 2), (r - qb) // 2 + 1):
+        for a in a_coords[a_max - (r + qb) // 2:a_max + (r - qb) // 2 + 1]:
             k = (a + sb) % p
             n = a * (a + qb) + mbb
             best = norms[k]

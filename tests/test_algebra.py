@@ -93,6 +93,26 @@ class TestMakeAlgebra:
         assert sig.dimension == 1
         assert (sig.scalar(3) * sig.scalar(Fraction(1, 3))).coeffs == (1,)
 
+    def test_basis_index_out_of_range(self):
+        H = make_algebra(2, [-1, -1], RIGHT)
+        for p in (4, -1, 1 << 40):
+            with pytest.raises(ValueError, match="out of range for dimension 4"):
+                H.basis(p)
+
+    def test_scalar_skips_the_public_constructor(self, monkeypatch):
+        sig = make_algebra(3, [-1, 2, Fraction(1, 3)], RIGHT)
+        want = [sig.scalar(c) for c in (0, 5, Fraction(-6, 4), Fraction(4, 2))]
+
+        def refuse(self, *args):
+            raise AssertionError("validated a scalar's coefficients again")
+        monkeypatch.setattr(Element, "__init__", refuse)
+        got = [sig.scalar(c) for c in (0, 5, Fraction(-6, 4), Fraction(4, 2))]
+        assert got == want
+        assert [x.coeffs[0] for x in got] == [0, 5, Fraction(-3, 2), 2]
+        assert type(got[3].coeffs[0]) is int
+        with pytest.raises(TypeError):
+            sig.scalar(0.5)
+
     def test_float_scalars_rejected(self):
         with pytest.raises(TypeError):
             make_algebra(1, [-1.0], RIGHT)

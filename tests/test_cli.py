@@ -330,6 +330,14 @@ class TestVerify:
             assert invoke(capsys, "verify", "--suite", "all", *argv)[0] == 0
             assert [kwargs.get("seed") for kwargs in calls] == seeds, argv
 
+    def test_a_failing_suite_prints_its_summary_then_an_error_line(self, capsys, monkeypatch):
+        failed = suites.SuiteResult("fib")
+        failed.expect(False, "norm", "n={}", 3)
+        monkeypatch.setitem(suites.SUITES, "fib", lambda **kwargs: failed)
+        code, out, err = invoke(capsys, "verify", "--suite", "fib")
+        assert (code, out) == (1, "fib: 1 checks, 1 failures [FAILED]\n  norm: n=3\n")
+        assert err == "error: one or more suites failed\n"
+
     @pytest.mark.parametrize("seed, message", [
         ("-1", "must be >= 0, got -1"), ("x", "not an integer: 'x'"),
         ("1.5", "not an integer: '1.5'"), ("", "not an integer: ''")])
@@ -347,6 +355,13 @@ class TestFibNorm:
                               "--alpha1", "1", "--alpha2", "1")
         assert code == 0
         assert out == "direct=102\nformula=102\nequal=true\n"
+
+    def test_a_disagreement_prints_both_norms_then_an_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(fibonacci, "fib_norm_formula", lambda n, params: 101)
+        code, out, err = invoke(capsys, "fib-norm", "--n", "3",
+                                "--alpha1", "1", "--alpha2", "1")
+        assert (code, out) == (1, "direct=102\nformula=101\nequal=false\n")
+        assert err == "error: closed form disagrees with the direct norm\n"
 
     def test_rational_parameters(self, capsys):
         code, out, _ = invoke(capsys, "fib-norm", "--n", "5",
@@ -396,6 +411,12 @@ class TestThreshold:
                               "--alpha2", "-1", "--nmax", "200")
         assert code == 0
         assert "n0=" in out
+
+    def test_sign_unsettled_within_the_window(self, capsys):
+        code, out, err = invoke(capsys, "threshold", "--alpha1", "-1",
+                                "--alpha2", "-1/3", "--nmax", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: sign did not stabilize by n=0\n"
 
     def test_huge_window_answers_promptly(self):
         # Processes, timed from outside: no norm past the proven settle
@@ -624,6 +645,9 @@ class TestLabelCommand:
         assert invoke(capsys, "label", *argv, "--u", "3,4") == (0, "label=5\n", "")
         assert invoke(capsys, "label", *argv, "--k", "9") == (0, "element=3,-1\n", "")
 
+    def test_field_depth_bound_is_the_library_one(self):
+        assert cli.MAX_FIELD_DEPTH is algebra.MAX_FIELD_DEPTH
+
     def test_depth_above_the_field_bound(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", str(MAX_FIELD_DEPTH + 1),
@@ -653,6 +677,13 @@ class TestEncodeCommand:
         code, _, err = invoke(capsys, "encode", *self.ARGS, "--symbols", "13")
         assert code == 1
         assert "range" in err
+
+    def test_a_failed_round_trip_prints_the_stream_then_an_error_line(self, capsys,
+                                                                      monkeypatch):
+        monkeypatch.setattr(residue, "decode_symbols", lambda us, field: [0] * len(us))
+        code, out, err = invoke(capsys, "encode", *self.ARGS, "--symbols", "4,7,12")
+        assert (code, out) == (1, "-3,1\n1,-1\n-1,0\ndecoded=0,0,0\n")
+        assert err == "error: decode of the encoded stream does not round-trip\n"
 
 
 class TestOutputErrors:

@@ -129,6 +129,13 @@ class TestGoldenNumber:
         a = GoldenNumber(0, 1)
         assert a * a == a + 1
 
+    @pytest.mark.parametrize("x", [3, -7, Fraction(3, 2), Fraction(-5, 9)])
+    def test_a_rational_value_hashes_like_the_rational(self, x):
+        g = GoldenNumber(x, 0)
+        assert g == x and hash(g) == hash(x)
+        assert len({g, x}) == 1
+        assert {x: "x"}[g] == "x" and {g: "g"}[x] == "g"
+
     def test_product_expansion(self):
         rng = random.Random(13)
         for _ in range(100):

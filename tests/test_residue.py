@@ -11,7 +11,7 @@ from math import isqrt
 import pytest
 
 from cdalgebra import residue as resmod
-from cdalgebra.algebra import make_algebra, Convention
+from cdalgebra.algebra import MAX_FIELD_DEPTH, Convention, Element, make_algebra, quaternions
 from cdalgebra.residue import (MAX_FIELD_SIZE, ResidueField, UElement,
                                decode_symbols,
                                encode_symbols, four_square_root, is_prime_u,
@@ -127,6 +127,60 @@ class TestMakeW:
             make_w(2, (0, 1, 2), (1, 1, 1, 1))
         with pytest.raises(ValueError):
             make_w(2, (1, 2, 5), (1, 1, 1, 1))
+
+    def test_bool_indices_refused(self):
+        for indices in ((1, True, 3), (False, 2, 3)):
+            with pytest.raises(TypeError, match="not bool"):
+                make_w(2, indices, (1, 1, 1, 1))
+            with pytest.raises(TypeError, match="not bool"):
+                four_square_root(7, indices, 2)
+        with pytest.raises(TypeError, match="not bool"):
+            make_w(True, (1, 2, 3), (1, 1, 1, 1))
+        with pytest.raises(TypeError, match="not bool"):
+            four_square_root(True, (1, 2, 3), 2)
+
+    def test_coefficients_checked_once(self):
+        with pytest.raises(TypeError):
+            make_w(2, (1, 2, 3), (1, 1.0, 1, 1))
+        with pytest.raises(TypeError):
+            make_w(2, (1, 2, 3), (1, 1, True, 1))
+        with pytest.raises(ValueError, match="generator must have integer coefficients"):
+            make_w(2, (1, 2, 3), (1, Fraction(1, 2), 1, 1))
+        gen = make_w(2, (1, 2, 3), (Fraction(2), 1, 1, 1))
+        assert gen == make_w(2, (1, 2, 3), (2, 1, 1, 1))
+        assert all(type(c) is int for c in gen.w.coeffs)
+
+    def test_depth_above_the_bound_refused_before_allocating(self, monkeypatch):
+        def signature(t):
+            raise AssertionError("built the depth-t signature")
+        monkeypatch.setattr(resmod, "integer_signature", signature)
+        for t in (MAX_FIELD_DEPTH + 1, 64):
+            with pytest.raises(ValueError, match="MAX_FIELD_DEPTH"):
+                make_w(t, (1, 2, 3), (1, 1, 1, 1))
+            with pytest.raises(ValueError, match="MAX_FIELD_DEPTH"):
+                four_square_root(7, (1, 2, 3), t)
+
+    def test_placement_skips_the_public_constructor(self, monkeypatch):
+        sig = resmod.integer_signature(3)
+        want = (sig.element([1, 1, 1, 0, 1, 0, 0, 0]), sig.element([1, 0, 1, 0, 0, 1, 2, 0]))
+
+        def refuse(self, *args):
+            raise AssertionError("validated a placed element again")
+        monkeypatch.setattr(Element, "__init__", refuse)
+        assert make_w(3, (1, 2, 4), (1, 1, 1, 1)).w == want[0]
+        assert four_square_root(7, (2, 5, 6), 3) == want[1]
+
+    def test_generator_multiplies_nothing(self, golden_gen, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("multiplied out the quadratic identity")
+        monkeypatch.setattr(Element, "__mul__", refuse)
+        gen = resmod.WGenerator(golden_gen.w)
+        assert (gen.q, gen.m) == (2, 4) and gen == golden_gen
+
+    def test_non_integral_generator_refused(self):
+        for coeffs in ([Fraction(1, 2), 0, 0, 0], [1, 0, Fraction(-3, 4), 0]):
+            with pytest.raises(ValueError, match="integer coefficients"):
+                resmod.WGenerator(quaternions().element(coeffs))
 
 
 class TestUElementArithmetic:
@@ -298,6 +352,18 @@ class TestUMod:
     def test_zero_modulus(self, golden_gen):
         with pytest.raises(ZeroDivisionError):
             u_mod(golden_gen.element(1, 0), golden_gen.element(0, 0))
+
+    def test_operands_of_different_subrings(self, golden_gen):
+        other = make_w(2, (1, 2, 3), (0, 1, 0, 0))
+        with pytest.raises(ValueError, match="different subrings"):
+            u_mod(other.element(3, 2), golden_gen.element(-1, 2))
+
+    def test_nonzero_modulus_of_norm_zero(self):
+        # Under a split parameter, w = e1 has norm -1 and 1 + w has norm 0.
+        split = resmod.WGenerator(make_algebra(1, [1], Convention.CONJUGATE_RIGHT)
+                                  .element([0, 1]))
+        with pytest.raises(ValueError, match="modulus has norm zero"):
+            u_mod(split.element(3, 2), split.element(1, 1))
 
     def test_strict_bound_on_euclidean_generators(self):
         rng = random.Random(22)
@@ -706,6 +772,13 @@ class TestRepresentatives:
         field = residue_field(golden_gen.element(-133, 107), verify=True)
         assert field.p == 35023 and len(made) < 10
         assert field.unlabel(7) == field.reps[7] and len(made) < 12
+
+    def test_equal_coordinates_share_one_int(self, golden_gen):
+        # The sweep stores each class's a-coordinate from one shared list,
+        # not a fresh int per class: 427 values for 35,023 classes here.
+        xs = residue_field(golden_gen.element(-133, 107), verify=False).reps.xs
+        assert len(xs) == 35023 and len(set(xs)) == 427
+        assert len({id(a) for a in xs}) <= len(set(xs))
 
 
 class TestCodec:

@@ -197,6 +197,13 @@ class TestBasisProduct:
         with pytest.raises(TypeError):
             TwistCoefficient(1, bad)
 
+    def test_sign_and_mask_ranges(self):
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError, match="sign must be"):
+                TwistCoefficient(sign, 0)
+        with pytest.raises(ValueError, match="gamma_mask must be nonnegative"):
+            TwistCoefficient(1, -1)
+
     def test_out_of_range(self):
         sig = make_algebra(2, [-1, -1], RIGHT)
         with pytest.raises(ValueError):
@@ -404,6 +411,18 @@ class TestBuildTable:
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             build_table(13)
+
+    def test_depth_below_one(self):
+        for t in (0, -1):
+            with pytest.raises(ValueError, match="table depth must be >= 1"):
+                build_table(t)
+
+    def test_a_plane_of_another_depth_is_refused(self):
+        table = build_table(2)
+        for t, plane in ((3, table.base_signs), (2, table.base_signs[:, :2].copy()),
+                         (2, build_table(3).base_signs)):
+            with pytest.raises(ValueError, match="do not match the stated depth"):
+                TwistTable(t, RIGHT, plane)
 
     @pytest.mark.parametrize("t", [True, False, 2.0, "2", Fraction(2)])
     def test_depth_must_be_an_int(self, t):
