@@ -11,7 +11,7 @@ Provides:
   and the symbol labelling codec
 """
 
-from importlib import import_module
+import sys
 
 # Public name -> the submodule that defines it.  Names resolve on first
 # use (PEP 562), so ``import cdalgebra`` loads no submodule and numpy only
@@ -35,11 +35,20 @@ __version__ = "0.1.0"
 __all__ = [*_HOME, "__version__"]
 
 
+def _submodule(name: str):
+    """The submodule ``name``, imported through ``__import__``: the path of the
+    import statement, which ``python -X importtime`` reports (``importlib``'s
+    is not reported)."""
+    qualified = f"{__name__}.{name}"
+    __import__(qualified)
+    return sys.modules[qualified]
+
+
 def __getattr__(name: str):
     if name in _HOME:
-        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+        value = getattr(_submodule(_HOME[name]), name)
     elif name in _HOME.values():  # a submodule, as after an eager import
-        value = import_module(f"{__name__}.{name}")
+        value = _submodule(name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

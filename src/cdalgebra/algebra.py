@@ -112,14 +112,15 @@ class AlgebraSignature(_Frozen):
         t = _index(t)
         if t < 0:
             raise ValueError(f"doubling depth must be >= 0, got {t}")
-        gammas = tuple(as_rational(g) for g in gammas)
+        gammas = tuple(map(as_rational, gammas))
         if len(gammas) != t:
             raise ValueError(f"expected {t} stage parameters, got {len(gammas)}")
-        if any(g == 0 for g in gammas):
+        if 0 in gammas:
             raise ValueError("stage parameters must all be nonzero")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "convention", Convention(convention))
+        object.__setattr__(self, "convention", convention if type(convention) is Convention
+                           else Convention(convention))
 
     @property
     def dimension(self) -> int:
@@ -180,8 +181,8 @@ def _scaled_constants(gammas: Sequence[Rational]) -> tuple:
     monomials = [1]
     den = 1
     for g in gammas:
-        a, b = g.numerator, g.denominator
-        monomials = [m * b for m in monomials] + [m * a for m in monomials]
+        a, b = g.as_integer_ratio()
+        monomials = [m * c for c in (b, a) for m in monomials]
         den *= b
     signed = [v for m in monomials for v in (m, -m)]
     weights = [signed[2 * p + (p.bit_count() & 1)] for p in range(len(monomials))]

@@ -275,12 +275,15 @@ def _cmd_threshold(args) -> Iterable[str]:
     return [f"energy={e}\nenergy_sign={e.sign():+d}\nn0={n0}\n"]
 
 
+# The generator's basis indices when --basis is absent or empty.
+_DEFAULT_BASIS = (1, 2, 3)
+
+
 def _build_field(args) -> ResidueField:
     from .residue import UElement, make_w, residue_field
-    basis = args.basis if args.basis else [1, 2, 3]
     if len(args.pi) != 2:
         raise CliError("--pi takes exactly two coordinates a,b")
-    gen = make_w(args.t, basis, args.w)
+    gen = make_w(args.t, args.basis or _DEFAULT_BASIS, args.w)
     pi = UElement(args.pi[0], args.pi[1], gen)
     field = residue_field(pi)
     if args.p is not None and field.p != args.p:
@@ -292,9 +295,12 @@ def _cmd_residue_field(args) -> Iterable[str]:
     field = _build_field(args)
     if args.format == "csv":
         return ["k,a,b,norm,element\n", _field_text(field, _CSV_ROW, "")]
+    # The generator as given: its three basis indices and four coefficients,
+    # not its 2^t slots, so the header does not grow with the depth.
     header = {"p": field.p, "s": field.s, "pi": [field.pi.a, field.pi.b],
               "w_trace": field.gen.q, "w_norm": field.gen.m,
-              "t": field.gen.w.signature.t, "w_coeffs": list(field.gen.w.coeffs)}
+              "t": field.gen.w.signature.t, "w_basis": args.basis or _DEFAULT_BASIS,
+              "w": args.w}
     return _json_list(header, "labels", [_field_text(field, _FIELD_ENTRY, ",\n")])
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import gcd, lcm
+from operator import add, sub
 from typing import Optional, Tuple, Union
 
 from .algebra import (AlgebraSignature, Element, Rational, _Frozen, _element, _index,
@@ -89,51 +90,80 @@ class GoldenNumber(_Frozen):
     a is the positive root (the golden ratio), which is irrational, so
     u + v*a vanishes only when u = v = 0 and the sign is decidable from
     (u, v) alone with no floating point.
+
+    Stored as ``Element`` stores its coefficients: integer numerators
+    (nu, nv) over one denominator, in lowest terms (den > 0,
+    gcd(nu, nv, den) = 1), so arithmetic, signs, equality and hashing run
+    on ints.  ``u`` and ``v`` are Fractions made from the form on each read.
     """
 
-    __slots__ = ("u", "v")
+    __slots__ = ("_nu", "_nv", "_den")
 
     def __init__(self, u: Rational = 0, v: Rational = 0):
-        object.__setattr__(self, "u", u if type(u) is Fraction else Fraction(as_rational(u)))
-        object.__setattr__(self, "v", v if type(v) is Fraction else Fraction(as_rational(v)))
+        nu, du = as_rational(u).as_integer_ratio()
+        nv, dv = as_rational(v).as_integer_ratio()
+        # Both ratios are in lowest terms, so over the lcm of du and dv the form is too.
+        den = du if du == dv else lcm(du, dv)
+        _set_nu(self, nu * (den // du))
+        _set_nv(self, nv * (den // dv))
+        _set_den(self, den)
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self._nu, self._den)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self._nv, self._den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GoldenNumber):
-            return self.u == other.u and self.v == other.v
+            return (self._nu == other._nu and self._nv == other._nv
+                    and self._den == other._den)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.v == 0 and self.u == other
+            return (self._nv == 0 and self._nu == other.numerator
+                    and self._den == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.u) if self.v == 0 else hash((self.u, self.v))
+        if self._nv:
+            return hash((self._nu, self._nv, self._den))
+        return hash(self._nu if self._den == 1 else Fraction(self._nu, self._den))
+
+    def _combine(self, other, op) -> GoldenNumber:
+        """Coordinatewise op over the product of the two denominators."""
+        if not isinstance(other, GoldenNumber):
+            other = self._coerce(other)
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _golden(op(self._nu, other._nu), op(self._nv, other._nv), d1)
+        return _golden(op(self._nu * d2, other._nu * d1), op(self._nv * d2, other._nv * d1),
+                       d1 * d2)
 
     def __add__(self, other) -> GoldenNumber:
-        other = self._coerce(other)
-        return GoldenNumber(self.u + other.u, self.v + other.v)
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> GoldenNumber:
-        return GoldenNumber(-self.u, -self.v)
+        return _golden(-self._nu, -self._nv, self._den)
 
     def __sub__(self, other) -> GoldenNumber:
-        return self + (-self._coerce(other))
+        return self._combine(other, sub)
 
     def __rsub__(self, other) -> GoldenNumber:
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> GoldenNumber:
-        if isinstance(other, (int, Fraction)):
-            other = as_rational(other)
-            return GoldenNumber(self.u * other, self.v * other)
-        other = self._coerce(other)
-        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        if u1.denominator == v1.denominator == u2.denominator == v2.denominator == 1:
-            u1, v1 = u1.numerator, v1.numerator
-            u2, v2 = u2.numerator, v2.numerator
+        if not isinstance(other, GoldenNumber):
+            if isinstance(other, (int, Fraction)):
+                num, den = as_rational(other).as_integer_ratio()
+                return _golden(self._nu * num, self._nv * num, self._den * den)
+            other = self._coerce(other)
+        u1, v1, u2, v2 = self._nu, self._nv, other._nu, other._nv
         # (u1 + v1 a)(u2 + v2 a) with a*a = a + 1
         vv = v1 * v2
-        return GoldenNumber(u1 * u2 + vv, u1 * v2 + v1 * u2 + vv)
+        return _golden(u1 * u2 + vv, u1 * v2 + v1 * u2 + vv, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -141,7 +171,7 @@ class GoldenNumber(_Frozen):
         n = _index(n)
         if n < 0:
             raise ValueError("exponent must be >= 0")
-        acc = GoldenNumber(1, 0)
+        acc = _golden(1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -155,39 +185,62 @@ class GoldenNumber(_Frozen):
         if isinstance(x, GoldenNumber):
             return x
         if isinstance(x, (int, Fraction)):
-            return GoldenNumber(x, 0)
+            num, den = as_rational(x).as_integer_ratio()
+            return _golden(num, 0, den)
         raise TypeError(f"cannot combine GoldenNumber with {type(x).__name__}")
 
     def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
+        return self._nu == 0 and self._nv == 0
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}.
+        """Exact sign in {-1, 0, +1}, that of nu + nv*a as den > 0.
 
         For v > 0 the value is negative exactly when u < 0 and
         u*u + u*v - v*v > 0, because a is the positive root of
         x*x - x - 1; the v < 0 case is handled by negating.
         """
-        if self.v == 0:
-            return 0 if self.u == 0 else (1 if self.u > 0 else -1)
-        if self.v < 0:
-            return -(-self).sign()
-        if self.u >= 0:
-            return 1
-        return -1 if self.u * self.u + self.u * self.v - self.v * self.v > 0 else 1
+        u, v = self._nu, self._nv
+        if v == 0:
+            return 0 if u == 0 else (1 if u > 0 else -1)
+        s = 1
+        if v < 0:
+            u, v, s = -u, -v, -1
+        return -s if u < 0 and u * u + u * v - v * v > 0 else s
 
     def __repr__(self) -> str:
         return f"GoldenNumber({self.u}, {self.v})"
 
     def __str__(self) -> str:
-        if self.v == 0:
-            return str(self.u)
-        sign = "-" if self.v < 0 else "+"
-        mag = abs(self.v)
+        u, v = self.u, self.v
+        if v == 0:
+            return str(u)
+        sign = "-" if v < 0 else "+"
+        mag = abs(v)
         head = "" if mag == 1 else str(mag)
-        if self.u == 0 and sign == "+":
+        if u == 0 and sign == "+":
             return f"{head}a"
-        return f"{self.u} {sign} {head}a"
+        return f"{u} {sign} {head}a"
+
+
+_set_nu, _set_nv, _set_den = (
+    GoldenNumber.__dict__[name].__set__ for name in GoldenNumber.__slots__)
+
+
+def _golden(nu: int, nv: int, den: int) -> GoldenNumber:
+    """The golden number (nu + nv*a) / den (integers, den > 0), in lowest terms.
+
+    The constructor for internal results, whose parts are integers by
+    construction: the public coercion is skipped.
+    """
+    if den != 1:
+        g = gcd(nu, nv, den)
+        if g != 1:
+            nu, nv, den = nu // g, nv // g, den // g
+    x = object.__new__(GoldenNumber)
+    _set_nu(x, nu)
+    _set_nv(x, nv)
+    _set_den(x, den)
+    return x
 
 
 GOLDEN_UNIT = GoldenNumber(0, 1)
@@ -210,25 +263,21 @@ class QuaternionParams:
         a1, a2 = as_rational(self.alpha1), as_rational(self.alpha2)
         if a1 == 0 or a2 == 0:
             raise ValueError("quaternion parameters must be nonzero")
+        sig = AlgebraSignature(2, (-a1, -a2))
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
+        object.__setattr__(self, "_signature", sig)
+        object.__setattr__(self, "_form", _closed_form(sig._constants()))
 
     def signature(self) -> AlgebraSignature:
         """Depth-2 doubling algebra realizing this parameter pair.
 
         Stage parameters are the negated alphas, which makes the norm the
-        diagonal form x1^2 + a1*x2^2 + a2*x3^2 + a1*a2*x4^2.  Built on first
-        use and kept with ``_closed_form``; neither is a dataclass field.
+        diagonal form x1^2 + a1*x2^2 + a2*x3^2 + a1*a2*x4^2.  Built with the
+        params and kept with ``_form``, the ``_closed_form`` of its norm
+        weights; neither is a dataclass field.
         """
         return self._signature
-
-    @cached_property
-    def _signature(self) -> AlgebraSignature:
-        return AlgebraSignature(2, (-self.alpha1, -self.alpha2))
-
-    @cached_property
-    def _form(self) -> Tuple[int, int, int, int]:
-        return _closed_form(self._signature._constants())
 
 
 def _closed_form(constants: tuple) -> Tuple[int, int, int, int]:
@@ -287,7 +336,7 @@ def energy(params: Union[QuaternionParams, Tuple[Rational, Rational]]) -> Golden
         raise ValueError(f"expected a parameter pair (a1, a2), got {len(params)} entries")
     else:
         u, v, _, d = _closed_form(_scaled_constants([-as_rational(a) for a in params]))
-    return GoldenNumber(Fraction(u, 5 * d), Fraction(v, 5 * d))
+    return _golden(u, v, 5 * d)
 
 
 def _settle_index(params: QuaternionParams) -> int:

@@ -49,7 +49,8 @@ class WGenerator(_Frozen):
     """Integer element w with its quadratic data: trace q and norm m.
 
     Every element of a doubling algebra satisfies w*w - q*w + m = 0 (Schafer,
-    1966, ch. III), which is all the subring arithmetic needs; m must be nonzero.
+    1966, ch. III), which is all the subring arithmetic needs; q and m must be
+    integers, and m nonzero.
     """
 
     __slots__ = ("w", "q", "m")
@@ -57,7 +58,11 @@ class WGenerator(_Frozen):
     def __init__(self, w: Element):
         if w._den != 1:  # the canonical form has den 1 exactly at integer coefficients
             raise ValueError("generator must have integer coefficients")
+        # q = 2 * w_0 is then an int; the norm is not under fractional stage
+        # parameters (w = e1 under gamma = 1/2 has m = -1/2).
         m = w.norm()
+        if type(m) is not int:
+            raise ValueError("generator must have an integer trace and norm")
         if m == 0:
             raise ValueError("generator has norm zero and spans no quadratic ring")
         object.__setattr__(self, "w", w)
@@ -73,6 +78,8 @@ class WGenerator(_Frozen):
         return hash(self.w)
 
     def element(self, a: int, b: int) -> UElement:
+        if type(a) is int and type(b) is int:
+            return _u(a, b, self)
         return UElement(a, b, self)
 
     def is_definite(self) -> bool:
@@ -134,7 +141,7 @@ class UElement(_Frozen):
     __slots__ = ("a", "b", "gen")
 
     def __init__(self, a: int, b: int, gen: WGenerator):
-        if not _is_int(a) or not _is_int(b):
+        if (type(a) is not int or type(b) is not int) and (not _is_int(a) or not _is_int(b)):
             raise TypeError("subring coordinates must be integers (not bool)")
         if not isinstance(gen, WGenerator):
             raise TypeError(f"expected a WGenerator, got {type(gen).__name__}")

@@ -9,12 +9,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .algebra import AlgebraSignature, Convention, Element, make_algebra
-from . import fibonacci as fibmod
-from . import residue as resmod
-from . import twist as twistmod
+
+if TYPE_CHECKING:
+    from .fibonacci import QuaternionParams
+
+# Each suite imports the layer modules it checks, so a run of one suite loads
+# only its own layer: ``verify --suite fib`` neither compiles ``twist`` and
+# ``residue`` nor loads numpy or ``logging``.
 
 GAMMA_POOL = (-1, 1, -2, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
 NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x)
@@ -145,6 +149,7 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
     the tests check the descent against the vector recursion ``_mul`` in
     ``tests/oracles.py``.
     """
+    from . import twist as twistmod
     rng = random.Random(seed)
     out = SuiteResult("twist")
     for t in range(1, exhaustive_depth + 1):
@@ -153,14 +158,14 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
             tag = f"t={t} {conv.value}"
             for p in range(sig.dimension):
                 for q in range(sig.dimension):
-                    out.expect(_matches_descent(p, q, sig), "coefficient",
+                    out.expect(_matches_descent(twistmod, p, q, sig), "coefficient",
                                "{} ({},{})", tag, p, q)
     for t in (6, 7, 8):
         sig = make_algebra(t, (-1,) * t, Convention.CONJUGATE_RIGHT)
         for _ in range(random_pairs):
             p = rng.randrange(sig.dimension)
             q = rng.randrange(sig.dimension)
-            out.expect(_matches_descent(p, q, sig), "random coefficient",
+            out.expect(_matches_descent(twistmod, p, q, sig), "random coefficient",
                        "t={} ({},{})", t, p, q)
     for t in range(1, table_depth + 1):
         for conv in Convention:
@@ -228,8 +233,8 @@ def _descent_coefficient(p: int, q: int) -> Tuple[int, int]:
     return sign, mask
 
 
-def _matches_descent(p: int, q: int, sig: AlgebraSignature) -> bool:
-    """Whether ``twist.basis_product`` gives e_p * e_q the descent's exact
+def _matches_descent(twistmod, p: int, q: int, sig: AlgebraSignature) -> bool:
+    """Whether ``twistmod.basis_product`` gives e_p * e_q the descent's exact
     (sign, gamma_mask, index); eq31 is eq11 with the operands swapped."""
     coeff, index = twistmod.basis_product(p, q, sig)
     a, b = (q, p) if sig.convention is Convention.CONJUGATE_LEFT else (p, q)
@@ -239,6 +244,7 @@ def _matches_descent(p: int, q: int, sig: AlgebraSignature) -> bool:
 def run_fib_suite(norm_range: int = 40, random_params: int = 200,
                   threshold_params: int = 20, seed: int = 20250103) -> SuiteResult:
     """Norm identities, closed form, golden-field laws, sign criterion."""
+    from . import fibonacci as fibmod
     rng = random.Random(seed)
     out = SuiteResult("fib")
     unit = fibmod.QuaternionParams(1, 1)
@@ -282,14 +288,17 @@ def run_fib_suite(norm_range: int = 40, random_params: int = 200,
     return out
 
 
-def _random_params(rng: random.Random) -> "fibmod.QuaternionParams":
+def _random_params(rng: random.Random) -> QuaternionParams:
+    from .fibonacci import QuaternionParams
+
     def draw():
         return Fraction(rng.choice(NONZERO_DIGITS), rng.randint(1, 9))
-    return fibmod.QuaternionParams(draw(), draw())
+    return QuaternionParams(draw(), draw())
 
 
 def run_residue_suite(pairs: int = 500, seed: int = 20250104) -> SuiteResult:
     """Golden-example field, remainder bounds, labelling homomorphism, roots."""
+    from . import residue as resmod
     rng = random.Random(seed)
     out = SuiteResult("residue")
     gen = resmod.make_w(2, (1, 2, 3), (1, 1, 1, 1))

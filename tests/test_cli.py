@@ -126,10 +126,10 @@ def table_to_dict(table, gammas):
             "entries": table_rows(table)}
 
 
-def field_to_dict(field):
+def field_to_dict(field, basis, coeffs):
     return {"p": field.p, "s": field.s, "pi": [field.pi.a, field.pi.b],
             "w_trace": field.gen.q, "w_norm": field.gen.m,
-            "t": field.gen.w.signature.t, "w_coeffs": list(field.gen.w.coeffs),
+            "t": field.gen.w.signature.t, "w_basis": list(basis), "w": list(coeffs),
             "labels": [{"k": k, "a": u.a, "b": u.b, "norm": u.norm()}
                        for k, u in enumerate(field.reps)]}
 
@@ -191,7 +191,7 @@ class TestOutputBytes:
         if fmt == "csv":
             want = csv_text(field_rows(field), ["k", "a", "b", "norm", "element"])
         else:
-            want = json.dumps(field_to_dict(field), indent=2) + "\n"
+            want = json.dumps(field_to_dict(field, (1, 2, 3), (1, 1, 1, 1)), indent=2) + "\n"
         assert_same_text(out, want)
 
     @pytest.mark.parametrize("argv", [
@@ -471,12 +471,28 @@ class TestResidueFieldCommand:
         gen = make_w(2, (1, 2, 3), (1, 1, 1, 1))
         field = residue_field(gen.element(-1, 2))
         assert (data["p"], data["s"], data["pi"]) == (field.p, field.s, [-1, 2])
-        assert (data["t"], data["w_coeffs"]) == (2, list(gen.w.coeffs))
+        assert (data["t"], data["w_basis"], data["w"]) == (2, [1, 2, 3], [1, 1, 1, 1])
+        assert gen.w == make_w(data["t"], data["w_basis"], data["w"]).w
         assert (data["w_trace"], data["w_norm"]) == (gen.q, gen.m)
         assert data["labels"] == [{"k": k, "a": u.a, "b": u.b, "norm": u.norm()}
                                   for k, u in enumerate(field.reps)]
         for row in data["labels"]:
             assert field.label(gen.element(row["a"], row["b"])) == row["k"]
+
+    def test_json_header_does_not_grow_with_the_depth(self, capsys):
+        # w = 1 + e5 + e9 + e2049 at depth 12 has the trace and norm of
+        # 1 + e1 + e2 + e3, so the two fields agree; only the header's t and
+        # basis differ, not its size with the 2^t slots.
+        outs = {}
+        for t, basis in ((2, "1,2,3"), (12, "5,9,2049")):
+            code, out, _ = invoke(capsys, "residue-field", "--format", "json", "--pi", "-1,2",
+                                  "--w", "1,1,1,1", "--t", str(t), "--basis", basis)
+            assert code == 0
+            outs[t] = out
+        small, large = json.loads(outs[2]), json.loads(outs[12])
+        assert (large["t"], large["w_basis"], large["w"]) == (12, [5, 9, 2049], [1, 1, 1, 1])
+        assert {**large, "t": 2, "w_basis": [1, 2, 3]} == small
+        assert len(outs[12]) - len(outs[2]) == len("12") - len("2") + len("5,9,2049") - len("1,2,3")
 
     def test_wrong_expected_prime(self, capsys):
         code, _, err = invoke(capsys, "residue-field", "--p", "11", *self.ARGS)
@@ -574,6 +590,18 @@ def test_process_imports_only_what_its_subcommand_runs(argv):
     assert ("numpy" in imported) is loads_tables
     assert ("cdalgebra.twist" in imported) is loads_tables
     assert ("json" in imported) is ("json" in argv)
+
+
+@pytest.mark.parametrize("suite, layer", [("fib", "cdalgebra.fibonacci"),
+                                          ("residue", "cdalgebra.residue")])
+def test_verify_loads_only_the_layer_of_its_suite(suite, layer):
+    # Submodules loaded through the package's lazy names are seen by
+    # -X importtime too, so a layer imported at any depth would show here.
+    imported = _process_imports(["verify", "--suite", suite])
+    loaded = {m for m in imported if m.startswith("cdalgebra.")}
+    assert loaded == {"cdalgebra.algebra", "cdalgebra.suites", layer}
+    assert "numpy" not in imported
+    assert ("logging" in imported) is (suite == "residue")
 
 
 @pytest.mark.parametrize("argv", [

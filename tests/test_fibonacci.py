@@ -1,19 +1,23 @@
 """Unit tests for sequences, the golden field and quaternion norm analysis."""
 
+import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
 from cdalgebra import fibonacci as fibmod
-from cdalgebra.algebra import as_rational
+from cdalgebra.algebra import AlgebraSignature, as_rational
 from cdalgebra.fibonacci import (GoldenNumber, HoradamParams, QuaternionParams,
                                  binet_residual, energy, fib, fib_norm_direct,
                                  fib_norm_formula, fibonacci_quaternion,
                                  golden_power, horadam,
                                  invertibility_threshold)
+from oracles import FractionGolden, settle_index, threshold
 
 
 class TestFib:
@@ -148,9 +152,72 @@ class TestGoldenNumber:
             assert prod.v == x.u * y.v + x.v * y.u + x.v * y.v
 
     def test_powers_are_fibonacci_combinations(self):
-        for n in range(1, 40):
+        assert golden_power(0) == 1
+        for n in range(1, 301):
             p = golden_power(n)
             assert p == GoldenNumber(fib(n - 1), fib(n))
+            assert (p.u, p.v) == (fib(n - 1), fib(n))
+
+    def test_canonical_form(self):
+        # Integer numerators over one denominator, in lowest terms.
+        for (u, v), form in (((0, 0), (0, 0, 1)), ((3, -4), (3, -4, 1)),
+                             ((Fraction(1, 2), Fraction(1, 3)), (3, 2, 6)),
+                             ((Fraction(-6, 4), 2), (-3, 4, 2)),
+                             ((Fraction(5, 6), Fraction(-7, 6)), (5, -7, 6))):
+            x = GoldenNumber(u, v)
+            assert (x._nu, x._nv, x._den) == form
+        # Results reduce: 1/2 + 1/2 is 1, and (1/2 + a/2) * 2 is 1 + a.
+        half = GoldenNumber(Fraction(1, 2))
+        assert ((half + half)._nu, (half + half)._nv, (half + half)._den) == (1, 0, 1)
+        x = GoldenNumber(Fraction(1, 2), Fraction(1, 2)) * 2
+        assert (x._nu, x._nv, x._den) == (1, 1, 1)
+        x = GoldenNumber(Fraction(1, 3), 1) * Fraction(-3, 2)
+        assert (x._nu, x._nv, x._den) == (-1, -3, 2)
+
+    def test_results_match_the_fraction_oracle_in_lowest_terms(self):
+        rng = random.Random(31)
+
+        def draw():
+            u = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            v = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else 0
+            return GoldenNumber(u, v), FractionGolden(u, v)
+
+        for _ in range(500):
+            (x, xo), (y, yo) = draw(), draw()
+            c = rng.choice([3, -2, Fraction(-5, 6), Fraction(4, 9)])
+            for got, want in ((x + y, xo + yo), (x - y, xo - yo), (-x, -xo), (x * y, xo * yo),
+                              (x * c, xo * c), (c * x, xo * c), (x + c, xo + c),
+                              (c - x, FractionGolden(c) - xo)):
+                assert (got.u, got.v) == (want.u, want.v)
+                assert got._den > 0 and gcd(got._nu, got._nv, got._den) == 1
+                assert got.sign() == want.sign()
+
+    def test_coordinates_read_as_fractions(self):
+        for x in (GoldenNumber(3, 4), GoldenNumber(Fraction(1, 2), -1), golden_power(7),
+                  fibmod.energy(QuaternionParams(2, 3)), GoldenNumber(2) * GoldenNumber(0, 1)):
+            assert type(x.u) is Fraction and type(x.v) is Fraction
+            assert x == GoldenNumber(x.u, x.v)
+
+    def test_equality_and_hash_against_ints_and_fractions(self):
+        for x, value in ((GoldenNumber(3), 3), (GoldenNumber(Fraction(6, 4)), Fraction(3, 2)),
+                         (GoldenNumber(Fraction(3, 2)) + GoldenNumber(Fraction(1, 2)), 2),
+                         (GoldenNumber(0, 1) * 0, 0)):
+            assert x == value and value == x and hash(x) == hash(value)
+            assert x == Fraction(value) and hash(x) == hash(Fraction(value))
+        # A nonzero a-part equals no rational; equal values hash equal.
+        x = GoldenNumber(Fraction(1, 2), Fraction(1, 3))
+        assert x != Fraction(1, 2) and x != 0
+        y = GoldenNumber(Fraction(1, 6), 0) * 3 + GoldenNumber(0, Fraction(2, 6))
+        assert x == y and hash(x) == hash(y)
+        assert x != GoldenNumber(Fraction(1, 2), Fraction(1, 4))
+
+    def test_pickle_round_trip(self):
+        for x in (GoldenNumber(), GoldenNumber(-7, 2), GoldenNumber(Fraction(5, 6), Fraction(-7, 6)),
+                  golden_power(90)):
+            back = pickle.loads(pickle.dumps(x))
+            assert back == x and hash(back) == hash(x) and repr(back) == repr(x)
+            assert (back._nu, back._nv, back._den) == (x._nu, x._nv, x._den)
+            assert back.sign() == x.sign()
 
     @pytest.mark.parametrize("n, error, message", [
         (True, TypeError, "not bool"), (False, TypeError, "not bool"),
@@ -258,6 +325,22 @@ class TestFibonacciQuaternion:
         sig = params.signature()
         assert params.signature() is sig
         assert sig.gammas == (Fraction(1, 3), Fraction(-2, 5))
+
+    def test_signature_and_form_survive_pickle_copy_and_replace(self):
+        params = QuaternionParams(Fraction(-1, 3), Fraction(2, 5))
+        fib_norm_direct(4, params)
+        others = ((pickle.loads(pickle.dumps(params)), (Fraction(-1, 3), Fraction(2, 5))),
+                  (copy.copy(params), (Fraction(-1, 3), Fraction(2, 5))),
+                  (copy.deepcopy(params), (Fraction(-1, 3), Fraction(2, 5))),
+                  (dataclasses.replace(params, alpha2=7), (Fraction(-1, 3), 7)))
+        for other, (a1, a2) in others:
+            assert (other.alpha1, other.alpha2) == (a1, a2)
+            sig = other.signature()
+            assert sig == AlgebraSignature(2, (-a1, -a2))
+            assert other._form == fibmod._closed_form(sig._constants())
+            assert other._form == fibmod._closed_form(fibmod._scaled_constants((-a1, -a2)))
+            for n in (0, 5, 40):
+                assert fib_norm_formula(n, other) == fib_norm_direct(n, other)
 
     def test_cached_signature_is_not_part_of_the_value(self):
         used, fresh = QuaternionParams(2, 3), QuaternionParams(2, 3)
@@ -435,6 +518,19 @@ class TestInvertibilityThreshold:
             for n in range(n1, 81):
                 norm = fib_norm_direct(n, params)
                 assert norm != 0 and (1 if norm > 0 else -1) == e.sign(), (params, n)
+
+    def test_settle_index_and_threshold_match_the_fraction_oracle(self):
+        rng = random.Random(32)
+        pairs = [*LATE_SETTLING, (1, 1), (-1, -1), (2, -3), (-9, 9)]
+        pairs += [(rng.choice([x for x in range(-9, 10) if x]),
+                   rng.choice([x for x in range(-9, 10) if x])) for _ in range(40)]
+        pairs += [(_nonzero_rational(rng), _nonzero_rational(rng)) for _ in range(200)]
+        for a1, a2 in pairs:
+            params = QuaternionParams(a1, a2)
+            assert fibmod._settle_index(params) == settle_index(params), params
+            for n_max in (0, 2, 7, 200):
+                assert invertibility_threshold(params, n_max) == threshold(params, n_max), \
+                    (params, n_max)
 
     def test_late_settling_parameters(self):
         for (a1, a2), (n1, n0) in zip(LATE_SETTLING, ((7, 6), (5, 5), (5, 5), (5, 4))):

@@ -182,6 +182,17 @@ class TestMakeW:
             with pytest.raises(ValueError, match="integer coefficients"):
                 resmod.WGenerator(quaternions().element(coeffs))
 
+    def test_generator_with_a_fractional_norm_refused(self):
+        # w = e1 under gamma = 1/2 has integer coefficients but norm -1/2,
+        # so w*w would leave the integer subring.
+        for gammas, p in (([Fraction(1, 2)], 1), ([-1, Fraction(-2, 3)], 3)):
+            w = make_algebra(len(gammas), gammas).basis(p)
+            assert type(w.norm()) is Fraction
+            with pytest.raises(ValueError, match="integer trace and norm"):
+                resmod.WGenerator(w)
+        gen = resmod.WGenerator(make_algebra(1, [2]).basis(1))
+        assert (gen.q, gen.m) == (0, -2)
+
 
 class TestUElementArithmetic:
     def test_norm_values(self, golden_gen):
@@ -234,6 +245,19 @@ class TestUElementArithmetic:
     def test_integer_coordinates_required(self, golden_gen):
         with pytest.raises(TypeError):
             UElement(Fraction(1, 2), 0, golden_gen)
+
+    def test_element_refuses_what_the_constructor_refuses(self, golden_gen):
+        # The int fast path keeps the slow path's checks and message.
+        message = r"^subring coordinates must be integers \(not bool\)$"
+        for a, b in ((True, 0), (0, False), (Fraction(1, 2), 0), (1, 2.0), (1, "2")):
+            for make in (golden_gen.element, lambda a, b: UElement(a, b, golden_gen)):
+                with pytest.raises(TypeError, match=message):
+                    make(a, b)
+
+        class Int(int):
+            pass
+
+        assert golden_gen.element(Int(3), 4) == golden_gen.element(3, 4) == UElement(3, 4, golden_gen)
 
     def test_bools_refused(self, golden_gen, golden_field):
         for a, b in ((True, 0), (0, False), (False, True)):
