@@ -37,9 +37,10 @@ class Convention(str, Enum):
     CONJUGATE_LEFT = "eq31"   # (a1*b1 + g*b2*conj(a2), conj(a1)*b2 + b1*a2)
 
 
-# A module-level name: reading the member off the enum class on every
+# Module-level names: reading the member off the enum class on every
 # product costs about a tenth of a depth-1 product.
 _CONJUGATE_LEFT = Convention.CONJUGATE_LEFT
+_CONJUGATE_RIGHT = Convention.CONJUGATE_RIGHT
 
 
 def as_rational(value: Rational) -> Rational:
@@ -75,9 +76,12 @@ class _Frozen:
 
     Pickling and copying restore the stored slots without rerunning the
     constructor's validation; a lazily kept slot not yet filled stays empty.
+    Slots named in ``_transient`` are neither saved nor restored: they are
+    rebuilt on first use.
     """
 
     __slots__ = ()
+    _transient = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -87,14 +91,16 @@ class _Frozen:
 
     def __reduce__(self):
         cls = type(self)
-        return _restore, (cls, {name: getattr(self, name)
-                                for name in cls.__slots__ if hasattr(self, name)})
+        return _restore, (cls, {name: getattr(self, name) for name in cls.__slots__
+                                if name not in cls._transient and hasattr(self, name)})
 
 
 def _restore(cls: type, slots: dict) -> _Frozen:
     x = object.__new__(cls)
     for name, value in slots.items():
-        object.__setattr__(x, name, value)
+        # A pickle made before a slot became transient still holds it.
+        if name not in cls._transient:
+            object.__setattr__(x, name, value)
     return x
 
 
@@ -103,9 +109,14 @@ class AlgebraSignature(_Frozen):
 
     Two elements interoperate only when their signatures compare equal.
     ``t = 0`` is the base field itself (dimension 1).
+
+    ``_scaled`` keeps the signature's kernel, filled on first use
+    (``_kernel``).  It holds generated functions, which do not pickle, so
+    pickles and copies carry (t, gammas, convention) alone.
     """
 
     __slots__ = ("t", "gammas", "convention", "_scaled")
+    _transient = ("_scaled",)
 
     def __init__(self, t: int, gammas: Sequence[Rational],
                  convention: Convention = Convention.CONJUGATE_RIGHT):
@@ -139,13 +150,22 @@ class AlgebraSignature(_Frozen):
         gs = ", ".join(str(g) for g in self.gammas)
         return f"AlgebraSignature(t={self.t}, gammas=({gs}), {self.convention.value})"
 
+    def _kernel(self) -> tuple:
+        """``_bind_kernel(self.t, self.gammas)``, built and kept in ``_scaled``.
+
+        Callers read the slot and call this only where it is still empty.
+        """
+        kernel = _bind_kernel(self.t, self.gammas)
+        object.__setattr__(self, "_scaled", kernel)
+        return kernel
+
     def _constants(self) -> tuple:
-        """``_scaled_constants(self.gammas)``, computed on first use and kept."""
+        """``_scaled_constants(self.gammas)``: (signed, D, weights), read from the kernel."""
         try:
-            return self._scaled
+            kernel = self._scaled
         except AttributeError:
-            object.__setattr__(self, "_scaled", _scaled_constants(self.gammas))
-            return self._scaled
+            kernel = self._kernel()
+        return kernel[6], kernel[2], kernel[4]
 
     # ---- element factories -------------------------------------------------
 
@@ -189,6 +209,20 @@ def _scaled_constants(gammas: Sequence[Rational]) -> tuple:
     return signed, den, weights
 
 
+def _signature(t: int, gammas: tuple, convention: Convention) -> AlgebraSignature:
+    """The signature of coerced, nonzero parameters, with its kernel built.
+
+    The constructor for internal callers whose parameters are valid by
+    construction and which read the kernel at once: the public validation
+    is skipped and the slot is filled without a first-read miss.
+    """
+    sig = object.__new__(AlgebraSignature)
+    for name, value in (("t", t), ("gammas", gammas), ("convention", convention),
+                        ("_scaled", _bind_kernel(t, gammas))):
+        object.__setattr__(sig, name, value)
+    return sig
+
+
 def make_algebra(t: int, gammas: Sequence[Rational],
                  convention: Convention = Convention.CONJUGATE_RIGHT) -> AlgebraSignature:
     """Validated signature for the depth-``t`` doubling algebra."""
@@ -222,28 +256,32 @@ def _conj(a: tuple) -> tuple:
 # * prod(den(gamma_i), i not in mask), so a product is integer arithmetic on
 # the stored numerators with a single gcd reduction at the end.
 #
-# Every Element product runs here, at every depth, by one of three paths.  At
-# depths 2-3, and for dense operands at 4-5, _straight(t) is the product written
-# out as one compiled function: dense products take 0.7 / 2.1 / 7.5 / 30 us at
-# t = 2-5 against 3.8 / 10 / 26 / 72 us by the paths below, and compiling it
-# with the norm and conjugate below takes 0.2 / 0.4 / 1.2 / 4.0 ms once per
-# depth.  Operands with few nonzero
-# coefficient pairs run a loop over those pairs, which reads the codes up to
-# KERNEL_MAX_DEPTH and _coefficient above it; at t = 4-5 it is the faster path
-# up to about n**2 / 6 pairs (measured crossings near 34 pairs at t = 4 and 190
-# at t = 5).  Dense operands from t = 6 on split into halves by the eq11 stage
-# rule down to _straight(5) (_halves), so no table is built above depth 5.  The
-# halves take over past about n**2 / 2 pairs at t = 6-8, and past n**2 / 32
-# above KERNEL_MAX_DEPTH, where each pair costs a _coefficient call of about
-# 1.3-2 us (measured crossings near n**2 / 32 at t = 9-11).  The doubling
-# recursion to scalars is the oracle the tests compare them against.
+# Every Element product runs here, at every depth, by one of three paths.  A
+# signature picks its depth's functions once, on first use (_bind_kernel), and
+# keeps them with its scaled constants, so a product, norm or inverse reads one
+# slot and makes one call.  At depths 2-3, and for dense operands at 4-5,
+# _straight(t) is the product written out as one compiled function: dense
+# products take 0.39 / 1.5 / 5.7 / 26 us at t = 2-5 against 3.1 / 7.7 / 25 /
+# 102 us by the pair loop below, and compiling it with the norm and conjugate
+# below takes 0.18 / 0.37 / 1.0 / 3.3 ms once per depth.  Operands with few
+# nonzero coefficient pairs run a loop over those pairs, which reads the codes
+# up to KERNEL_MAX_DEPTH and _coefficient above it; at t = 4-5 it is the faster
+# path up to about n**2 / 6 pairs (measured crossings near 34 pairs at t = 4
+# and 190 at t = 5).  Dense operands from t = 6 on split into halves by the
+# eq11 stage rule down to _straight(5) (_halves), so no table is built above
+# depth 5.  The halves take over past about n**2 / 2 pairs at t = 6-8, and past
+# n**2 / 32 above KERNEL_MAX_DEPTH, where each pair costs a _coefficient call
+# of about 1.3-2 us (measured crossings near n**2 / 32 at t = 9-11).  The
+# doubling recursion to scalars is the oracle the tests compare them against.
 #
 # The same compile writes out the norm (the weighted sum of squares) and the
-# scaled conjugate that inverse returns, so at t <= STRAIGHT_MAX_DEPTH norm and
-# inverse read _straight(t) too: norm takes 0.30 / 0.39 / 0.60 / 0.87 / 1.5 us
-# at t = 1-5 against 0.60 / 0.79 / 0.97 / 1.4 / 2.1 us by sum(map(...)), and
-# inverse 1.1 / 1.7 / 1.4 / 1.8 / 3.3 us against 1.9 / 2.8 / 2.5 / 3.2 / 4.8 us.
-# Above that depth both stay loops (_norm_sum, _conjugate).
+# scaled conjugate that inverse returns, so at t <= STRAIGHT_MAX_DEPTH the
+# kernel binds those too: the norm's sum takes 0.10 / 0.16 / 0.30 / 0.54 / 1.2
+# us at t = 1-5 against 0.43 / 0.57 / 0.87 / 1.2 / 1.8 us by sum(map(...)), and
+# the conjugate 0.12 / 0.15 / 0.24 / 0.31 / 0.86 us against 0.53 / 0.57 / 0.69
+# / 0.89 / 1.2 us.  Above that depth both stay loops (_norm_sum, _conjugate).
+# (Integer coefficients in [-9, 9], parameters -1, best of five alternated
+# processes, Python 3.11 on a 2-vCPU host.)
 
 
 def _coefficient(p: int, q: int) -> Tuple[int, int]:
@@ -315,7 +353,7 @@ def _codes(t: int) -> list:
     Q = P ^ k: row k appends e_(P+h) e_(Q+h) = gamma_t conj(e_Q) e_P, row k + h is
     e_P e_(Q+h) = e_Q e_P, then e_(P+h) e_Q = e_P conj(e_Q); conj(e_Q) = -e_Q if Q != 0.
 
-    Read by the pair loop of ``_kernel_mul``, by ``_straight`` and by the
+    Read by the kernels' pair loop, by ``_straight`` and by the
     CLI's ``mul-table``, which renders its rows from them.
     """
     if not t:
@@ -340,6 +378,9 @@ def _straight(t: int) -> tuple:
     rather than 4**t.  ``norm(xs, weights)`` is sum(x_p * x_p * weights[p]) and
     ``conjugate(xs, m)`` is (x_0 * m, -x_1 * m, ...).  The source is built only
     from the depth and the integers of ``_codes(t)``, never from operand values.
+
+    The per-depth compile that ``_bind_kernel`` builds kernels from, once per
+    process: 0.18 / 0.37 / 1.0 / 3.3 ms at t = 2-5.
     """
     n = 1 << t
     sums = []
@@ -411,46 +452,99 @@ def _ratio(v: int, den: int) -> Rational:
     return Fraction(v, den) if r else q
 
 
-def _kernel_mul(xs: tuple, ys: tuple, sig: AlgebraSignature) -> tuple:
-    """eq11 product of numerator tuples through the structure constants.
+def _product_0(xs: tuple, ys: tuple, signed: list) -> tuple:
+    """Product at t = 0, in the rationals themselves (D = 1)."""
+    return (xs[0] * ys[0],)
 
-    At every depth, dense operands above depth 5 by halves.  Returns (z, D) with
-    D = prod(den(gamma_i)): the product of xs / dx and ys / dy is z / (D * dx * dy).
-    """
-    t = sig.t
-    if t == 0:
-        return (xs[0] * ys[0],), 1
-    signed, d, _ = sig._constants()
-    if t == 1:
-        # Written out: through _straight(1) this call takes about 1.5x as long.
-        # signed[0] = D and signed[2] = D * gamma.
-        (x0, x1), (y0, y1) = xs, ys
-        return (x0 * y0 * d + x1 * y1 * signed[2], (x0 * y1 + x1 * y0) * d), d
-    if t <= 3:
-        return _straight(t)[0](xs, ys, signed), d
+
+def _product_1(xs: tuple, ys: tuple, signed: list) -> tuple:
+    # Written out: through _straight(1) a product takes about 1.5x as long.
+    # signed[0] = D and signed[2] = D * gamma.
+    (x0, x1), (y0, y1) = xs, ys
+    d = signed[0]
+    return (x0 * y0 * d + x1 * y1 * signed[2], (x0 * y1 + x1 * y0) * d)
+
+
+def _support(xs: tuple) -> list:
+    """(p, x_p) for the nonzero x_p, found by a scan in C."""
+    return [(p, xs[p]) for p in compress(range(len(xs)), xs)]
+
+
+def _code_pairs(xs: tuple, ys: tuple, signed: list, codes: list) -> tuple:
+    """The product over the support pairs only, reading the codes."""
+    z = [0] * len(xs)
+    py = _support(ys)
+    for p, xp in _support(xs):
+        for q, yq in py:
+            k = p ^ q
+            z[k] += xp * yq * signed[codes[k][p]]
+    return tuple(z)
+
+
+def _dense_or_code_pairs(xs: tuple, ys: tuple, args: tuple) -> tuple:
+    """Product at t = 4-5: generated, or the pair loop up to n**2 / 6 support pairs."""
+    signed, straight, codes = args
     n = len(xs)
-    pairs = (n - xs.count(0)) * (n - ys.count(0))
-    if t <= STRAIGHT_MAX_DEPTH:
-        if 6 * pairs > n * n:
-            return _straight(t)[0](xs, ys, signed), d
-    elif 2 * pairs > (n * (n + 8) if t <= KERNEL_MAX_DEPTH else n * n // 16):
-        return _halves(xs, ys, sig.gammas, signed[:2 << STRAIGHT_MAX_DEPTH]), d
-    # Few support pairs: visit only those, found by scans in C.
-    z = [0] * n
-    py = [(q, ys[q]) for q in compress(range(n), ys)]
-    px = [(p, xs[p]) for p in compress(range(n), xs)]
-    if t <= KERNEL_MAX_DEPTH:
-        codes = _codes(t)
-        for p, xp in px:
-            for q, yq in py:
-                k = p ^ q
-                z[k] += xp * yq * signed[codes[k][p]]
+    if 6 * (n - xs.count(0)) * (n - ys.count(0)) > n * n:
+        return straight(xs, ys, signed)
+    return _code_pairs(xs, ys, signed, codes)
+
+
+def _halves_or_code_pairs(xs: tuple, ys: tuple, args: tuple) -> tuple:
+    """Product at t = 6 to KERNEL_MAX_DEPTH: by halves, or the pair loop up to
+    n * (n + 8) / 2 pairs."""
+    signed, gammas, base = args
+    n = len(xs)
+    if 2 * (n - xs.count(0)) * (n - ys.count(0)) > n * (n + 8):
+        return _halves(xs, ys, gammas, base)
+    return _code_pairs(xs, ys, signed, _codes(len(gammas)))
+
+
+def _coefficient_pairs(xs: tuple, ys: tuple, signed: list) -> tuple:
+    """The product over the support pairs only, calling _coefficient."""
+    z = [0] * len(xs)
+    py = _support(ys)
+    for p, xp in _support(xs):
+        for q, yq in py:
+            sign, mask = _coefficient(p, q)
+            z[p ^ q] += xp * yq * signed[2 * mask + (sign < 0)]
+    return tuple(z)
+
+
+def _halves_or_coefficient_pairs(xs: tuple, ys: tuple, args: tuple) -> tuple:
+    """Product above KERNEL_MAX_DEPTH: by halves, or the pair loop up to n**2 / 32 pairs."""
+    signed, gammas, base = args
+    n = len(xs)
+    if 2 * (n - xs.count(0)) * (n - ys.count(0)) > n * n // 16:
+        return _halves(xs, ys, gammas, base)
+    return _coefficient_pairs(xs, ys, signed)
+
+
+def _bind_kernel(t: int, gammas: tuple) -> tuple:
+    """The kernel of a signature: its depth's functions with the constants they read.
+
+    (product, args, D, norm, weights, conjugate, signed), where signed, D
+    and weights are ``_scaled_constants(gammas)``.  ``product(xs, ys, args)``
+    is the eq11 product of numerator tuples: the product of xs / dx and
+    ys / dy is product(...) / (D * dx * dy).  ``norm(xs, weights)`` is the
+    norm's numerator over D and ``conjugate(xs, m)`` the scaled conjugate.
+    The functions are shared by every signature of a depth; only the tuple
+    is made per signature.
+    """
+    signed, d, weights = _scaled_constants(gammas)
+    if t > STRAIGHT_MAX_DEPTH:
+        product = (_halves_or_code_pairs if t <= KERNEL_MAX_DEPTH
+                   else _halves_or_coefficient_pairs)
+        return (product, (signed, gammas, signed[:2 << STRAIGHT_MAX_DEPTH]), d,
+                _norm_sum, weights, _conjugate, signed)
+    straight, norm, conjugate = _straight(t)
+    if t <= 1:
+        product, args = (_product_0, _product_1)[t], signed
+    elif t <= 3:
+        product, args = straight, signed
     else:
-        for p, xp in px:
-            for q, yq in py:
-                sign, mask = _coefficient(p, q)
-                z[p ^ q] += xp * yq * signed[2 * mask + (sign < 0)]
-    return tuple(z), d
+        product, args = _dense_or_code_pairs, (signed, straight, _codes(t))
+    return product, args, d, norm, weights, conjugate, signed
 
 
 class Element(_Frozen):
@@ -533,8 +627,12 @@ class Element(_Frozen):
             a, b = self, other
             if sig.convention is _CONJUGATE_LEFT:
                 a, b = b, a
-            z, d = _kernel_mul(a._nums, b._nums, sig)
-            return _element(sig, z, d * a._den * b._den)
+            try:
+                kernel = sig._scaled
+            except AttributeError:
+                kernel = sig._kernel()
+            return _element(sig, kernel[0](a._nums, b._nums, kernel[1]),
+                            kernel[2] * a._den * b._den)
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         return NotImplemented
@@ -575,11 +673,12 @@ class Element(_Frozen):
         out up to STRAIGHT_MAX_DEPTH.
         """
         sig = self.signature
-        _, d, weights = sig._constants()
-        t = sig.t
-        s = (_straight(t)[1] if t <= STRAIGHT_MAX_DEPTH else _norm_sum)(self._nums, weights)
+        try:
+            kernel = sig._scaled
+        except AttributeError:
+            kernel = sig._kernel()
         den = self._den
-        return _ratio(s, d * den * den)
+        return _ratio(kernel[3](self._nums, kernel[4]), kernel[2] * den * den)
 
     def inverse(self) -> Element:
         """Two-sided inverse; fails exactly where the norm is zero.
@@ -591,20 +690,18 @@ class Element(_Frozen):
         moved onto the numerators.
         """
         sig = self.signature
-        _, d, weights = sig._constants()
-        t = sig.t
-        if t <= STRAIGHT_MAX_DEPTH:
-            _, norm, conjugate = _straight(t)
-        else:
-            norm, conjugate = _norm_sum, _conjugate
+        try:
+            kernel = sig._scaled
+        except AttributeError:
+            kernel = sig._kernel()
         xs = self._nums
-        s = norm(xs, weights)
+        s = kernel[3](xs, kernel[4])
         if s == 0:
             raise ZeroDivisionError("element has norm zero and is not invertible")
-        m = d * self._den
+        m = kernel[2] * self._den
         if s < 0:
             s, m = -s, -m
-        return _element(sig, conjugate(xs, m), s)
+        return _element(sig, kernel[5](xs, m), s)
 
     def scalar_part(self) -> Rational:
         return _ratio(self._nums[0], self._den)

@@ -334,10 +334,18 @@ def _cmd_encode(args) -> Iterable[str]:
 
 # ---- parser -----------------------------------------------------------------
 
+# The logging levels by name, so that the flag is parsed without importing
+# ``logging``: the CLI imports it only when the flag is given.
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cdalgebra",
         description="Exact doubling-algebra tables, norms and residue fields.")
+    parser.add_argument("--log-level", type=str.lower, choices=_LOG_LEVELS, default=None,
+                        help="write the library's log records at this level and above "
+                             "to stderr, e.g. debug for the u_mod fallback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
@@ -462,6 +470,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         for flag in ("t", "samples"):
             if getattr(args, flag) is not None:
                 parser.error(f"--{flag} sizes the core suite, not --suite {args.suite}")
+    if args.log_level is not None:
+        import logging
+        logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr)
     try:
         with _unbounded_int_output():
             _write(args.func(args), args.output)

@@ -13,8 +13,8 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Optional, Tuple, Union
 
-from .algebra import (AlgebraSignature, Element, Rational, _Frozen, _element, _index,
-                      _ratio, _scaled_constants, as_rational)
+from .algebra import (AlgebraSignature, Convention, Element, Rational, _Frozen, _element,
+                      _index, _ratio, _scaled_constants, _signature, as_rational)
 
 # Indices below FIB_MEMO are read from a memo built once at import (about
 # 0.2 ms and 84 KB), which covers the closed-form norm up to n = 511.
@@ -263,7 +263,7 @@ class QuaternionParams:
         a1, a2 = as_rational(self.alpha1), as_rational(self.alpha2)
         if a1 == 0 or a2 == 0:
             raise ValueError("quaternion parameters must be nonzero")
-        sig = AlgebraSignature(2, (-a1, -a2))
+        sig = _signature(2, (-a1, -a2), Convention.CONJUGATE_RIGHT)
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
         object.__setattr__(self, "_signature", sig)

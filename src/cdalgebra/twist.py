@@ -19,8 +19,9 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import (_CONJUGATE_LEFT, MAX_TABLE_DEPTH, AlgebraSignature, Convention,
-                      Element, Rational, _coefficient, _Frozen, _index, as_rational)
+from .algebra import (_CONJUGATE_LEFT, _CONJUGATE_RIGHT, MAX_TABLE_DEPTH, AlgebraSignature,
+                      Convention, Element, Rational, _coefficient, _Frozen, _index,
+                      as_rational)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,7 +93,8 @@ def basis_product(p: int, q: int, sig: AlgebraSignature) -> Tuple[TwistCoefficie
     The range check compares bit lengths, as ``twist_sign`` does, so that no
     2**t is built.
     """
-    p, q = _index(p), _index(q)
+    if type(p) is not int or type(q) is not int:
+        p, q = _index(p), _index(q)
     if p < 0 or q < 0 or (p | q).bit_length() > sig.t:
         raise ValueError(f"basis indices ({p}, {q}) out of range for dimension "
                          f"{sig.dimension}")
@@ -116,15 +118,18 @@ def twist_sign(p: int, q: int, t: int,
     The sign of the coefficient times (-1) ** popcount(p & q).  Costs
     O(log L) word operations on L = (p | q).bit_length() bits whatever
     the depth: the range check compares bit lengths instead of building
-    2**t.
+    2**t.  ``convention`` is a member or its value; anything else is
+    refused with ``ValueError``.
     """
-    p, q, t = _index(p), _index(q), _index(t)
+    if type(p) is not int or type(q) is not int or type(t) is not int:
+        p, q, t = _index(p), _index(q), _index(t)
     if p < 0 or q < 0 or (p | q).bit_length() > t:  # also every t < 0
         raise ValueError(f"basis indices ({p}, {q}) out of range for depth {t}")
-    if convention == Convention.CONJUGATE_LEFT:
+    if convention is not _CONJUGATE_RIGHT and (
+            convention is _CONJUGATE_LEFT or Convention(convention) is _CONJUGATE_LEFT):
         p, q = q, p
     sign, mask = _coefficient(p, q)
-    return sign if mask.bit_count() % 2 == 0 else -sign
+    return -sign if mask.bit_count() & 1 else sign
 
 
 class TwistTable(_Frozen):

@@ -459,6 +459,43 @@ class TestKernel:
                     assert unit == list(sig.one().coeffs), (sig, x)
                     assert all(type(c) is int for c in unit)
 
+    def test_equal_signatures_bind_their_own_kernels(self):
+        # Two equal signatures made apart each bind a kernel on first use:
+        # their own constants tuple, the depth's shared functions.  Products
+        # across the two, norms and inverses all match the recursion, for
+        # dense operands (eight terms above depth 6, where the recursion is
+        # slow) and sparse ones, integer and rational.
+        rng = random.Random(33)
+        for t in range(10):
+            n = 1 << t
+            for conv in Convention:
+                for gammas in ((-1,) * t, self.MIXED[:t]):
+                    first, second = (make_algebra(t, gammas, conv) for _ in range(2))
+                    dense = n if t <= 6 else 8
+                    operands = []
+                    for sig, support, rational in ((first, dense, False), (second, dense, True),
+                                                   (second, min(n, 2), False), (first, 1, True)):
+                        coeffs = [0] * n
+                        for p in rng.sample(range(n), support):
+                            coeffs[p] = rng.choice((1, -1)) * rng.randint(1, 9)
+                            if rational and p % 2:
+                                coeffs[p] = Fraction(coeffs[p], rng.randint(2, 5))
+                        operands.append(sig.element(coeffs))
+                    a, b, c, d = operands
+                    pairs = [(a, b), (b, a), (a, c), (c, d), (d, b), (b, c)]
+                    assert self._mismatches(pairs) == [], (t, conv, gammas)
+                    for x in operands:
+                        want = as_rational(_mul(x.coeffs, _conj(x.coeffs), gammas)[0])
+                        assert x.norm() == want, (t, conv, gammas, x)
+                        if want:
+                            inv = [as_rational(Fraction(v) / want) for v in _conj(x.coeffs)]
+                            assert list(x.inverse().coeffs) == inv, (t, conv, gammas, x)
+                    # (product, args, D, norm, weights, conjugate, signed)
+                    kernels = first._scaled, second._scaled
+                    assert kernels[0][1] is not kernels[1][1]
+                    assert first._constants() == second._constants()
+                    assert all(kernels[0][i] is kernels[1][i] for i in (0, 3, 5)), t
+
     def test_depth_30_basis_product_builds_no_constants(self):
         # 2**31 scaled constants would not fit; basis_product never asks.
         sig = make_algebra(30, [Fraction(-1, 2)] * 30, LEFT)
@@ -589,11 +626,33 @@ class TestKernel:
         monkeypatch.setattr(algebra, "_straight", straight)
         return straight
 
+    @staticmethod
+    def _counted_straight(monkeypatch):
+        """An empty cache of generated products whose product functions record
+        their depth on each call.
+
+        A signature binds its kernel on first use, so one made after this
+        stand-in is installed calls the counted products.
+        """
+        calls = []
+        compile_depth = algebra._straight.__wrapped__
+
+        @lru_cache(maxsize=None)
+        def straight(t):
+            product, norm, conjugate = compile_depth(t)
+
+            def counted(xs, ys, signed):
+                calls.append(t)
+                return product(xs, ys, signed)
+            return counted, norm, conjugate
+        monkeypatch.setattr(algebra, "_straight", straight)
+        return calls
+
     def test_both_sides_of_the_support_pair_switch(self, monkeypatch):
         # Against a full operand, the pair loop runs for supports up to s
-        # and the generated function from s + 1 on, written out at t = 4-5
-        # and reached by halves at t = 6, 9 and 10; all read the same
-        # structure constants.  Above depth 8 the pair loop calls
+        # and the generated function from s + 1 on, bound in the kernel at
+        # t = 4-5 and reached by halves at t = 6, 9 and 10; all read the
+        # same structure constants.  Above depth 8 the pair loop calls
         # _coefficient, and the halves take over past n**2 / 32 pairs.  At
         # t = 9-10 the parameters are -1: under rational ones the recursion
         # takes about 0.2 s for each of the eight products at t = 9.
@@ -603,19 +662,20 @@ class TestKernel:
                              (10, 32, (-1,) * 10)):
             n = 1 << t
             for conv in Convention:
+                calls = self._counted_straight(monkeypatch)
                 sig = make_algebra(t, gammas, conv)
                 full = sig.element([rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(n)])
                 for support in (s, s + 1):
-                    straight = self._fresh_straight(monkeypatch)
                     coeffs = [0] * n
                     for p in rng.sample(range(n), support):
                         coeffs[p] = rng.choice((1, -1)) * rng.randint(1, 9)
                     part = sig.element(coeffs)
+                    calls.clear()
                     assert self._mismatches([(full, part), (part, full)]) == [], \
                         (t, conv, support)
-                    assert straight.cache_info().currsize == (support > s), \
-                        (t, conv, support)
-                    monkeypatch.undo()
+                    assert bool(calls) == (support > s), (t, conv, support)
+                    assert set(calls) <= {min(t, algebra.STRAIGHT_MAX_DEPTH)}, (t, conv)
+                monkeypatch.undo()
 
     def test_dense_products_import_no_numpy(self):
         # By halves, a dense product reads no table above depth 5 and no array.
@@ -668,12 +728,13 @@ class TestKernel:
 
     def test_corrupted_plane_is_caught(self, monkeypatch):
         # One flipped sign of e_2 * e_7 must show on every product path, each
-        # with an empty cache of generated products, and must not reach the
-        # twist suite's oracle.  The seam is the code at the given depth, or
-        # the pointwise coefficient (None: the pair loop above the code
-        # depth, sparse t = 9).  Dense operands fill the cache: generated at
-        # t = 3 and 5, by halves onto the depth-5 code at t = 7 and 9; sparse
-        # ones (t = 5 and 9) run the pair loop and leave it empty.
+        # with an empty cache of generated products and a signature whose
+        # kernel is bound after the flip, and must not reach the twist
+        # suite's oracle.  The seam is the code at the given depth, or the
+        # pointwise coefficient (None: the pair loop above the code depth,
+        # sparse t = 9).  Dense operands call a generated product: the
+        # kernel's at t = 3 and 5, by halves onto the depth-5 code at t = 7
+        # and 9; sparse ones (t = 5 and 9) run the pair loop and call none.
         rng = random.Random(22)
         for t, support, seam in ((3, 8, 3), (5, 32, 5), (5, 4, 5), (7, 128, 5),
                                  (9, 4, None), (9, 512, 5)):
@@ -681,7 +742,7 @@ class TestKernel:
                 monkeypatch.setattr(algebra, "_coefficient", self._flipped_coefficient(2, 7))
             else:
                 monkeypatch.setattr(algebra, "_codes", self._flipped_codes(seam, 2 ^ 7, 2))
-            straight = self._fresh_straight(monkeypatch)
+            calls = self._counted_straight(monkeypatch)
             sig = make_algebra(t, self.MIXED[:t], RIGHT)
             operands = []
             for must in (2, 7):
@@ -691,7 +752,7 @@ class TestKernel:
                     coeffs[p] = rng.choice((1, -1)) * rng.randint(1, 9)
                 operands.append(sig.element(coeffs))
             assert self._mismatches([tuple(operands)]), (t, support)
-            assert straight.cache_info().currsize == (support == sig.dimension), (t, support)
+            assert bool(calls) == (support == sig.dimension), (t, support)
             assert run_twist_suite(exhaustive_depth=3, random_pairs=10,
                                    table_depth=t).passed
             monkeypatch.undo()
@@ -796,6 +857,80 @@ class TestStoredForm:
                     with pytest.raises(AttributeError):
                         delattr(y, name)
                 assert y == x
+
+    # An element of a used depth-2 signature (parameters -1/2 and 3, eq31)
+    # as pickled, protocol 0, while the kernel slot held the scaled
+    # constants (signed, D, weights).
+    OLD_PICKLE = (
+        b"ccdalgebra.algebra\n_restore\np0\n(ccdalgebra.algebra\nElement\np1\n(dp2\n"
+        b"Vsignature\np3\ng0\n(ccdalgebra.algebra\nAlgebraSignature\np4\n(dp5\nVt\np6\n"
+        b"I2\nsVgammas\np7\n(cfractions\nFraction\np8\n(I-1\nI2\ntp9\nRp10\nI3\ntp11\n"
+        b"sVconvention\np12\nccdalgebra.algebra\nConvention\np13\n(Veq31\np14\ntp15\n"
+        b"Rp16\nsV_scaled\np17\n((lp18\nI2\naI-2\naI-1\naI1\naI6\naI-6\naI-3\naI3\naI2\n"
+        b"(lp19\nI2\naI1\naI-6\naI-3\natp20\nstp21\nRp22\nsV_nums\np23\n(I3\nI2\nI-3\n"
+        b"I12\ntp24\nsV_den\np25\nI3\nstp26\nRp27\n.")
+
+    def test_a_pickle_holding_the_old_slot_loads_and_multiplies(self):
+        x = pickle.loads(self.OLD_PICKLE)
+        sig = make_algebra(2, [Fraction(-1, 2), 3], LEFT)
+        want = sig.element([1, Fraction(2, 3), -1, 4])
+        assert x == want and not hasattr(x.signature, "_scaled")
+        assert (x * x, x.norm(), x.inverse()) == (want * want, want.norm(), want.inverse())
+        assert x.signature._constants() == sig._constants()
+
+    @staticmethod
+    def _used_signatures():
+        """Depth 0-9 signatures of both conventions, each with its kernel bound,
+        and an element of each."""
+        out = []
+        for t in range(10):
+            for conv in Convention:
+                sig = make_algebra(t, [Fraction(-1, 2) if i % 2 else -3 for i in range(t)], conv)
+                x = sig.basis(sig.dimension - 1) - Fraction(2, 3) * sig.one()
+                x * x, x.norm(), x.inverse()
+                assert hasattr(sig, "_scaled")
+                out.append(x)
+        return out
+
+    def test_used_signature_pickles_and_copies_as_a_fresh_one(self):
+        # The kernel holds generated functions: pickles and copies carry
+        # (t, gammas, convention) alone, and the copy binds its own kernel.
+        for x in self._used_signatures():
+            sig = x.signature
+            fresh = make_algebra(sig.t, sig.gammas, sig.convention)
+            copies = [copy.copy(sig), copy.deepcopy(sig)]
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                data = pickle.dumps(sig, protocol)
+                assert data == pickle.dumps(fresh, protocol), protocol
+                copies.append(pickle.loads(data))
+                copies.append(pickle.loads(pickle.dumps(x, protocol)).signature)
+            want = (x * x, x.norm(), x.inverse())
+            for y in copies:
+                assert not hasattr(y, "_scaled")
+                assert (y == sig, hash(y), repr(y)) == (True, hash(sig), repr(sig))
+                z = y.element(x.coeffs)
+                assert (z * z, z.norm(), z.inverse()) == want
+                assert hasattr(y, "_scaled") and y._constants() == sig._constants()
+
+    def test_used_signature_pickles_load_in_a_fresh_interpreter(self):
+        xs = self._used_signatures()
+        src = str(Path(algebra.__file__).resolve().parents[1])
+        script = ("import pickle, sys\n"
+                  f"sys.path.insert(0, {src!r})\n"
+                  "from cdalgebra.algebra import make_algebra\n"
+                  "xs = pickle.loads(sys.stdin.buffer.read())\n"
+                  "for x in xs:\n"
+                  "    sig = x.signature\n"
+                  "    fresh = make_algebra(sig.t, sig.gammas, sig.convention)\n"
+                  "    assert not hasattr(sig, '_scaled')\n"
+                  "    assert sig == fresh and hash(sig) == hash(fresh)\n"
+                  "out = [(repr(x.signature), x * x, x.norm(), x.inverse()) for x in xs]\n"
+                  "sys.stdout.buffer.write(pickle.dumps(out))\n")
+        proc = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(xs),
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert pickle.loads(proc.stdout) == [(repr(x.signature), x * x, x.norm(), x.inverse())
+                                             for x in xs]
 
     def test_field_pickle_loads_in_a_fresh_interpreter(self):
         field = _golden_field()

@@ -349,6 +349,55 @@ class TestVerify:
         assert line == f"error: argument --seed: {message}"
 
 
+class TestLogLevel:
+    """``--log-level`` routes the library's log records to stderr; stdout and
+    the exit code stay those of the same command without it."""
+
+    @staticmethod
+    def _run(argv):
+        return subprocess.run([sys.executable, "-m", "cdalgebra.cli", *argv], env=_src_env(),
+                              capture_output=True, text=True, timeout=60)
+
+    def test_debug_writes_the_u_mod_fallback_records(self):
+        plain = self._run(["verify", "--suite", "residue"])
+        logged = self._run(["--log-level", "debug", "verify", "--suite", "residue"])
+        assert (logged.returncode, logged.stdout) == (plain.returncode, plain.stdout) == (
+            0, "residue: 1043 checks, 0 failures [ok]\n")
+        assert plain.stderr == ""
+        lines = logged.stderr.splitlines()
+        assert lines and all(line.startswith("DEBUG:cdalgebra.residue:") and "neighbor" in line
+                             for line in lines)
+
+    @pytest.mark.parametrize("level", ["info", "WARNING", "error", "Critical"])
+    def test_levels_above_debug_add_nothing(self, level):
+        argv = ["verify", "--suite", "residue"]
+        plain, logged = self._run(argv), self._run(["--log-level", level, *argv])
+        assert (logged.returncode, logged.stdout, logged.stderr) == (
+            plain.returncode, plain.stdout, "")
+
+    def test_a_failing_command_keeps_its_exit_code_and_error_line(self):
+        argv = ["twist", "--t", "2", "--p", "9", "--q", "0"]
+        plain, logged = self._run(argv), self._run(["--log-level", "debug", *argv])
+        assert (logged.returncode, logged.stdout, logged.stderr) == (
+            plain.returncode, plain.stdout, plain.stderr)
+        assert plain.returncode == 1 and plain.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["--log-level", "loud"], ["--log-level", ""],
+                                      ["--log-level", "10"], ["--log-level"]])
+    def test_a_bad_level_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "twist", "--t", "2", "--p", "1", "--q", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert out == "" and line.startswith("error: argument --log-level: ")
+
+    def test_logging_is_imported_only_with_the_flag(self):
+        argv = ["twist", "--t", "30", "--p", "5", "--q", "9"]
+        assert "logging" not in _process_imports(argv)
+        assert "logging" in _process_imports(["--log-level", "debug", *argv])
+
+
 class TestFibNorm:
     def test_equal_verdict(self, capsys):
         code, out, _ = invoke(capsys, "fib-norm", "--n", "3",

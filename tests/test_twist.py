@@ -343,6 +343,24 @@ class TestTwistSign:
         with pytest.raises(ValueError):
             twist_sign(-1, 0, 2)
 
+    def test_convention_values_are_accepted(self):
+        for t in range(4):
+            n = 1 << t
+            for p in range(n):
+                for q in range(n):
+                    assert twist_sign(p, q, t, "eq11") == twist_sign(p, q, t, RIGHT)
+                    assert twist_sign(p, q, t, "eq31") == twist_sign(p, q, t, LEFT)
+        assert twist_sign(3, 5, 3, "eq31") == -twist_sign(3, 5, 3, "eq11") == 1
+
+    @pytest.mark.parametrize("convention", ["bogus", None, 3, "EQ31", ""])
+    def test_a_bad_convention_is_refused(self, convention):
+        # Refused as build_table and make_algebra refuse it, not read as eq11.
+        for call in (lambda: twist_sign(3, 5, 3, convention),
+                     lambda: build_table(3, convention),
+                     lambda: make_algebra(3, [-1] * 3, convention)):
+            with pytest.raises(ValueError, match="is not a valid Convention"):
+                call()
+
     @pytest.mark.parametrize("depth, error, message", [
         (1.5, TypeError, None), (2.0, TypeError, None), (True, TypeError, "not bool"),
         (-1, ValueError, "out of range for depth -1")])
