@@ -256,23 +256,26 @@ def _conj(a: tuple) -> tuple:
 # * prod(den(gamma_i), i not in mask), so a product is integer arithmetic on
 # the stored numerators with a single gcd reduction at the end.
 #
-# Every Element product runs here, at every depth, by one of three paths.  A
-# signature picks its depth's functions once, on first use (_bind_kernel), and
-# keeps them with its scaled constants, so a product, norm or inverse reads one
-# slot and makes one call.  At depths 2-3, and for dense operands at 4-5,
-# _straight(t) is the product written out as one compiled function: dense
-# products take 0.39 / 1.5 / 5.7 / 26 us at t = 2-5 against 3.1 / 7.7 / 25 /
-# 102 us by the pair loop below, and compiling it with the norm and conjugate
-# below takes 0.18 / 0.37 / 1.0 / 3.3 ms once per depth.  Operands with few
-# nonzero coefficient pairs run a loop over those pairs, which reads the codes
-# up to KERNEL_MAX_DEPTH and _coefficient above it; at t = 4-5 it is the faster
-# path up to about n**2 / 6 pairs (measured crossings near 34 pairs at t = 4
-# and 190 at t = 5).  Dense operands from t = 6 on split into halves by the
-# eq11 stage rule down to _straight(5) (_halves), so no table is built above
-# depth 5.  The halves take over past about n**2 / 2 pairs at t = 6-8, and past
-# n**2 / 32 above KERNEL_MAX_DEPTH, where each pair costs a _coefficient call
-# of about 1.3-2 us (measured crossings near n**2 / 32 at t = 9-11).  The
-# doubling recursion to scalars is the oracle the tests compare them against.
+# Every Element product runs here, at every depth.  A signature binds its
+# depth's functions once, on first use (_bind_kernel), and keeps them with its
+# scaled constants, so a product, norm or inverse reads one slot and makes one
+# call.  Up to depth 3 the product is _straight(t), the product written out as
+# one compiled function.  Above depth 3 it is one switch, _dense_or_pairs: a
+# loop over the nonzero coefficient pairs up to a pair-count limit bound per
+# signature, and the dense product past it.  The pair loop reads the codes up
+# to KERNEL_MAX_DEPTH and calls _coefficient above it.  The dense product is
+# _straight(t) at t = 4-5 and, from t = 6 on, a split into halves by the eq11
+# stage rule down to _straight(5) (_halves), so no table is built above depth 5
+# for a dense product.  The limits are the measured crossings:
+#   - t = 4-5, n**2 // 6: generated products take 0.39 / 1.5 / 5.7 / 26 us at
+#     t = 2-5 against 3.1 / 7.7 / 25 / 102 us by the pair loop on dense
+#     operands, and the two crossed near 34 pairs at t = 4 and 190 at t = 5;
+#     compiling a depth's product with the norm and conjugate below takes
+#     0.18 / 0.37 / 1.0 / 3.3 ms once per process;
+#   - t = 6 to KERNEL_MAX_DEPTH, n * (n + 8) // 2, where the halves take over;
+#   - above, n**2 // 32: each pair costs a _coefficient call of about 1.3-2 us,
+#     and the crossings were near n**2 / 32 at t = 9-11.
+# The doubling recursion to scalars is the oracle the tests compare them against.
 #
 # The same compile writes out the norm (the weighted sum of squares) and the
 # scaled conjugate that inverse returns, so at t <= STRAIGHT_MAX_DEPTH the
@@ -426,21 +429,23 @@ def _conjugate(xs: tuple, m: int) -> tuple:
     return (xs[0] * m, *[x * n for x in xs[1:]])
 
 
-def _halves(xs: tuple, ys: tuple, gammas: tuple, base: list) -> tuple:
+def _halves(xs: tuple, ys: tuple, args: tuple) -> tuple:
     """eq11 product at depth len(gammas) by halves, down to _straight(STRAIGHT_MAX_DEPTH).
 
-    ``base`` is the start of the full scaled constants, so every half product
-    carries the whole D and the last parameter g = num / den enters as * num // den.
+    ``args`` is (gammas, base), ``base`` the start of the full scaled
+    constants, so every half product carries the whole D and the last
+    parameter g = num / den enters as * num // den.
     """
+    gammas, base = args
     if len(gammas) == STRAIGHT_MAX_DEPTH:
         return _straight(STRAIGHT_MAX_DEPTH)[0](xs, ys, base)
     h = len(xs) >> 1
     a1, a2, b1, b2 = xs[:h], xs[h:], ys[:h], ys[h:]
-    rest, g = gammas[:-1], gammas[-1]
+    rest, g = (gammas[:-1], base), gammas[-1]
     num, den = g.numerator, g.denominator
-    low = [u + v * num // den for u, v in zip(_halves(a1, b1, rest, base),
-                                              _halves(_conj(b2), a2, rest, base))]
-    high = map(add, _halves(a2, _conj(b1), rest, base), _halves(b2, a1, rest, base))
+    low = [u + v * num // den for u, v in zip(_halves(a1, b1, rest),
+                                              _halves(_conj(b2), a2, rest))]
+    high = map(add, _halves(a2, _conj(b1), rest), _halves(b2, a1, rest))
     return (*low, *high)
 
 
@@ -452,26 +457,19 @@ def _ratio(v: int, den: int) -> Rational:
     return Fraction(v, den) if r else q
 
 
-def _product_0(xs: tuple, ys: tuple, signed: list) -> tuple:
-    """Product at t = 0, in the rationals themselves (D = 1)."""
-    return (xs[0] * ys[0],)
-
-
-def _product_1(xs: tuple, ys: tuple, signed: list) -> tuple:
-    # Written out: through _straight(1) a product takes about 1.5x as long.
-    # signed[0] = D and signed[2] = D * gamma.
-    (x0, x1), (y0, y1) = xs, ys
-    d = signed[0]
-    return (x0 * y0 * d + x1 * y1 * signed[2], (x0 * y1 + x1 * y0) * d)
-
-
 def _support(xs: tuple) -> list:
     """(p, x_p) for the nonzero x_p, found by a scan in C."""
     return [(p, xs[p]) for p in compress(range(len(xs)), xs)]
 
 
-def _code_pairs(xs: tuple, ys: tuple, signed: list, codes: list) -> tuple:
-    """The product over the support pairs only, reading the codes."""
+def _code_pairs(xs: tuple, ys: tuple, args: tuple) -> tuple:
+    """The product over the support pairs only, reading the codes of depth t.
+
+    ``args`` is (signed, t).  ``_codes(t)`` is looked up on each call, so a
+    signature whose products are all dense builds no code table.
+    """
+    signed, t = args
+    codes = _codes(t)
     z = [0] * len(xs)
     py = _support(ys)
     for p, xp in _support(xs):
@@ -479,25 +477,6 @@ def _code_pairs(xs: tuple, ys: tuple, signed: list, codes: list) -> tuple:
             k = p ^ q
             z[k] += xp * yq * signed[codes[k][p]]
     return tuple(z)
-
-
-def _dense_or_code_pairs(xs: tuple, ys: tuple, args: tuple) -> tuple:
-    """Product at t = 4-5: generated, or the pair loop up to n**2 / 6 support pairs."""
-    signed, straight, codes = args
-    n = len(xs)
-    if 6 * (n - xs.count(0)) * (n - ys.count(0)) > n * n:
-        return straight(xs, ys, signed)
-    return _code_pairs(xs, ys, signed, codes)
-
-
-def _halves_or_code_pairs(xs: tuple, ys: tuple, args: tuple) -> tuple:
-    """Product at t = 6 to KERNEL_MAX_DEPTH: by halves, or the pair loop up to
-    n * (n + 8) / 2 pairs."""
-    signed, gammas, base = args
-    n = len(xs)
-    if 2 * (n - xs.count(0)) * (n - ys.count(0)) > n * (n + 8):
-        return _halves(xs, ys, gammas, base)
-    return _code_pairs(xs, ys, signed, _codes(len(gammas)))
 
 
 def _coefficient_pairs(xs: tuple, ys: tuple, signed: list) -> tuple:
@@ -511,13 +490,16 @@ def _coefficient_pairs(xs: tuple, ys: tuple, signed: list) -> tuple:
     return tuple(z)
 
 
-def _halves_or_coefficient_pairs(xs: tuple, ys: tuple, args: tuple) -> tuple:
-    """Product above KERNEL_MAX_DEPTH: by halves, or the pair loop up to n**2 / 32 pairs."""
-    signed, gammas, base = args
+def _dense_or_pairs(xs: tuple, ys: tuple, args: tuple) -> tuple:
+    """The product above depth 3: the pair loop up to ``limit`` support pairs, else dense.
+
+    ``args`` is (dense, dense_args, pairs, pair_args, limit).
+    """
+    dense, dense_args, pairs, pair_args, limit = args
     n = len(xs)
-    if 2 * (n - xs.count(0)) * (n - ys.count(0)) > n * n // 16:
-        return _halves(xs, ys, gammas, base)
-    return _coefficient_pairs(xs, ys, signed)
+    if (n - xs.count(0)) * (n - ys.count(0)) > limit:
+        return dense(xs, ys, dense_args)
+    return pairs(xs, ys, pair_args)
 
 
 def _bind_kernel(t: int, gammas: tuple) -> tuple:
@@ -528,23 +510,26 @@ def _bind_kernel(t: int, gammas: tuple) -> tuple:
     is the eq11 product of numerator tuples: the product of xs / dx and
     ys / dy is product(...) / (D * dx * dy).  ``norm(xs, weights)`` is the
     norm's numerator over D and ``conjugate(xs, m)`` the scaled conjugate.
-    The functions are shared by every signature of a depth; only the tuple
-    is made per signature.
+    The functions are shared by every signature of a depth; only the tuples
+    are made per signature.
     """
     signed, d, weights = _scaled_constants(gammas)
-    if t > STRAIGHT_MAX_DEPTH:
-        product = (_halves_or_code_pairs if t <= KERNEL_MAX_DEPTH
-                   else _halves_or_coefficient_pairs)
-        return (product, (signed, gammas, signed[:2 << STRAIGHT_MAX_DEPTH]), d,
-                _norm_sum, weights, _conjugate, signed)
-    straight, norm, conjugate = _straight(t)
-    if t <= 1:
-        product, args = (_product_0, _product_1)[t], signed
-    elif t <= 3:
-        product, args = straight, signed
+    if t <= STRAIGHT_MAX_DEPTH:
+        dense, norm, conjugate = _straight(t)
+        dense_args = signed
     else:
-        product, args = _dense_or_code_pairs, (signed, straight, _codes(t))
-    return product, args, d, norm, weights, conjugate, signed
+        dense, norm, conjugate = _halves, _norm_sum, _conjugate
+        dense_args = (gammas, signed[:2 << STRAIGHT_MAX_DEPTH])
+    if t <= 3:
+        return dense, dense_args, d, norm, weights, conjugate, signed
+    n = 1 << t
+    if t <= KERNEL_MAX_DEPTH:
+        pairs, pair_args = _code_pairs, (signed, t)
+        limit = n * n // 6 if t <= STRAIGHT_MAX_DEPTH else n * (n + 8) // 2
+    else:
+        pairs, pair_args, limit = _coefficient_pairs, signed, n * n // 32
+    return (_dense_or_pairs, (dense, dense_args, pairs, pair_args, limit), d,
+            norm, weights, conjugate, signed)
 
 
 class Element(_Frozen):

@@ -153,6 +153,9 @@ class TwistTable(_Frozen):
 
     def __init__(self, t: int, convention: Convention, base_signs: np.ndarray,
                  gamma_masks: Optional[np.ndarray] = None):
+        t = _index(t)
+        if t < 1:
+            raise ValueError("table depth must be >= 1")
         n = 1 << t
         planes = (("base_signs", base_signs, "int8"),)
         if gamma_masks is not None:
@@ -533,6 +536,7 @@ class PowerRowReport:
 
 def power_row_operands(r: int, k: int, i: int, t: int) -> Tuple[int, int]:
     """Row and column base indices for the claim's (r, k, i) triple."""
+    r, k, i, t = map(_index, (r, k, i, t))
     if not (r >= 1 and r < k <= i < t):
         raise ValueError(f"require 1 <= r < k <= i < t, got r={r} k={k} i={i} t={t}")
     row = 1 << (k - r + 1)
@@ -546,6 +550,7 @@ def check_power_row_claim(r: int, k: int, i: int, t: int) -> PowerRowReport:
     The claim is stated for the left-conjugating convention with all
     parameters -1, which is what the oracle evaluates.
     """
+    r, k, i, t = map(_index, (r, k, i, t))
     row, col = power_row_operands(r, k, i, t)
     base_sign = (-1) ** (r + 2)
     claim = {(0, 0): base_sign, (0, 1): -base_sign,

@@ -651,15 +651,17 @@ class TestKernel:
     def test_both_sides_of_the_support_pair_switch(self, monkeypatch):
         # Against a full operand, the pair loop runs for supports up to s
         # and the generated function from s + 1 on, bound in the kernel at
-        # t = 4-5 and reached by halves at t = 6, 9 and 10; all read the
-        # same structure constants.  Above depth 8 the pair loop calls
-        # _coefficient, and the halves take over past n**2 / 32 pairs.  At
-        # t = 9-10 the parameters are -1: under rational ones the recursion
-        # takes about 0.2 s for each of the eight products at t = 9.
+        # t = 4-5 and reached by halves at t = 6, 8, 9 and 10; all read the
+        # same structure constants.  t = 8 is the last depth whose pair loop
+        # reads codes (up to n * (n + 8) // 2 = 33,792 pairs).  Above depth 8
+        # the pair loop calls _coefficient, and the halves take over past
+        # n**2 / 32 pairs.  At t = 8-10 the parameters are -1: under rational
+        # ones the recursion takes about 0.2 s for each of the eight products
+        # at t = 9.
         rng = random.Random(26)
         for t, s, gammas in ((4, 2, self.MIXED[:4]), (5, 5, self.MIXED[:5]),
-                             (6, 36, self.MIXED[:6]), (9, 16, (-1,) * 9),
-                             (10, 32, (-1,) * 10)):
+                             (6, 36, self.MIXED[:6]), (8, 132, (-1,) * 8),
+                             (9, 16, (-1,) * 9), (10, 32, (-1,) * 10)):
             n = 1 << t
             for conv in Convention:
                 calls = self._counted_straight(monkeypatch)
@@ -676,6 +678,33 @@ class TestKernel:
                     assert bool(calls) == (support > s), (t, conv, support)
                     assert set(calls) <= {min(t, algebra.STRAIGHT_MAX_DEPTH)}, (t, conv)
                 monkeypatch.undo()
+
+    def test_dense_products_build_no_codes_above_depth_five(self, monkeypatch):
+        # The pair loop looks its code table up on each call, so at t = 6-8
+        # a dense product (by halves onto the depth-5 product) builds no
+        # table above depth 5, and a sparse one builds its own depth's only
+        # (the depths in between were built one step before, in one cache).
+        built = []
+        build = algebra._codes.__wrapped__
+
+        @lru_cache(maxsize=None)
+        def codes(t):
+            built.append(t)
+            return build(t)
+        monkeypatch.setattr(algebra, "_codes", codes)
+        self._fresh_straight(monkeypatch)
+        rng = random.Random(33)
+        for t in range(6, algebra.KERNEL_MAX_DEPTH + 1):
+            sig = make_algebra(t, (-1,) * t)
+            dense, sparse = ([rng.choice((1, -1)) * rng.randint(1, 9) if p < support else 0
+                              for p in range(sig.dimension)] for support in (sig.dimension, 3))
+            x, y = sig.element(dense), sig.element(sparse)
+            built.clear()
+            assert self._mismatches([(x, x)]) == [], t
+            assert max(built, default=0) <= algebra.STRAIGHT_MAX_DEPTH, (t, built)
+            built.clear()
+            assert self._mismatches([(y, y)]) == [], t
+            assert built == [t], (t, built)
 
     def test_dense_products_import_no_numpy(self):
         # By halves, a dense product reads no table above depth 5 and no array.

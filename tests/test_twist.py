@@ -453,6 +453,19 @@ class TestBuildTable:
             assert type(table.t) is int
             assert table == build_table(3, conv)
 
+    def test_constructor_depth_is_checked_like_build_table(self):
+        # A bool would stand for depth 1, a numpy int would be kept as t,
+        # depth 0 would reach partition_blocks and a negative one a shift.
+        with pytest.raises(TypeError, match="not bool"):
+            TwistTable(True, "eq11", build_table(1).base_signs)
+        with pytest.raises(TypeError):
+            TwistTable(2.0, RIGHT, build_table(2).base_signs)
+        for t in (0, -1):
+            with pytest.raises(ValueError, match="table depth must be >= 1"):
+                TwistTable(t, RIGHT, np.ones((1, 1), dtype=np.int8))
+        table = TwistTable(np.int64(2), RIGHT, build_table(2).base_signs)
+        assert type(table.t) is int and table == build_table(2)
+
     def test_planes_are_contiguous_and_eq31_is_the_transpose(self):
         # An elementwise pass over a transposed view costs several times
         # one over a contiguous plane, so every plane is laid out in C order.
@@ -746,6 +759,20 @@ class TestPowerRowReports:
             check_power_row_claim(2, 2, 3, 5)  # needs r < k
         with pytest.raises(ValueError):
             check_power_row_claim(1, 2, 5, 5)  # needs i < t
+
+    def test_arguments_are_indices(self):
+        # A bool would read as 0 or 1, and a float depth used to fail on a shift.
+        with pytest.raises(TypeError, match="not bool"):
+            power_row_operands(True, 2, 3, 5)
+        with pytest.raises(TypeError):
+            check_power_row_claim(1, 2, 3, 5.0)
+        for bad in ((1, 2.0, 3, 5), (1, 2, Fraction(3), 5), (False, 2, 3, 5)):
+            for check in (power_row_operands, check_power_row_claim):
+                with pytest.raises(TypeError):
+                    check(*bad)
+        report = check_power_row_claim(*map(np.int64, (1, 2, 3, 5)))
+        assert report == check_power_row_claim(1, 2, 3, 5)
+        assert all(type(v) is int for v in (report.r, report.k, report.i, report.t))
 
     def test_operand_bit_patterns(self):
         row, col = power_row_operands(1, 2, 3, 4)
