@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, floordiv, index, mul, neg, sub
+from operator import add, attrgetter, floordiv, index, mul, neg, sub
 from typing import Iterable, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -102,6 +102,50 @@ def _restore(cls: type, slots: dict) -> _Frozen:
         if name not in cls._transient:
             object.__setattr__(x, name, value)
     return x
+
+
+class _Record(_Frozen):
+    """A slot value type whose value is its fields, the names in ``_fields``.
+
+    The constructor takes the fields in order, positionally or by name, and
+    stores them unchecked; ``==``, ``hash`` and ``repr`` read the fields
+    alone, as a frozen dataclass's do, so further slots may keep derived
+    values.  Every record has two or more fields, so ``_values`` gives a
+    tuple.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+        cls.__match_args__ = cls._fields
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setstate__(self, state: dict) -> None:
+        """Load a pickle made while the type was a dataclass: its state is the ``__dict__``."""
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
 
 class AlgebraSignature(_Frozen):

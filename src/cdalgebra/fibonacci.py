@@ -7,14 +7,13 @@ of all late enough terms, is the sign of an exact golden-field element.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 from typing import Optional, Tuple, Union
 
 from .algebra import (AlgebraSignature, Convention, Element, Rational, _Frozen, _element,
-                      _index, _ratio, _scaled_constants, _signature, as_rational)
+                      _index, _ratio, _Record, _scaled_constants, _signature, as_rational)
 
 # Indices below FIB_MEMO are read from a memo built once at import (about
 # 0.2 ms and 84 KB), which covers the closed-form norm up to n = 511.
@@ -60,16 +59,15 @@ def _fib_pair(k: int) -> Tuple[int, int]:
     return _fib_doubling(k) if k >= FIB_MEMO - 1 else (_fib_cache[k], _fib_cache[k + 1])
 
 
-@dataclass(frozen=True)
-class HoradamParams:
+class HoradamParams(_Record):
     """Initial conditions for the Fibonacci recurrence: h_0 = p, h_1 = q."""
 
+    __slots__ = _fields = ("p", "q")
     p: Rational
     q: Rational
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_rational(self.p))
-        object.__setattr__(self, "q", as_rational(self.q))
+    def __init__(self, p: Rational, q: Rational):
+        super().__init__(as_rational(p), as_rational(q))
 
 
 def horadam(n: int, params: HoradamParams) -> Rational:
@@ -252,15 +250,16 @@ def golden_power(n: int) -> GoldenNumber:
     return GOLDEN_UNIT ** n
 
 
-@dataclass(frozen=True)
-class QuaternionParams:
+class QuaternionParams(_Record):
     """The two nonzero parameters of a generalized quaternion algebra."""
 
+    _fields = ("alpha1", "alpha2")
+    __slots__ = _fields + ("_signature", "_form")
     alpha1: Rational
     alpha2: Rational
 
-    def __post_init__(self):
-        a1, a2 = as_rational(self.alpha1), as_rational(self.alpha2)
+    def __init__(self, alpha1: Rational, alpha2: Rational):
+        a1, a2 = as_rational(alpha1), as_rational(alpha2)
         if a1 == 0 or a2 == 0:
             raise ValueError("quaternion parameters must be nonzero")
         sig = _signature(2, (-a1, -a2), Convention.CONJUGATE_RIGHT)
@@ -275,7 +274,8 @@ class QuaternionParams:
         Stage parameters are the negated alphas, which makes the norm the
         diagonal form x1^2 + a1*x2^2 + a2*x3^2 + a1*a2*x4^2.  Built with the
         params and kept with ``_form``, the ``_closed_form`` of its norm
-        weights; neither is a dataclass field.
+        weights; neither is a field, so neither enters ``==``, ``hash`` or
+        ``repr``.
         """
         return self._signature
 
@@ -380,8 +380,7 @@ def invertibility_threshold(params: QuaternionParams, n_max: int = 200) -> Optio
     return 0
 
 
-@dataclass(frozen=True)
-class BinetCheck:
+class BinetCheck(_Record):
     """Exact verdict on the closed-form expression for one Fibonacci index.
 
     ``power_u + power_v * a`` is a**n; the identity holds when the
@@ -389,6 +388,7 @@ class BinetCheck:
     f_n * (2a - 1), the square root of five).
     """
 
+    __slots__ = _fields = ("n", "power_u", "power_v", "expected_u", "expected_v")
     n: int
     power_u: Fraction
     power_v: Fraction

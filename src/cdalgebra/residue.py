@@ -7,7 +7,6 @@ signal constellation; the labelling map carries mod-p symbols onto it.
 """
 from __future__ import annotations
 
-import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,8 +16,6 @@ from typing import Iterable, List, Tuple
 
 from .algebra import (MAX_FIELD_DEPTH, AlgebraSignature, Convention, Element, _element,
                       _Frozen, _index, _restore, as_rational)
-
-logger = logging.getLogger(__name__)
 
 # Largest residue field built.  At p = 1,021,441 a `label` process builds
 # and certifies its field in 0.5-0.6 s at a 72 MB peak (one core of a
@@ -298,6 +295,17 @@ def _is_prime(n: int) -> bool:
     raise AssertionError("unreachable: n < psi_13 returns in the last round")
 
 
+@lru_cache(maxsize=None)
+def _logger():
+    """The layer's logger, fetched on the first ``u_mod`` fallback, the one path that logs.
+
+    ``logging`` is imported only then.  The logger is kept because ``getLogger``
+    takes a lock (about 1 us a call) and the fallback can fire on many calls.
+    """
+    import logging
+    return logging.getLogger(__name__)
+
+
 def u_mod(x: UElement, y: UElement) -> UElement:
     """Remainder of x modulo y, aiming for norm below the norm of y.
 
@@ -334,8 +342,8 @@ def u_mod(x: UElement, y: UElement) -> UElement:
     best = abs(ra * (ra + q * rb) + m * rb * rb)
     if best < abs(n):
         return _u(ra, rb, gen)
-    logger.debug("nearest rounding missed the norm bound for %s mod %s; "
-                 "searching neighbor quotients", x, y)
+    _logger().debug("nearest rounding missed the norm bound for %s mod %s; "
+                    "searching neighbor quotients", x, y)
     va, vb = ra, rb
     for da in (-1, 0, 1):
         for db in (-1, 0, 1):

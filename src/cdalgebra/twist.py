@@ -14,14 +14,13 @@ claim for rows indexed by powers of two.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (_CONJUGATE_LEFT, _CONJUGATE_RIGHT, MAX_TABLE_DEPTH, AlgebraSignature,
                       Convention, Element, Rational, _coefficient, _Frozen, _index,
-                      as_rational)
+                      _Record, as_rational)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,23 +30,25 @@ class BlockClassificationError(Exception):
     """A 2x2 tile of a sign table matched none of the allowed patterns."""
 
 
-@dataclass(frozen=True)
-class TwistCoefficient:
+class TwistCoefficient(_Record):
     """Sign times a product of stage parameters, one bit per stage.
 
     Bit ``i - 1`` of ``gamma_mask`` selects the stage-``i`` parameter.
     """
 
+    __slots__ = _fields = ("sign", "gamma_mask")
     sign: int
     gamma_mask: int
 
-    def __post_init__(self):
-        if type(self.sign) is not int or type(self.gamma_mask) is not int:
+    def __init__(self, sign: int, gamma_mask: int):
+        if type(sign) is not int or type(gamma_mask) is not int:
             raise TypeError("sign and gamma_mask must be ints")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.gamma_mask < 0:
+        if gamma_mask < 0:
             raise ValueError("gamma_mask must be nonnegative")
+        _set_sign(self, sign)
+        _set_gamma_mask(self, gamma_mask)
 
     def value(self, gammas: Sequence[Rational]) -> Rational:
         """Evaluate against concrete stage parameters, each an exact rational.
@@ -66,16 +67,20 @@ class TwistCoefficient:
         return v
 
 
+_set_sign, _set_gamma_mask = (
+    TwistCoefficient.__dict__[name].__set__ for name in TwistCoefficient.__slots__)
+
+
 def _twist_coefficient(sign: int, mask: int) -> TwistCoefficient:
     """TwistCoefficient(sign, mask) for a pair from ``_coefficient``, unchecked.
 
     The internal constructor: a sign of +-1 and a nonnegative int mask are
-    correct by construction, so ``__post_init__`` does not run again.
+    correct by construction, so the public constructor's checks do not run
+    again.
     """
     c = object.__new__(TwistCoefficient)
-    fields = c.__dict__
-    fields["sign"] = sign
-    fields["gamma_mask"] = mask
+    _set_sign(c, sign)
+    _set_gamma_mask(c, mask)
     return c
 
 
@@ -434,10 +439,10 @@ def shuffle_string(p: int, q: int, t: int) -> str:
 
 # ---- power-of-two row check -------------------------------------------------
 
-@dataclass(frozen=True)
-class ProductCell:
+class ProductCell(_Record):
     """One of the four products in the 2x2 claim, with its oracle verdict."""
 
+    __slots__ = _fields = ("row", "col", "claimed_sign", "actual_sign", "actual_index")
     row: int
     col: int
     claimed_sign: int
@@ -449,8 +454,7 @@ class ProductCell:
         return self.claimed_sign == self.actual_sign
 
 
-@dataclass(frozen=True)
-class PowerRowReport:
+class PowerRowReport(_Record):
     """Oracle verdict on the claimed 2x2 product table for one (r, k, i).
 
     The claim concerns the row pair starting at 2**(k-r+1) against the
@@ -469,6 +473,7 @@ class PowerRowReport:
     products are stored; every verdict is derived from them.
     """
 
+    __slots__ = _fields = ("r", "k", "i", "t", "cells", "tree_cells")
     r: int
     k: int
     i: int

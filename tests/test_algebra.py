@@ -20,10 +20,11 @@ from cdalgebra import algebra
 from cdalgebra.algebra import (Convention, Element, _conj, as_rational,
                                make_algebra, octonions, power_left_nested,
                                quadratic_check, quaternions, sedenions)
-from cdalgebra.fibonacci import GoldenNumber
+from cdalgebra.fibonacci import GoldenNumber, HoradamParams, QuaternionParams, binet_residual
 from cdalgebra.residue import ResidueField, make_w, residue_field
 from cdalgebra.suites import GAMMA_POOL, run_twist_suite
-from cdalgebra.twist import TwistTable, basis_product, build_table
+from cdalgebra.twist import (TwistCoefficient, TwistTable, basis_product, build_table,
+                             check_power_row_claim)
 from oracles import _mul
 
 RIGHT = Convention.CONJUGATE_RIGHT
@@ -63,6 +64,16 @@ FROZEN_VALUES = [
     pytest.param(lambda: [_golden_gen().element(-1, 2), _golden_gen().element(3, 0)],
                  id="uelement"),
     pytest.param(lambda: [_golden_field()], id="field-p13"),
+    pytest.param(lambda: [TwistCoefficient(-1, 5),
+                          basis_product(13, 11, make_algebra(4, [-1] * 4))[0]],
+                 id="twist-coefficient"),
+    pytest.param(lambda: list(check_power_row_claim(1, 2, 3, 5).cells), id="product-cell"),
+    pytest.param(lambda: [check_power_row_claim(1, 2, 3, 5)], id="power-row-report"),
+    pytest.param(lambda: [HoradamParams(Fraction(1, 2), 3), HoradamParams(2, -1)],
+                 id="horadam-params"),
+    pytest.param(lambda: [QuaternionParams(2, Fraction(-1, 3)), QuaternionParams(-1, -1)],
+                 id="quaternion-params"),
+    pytest.param(lambda: [binet_residual(0), binet_residual(7)], id="binet-check"),
 ]
 
 
@@ -906,6 +917,68 @@ class TestStoredForm:
         assert x == want and not hasattr(x.signature, "_scaled")
         assert (x * x, x.norm(), x.inverse()) == (want * want, want.norm(), want.inverse())
         assert x.signature._constants() == sig._constants()
+
+    # One value of each type that was a frozen dataclass, pickled while it was
+    # one: its state is the instance ``__dict__``.  Each with a factory of the
+    # value today.
+    DATACLASS_PICKLES = [
+        pytest.param(lambda: TwistCoefficient(-1, 5),
+                     b"ccopy_reg\n_reconstructor\np0\n(ccdalgebra.twist\nTwistCoefficient\np1\nc_"
+                     b"_builtin__\nobject\np2\nNtp3\nRp4\n(dp5\nVsign\np6\nI-1\nsVgamma_mask\np7"
+                     b"\nI5\nsb.",
+                     id="twist-coefficient-protocol-0"),
+        pytest.param(lambda: check_power_row_claim(1, 2, 3, 5).cells[1],
+                     b"ccopy_reg\n_reconstructor\np0\n(ccdalgebra.twist\nProductCell\np1\nc__buil"
+                     b"tin__\nobject\np2\nNtp3\nRp4\n(dp5\nVrow\np6\nI4\nsVcol\np7\nI15\nsVclaime"
+                     b"d_sign\np8\nI1\nsVactual_sign\np9\nI1\nsVactual_index\np10\nI11\nsb.",
+                     id="product-cell-protocol-0"),
+        pytest.param(lambda: check_power_row_claim(1, 2, 3, 5),
+                     b"\x80\x04\x95.\x01\x00\x00\x00\x00\x00\x00\x8c\x0fcdalgebra.twist\x94\x8c"
+                     b"\x0ePowerRowReport\x94\x93\x94)\x81\x94}\x94(\x8c\x01r\x94K\x01\x8c\x01k"
+                     b"\x94K\x02\x8c\x01i\x94K\x03\x8c\x01t\x94K\x05\x8c\x05cells\x94(h\x00\x8c"
+                     b"\x0bProductCell\x94\x93\x94)\x81\x94}\x94(\x8c\x03row\x94K\x04\x8c\x03col"
+                     b"\x94K\x0e\x8c\x0cclaimed_sign\x94J\xff\xff\xff\xff\x8c\x0bactual_sign\x94K"
+                     b"\x01\x8c\x0cactual_index\x94K\nubh\x0b)\x81\x94}\x94(h\x0eK\x04h\x0fK\x0fh"
+                     b"\x10K\x01h\x11K\x01h\x12K\x0bubh\x0b)\x81\x94}\x94(h\x0eK\x05h\x0fK\x0eh"
+                     b"\x10K\x01h\x11J\xff\xff\xff\xffh\x12K\x0bubh\x0b)\x81\x94}\x94(h\x0eK\x05h"
+                     b"\x0fK\x0fh\x10K\x01h\x11K\x01h\x12K\nubt\x94\x8c\ntree_cells\x94(K\x01J"
+                     b"\xff\xff\xff\xffJ\xff\xff\xff\xffJ\xff\xff\xff\xfft\x94ub.",
+                     id="power-row-report-protocol-4"),
+        pytest.param(lambda: HoradamParams(Fraction(1, 2), 3),
+                     b"\x80\x04\x95\\\x00\x00\x00\x00\x00\x00\x00\x8c\x13cdalgebra.fibonacci\x94"
+                     b"\x8c\rHoradamParams\x94\x93\x94)\x81\x94}\x94(\x8c\x01p\x94\x8c\tfractions"
+                     b"\x94\x8c\x08Fraction\x94\x93\x94K\x01K\x02\x86\x94R\x94\x8c\x01q\x94K\x03u"
+                     b"b.",
+                     id="horadam-params-protocol-4"),
+        pytest.param(lambda: QuaternionParams(2, Fraction(-1, 3)),
+                     b"\x80\x04\x95\x1e\x01\x00\x00\x00\x00\x00\x00\x8c\x13cdalgebra.fibonacci"
+                     b"\x94\x8c\x10QuaternionParams\x94\x93\x94)\x81\x94}\x94(\x8c\x06alpha1\x94K"
+                     b"\x02\x8c\x06alpha2\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94J\xff"
+                     b"\xff\xff\xffK\x03\x86\x94R\x94\x8c\n_signature\x94\x8c\x11cdalgebra.algebr"
+                     b"a\x94\x8c\x08_restore\x94\x93\x94h\r\x8c\x10AlgebraSignature\x94\x93\x94}"
+                     b"\x94(\x8c\x01t\x94K\x02\x8c\x06gammas\x94J\xfe\xff\xff\xffh\tK\x01K\x03"
+                     b"\x86\x94R\x94\x86\x94\x8c\nconvention\x94h\r\x8c\nConvention\x94\x93\x94"
+                     b"\x8c\x04eq11\x94\x85\x94R\x94u\x86\x94R\x94\x8c\x05_form\x94(J\xfd\xff\xff"
+                     b"\xffJ\xf3\xff\xff\xffJ\xfe\xff\xff\xffK\x03t\x94ub.",
+                     id="quaternion-params-protocol-4"),
+        pytest.param(lambda: binet_residual(7),
+                     b"ccopy_reg\n_reconstructor\np0\n(ccdalgebra.fibonacci\nBinetCheck\np1\nc__b"
+                     b"uiltin__\nobject\np2\nNtp3\nRp4\n(dp5\nVn\np6\nI7\nsVpower_u\np7\ncfractio"
+                     b"ns\nFraction\np8\n(I8\nI1\ntp9\nRp10\nsVpower_v\np11\ng8\n(I13\nI1\ntp12\n"
+                     b"Rp13\nsVexpected_u\np14\nI8\nsVexpected_v\np15\nI13\nsb.",
+                     id="binet-check-protocol-0"),
+    ]
+
+    @pytest.mark.parametrize("make, data", DATACLASS_PICKLES)
+    def test_a_pickle_of_a_former_dataclass_loads(self, make, data):
+        x, want = pickle.loads(data), make()
+        assert type(x) is type(want) and x == want and hash(x) == hash(want)
+        assert repr(x) == repr(want)
+        assert pickle.loads(pickle.dumps(x)) == want
+        if isinstance(want, QuaternionParams):
+            assert x.signature() == want.signature() and x._form == want._form
+        with pytest.raises(AttributeError):
+            setattr(x, want._fields[0], None)
 
     @staticmethod
     def _used_signatures():

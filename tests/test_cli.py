@@ -412,6 +412,21 @@ class TestFibNorm:
         assert (code, out) == (1, "direct=102\nformula=101\nequal=false\n")
         assert err == "error: closed form disagrees with the direct norm\n"
 
+    @pytest.mark.parametrize("n", [0, 250, 200_000])
+    def test_an_agreed_norm_is_rendered_once(self, capsys, monkeypatch, n):
+        # At unit parameters the norm is 3 * f_(2n+3).  At n = 200,000 it has
+        # 83,597 digits, and decimal conversion is quadratic in the digits.
+        rendered = []
+        to_text = Fraction.__str__
+        monkeypatch.setattr(Fraction, "__str__", lambda x: rendered.append(x) or to_text(x))
+        code, out, err = invoke(capsys, "fib-norm", "--n", str(n),
+                                "--alpha1", "1", "--alpha2", "1")
+        monkeypatch.undo()
+        with cli._unbounded_int_output():
+            norm = str(3 * fib(2 * n + 3))
+        assert (code, out, err) == (0, f"direct={norm}\nformula={norm}\nequal=true\n", "")
+        assert len(rendered) == 1
+
     def test_rational_parameters(self, capsys):
         code, out, _ = invoke(capsys, "fib-norm", "--n", "5",
                               "--alpha1", "2/3", "--alpha2", "-7/2")
@@ -623,6 +638,7 @@ def test_residue_field_runs_without_sympy():
 
 
 @pytest.mark.parametrize("argv", [
+    ["twist", "--t", "30", "--p", "5", "--q", "9"],
     ["mul-table", "--t", "6", "--gammas", "2,-3,1/2,-1,3,-1"],
     ["mul-table", "--t", "4", "--gammas", "-1,2,1/2,-3/4", "--format", "json"],
     ["fib-norm", "--n", "10", "--alpha1", "2", "--alpha2", "3"],
@@ -637,8 +653,14 @@ def test_process_imports_only_what_its_subcommand_runs(argv):
     assert "cdalgebra.algebra" in imported
     loads_tables = argv[0] == "blocks"
     assert ("numpy" in imported) is loads_tables
-    assert ("cdalgebra.twist" in imported) is loads_tables
+    assert ("cdalgebra.twist" in imported) is (loads_tables or argv[0] == "twist")
     assert ("json" in imported) is ("json" in argv)
+    # The twist and fibonacci value types are slot records, and the residue
+    # layer imports logging only when a u_mod fallback fires, which none of
+    # these runs reaches.  ResidueField is still a dataclass.
+    assert "logging" not in imported
+    if argv[0] in ("twist", "fib-norm", "threshold"):
+        assert "dataclasses" not in imported
 
 
 @pytest.mark.parametrize("suite, layer", [("fib", "cdalgebra.fibonacci"),
@@ -650,6 +672,8 @@ def test_verify_loads_only_the_layer_of_its_suite(suite, layer):
     loaded = {m for m in imported if m.startswith("cdalgebra.")}
     assert loaded == {"cdalgebra.algebra", "cdalgebra.suites", layer}
     assert "numpy" not in imported
+    # The residue suite reduces golden-prime remainders that miss the norm
+    # bound on nearest rounding, so its u_mod fallback fires and loads logging.
     assert ("logging" in imported) is (suite == "residue")
 
 

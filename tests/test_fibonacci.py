@@ -1,7 +1,6 @@
 """Unit tests for sequences, the golden field and quaternion norm analysis."""
 
 import copy
-import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -332,7 +331,7 @@ class TestFibonacciQuaternion:
         others = ((pickle.loads(pickle.dumps(params)), (Fraction(-1, 3), Fraction(2, 5))),
                   (copy.copy(params), (Fraction(-1, 3), Fraction(2, 5))),
                   (copy.deepcopy(params), (Fraction(-1, 3), Fraction(2, 5))),
-                  (dataclasses.replace(params, alpha2=7), (Fraction(-1, 3), 7)))
+                  (QuaternionParams(params.alpha1, 7), (Fraction(-1, 3), 7)))
         for other, (a1, a2) in others:
             assert (other.alpha1, other.alpha2) == (a1, a2)
             sig = other.signature()
