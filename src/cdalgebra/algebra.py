@@ -14,6 +14,7 @@ from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, attrgetter, floordiv, index, mul, neg, sub
+from types import FunctionType
 from typing import Iterable, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -74,6 +75,15 @@ def _index(value) -> int:
 class _Frozen:
     """Base of the slot value types: no attribute can be set or deleted.
 
+    Every value is built by one rule, written out once per class when the
+    class is made (``_write_out``): ``cls._new(*slots)`` makes an instance
+    from the class's own slots, all of them, in ``__slots__`` order, and
+    ``self._set(*slots)`` fills those of them not named in ``_transient``.
+    Both set each slot through its descriptor, with no loop.  ``_new`` is the
+    constructor of internal results, which are valid by construction and so
+    skip the boundary validation; a public ``__init__`` validates its
+    arguments, then calls ``_set``.
+
     Pickling and copying restore the stored slots without rerunning the
     constructor's validation; a lazily kept slot not yet filled stays empty.
     Slots named in ``_transient`` are neither saved nor restored: they are
@@ -82,6 +92,12 @@ class _Frozen:
 
     __slots__ = ()
     _transient = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        slots = cls.__dict__["__slots__"]
+        cls._new = staticmethod(_write_out(cls, "_new", slots, make=True))
+        cls._set = _write_out(cls, "_set", [s for s in slots if s not in cls._transient])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -93,6 +109,43 @@ class _Frozen:
         cls = type(self)
         return _restore, (cls, {name: getattr(self, name) for name in cls.__slots__
                                 if name not in cls._transient and hasattr(self, name)})
+
+
+@lru_cache(maxsize=None)
+def _setters(arity: int) -> tuple:
+    """Code of ``fill(self, v0, ...)`` and ``make(v0, ...)``, setting ``arity`` slots.
+
+    Each function is written out, as ``_straight`` writes out products: slot
+    i is set by one call of the descriptor setter ``s<i>``, with no loop.
+    Compiled once per slot count, since a compile takes about 0.1 ms, and
+    given each class's names by ``_write_out``.
+    """
+    args = "".join(f"v{i}, " for i in range(arity))
+    sets = "".join(f" s{i}(self, v{i})\n" for i in range(arity))
+    source = (f"def fill(self, {args}):\n{sets} return None\n"
+              f"def make({args}):\n self = new(cls)\n{sets} return self\n")
+    namespace = {}
+    exec(compile(source, f"<setters of {arity} slots>", "exec"), namespace)
+    return namespace["fill"].__code__, namespace["make"].__code__
+
+
+def _write_out(cls: type, name: str, slots: Sequence[str], make: bool = False):
+    """``cls``'s function ``name`` that sets ``slots`` from like-named arguments.
+
+    ``name(self, *values)`` fills ``self``; with ``make``, ``name(*values)``
+    makes and returns a new instance.  The function carries the class's
+    qualified name, so that a wrong call reads, say, ``ProductCell.__init__()
+    missing 1 required positional argument: 'actual_index'``.
+    """
+    fill, new = _setters(len(slots))
+    code = (new.replace(co_varnames=(*slots, "self")) if make
+            else fill.replace(co_varnames=("self", *slots)))
+    namespace = {f"s{i}": cls.__dict__[slot].__set__ for i, slot in enumerate(slots)}
+    namespace.update(new=object.__new__, cls=cls)
+    function = FunctionType(code.replace(co_name=name), namespace, name)
+    function.__qualname__ = f"{cls.__qualname__}.{name}"
+    function.__module__ = cls.__module__
+    return function
 
 
 def _restore(cls: type, slots: dict) -> _Frozen:
@@ -107,27 +160,24 @@ def _restore(cls: type, slots: dict) -> _Frozen:
 class _Record(_Frozen):
     """A slot value type whose value is its fields, the names in ``_fields``.
 
-    The constructor takes the fields in order, positionally or by name, and
-    stores them unchecked; ``==``, ``hash`` and ``repr`` read the fields
-    alone, as a frozen dataclass's do, so further slots may keep derived
-    values.  Every record has two or more fields, so ``_values`` gives a
-    tuple.
+    Unless the class defines its own, ``__init__`` is written out as
+    ``_new`` is, over the fields: it takes them in order, positionally or by
+    name, and stores them unchecked, and a wrong call raises the
+    ``TypeError`` a dataclass's would.  ``==``, ``hash`` and ``repr`` read
+    the fields alone, as a frozen dataclass's do, so further slots may keep
+    derived values.  Every record has two or more fields, so ``_values``
+    gives a tuple.
     """
 
     __slots__ = ()
     _fields = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls._fields)
         cls.__match_args__ = cls._fields
-
-    def __init__(self, *values, **named):
-        fields = self._fields
-        values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
-        if named or len(values) != len(fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
-        for name, value in zip(fields, values):
-            object.__setattr__(self, name, value)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _write_out(cls, "__init__", cls._fields)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -172,10 +222,8 @@ class AlgebraSignature(_Frozen):
             raise ValueError(f"expected {t} stage parameters, got {len(gammas)}")
         if 0 in gammas:
             raise ValueError("stage parameters must all be nonzero")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "convention", convention if type(convention) is Convention
-                           else Convention(convention))
+        self._set(t, gammas, convention if type(convention) is Convention
+                  else Convention(convention))
 
     @property
     def dimension(self) -> int:
@@ -260,11 +308,7 @@ def _signature(t: int, gammas: tuple, convention: Convention) -> AlgebraSignatur
     construction and which read the kernel at once: the public validation
     is skipped and the slot is filled without a first-read miss.
     """
-    sig = object.__new__(AlgebraSignature)
-    for name, value in (("t", t), ("gammas", gammas), ("convention", convention),
-                        ("_scaled", _bind_kernel(t, gammas))):
-        object.__setattr__(sig, name, value)
-    return sig
+    return AlgebraSignature._new(t, gammas, convention, _bind_kernel(t, gammas))
 
 
 def make_algebra(t: int, gammas: Sequence[Rational],
@@ -593,6 +637,8 @@ class Element(_Frozen):
     __slots__ = ("signature", "_nums", "_den")
 
     def __init__(self, signature: AlgebraSignature, coeffs: Iterable[Rational]):
+        if not isinstance(signature, AlgebraSignature):
+            raise TypeError(f"expected an AlgebraSignature, got {type(signature).__name__}")
         coeffs = tuple(map(as_rational, coeffs))
         if len(coeffs) != signature.dimension:
             raise ValueError(
@@ -604,9 +650,7 @@ class Element(_Frozen):
         nums = coeffs if den == 1 else tuple(
             c * den if type(c) is int else c.numerator * (den // c.denominator)
             for c in coeffs)
-        _set_signature(self, signature)
-        _set_nums(self, nums)
-        _set_den(self, den)
+        self._set(signature, nums, den)
 
     @property
     def coeffs(self) -> tuple:
@@ -752,8 +796,9 @@ class Element(_Frozen):
         return f"<{body}>"
 
 
-_set_signature, _set_nums, _set_den = (
-    Element.__dict__[name].__set__ for name in Element.__slots__)
+# A module name: read off the class on each call, the staticmethod costs about
+# 20-30 ns more, 2-3% of a depth-1 product (so are the enum members above).
+_new_element = Element._new
 
 
 def _element(sig: AlgebraSignature, nums: tuple, den: int) -> Element:
@@ -767,11 +812,7 @@ def _element(sig: AlgebraSignature, nums: tuple, den: int) -> Element:
         if g != 1:
             nums = tuple(map(floordiv, nums, repeat(g)))
             den //= g
-    x = object.__new__(Element)
-    _set_signature(x, sig)
-    _set_nums(x, nums)
-    _set_den(x, den)
-    return x
+    return _new_element(sig, nums, den)
 
 
 def quadratic_check(x: Element) -> bool:

@@ -67,7 +67,7 @@ class HoradamParams(_Record):
     q: Rational
 
     def __init__(self, p: Rational, q: Rational):
-        super().__init__(as_rational(p), as_rational(q))
+        self._set(as_rational(p), as_rational(q))
 
 
 def horadam(n: int, params: HoradamParams) -> Rational:
@@ -102,9 +102,7 @@ class GoldenNumber(_Frozen):
         nv, dv = as_rational(v).as_integer_ratio()
         # Both ratios are in lowest terms, so over the lcm of du and dv the form is too.
         den = du if du == dv else lcm(du, dv)
-        _set_nu(self, nu * (den // du))
-        _set_nv(self, nv * (den // dv))
-        _set_den(self, den)
+        self._set(nu * (den // du), nv * (den // dv), den)
 
     @property
     def u(self) -> Fraction:
@@ -220,8 +218,7 @@ class GoldenNumber(_Frozen):
         return f"{u} {sign} {head}a"
 
 
-_set_nu, _set_nv, _set_den = (
-    GoldenNumber.__dict__[name].__set__ for name in GoldenNumber.__slots__)
+_new_golden = GoldenNumber._new  # a module name, as algebra._new_element is
 
 
 def _golden(nu: int, nv: int, den: int) -> GoldenNumber:
@@ -234,11 +231,7 @@ def _golden(nu: int, nv: int, den: int) -> GoldenNumber:
         g = gcd(nu, nv, den)
         if g != 1:
             nu, nv, den = nu // g, nv // g, den // g
-    x = object.__new__(GoldenNumber)
-    _set_nu(x, nu)
-    _set_nv(x, nv)
-    _set_den(x, den)
-    return x
+    return _new_golden(nu, nv, den)
 
 
 GOLDEN_UNIT = GoldenNumber(0, 1)
@@ -263,10 +256,7 @@ class QuaternionParams(_Record):
         if a1 == 0 or a2 == 0:
             raise ValueError("quaternion parameters must be nonzero")
         sig = _signature(2, (-a1, -a2), Convention.CONJUGATE_RIGHT)
-        object.__setattr__(self, "alpha1", a1)
-        object.__setattr__(self, "alpha2", a2)
-        object.__setattr__(self, "_signature", sig)
-        object.__setattr__(self, "_form", _closed_form(sig._constants()))
+        self._set(a1, a2, sig, _closed_form(sig._constants()))
 
     def signature(self) -> AlgebraSignature:
         """Depth-2 doubling algebra realizing this parameter pair.

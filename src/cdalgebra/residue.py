@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Iterable, List, Tuple
 
 from .algebra import (MAX_FIELD_DEPTH, AlgebraSignature, Convention, Element, _element,
-                      _Frozen, _index, _restore, as_rational)
+                      _Frozen, _index, as_rational)
 
 # Largest residue field built.  At p = 1,021,441 a `label` process builds
 # and certifies its field in 0.5-0.6 s at a 72 MB peak (one core of a
@@ -53,6 +53,8 @@ class WGenerator(_Frozen):
     __slots__ = ("w", "q", "m")
 
     def __init__(self, w: Element):
+        if not isinstance(w, Element):
+            raise TypeError(f"expected an Element, got {type(w).__name__}")
         if w._den != 1:  # the canonical form has den 1 exactly at integer coefficients
             raise ValueError("generator must have integer coefficients")
         # q = 2 * w_0 is then an int; the norm is not under fractional stage
@@ -62,9 +64,7 @@ class WGenerator(_Frozen):
             raise ValueError("generator must have an integer trace and norm")
         if m == 0:
             raise ValueError("generator has norm zero and spans no quadratic ring")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "q", w.trace())
-        object.__setattr__(self, "m", m)
+        self._set(w, w.trace(), m)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WGenerator):
@@ -142,9 +142,7 @@ class UElement(_Frozen):
             raise TypeError("subring coordinates must be integers (not bool)")
         if not isinstance(gen, WGenerator):
             raise TypeError(f"expected a WGenerator, got {type(gen).__name__}")
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_gen(self, gen)
+        self._set(a, b, gen)
 
     def _check(self, other: UElement) -> None:
         if self.gen is not other.gen and self.gen != other.gen:
@@ -224,18 +222,9 @@ class UElement(_Frozen):
         return f"{self.a}{'+' if self.b > 0 else ''}{w_part}".replace("+-", "-")
 
 
-_set_a, _set_b, _set_gen = (UElement.__dict__[name].__set__ for name in UElement.__slots__)
-
-
-def _u(a: int, b: int, gen: WGenerator) -> UElement:
-    """The element a + b*w, for internal results whose integer coordinates
-    and generator are correct by construction: the public validation is
-    skipped."""
-    x = object.__new__(UElement)
-    _set_a(x, a)
-    _set_b(x, b)
-    _set_gen(x, gen)
-    return x
+# The element a + b*w, for internal results whose integer coordinates and
+# generator are correct by construction: the public validation is skipped.
+_u = UElement._new
 
 
 def _require_u(x, role: str) -> None:
@@ -398,6 +387,8 @@ class Representatives(_Frozen, Sequence):
     __slots__ = ("xs", "ys", "gen")
 
     def __init__(self, elements: Iterable[UElement], gen: WGenerator):
+        if not isinstance(gen, WGenerator):
+            raise TypeError(f"expected a WGenerator, got {type(gen).__name__}")
         xs, ys = [], []
         for u in elements:
             _require_u(u, "representative")
@@ -405,9 +396,7 @@ class Representatives(_Frozen, Sequence):
                 raise ValueError("representative belongs to a different subring")
             xs.append(u.a)
             ys.append(u.b)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "gen", gen)
+        self._set(xs, ys, gen)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -528,8 +517,7 @@ def residue_field(pi: UElement, verify: bool = True) -> ResidueField:
     if p in norms:
         missing = [k for k, n in enumerate(norms) if n == p]
         raise ArithmeticError(f"classes without small representatives: {missing}")
-    reps = _restore(Representatives, {"xs": xs, "ys": ys, "gen": gen})
-    field = ResidueField(pi=pi, p=p, s=s, reps=reps)
+    field = ResidueField(pi=pi, p=p, s=s, reps=Representatives._new(xs, ys, gen))
     if verify:
         _verify_field(field)
     return field

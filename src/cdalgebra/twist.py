@@ -47,8 +47,7 @@ class TwistCoefficient(_Record):
             raise ValueError("sign must be +1 or -1")
         if gamma_mask < 0:
             raise ValueError("gamma_mask must be nonnegative")
-        _set_sign(self, sign)
-        _set_gamma_mask(self, gamma_mask)
+        self._set(sign, gamma_mask)
 
     def value(self, gammas: Sequence[Rational]) -> Rational:
         """Evaluate against concrete stage parameters, each an exact rational.
@@ -67,21 +66,9 @@ class TwistCoefficient(_Record):
         return v
 
 
-_set_sign, _set_gamma_mask = (
-    TwistCoefficient.__dict__[name].__set__ for name in TwistCoefficient.__slots__)
-
-
-def _twist_coefficient(sign: int, mask: int) -> TwistCoefficient:
-    """TwistCoefficient(sign, mask) for a pair from ``_coefficient``, unchecked.
-
-    The internal constructor: a sign of +-1 and a nonnegative int mask are
-    correct by construction, so the public constructor's checks do not run
-    again.
-    """
-    c = object.__new__(TwistCoefficient)
-    _set_sign(c, sign)
-    _set_gamma_mask(c, mask)
-    return c
+# TwistCoefficient(sign, mask) for a pair from ``_coefficient``, unchecked: a
+# sign of +-1 and a nonnegative int mask are correct by construction.
+_twist_coefficient = TwistCoefficient._new
 
 
 def _basis_indices(p: int, q: int, n: int) -> Tuple[int, int]:
@@ -173,10 +160,7 @@ class TwistTable(_Frozen):
                 raise ValueError("table arrays do not match the stated depth")
         for _, plane, _ in planes:
             plane.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "convention", Convention(convention))
-        object.__setattr__(self, "base_signs", base_signs)
-        object.__setattr__(self, "_masks", gamma_masks)
+        self._set(t, Convention(convention), base_signs, gamma_masks)
 
     def __reduce__(self):
         # Through the constructor, so that unpickled arrays are read-only again.

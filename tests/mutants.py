@@ -1,0 +1,200 @@
+"""Replayable mutation checks: small edits of the package that named tests must catch.
+
+Each mutant replaces one exact text of a file under ``src/cdalgebra`` and names
+the test node ids that must fail once it is applied.  The runner copies
+``src``, ``tests`` and ``pyproject.toml`` to a temporary directory, applies one
+mutant there, and runs its tests with ``pytest -x -q``, one mutant at a time
+and each within ``TIME_LIMIT_S`` seconds.  A mutant is caught when its tests
+fail or cannot be collected; one whose tests run past the limit is caught
+only if it is listed with ``hangs=True``.  Before the mutants, the unmutated
+copy must pass every listed test, so that a test failing for another reason
+catches nothing.  A mutant whose old text is missing, or is not unique in its
+file, is an error.
+
+Run from the repository root::
+
+    python tests/mutants.py
+
+The exit status is 0 when every mutant run is caught.  Tier-1
+(``tests/test_mutants.py``) checks only that each old text is present once and
+each mutated file still parses.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIME_LIMIT_S = 60
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str           # relative to src/cdalgebra
+    old: str            # exact text, present once in the file
+    new: str
+    tests: Tuple[str, ...]  # node ids relative to the repository root
+    hangs: bool = False     # the tests run past TIME_LIMIT_S when it is applied
+
+
+ALGEBRA = "tests/test_algebra.py"
+WRITTEN_OUT = f"{ALGEBRA}::TestWrittenOut"
+KERNEL = f"{ALGEBRA}::TestKernel"
+
+MUTANTS = [
+    # ---- one written-out constructor per class (_Frozen, _Record) ----------
+    Mutant("setter assigns slots in reversed order", "algebra.py",
+           r'sets = "".join(f" s{i}(self, v{i})\n" for i in range(arity))',
+           r'sets = "".join(f" s{i}(self, v{arity - 1 - i})\n" for i in range(arity))',
+           (f"{WRITTEN_OUT}::test_new_holds_what_the_public_constructor_holds",)),
+    Mutant("_new omits its last slot", "algebra.py",
+           'cls._new = staticmethod(_write_out(cls, "_new", slots, make=True))',
+           'cls._new = staticmethod(_write_out(cls, "_new", slots[:-1], make=True))',
+           (f"{WRITTEN_OUT}::test_new_holds_what_the_public_constructor_holds",)),
+    Mutant("record __init__ refuses keywords", "algebra.py",
+           'cls.__init__ = _write_out(cls, "__init__", cls._fields)',
+           'cls.__init__ = lambda self, *fields: cls._set(self, *fields)',
+           (f"{WRITTEN_OUT}::test_a_record_takes_its_fields_as_a_dataclass_does",)),
+    Mutant("_u bound with a and b swapped", "residue.py",
+           "_u = UElement._new",
+           "_u = lambda a, b, gen: UElement._new(b, a, gen)",
+           ("tests/test_residue.py::TestUElementArithmetic::test_ring_laws",
+            "tests/test_residue.py::TestUElementArithmetic::test_matches_ambient_algebra")),
+    Mutant("basis_product's coefficient built with its fields swapped", "twist.py",
+           "_twist_coefficient = TwistCoefficient._new",
+           "_twist_coefficient = lambda s, m: TwistCoefficient._new(m, s)",
+           ("tests/test_twist.py::TestBasisProduct::test_pinned_quaternion_sign",
+            "tests/test_acceptance.py::test_criterion_05_twist_oracle_equivalence")),
+    Mutant("Element takes a non-signature", "algebra.py",
+           "        if not isinstance(signature, AlgebraSignature):\n"
+           '            raise TypeError(f"expected an AlgebraSignature, got '
+           '{type(signature).__name__}")\n',
+           "",
+           (f"{ALGEBRA}::TestMakeAlgebra::test_element_requires_a_signature",)),
+    Mutant("WGenerator takes a non-element", "residue.py",
+           "        if not isinstance(w, Element):\n"
+           '            raise TypeError(f"expected an Element, got {type(w).__name__}")\n',
+           "",
+           ("tests/test_residue.py::TestUElementArithmetic::test_generator_required",)),
+    Mutant("Representatives takes a non-generator", "residue.py",
+           "        if not isinstance(gen, WGenerator):\n"
+           '            raise TypeError(f"expected a WGenerator, got {type(gen).__name__}")\n'
+           "        xs, ys = [], []\n",
+           "        xs, ys = [], []\n",
+           ("tests/test_residue.py::TestUElementArithmetic::test_generator_required",)),
+    Mutant("_element skips the gcd reduction", "algebra.py",
+           "            nums = tuple(map(floordiv, nums, repeat(g)))\n            den //= g\n",
+           "            pass\n",
+           (f"{ALGEBRA}::TestStoredForm::test_canonical_invariants",)),
+    Mutant("_golden skips the gcd reduction", "fibonacci.py",
+           "            nu, nv, den = nu // g, nv // g, den // g\n",
+           "            pass\n",
+           ("tests/test_fibonacci.py::TestGoldenNumber::test_canonical_form",)),
+    Mutant("GoldenNumber.sign without its v < 0 branch", "fibonacci.py",
+           "        if v < 0:\n            u, v, s = -u, -v, -1\n",
+           "",
+           ("tests/test_fibonacci.py::TestInvertibilityThreshold::test_late_settling_parameters",),
+           hangs=True),
+    # ---- the kernel (_bind_kernel and its callers) -------------------------
+    Mutant("kernel bound to _straight(t ^ 1) at t = 2-5", "algebra.py",
+           "dense, norm, conjugate = _straight(t)\n",
+           "dense, norm, conjugate = _straight(t ^ 1 if t > 1 else t)\n",
+           (f"{KERNEL}::test_straight_line_depths_match_recursion",)),
+    Mutant("eq31 operand swap dropped", "algebra.py",
+           "            if sig.convention is _CONJUGATE_LEFT:\n                a, b = b, a\n",
+           "",
+           (f"{ALGEBRA}::TestMultiplication::test_convention_pins_basis_sign",)),
+    Mutant("D dropped from the norm's denominator", "algebra.py",
+           "kernel[2] * den * den)",
+           "den * den)",
+           (f"{KERNEL}::test_norm_is_the_product_with_the_conjugate",)),
+    Mutant("t = 4-5 pair limit set to n(n + 8)/2", "algebra.py",
+           "limit = n * n // 6 if t <= STRAIGHT_MAX_DEPTH else n * (n + 8) // 2",
+           "limit = n * (n + 8) // 2",
+           (f"{KERNEL}::test_both_sides_of_the_support_pair_switch",)),
+    Mutant("t <= KERNEL_MAX_DEPTH written as <", "algebra.py",
+           "    if t <= KERNEL_MAX_DEPTH:\n        pairs, pair_args",
+           "    if t < KERNEL_MAX_DEPTH:\n        pairs, pair_args",
+           (f"{KERNEL}::test_both_sides_of_the_support_pair_switch",)),
+    Mutant("_code_pairs reads _codes(t - 1)", "algebra.py",
+           "    codes = _codes(t)\n    z = [0] * len(xs)\n",
+           "    codes = _codes(t - 1)\n    z = [0] * len(xs)\n",
+           (f"{KERNEL}::test_both_sides_of_the_support_pair_switch",)),
+    Mutant("_codes(t) bound eagerly at t = 6-8", "algebra.py",
+           "        pairs, pair_args = _code_pairs, (signed, t)\n",
+           "        pairs, pair_args = _code_pairs, (signed, t)\n        _codes(t)\n",
+           (f"{KERNEL}::test_dense_products_build_no_codes_above_depth_five",)),
+    # ---- pickles ------------------------------------------------------------
+    Mutant("kernel slot left in pickles", "algebra.py",
+           "if name not in cls._transient and hasattr(self, name)})",
+           "if hasattr(self, name)})",
+           (f"{ALGEBRA}::TestStoredForm::test_used_signature_pickles_and_copies_as_a_fresh_one",)),
+    Mutant("an old pickle's kernel slot restored", "algebra.py",
+           "        if name not in cls._transient:\n"
+           "            object.__setattr__(x, name, value)\n",
+           "        object.__setattr__(x, name, value)\n",
+           (f"{ALGEBRA}::TestStoredForm::test_a_pickle_holding_the_old_slot_loads_and_multiplies",)),
+]
+
+
+def mutated(mutant: Mutant, src: Path) -> str:
+    """The text of ``mutant.file`` under ``src`` with the mutant applied."""
+    text = (src / "cdalgebra" / mutant.file).read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"mutant {mutant.name!r}: its old text occurs {count} times "
+                         f"in {mutant.file}, not once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           *tests], cwd=copy, env=env, capture_output=True, text=True,
+                          timeout=TIME_LIMIT_S)
+
+
+def run(mutants) -> bool:
+    """Run each mutant in a fresh copy; report each and return whether all were caught."""
+    for mutant in mutants:  # every old text first, so a stale list fails at once
+        mutated(mutant, ROOT / "src")
+    with tempfile.TemporaryDirectory(prefix="cdalgebra-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, base / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", base)
+        tests = sorted({t for m in mutants for t in m.tests})
+        start = time.monotonic()
+        proc = _pytest(base, tests)
+        if proc.returncode != 0:
+            print(proc.stdout[-3000:], proc.stderr[-3000:])
+            print("the unmutated copy fails the listed tests")
+            return False
+        print(f"unmutated copy passes {len(tests)} test ids ({time.monotonic() - start:.1f} s)")
+        caught = True
+        for k, mutant in enumerate(mutants):
+            copy = Path(tmp) / f"mutant-{k}"
+            shutil.copytree(base, copy)
+            (copy / "src" / "cdalgebra" / mutant.file).write_text(mutated(mutant, ROOT / "src"))
+            start = time.monotonic()
+            try:
+                # The unmutated copy passed these tests, so any failure is the
+                # mutant's, a test module that no longer imports included.
+                verdict = "caught" if _pytest(copy, mutant.tests).returncode else "MISSED"
+            except subprocess.TimeoutExpired:
+                verdict = "caught (time limit)" if mutant.hangs else "MISSED (time limit)"
+            caught &= verdict.startswith("caught")
+            print(f"{verdict:>14}  {mutant.name}  ({time.monotonic() - start:.1f} s)")
+            shutil.rmtree(copy)
+        return caught
+
+
+if __name__ == "__main__":
+    sys.exit(0 if run(MUTANTS) else 1)

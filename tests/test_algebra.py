@@ -17,14 +17,16 @@ import numpy as np
 import pytest
 
 from cdalgebra import algebra
-from cdalgebra.algebra import (Convention, Element, _conj, as_rational,
-                               make_algebra, octonions, power_left_nested,
+from cdalgebra.algebra import (AlgebraSignature, Convention, Element, _conj, _Frozen, _Record,
+                               as_rational, make_algebra, octonions, power_left_nested,
                                quadratic_check, quaternions, sedenions)
-from cdalgebra.fibonacci import GoldenNumber, HoradamParams, QuaternionParams, binet_residual
-from cdalgebra.residue import ResidueField, make_w, residue_field
+from cdalgebra.fibonacci import (BinetCheck, GoldenNumber, HoradamParams, QuaternionParams,
+                                 binet_residual)
+from cdalgebra.residue import (Representatives, ResidueField, UElement, WGenerator, make_w,
+                               residue_field)
 from cdalgebra.suites import GAMMA_POOL, run_twist_suite
-from cdalgebra.twist import (TwistCoefficient, TwistTable, basis_product, build_table,
-                             check_power_row_claim)
+from cdalgebra.twist import (PowerRowReport, ProductCell, TwistCoefficient, TwistTable,
+                             basis_product, build_table, check_power_row_claim)
 from oracles import _mul
 
 RIGHT = Convention.CONJUGATE_RIGHT
@@ -129,6 +131,11 @@ class TestMakeAlgebra:
             make_algebra(1, [-1.0], RIGHT)
         with pytest.raises(TypeError):
             quaternions().element([0.5, 0, 0, 0])
+
+    def test_element_requires_a_signature(self):
+        for bad in (5, None, quaternions().one()):
+            with pytest.raises(TypeError, match="expected an AlgebraSignature, got "):
+                Element(bad, [1])
 
     def test_depth_must_be_an_int(self):
         with pytest.raises(TypeError):
@@ -1057,6 +1064,94 @@ class TestStoredForm:
         for coeffs in ([1, 2, 3], [1, 2, 3, 4, 5], []):
             with pytest.raises(ValueError):
                 H.element(coeffs)
+
+
+def _written_out_cases():
+    """(public value, the values of its class's own slots) for every _Frozen type.
+
+    The slot values are written out here, not read from the value, so that a
+    constructor that stores a slot under the wrong name is seen."""
+    sig = make_algebra(2, [-1, Fraction(1, 2)])
+    gen = make_w(2, (1, 2, 3), (1, 1, 1, 1))
+    signs = np.array([[1, 1], [1, -1]], dtype=np.int8)
+    cell = ProductCell(4, 14, -1, 1, 10)
+    kernel = algebra._bind_kernel(2, (-1, Fraction(1, 2)))
+    cases = [
+        (lambda: AlgebraSignature(2, [-1, Fraction(1, 2)], "eq31"),
+         (2, (-1, Fraction(1, 2)), LEFT, kernel)),
+        (lambda: Element(sig, [Fraction(1, 2), 1, 0, -3]), (sig, (1, 2, 0, -6), 2)),
+        (lambda: TwistCoefficient(-1, 5), (-1, 5)),
+        (lambda: TwistTable(1, "eq11", signs), (1, RIGHT, signs, None)),
+        (lambda: ProductCell(row=4, col=14, claimed_sign=-1, actual_sign=1, actual_index=10),
+         (4, 14, -1, 1, 10)),
+        (lambda: PowerRowReport(1, 2, 3, 5, (cell,), (1, -1, -1, -1)),
+         (1, 2, 3, 5, (cell,), (1, -1, -1, -1))),
+        (lambda: HoradamParams(Fraction(4, 2), Fraction(1, 3)), (2, Fraction(1, 3))),
+        (lambda: GoldenNumber(Fraction(1, 2), Fraction(1, 3)), (3, 2, 6)),
+        (lambda: QuaternionParams(Fraction(6, 3), -3),
+         (2, -3, make_algebra(2, [-2, 3]), (-33, -55, 2, 1))),
+        (lambda: BinetCheck(7, Fraction(8), Fraction(13), 8, 13),
+         (7, Fraction(8), Fraction(13), 8, 13)),
+        (lambda: WGenerator(gen.w), (gen.w, 2, 4)),
+        (lambda: UElement(3, -4, gen), (3, -4, gen)),
+        (lambda: Representatives([UElement(1, 2, gen), gen.element(0, -1)], gen),
+         ([1, 0], [2, -1], gen)),
+    ]
+    return [pytest.param(make, slots, id=type(make()).__name__) for make, slots in cases]
+
+
+WRITTEN_OUT = _written_out_cases()
+
+
+def _same(a, b) -> bool:
+    """Whether two slot values are the same: one object, or equal values of one type."""
+    return a is b or (type(a) is type(b) and a == b)
+
+
+class TestWrittenOut:
+    """Every _Frozen type is built by the one written-out rule: ``_new`` for
+    internal results, ``_set`` behind the public constructor, and a record's
+    ``__init__`` over its fields."""
+
+    def test_every_frozen_type_has_a_case(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+        made = {type(case.values[0]()) for case in WRITTEN_OUT}
+        assert made == set(subclasses(_Frozen)) - {_Record}
+
+    @pytest.mark.parametrize("make, slots", WRITTEN_OUT)
+    def test_new_holds_what_the_public_constructor_holds(self, make, slots):
+        x = make()
+        cls = type(x)
+        y = cls._new(*slots)
+        assert type(y) is cls and y == x
+        assert len(slots) == len(cls.__slots__)
+        for name, value in zip(cls.__slots__, slots):
+            assert _same(getattr(y, name), value), name
+            if name in cls._transient:
+                assert not hasattr(x, name)
+            else:
+                assert _same(getattr(x, name), value), name
+
+    @pytest.mark.parametrize("make", [pytest.param(case.values[0], id=case.id)
+                                      for case in WRITTEN_OUT
+                                      if issubclass(type(case.values[0]()), _Record)])
+    def test_a_record_takes_its_fields_as_a_dataclass_does(self, make):
+        x = make()
+        cls, fields, values = type(x), x._fields, x._values(x)
+        named = dict(zip(fields, values))
+        assert cls(*values) == cls(**named) == cls(values[0], **dict(list(named.items())[1:])) == x
+        wrong = [
+            (values[:-1], {}, f"missing 1 required positional argument: '{fields[-1]}'"),
+            ((*values, values[0]), {}, "takes [0-9]+ positional arguments but [0-9]+ were given"),
+            (values, {"extra": 1}, "got an unexpected keyword argument 'extra'"),
+            (values, {fields[0]: values[0]}, f"got multiple values for argument '{fields[0]}'"),
+        ]
+        for args, kwargs, message in wrong:
+            with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) {message}$"):
+                cls(*args, **kwargs)
 
 
 def test_readme_quick_start():

@@ -280,6 +280,12 @@ class TestUElementArithmetic:
     def test_generator_required(self, golden_gen):
         with pytest.raises(TypeError, match="WGenerator"):
             UElement(1, 2, golden_gen.w)
+        for bad in (5, None, golden_gen.w):
+            with pytest.raises(TypeError, match=f"^expected a WGenerator, got {type(bad).__name__}$"):
+                resmod.Representatives([], bad)
+        for bad in (5, None, golden_gen):
+            with pytest.raises(TypeError, match=f"^expected an Element, got {type(bad).__name__}$"):
+                resmod.WGenerator(bad)
 
     def test_equal_elements_hash_equal(self, golden_gen):
         # An element with b == 0 equals the integer a, so it hashes like a;
