@@ -77,8 +77,8 @@ class _Frozen:
 
     Every value is built by one rule, written out once per class when the
     class is made (``_write_out``): ``cls._new(*slots)`` makes an instance
-    from the class's own slots, all of them, in ``__slots__`` order, and
-    ``self._set(*slots)`` fills those of them not named in ``_transient``.
+    and ``self._set(*slots)`` fills one, both from the same stored slots: the
+    class's own, in ``__slots__`` order, less those named in ``_transient``.
     Both set each slot through its descriptor, with no loop.  ``_new`` is the
     constructor of internal results, which are valid by construction and so
     skip the boundary validation; a public ``__init__`` validates its
@@ -95,9 +95,9 @@ class _Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        slots = cls.__dict__["__slots__"]
-        cls._new = staticmethod(_write_out(cls, "_new", slots, make=True))
-        cls._set = _write_out(cls, "_set", [s for s in slots if s not in cls._transient])
+        stored = [s for s in cls.__dict__["__slots__"] if s not in cls._transient]
+        cls._new = staticmethod(_write_out(cls, "_new", stored, make=True))
+        cls._set = _write_out(cls, "_set", stored)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -245,7 +245,8 @@ class AlgebraSignature(_Frozen):
     def _kernel(self) -> tuple:
         """``_bind_kernel(self.t, self.gammas)``, built and kept in ``_scaled``.
 
-        Callers read the slot and call this only where it is still empty.
+        The one place a kernel is bound.  Callers read the slot and call this
+        only where it is still empty.
         """
         kernel = _bind_kernel(self.t, self.gammas)
         object.__setattr__(self, "_scaled", kernel)
@@ -299,16 +300,6 @@ def _scaled_constants(gammas: Sequence[Rational]) -> tuple:
     signed = [v for m in monomials for v in (m, -m)]
     weights = [signed[2 * p + (p.bit_count() & 1)] for p in range(len(monomials))]
     return signed, den, weights
-
-
-def _signature(t: int, gammas: tuple, convention: Convention) -> AlgebraSignature:
-    """The signature of coerced, nonzero parameters, with its kernel built.
-
-    The constructor for internal callers whose parameters are valid by
-    construction and which read the kernel at once: the public validation
-    is skipped and the slot is filled without a first-read miss.
-    """
-    return AlgebraSignature._new(t, gammas, convention, _bind_kernel(t, gammas))
 
 
 def make_algebra(t: int, gammas: Sequence[Rational],

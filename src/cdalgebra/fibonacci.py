@@ -12,8 +12,8 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Optional, Tuple, Union
 
-from .algebra import (AlgebraSignature, Convention, Element, Rational, _Frozen, _element,
-                      _index, _ratio, _Record, _scaled_constants, _signature, as_rational)
+from .algebra import (_CONJUGATE_RIGHT, AlgebraSignature, Element, Rational, _Frozen,
+                      _element, _index, _ratio, _Record, _scaled_constants, as_rational)
 
 # Indices below FIB_MEMO are read from a memo built once at import (about
 # 0.2 ms and 84 KB), which covers the closed-form norm up to n = 511.
@@ -34,10 +34,7 @@ def _fib_index(n) -> int:
 
 def fib(n: int) -> int:
     """Exact Fibonacci number: a shared memo below FIB_MEMO, fast doubling above."""
-    n = _fib_index(n)
-    if n >= FIB_MEMO:
-        return _fib_doubling(n)[0]
-    return _fib_cache[n]
+    return _fib_pair(_fib_index(n))[0]
 
 
 def _fib_doubling(n: int) -> Tuple[int, int]:
@@ -178,8 +175,7 @@ class GoldenNumber(_Frozen):
 
     @staticmethod
     def _coerce(x) -> GoldenNumber:
-        if isinstance(x, GoldenNumber):
-            return x
+        """A rational x as a golden number; callers have tested for a golden number."""
         if isinstance(x, (int, Fraction)):
             num, den = as_rational(x).as_integer_ratio()
             return _golden(num, 0, den)
@@ -234,8 +230,8 @@ def _golden(nu: int, nv: int, den: int) -> GoldenNumber:
     return _new_golden(nu, nv, den)
 
 
-GOLDEN_UNIT = GoldenNumber(0, 1)
-GOLDEN_SQUARE = GoldenNumber(1, 1)
+GOLDEN_UNIT = _golden(0, 1, 1)
+GOLDEN_SQUARE = _golden(1, 1, 1)
 
 
 def golden_power(n: int) -> GoldenNumber:
@@ -255,7 +251,10 @@ class QuaternionParams(_Record):
         a1, a2 = as_rational(alpha1), as_rational(alpha2)
         if a1 == 0 or a2 == 0:
             raise ValueError("quaternion parameters must be nonzero")
-        sig = _signature(2, (-a1, -a2), Convention.CONJUGATE_RIGHT)
+        # Checked above, so the signature skips its validation; its kernel is
+        # bound at once, as the closed form reads its constants.
+        sig = AlgebraSignature._new(2, (-a1, -a2), _CONJUGATE_RIGHT)
+        sig._kernel()
         self._set(a1, a2, sig, _closed_form(sig._constants()))
 
     def signature(self) -> AlgebraSignature:
@@ -338,7 +337,7 @@ def _settle_index(params: QuaternionParams) -> int:
     in O(n1) exact steps, growing |E| by a**2 each, for a nonzero E.
     """
     u, v, z, _ = params._form
-    e, conj = GoldenNumber(u, v), GoldenNumber(u + v, -v)
+    e, conj = _golden(u, v, 1), _golden(u + v, -v, 1)
     grown, bound = e * e.sign(), conj * conj.sign() + 2 * abs(z)
     n1 = 0
     while (grown - bound).sign() <= 0:

@@ -456,8 +456,7 @@ class ResidueField:
         return (u.a + u.b * self.s) % self.p
 
     def unlabel(self, k: int) -> UElement:
-        if not _is_int(k):
-            raise TypeError(f"symbol must be an integer, got {type(k).__name__}")
+        k = _index(k)
         if not 0 <= k < self.p:
             raise ValueError(f"symbol {k} out of range for field size {self.p}")
         return self.reps[k]

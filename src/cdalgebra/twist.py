@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .algebra import (_CONJUGATE_LEFT, _CONJUGATE_RIGHT, MAX_TABLE_DEPTH, AlgebraSignature,
                       Convention, Element, Rational, _coefficient, _Frozen, _index,
@@ -69,14 +69,6 @@ class TwistCoefficient(_Record):
 # TwistCoefficient(sign, mask) for a pair from ``_coefficient``, unchecked: a
 # sign of +-1 and a nonnegative int mask are correct by construction.
 _twist_coefficient = TwistCoefficient._new
-
-
-def _basis_indices(p: int, q: int, n: int) -> Tuple[int, int]:
-    """(p, q) as ints, each checked to index a basis of dimension n."""
-    p, q = _index(p), _index(q)
-    if not (0 <= p < n and 0 <= q < n):
-        raise ValueError(f"basis indices ({p}, {q}) out of range for dimension {n}")
-    return p, q
 
 
 def basis_product(p: int, q: int, sig: AlgebraSignature) -> Tuple[TwistCoefficient, int]:
@@ -186,7 +178,11 @@ class TwistTable(_Frozen):
         return masks
 
     def entry(self, p: int, q: int) -> TwistCoefficient:
-        p, q = _basis_indices(p, q, self.dimension)
+        if type(p) is not int or type(q) is not int:
+            p, q = _index(p), _index(q)
+        if p < 0 or q < 0 or (p | q).bit_length() > self.t:
+            raise ValueError(f"basis indices ({p}, {q}) out of range for dimension "
+                             f"{self.dimension}")
         mask = p & q if self._masks is None else int(self._masks[p, q])
         return TwistCoefficient(int(self.base_signs[p, q]), mask)
 
@@ -556,13 +552,7 @@ def check_power_row_claim(r: int, k: int, i: int, t: int) -> PowerRowReport:
     return PowerRowReport(r=r, k=k, i=i, t=t, cells=cells, tree_cells=tree_cells)
 
 
-def admissible_triples(t: int) -> Iterator[Tuple[int, int, int]]:
-    """All (r, k, i) with 1 <= r < k <= i < t."""
-    for r in range(1, t):
-        for k in range(r + 1, t):
-            for i in range(k, t):
-                yield r, k, i
-
-
 def sweep_power_row_claims(t: int) -> List[PowerRowReport]:
-    return [check_power_row_claim(r, k, i, t) for r, k, i in admissible_triples(t)]
+    """The reports of every (r, k, i) with 1 <= r < k <= i < t."""
+    return [check_power_row_claim(r, k, i, t)
+            for r in range(1, t) for k in range(r + 1, t) for i in range(k, t)]

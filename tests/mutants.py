@@ -46,6 +46,8 @@ class Mutant(NamedTuple):
 ALGEBRA = "tests/test_algebra.py"
 WRITTEN_OUT = f"{ALGEBRA}::TestWrittenOut"
 KERNEL = f"{ALGEBRA}::TestKernel"
+TWIST = "tests/test_twist.py"
+FIBONACCI = "tests/test_fibonacci.py"
 
 MUTANTS = [
     # ---- one written-out constructor per class (_Frozen, _Record) ----------
@@ -54,8 +56,13 @@ MUTANTS = [
            r'sets = "".join(f" s{i}(self, v{arity - 1 - i})\n" for i in range(arity))',
            (f"{WRITTEN_OUT}::test_new_holds_what_the_public_constructor_holds",)),
     Mutant("_new omits its last slot", "algebra.py",
-           'cls._new = staticmethod(_write_out(cls, "_new", slots, make=True))',
-           'cls._new = staticmethod(_write_out(cls, "_new", slots[:-1], make=True))',
+           'cls._new = staticmethod(_write_out(cls, "_new", stored, make=True))',
+           'cls._new = staticmethod(_write_out(cls, "_new", stored[:-1], make=True))',
+           (f"{WRITTEN_OUT}::test_new_holds_what_the_public_constructor_holds",)),
+    Mutant("_new takes the transient slot again", "algebra.py",
+           'cls._new = staticmethod(_write_out(cls, "_new", stored, make=True))',
+           'cls._new = staticmethod(_write_out(cls, "_new", cls.__dict__["__slots__"], '
+           'make=True))',
            (f"{WRITTEN_OUT}::test_new_holds_what_the_public_constructor_holds",)),
     Mutant("record __init__ refuses keywords", "algebra.py",
            'cls.__init__ = _write_out(cls, "__init__", cls._fields)',
@@ -102,6 +109,26 @@ MUTANTS = [
            ("tests/test_fibonacci.py::TestInvertibilityThreshold::test_late_settling_parameters",),
            hangs=True),
     # ---- the kernel (_bind_kernel and its callers) -------------------------
+    Mutant("_kernel() binds without storing", "algebra.py",
+           '        object.__setattr__(self, "_scaled", kernel)\n',
+           "",
+           (f"{ALGEBRA}::TestStoredForm::test_used_signature_pickles_and_copies_as_a_fresh_one",)),
+    Mutant("_coefficient's sign parity flipped", "algebra.py",
+           "    return -1 if flips.bit_count() & 1 else 1, a\n",
+           "    return 1 if flips.bit_count() & 1 else -1, a\n",
+           (f"{TWIST}::TestBitAlgebraAgainstOracles::test_coefficient_exhaustive_through_depth_eight",)),
+    Mutant("(p != k) dropped from _codes' low half", "algebra.py",
+           "[(c ^ (p != k)) | 2 * h for",
+           "[c | 2 * h for",
+           (f"{KERNEL}::test_codes_are_the_structure_constants",)),
+    Mutant("generated conjugate's sign dropped", "algebra.py",
+           'f" n = -m\\n"',
+           'f" n = m\\n"',
+           (f"{KERNEL}::test_inverse_gives_the_unit_under_the_recursion",)),
+    Mutant("_halves drops its // den", "algebra.py",
+           "u + v * num // den for",
+           "u + v * num for",
+           (f"{KERNEL}::test_dense_products_by_halves_up_to_depth_ten",)),
     Mutant("kernel bound to _straight(t ^ 1) at t = 2-5", "algebra.py",
            "dense, norm, conjugate = _straight(t)\n",
            "dense, norm, conjugate = _straight(t ^ 1 if t > 1 else t)\n",
@@ -130,6 +157,48 @@ MUTANTS = [
            "        pairs, pair_args = _code_pairs, (signed, t)\n",
            "        pairs, pair_args = _code_pairs, (signed, t)\n        _codes(t)\n",
            (f"{KERNEL}::test_dense_products_build_no_codes_above_depth_five",)),
+    # ---- structure constants (twist) ----------------------------------------
+    Mutant("TwistTable accepts depth 0", "twist.py",
+           "        if t < 1:\n"
+           '            raise ValueError("table depth must be >= 1")\n'
+           "        n = 1 << t\n",
+           "        if t < 0:\n"
+           '            raise ValueError("table depth must be >= 1")\n'
+           "        n = 1 << t\n",
+           (f"{TWIST}::TestBuildTable::test_constructor_depth_is_checked_like_build_table",)),
+    Mutant("basis_product's range loosened by one bit", "twist.py",
+           "(p | q).bit_length() > sig.t:",
+           "(p | q).bit_length() > sig.t + 1:",
+           (f"{TWIST}::TestBasisProduct::test_out_of_range",)),
+    Mutant("TwistTable.entry's range loosened by one bit", "twist.py",
+           "(p | q).bit_length() > self.t:",
+           "(p | q).bit_length() > self.t + 1:",
+           (f"{TWIST}::TestBuildTable::test_entry_out_of_range",)),
+    Mutant("twist_sign reads a bad convention as eq11", "twist.py",
+           "    if convention is not _CONJUGATE_RIGHT and (\n"
+           "            convention is _CONJUGATE_LEFT or Convention(convention) is "
+           "_CONJUGATE_LEFT):\n",
+           "    if convention == _CONJUGATE_LEFT:\n",
+           (f"{TWIST}::TestTwistSign::test_a_bad_convention_is_refused",)),
+    # ---- golden numbers and Fibonacci numbers ------------------------------
+    Mutant("GoldenNumber.__neg__ negates _den", "fibonacci.py",
+           "        return _golden(-self._nu, -self._nv, self._den)\n",
+           "        return _golden(-self._nu, -self._nv, -self._den)\n",
+           (f"{FIBONACCI}::TestGoldenNumber::test_results_match_the_fraction_oracle_in_lowest_terms",)),
+    Mutant("Fibonacci memo built one entry short", "fibonacci.py",
+           "while len(_fib_cache) < FIB_MEMO:",
+           "while len(_fib_cache) < FIB_MEMO - 1:",
+           (f"{FIBONACCI}::TestFib::test_memo_stays_bounded",)),
+    # ---- the CLI --------------------------------------------------------------
+    Mutant("verify --seed not passed on", "cli.py",
+           "        if args.seed is not None:\n"
+           '            kwargs["seed"] = args.seed\n',
+           "",
+           ("tests/test_cli.py::TestVerify::test_seed_reaches_the_suite_run",)),
+    Mutant("--log-level ignored", "cli.py",
+           "        logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr)\n",
+           "",
+           ("tests/test_cli.py::TestLogLevel::test_debug_writes_the_u_mod_fallback_records",)),
     # ---- pickles ------------------------------------------------------------
     Mutant("kernel slot left in pickles", "algebra.py",
            "if name not in cls._transient and hasattr(self, name)})",

@@ -496,6 +496,11 @@ class TestThreshold:
         assert outs[0] == outs[1]
         assert outs[0].endswith("n0=0\n")
 
+    def test_a_rational_energy_prints_as_one_number(self, capsys):
+        # E = 3/11 has no golden part, so it prints without "a".
+        code, out, _ = invoke(capsys, "threshold", "--alpha1", "1", "--alpha2", "-1/11")
+        assert (code, out) == (0, "energy=3/11\nenergy_sign=+1\nn0=0\n")
+
     def test_zero_energy_is_an_error_line(self, capsys, monkeypatch):
         # Unreachable through rational parameters, so force it: the
         # library's refusal reaches the user as one error line.

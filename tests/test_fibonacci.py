@@ -265,6 +265,14 @@ class TestGoldenNumber:
         assert y == GoldenNumber(Fraction(-11, 2), -8)
         assert repr(y) == "GoldenNumber(-11/2, -8)"
 
+    def test_text_of_a_rational_and_of_a_pure_golden_number(self):
+        # v = 0 prints u alone; u = 0 with v > 0 prints the golden part alone.
+        texts = {GoldenNumber(0, 0): "0", GoldenNumber(Fraction(3, 11), 0): "3/11",
+                 GoldenNumber(Fraction(-1, 2), 0): "-1/2", GoldenNumber(0, 1): "a",
+                 GoldenNumber(0, 2): "2a", GoldenNumber(0, Fraction(1, 2)): "1/2a",
+                 GoldenNumber(0, -1): "0 - a"}
+        assert {x: str(x) for x in texts} == texts
+
     def test_arithmetic_with_plain_numbers(self):
         x = GoldenNumber(1, 2)
         assert x + 1 == GoldenNumber(2, 2)

@@ -8,11 +8,12 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from cdalgebra import residue as resmod
 from cdalgebra.algebra import MAX_FIELD_DEPTH, Convention, Element, make_algebra, quaternions
-from cdalgebra.residue import (MAX_FIELD_SIZE, ResidueField, UElement,
+from cdalgebra.residue import (MAX_FIELD_SIZE, ResidueField, UElement, WGenerator,
                                decode_symbols,
                                encode_symbols, four_square_root, is_prime_u,
                                make_w, residue_field, u_mod)
@@ -258,6 +259,12 @@ class TestUElementArithmetic:
             pass
 
         assert golden_gen.element(Int(3), 4) == golden_gen.element(3, 4) == UElement(3, 4, golden_gen)
+
+    def test_numpy_integer_symbols(self, golden_field):
+        # Symbols are indices, taken as every other index argument is.
+        assert golden_field.unlabel(np.int64(9)) == golden_field.unlabel(9)
+        assert encode_symbols(np.arange(13), golden_field) == encode_symbols(range(13),
+                                                                             golden_field)
 
     def test_bools_refused(self, golden_gen, golden_field):
         for a, b in ((True, 0), (0, False), (False, True)):
@@ -544,6 +551,14 @@ class TestResidueField:
         other = make_w(2, (1, 2, 3), (1, 1, 1, 0))
         with pytest.raises(ValueError, match="different subring"):
             golden_field.label(other.element(-3, 1))
+
+    def test_an_indefinite_generator_is_refused(self):
+        # w = e1 under gamma_1 = 1 has q = 0 and m = -1; pi = 3 + 2w has the prime norm 5.
+        gen = WGenerator(make_algebra(2, [1, 1]).basis(1))
+        pi = gen.element(3, 2)
+        assert (gen.q, gen.m, pi.norm()) == (0, -1, 5)
+        with pytest.raises(ValueError, match="^generator norm form must be positive definite$"):
+            residue_field(pi)
 
     def test_unlabel_range(self, golden_field):
         with pytest.raises(ValueError):

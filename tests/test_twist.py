@@ -12,7 +12,7 @@ import pytest
 from cdalgebra.algebra import Convention, _coefficient, make_algebra
 from cdalgebra.suites import _descent_coefficient
 from cdalgebra.twist import (MAX_TABLE_DEPTH, BlockClassificationError,
-                             BlockKind, TwistCoefficient, TwistTable,
+                             BlockKind, PowerRowReport, ProductCell, TwistCoefficient, TwistTable,
                              _bit_reverse, basis_product,
                              basis_product_element, bit_reversal_permutation,
                              build_table, partition_blocks, power_row_operands,
@@ -424,6 +424,10 @@ class TestBuildTable:
                                              r"for dimension 4$"):
             build_table(2).entry(p, q)
 
+    def test_repr(self):
+        assert repr(build_table(2)) == "TwistTable(t=2, convention=eq11)"
+        assert repr(build_table(3, LEFT)) == "TwistTable(t=3, convention=eq31)"
+
     def test_deterministic_rebuild(self):
         assert build_table(6, RIGHT) == build_table(6, RIGHT)
 
@@ -787,6 +791,32 @@ class TestPowerRowReports:
         assert report.m_computed == report.row_base ^ report.col_base
         assert report.tree_forms_c_tile
         assert len(report.cells) == 4
+
+    def test_summary_pinned(self):
+        # The line the twist demo prints per report.
+        assert check_power_row_claim(1, 2, 3, 5).summary() == (
+            "r=1 k=2 i=3: index reading both; tree cells C-tile with corner +1 "
+            "(table claim -1, walk claim +1)")
+        assert check_power_row_claim(2, 3, 4, 5).summary() == (
+            "r=2 k=3 i=4: index reading computed; tree cells C-tile with corner -1 "
+            "(table claim +1, walk claim +1)")
+
+    def test_stated_and_neither_readings_on_built_reports(self):
+        # Rows 4-5 against columns 28-29 at k = 3: m_computed = 24, m_stated = 20.
+        def report(indices, tree_cells):
+            cells = tuple(ProductCell(row, col, 1, 1, m) for (row, col), m in
+                          zip(((4, 28), (4, 29), (5, 28), (5, 29)), indices))
+            return PowerRowReport(2, 3, 4, 5, cells, tree_cells)
+
+        stated = report((20, 21, 21, 20), (1, 1, 1, 1))
+        assert (stated.m_computed, stated.m_stated) == (24, 20)
+        assert stated.supported_index_reading == "stated"
+        assert stated.summary() == (
+            "r=2 k=3 i=4: index reading stated; tree cells not a C-tile with corner +0 "
+            "(table claim +1, walk claim +1)")
+        neither = report((24, 25, 25, 25), (-1, 1, 1, 1))
+        assert neither.supported_index_reading == "neither"
+        assert neither.tree_corner_sign == -1
 
     def test_sweep_depth_five_reading_is_consistent(self):
         reports = sweep_power_row_claims(5)
