@@ -73,16 +73,27 @@ def _index(value) -> int:
 
 
 class _Frozen:
-    """Base of the slot value types: no attribute can be set or deleted.
+    """Base of every value type: a value is its fields, and no attribute can be set.
+
+    ``_fields`` names the fields, by default the stored slots: the class's own,
+    in ``__slots__`` order, less those named in ``_transient``.  ``==`` (the
+    same type and equal fields), ``hash`` and ``repr`` read the fields alone, as
+    a frozen dataclass's do, so a class that names its fields may keep derived
+    values in further slots.  Two rules follow from Python: a class that
+    defines ``__eq__`` must define ``__hash__`` too, or it has none; and
+    ``_values`` gives a tuple only over two or more fields, so every type has
+    two or more.
 
     Every value is built by one rule, written out once per class when the
     class is made (``_write_out``): ``cls._new(*slots)`` makes an instance
-    and ``self._set(*slots)`` fills one, both from the same stored slots: the
-    class's own, in ``__slots__`` order, less those named in ``_transient``.
-    Both set each slot through its descriptor, with no loop.  ``_new`` is the
-    constructor of internal results, which are valid by construction and so
-    skip the boundary validation; a public ``__init__`` validates its
-    arguments, then calls ``_set``.
+    and ``self._set(*slots)`` fills one, both from the stored slots, each
+    set through its descriptor, with no loop.  ``_new`` is the constructor
+    of internal results, which are valid by construction and so skip the
+    boundary validation; a public ``__init__`` validates its arguments, then
+    calls ``_set``.  Unless the class defines its own, ``__init__`` is
+    written out as ``_new`` is, over the fields: it takes them in order,
+    positionally or by name, and stores them unchecked, and a wrong call
+    raises the ``TypeError`` a dataclass's would.
 
     Pickling and copying restore the stored slots without rerunning the
     constructor's validation; a lazily kept slot not yet filled stays empty.
@@ -98,6 +109,12 @@ class _Frozen:
         stored = [s for s in cls.__dict__["__slots__"] if s not in cls._transient]
         cls._new = staticmethod(_write_out(cls, "_new", stored, make=True))
         cls._set = _write_out(cls, "_set", stored)
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(stored)
+        cls._values = attrgetter(*cls._fields)
+        cls.__match_args__ = cls._fields
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _write_out(cls, "__init__", cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -105,10 +122,28 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
     def __reduce__(self):
         cls = type(self)
         return _restore, (cls, {name: getattr(self, name) for name in cls.__slots__
                                 if name not in cls._transient and hasattr(self, name)})
+
+    def __setstate__(self, state: dict) -> None:
+        """Load a pickle made while the type was a dataclass: its state is the ``__dict__``."""
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
 
 @lru_cache(maxsize=None)
@@ -157,47 +192,6 @@ def _restore(cls: type, slots: dict) -> _Frozen:
     return x
 
 
-class _Record(_Frozen):
-    """A slot value type whose value is its fields, the names in ``_fields``.
-
-    Unless the class defines its own, ``__init__`` is written out as
-    ``_new`` is, over the fields: it takes them in order, positionally or by
-    name, and stores them unchecked, and a wrong call raises the
-    ``TypeError`` a dataclass's would.  ``==``, ``hash`` and ``repr`` read
-    the fields alone, as a frozen dataclass's do, so further slots may keep
-    derived values.  Every record has two or more fields, so ``_values``
-    gives a tuple.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._values = attrgetter(*cls._fields)
-        cls.__match_args__ = cls._fields
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = _write_out(cls, "__init__", cls._fields)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values(self) == other._values(other)
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self._fields, self._values(self)))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setstate__(self, state: dict) -> None:
-        """Load a pickle made while the type was a dataclass: its state is the ``__dict__``."""
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-
-
 class AlgebraSignature(_Frozen):
     """Doubling depth, stage parameters, and product convention.
 
@@ -229,15 +223,6 @@ class AlgebraSignature(_Frozen):
     def dimension(self) -> int:
         return 1 << self.t
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraSignature):
-            return NotImplemented
-        return (self.t == other.t and self.gammas == other.gammas
-                and self.convention is other.convention)
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.gammas, self.convention))
-
     def __repr__(self) -> str:
         gs = ", ".join(str(g) for g in self.gammas)
         return f"AlgebraSignature(t={self.t}, gammas=({gs}), {self.convention.value})"
@@ -251,14 +236,6 @@ class AlgebraSignature(_Frozen):
         kernel = _bind_kernel(self.t, self.gammas)
         object.__setattr__(self, "_scaled", kernel)
         return kernel
-
-    def _constants(self) -> tuple:
-        """``_scaled_constants(self.gammas)``: (signed, D, weights), read from the kernel."""
-        try:
-            kernel = self._scaled
-        except AttributeError:
-            kernel = self._kernel()
-        return kernel[6], kernel[2], kernel[4]
 
     # ---- element factories -------------------------------------------------
 
@@ -584,8 +561,8 @@ def _dense_or_pairs(xs: tuple, ys: tuple, args: tuple) -> tuple:
 def _bind_kernel(t: int, gammas: tuple) -> tuple:
     """The kernel of a signature: its depth's functions with the constants they read.
 
-    (product, args, D, norm, weights, conjugate, signed), where signed, D
-    and weights are ``_scaled_constants(gammas)``.  ``product(xs, ys, args)``
+    (product, args, D, norm, weights, conjugate), where D and weights are
+    those of ``_scaled_constants(gammas)``.  ``product(xs, ys, args)``
     is the eq11 product of numerator tuples: the product of xs / dx and
     ys / dy is product(...) / (D * dx * dy).  ``norm(xs, weights)`` is the
     norm's numerator over D and ``conjugate(xs, m)`` the scaled conjugate.
@@ -600,7 +577,7 @@ def _bind_kernel(t: int, gammas: tuple) -> tuple:
         dense, norm, conjugate = _halves, _norm_sum, _conjugate
         dense_args = (gammas, signed[:2 << STRAIGHT_MAX_DEPTH])
     if t <= 3:
-        return dense, dense_args, d, norm, weights, conjugate, signed
+        return dense, dense_args, d, norm, weights, conjugate
     n = 1 << t
     if t <= KERNEL_MAX_DEPTH:
         pairs, pair_args = _code_pairs, (signed, t)
@@ -608,7 +585,7 @@ def _bind_kernel(t: int, gammas: tuple) -> tuple:
     else:
         pairs, pair_args, limit = _coefficient_pairs, signed, n * n // 32
     return (_dense_or_pairs, (dense, dense_args, pairs, pair_args, limit), d,
-            norm, weights, conjugate, signed)
+            norm, weights, conjugate)
 
 
 class Element(_Frozen):
@@ -705,15 +682,6 @@ class Element(_Frozen):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return (self.signature == other.signature and self._den == other._den
-                and self._nums == other._nums)
-
-    def __hash__(self) -> int:
-        return hash((self.signature, self._nums, self._den))
 
     def __getitem__(self, p: int) -> Rational:
         return _ratio(self._nums[_index(p)], self._den)

@@ -12,8 +12,8 @@ from math import gcd, lcm
 from operator import add, sub
 from typing import Optional, Tuple, Union
 
-from .algebra import (_CONJUGATE_RIGHT, AlgebraSignature, Element, Rational, _Frozen,
-                      _element, _index, _ratio, _Record, _scaled_constants, as_rational)
+from .algebra import (_CONJUGATE_RIGHT, AlgebraSignature, Element, Rational, _element,
+                      _Frozen, _index, _ratio, _scaled_constants, as_rational)
 
 # Indices below FIB_MEMO are read from a memo built once at import (about
 # 0.2 ms and 84 KB), which covers the closed-form norm up to n = 511.
@@ -56,10 +56,10 @@ def _fib_pair(k: int) -> Tuple[int, int]:
     return _fib_doubling(k) if k >= FIB_MEMO - 1 else (_fib_cache[k], _fib_cache[k + 1])
 
 
-class HoradamParams(_Record):
+class HoradamParams(_Frozen):
     """Initial conditions for the Fibonacci recurrence: h_0 = p, h_1 = q."""
 
-    __slots__ = _fields = ("p", "q")
+    __slots__ = ("p", "q")
     p: Rational
     q: Rational
 
@@ -110,13 +110,10 @@ class GoldenNumber(_Frozen):
         return Fraction(self._nv, self._den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, GoldenNumber):
-            return (self._nu == other._nu and self._nv == other._nv
-                    and self._den == other._den)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return (self._nv == 0 and self._nu == other.numerator
                     and self._den == other.denominator)
-        return NotImplemented
+        return super().__eq__(other)
 
     def __hash__(self) -> int:
         if self._nv:
@@ -206,12 +203,11 @@ class GoldenNumber(_Frozen):
         u, v = self.u, self.v
         if v == 0:
             return str(u)
-        sign = "-" if v < 0 else "+"
         mag = abs(v)
-        head = "" if mag == 1 else str(mag)
-        if u == 0 and sign == "+":
-            return f"{head}a"
-        return f"{u} {sign} {head}a"
+        head = "" if mag == 1 else str(mag) if mag.denominator == 1 else f"({mag})"
+        if u == 0:
+            return f"{'-' if v < 0 else ''}{head}a"
+        return f"{u} {'-' if v < 0 else '+'} {head}a"
 
 
 _new_golden = GoldenNumber._new  # a module name, as algebra._new_element is
@@ -239,7 +235,7 @@ def golden_power(n: int) -> GoldenNumber:
     return GOLDEN_UNIT ** n
 
 
-class QuaternionParams(_Record):
+class QuaternionParams(_Frozen):
     """The two nonzero parameters of a generalized quaternion algebra."""
 
     _fields = ("alpha1", "alpha2")
@@ -254,8 +250,8 @@ class QuaternionParams(_Record):
         # Checked above, so the signature skips its validation; its kernel is
         # bound at once, as the closed form reads its constants.
         sig = AlgebraSignature._new(2, (-a1, -a2), _CONJUGATE_RIGHT)
-        sig._kernel()
-        self._set(a1, a2, sig, _closed_form(sig._constants()))
+        kernel = sig._kernel()
+        self._set(a1, a2, sig, _closed_form(kernel[2], kernel[4]))
 
     def signature(self) -> AlgebraSignature:
         """Depth-2 doubling algebra realizing this parameter pair.
@@ -269,8 +265,8 @@ class QuaternionParams(_Record):
         return self._signature
 
 
-def _closed_form(constants: tuple) -> Tuple[int, int, int, int]:
-    """(u, v, z, D) from the norm weights w_p over D of (signed, D, weights).
+def _closed_form(d: int, weights: list) -> Tuple[int, int, int, int]:
+    """(u, v, z, D) from the norm weights w_p over D.
 
     As 5*f_k**2 = a**(2k) + conj(a)**(2k) - 2*(-1)**k, the element with
     coefficients f_(n+p) has norm N(n) = E*a**(2n) + conj(E)*conj(a)**(2n)
@@ -278,7 +274,6 @@ def _closed_form(constants: tuple) -> Tuple[int, int, int, int]:
     D*Z = sum(w_p * (-1)**p) = z.  At depth 2, 5*E = 1 + a1 + 2*a2 + 5*a1*a2
     + a*(a1 + 3*a2 + 8*a1*a2) and Z = (1 - a1)*(1 + a2).
     """
-    _, d, weights = constants
     u = v = z = 0
     x, y = 1, 0  # a**(2p) = x + y*a = f_(2p-1) + f_(2p)*a
     for p, w in enumerate(weights):
@@ -324,7 +319,8 @@ def energy(params: Union[QuaternionParams, Tuple[Rational, Rational]]) -> Golden
     elif len(params) != 2:
         raise ValueError(f"expected a parameter pair (a1, a2), got {len(params)} entries")
     else:
-        u, v, _, d = _closed_form(_scaled_constants([-as_rational(a) for a in params]))
+        _, d, weights = _scaled_constants([-as_rational(a) for a in params])
+        u, v, _, d = _closed_form(d, weights)
     return _golden(u, v, 5 * d)
 
 
@@ -369,7 +365,7 @@ def invertibility_threshold(params: QuaternionParams, n_max: int = 200) -> Optio
     return 0
 
 
-class BinetCheck(_Record):
+class BinetCheck(_Frozen):
     """Exact verdict on the closed-form expression for one Fibonacci index.
 
     ``power_u + power_v * a`` is a**n; the identity holds when the
@@ -377,7 +373,7 @@ class BinetCheck(_Record):
     f_n * (2a - 1), the square root of five).
     """
 
-    __slots__ = _fields = ("n", "power_u", "power_v", "expected_u", "expected_v")
+    __slots__ = ("n", "power_u", "power_v", "expected_u", "expected_v")
     n: int
     power_u: Fraction
     power_v: Fraction

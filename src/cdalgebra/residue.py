@@ -66,14 +66,6 @@ class WGenerator(_Frozen):
             raise ValueError("generator has norm zero and spans no quadratic ring")
         self._set(w, w.trace(), m)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WGenerator):
-            return NotImplemented
-        return self.w == other.w
-
-    def __hash__(self) -> int:
-        return hash(self.w)
-
     def element(self, a: int, b: int) -> UElement:
         if type(a) is int and type(b) is int:
             return _u(a, b, self)
@@ -82,9 +74,6 @@ class WGenerator(_Frozen):
     def is_definite(self) -> bool:
         """Whether the norm form a*a + q*a*b + m*b*b is positive definite."""
         return 4 * self.m > self.q * self.q
-
-    def __repr__(self) -> str:
-        return f"WGenerator(w={self.w!r}, q={self.q}, m={self.m})"
 
 
 def _placement(t: int, indices: Sequence[int]):
@@ -186,12 +175,9 @@ class UElement(_Frozen):
         raise TypeError(f"cannot combine UElement with {type(x).__name__}")
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UElement):
-            return (self.a == other.a and self.b == other.b
-                    and (self.gen is other.gen or self.gen == other.gen))
         if _is_int(other):
             return self.b == 0 and self.a == other
-        return NotImplemented
+        return super().__eq__(other)
 
     def __hash__(self) -> int:
         return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.gen))
@@ -408,12 +394,6 @@ class Representatives(_Frozen, Sequence):
 
     def __iter__(self):
         return map(_u, self.xs, self.ys, repeat(self.gen))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Representatives):
-            return NotImplemented
-        return (self.xs == other.xs and self.ys == other.ys
-                and (self.gen is other.gen or self.gen == other.gen))
 
     def __hash__(self) -> int:
         return hash((tuple(self.xs), tuple(self.ys), self.gen))

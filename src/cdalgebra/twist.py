@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .algebra import (_CONJUGATE_LEFT, _CONJUGATE_RIGHT, MAX_TABLE_DEPTH, AlgebraSignature,
                       Convention, Element, Rational, _coefficient, _Frozen, _index,
-                      _Record, as_rational)
+                      as_rational)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,13 +30,13 @@ class BlockClassificationError(Exception):
     """A 2x2 tile of a sign table matched none of the allowed patterns."""
 
 
-class TwistCoefficient(_Record):
+class TwistCoefficient(_Frozen):
     """Sign times a product of stage parameters, one bit per stage.
 
     Bit ``i - 1`` of ``gamma_mask`` selects the stage-``i`` parameter.
     """
 
-    __slots__ = _fields = ("sign", "gamma_mask")
+    __slots__ = ("sign", "gamma_mask")
     sign: int
     gamma_mask: int
 
@@ -66,8 +66,8 @@ class TwistCoefficient(_Record):
         return v
 
 
-# TwistCoefficient(sign, mask) for a pair from ``_coefficient``, unchecked: a
-# sign of +-1 and a nonnegative int mask are correct by construction.
+# TwistCoefficient(sign, mask) for a pair from ``_coefficient`` or a table entry,
+# unchecked: a sign of +-1 and a nonnegative int mask are correct by construction.
 _twist_coefficient = TwistCoefficient._new
 
 
@@ -121,9 +121,10 @@ class TwistTable(_Frozen):
 
     ``base_signs[p, q]`` (int8) is the sign of e_p * e_q.  Its mask is
     p & q, which ``entry``, ``__eq__`` and the ``gamma_masks`` property
-    derive where they read it, so no mask plane is kept.  Other dtypes
-    are refused rather than truncated on read.  Tables are immutable once
-    built.
+    derive where they read it, so no mask plane is kept.  Other dtypes,
+    and a sign plane holding any entry other than +-1, are refused when
+    the table is made, rather than truncated or refused on read.  Tables
+    are immutable once built.
 
     A ``gamma_masks`` plane may still be passed in, so that checkers can
     be tested on tables whose masks are wrong.  It is validated, stored
@@ -150,6 +151,8 @@ class TwistTable(_Frozen):
                                 f"got {getattr(plane, 'dtype', type(plane).__name__)}")
             if plane.shape != (n, n):
                 raise ValueError("table arrays do not match the stated depth")
+        if not (abs(base_signs) == 1).all():
+            raise ValueError("base_signs must hold only +1 and -1")
         for _, plane, _ in planes:
             plane.setflags(write=False)
         self._set(t, Convention(convention), base_signs, gamma_masks)
@@ -184,7 +187,7 @@ class TwistTable(_Frozen):
             raise ValueError(f"basis indices ({p}, {q}) out of range for dimension "
                              f"{self.dimension}")
         mask = p & q if self._masks is None else int(self._masks[p, q])
-        return TwistCoefficient(int(self.base_signs[p, q]), mask)
+        return _twist_coefficient(int(self.base_signs[p, q]), mask)
 
     def sign_table(self) -> np.ndarray:
         """Collapsed signs under all-(-1) parameters, as a new int8 matrix.
@@ -264,7 +267,10 @@ def build_table(t: int,
             np.negative(st[:, :h], out=st[:, h:])
             st[::h, h:] = 1
         signs, signs_t = s, st
-    return TwistTable(t, convention, signs_t if left else signs)
+    signs = signs_t if left else signs
+    signs.setflags(write=False)
+    # +-1 by construction, so the constructor's checks are skipped.
+    return TwistTable._new(t, convention, signs, None)
 
 
 class BlockKind(IntEnum):
@@ -344,12 +350,9 @@ def _tile_codes(bits: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _code_kind(convention: Convention) -> np.ndarray:
     """Negative-entry code of a tile -> BlockKind of the convention's
-    alphabet, -1 for every other tile.
-
-    The extra last code stands for a tile holding an entry other than +-1.
-    """
+    alphabet, -1 for every other tile."""
     import numpy as np
-    kinds = np.full(17, -1, dtype=np.int8)
+    kinds = np.full(16, -1, dtype=np.int8)
     for kind in _ALPHABET[convention]:
         kinds[_tile_codes(kind.pattern() == -1)[0, 0]] = kind
     kinds.setflags(write=False)
@@ -377,7 +380,6 @@ def partition_blocks(table: TwistTable) -> np.ndarray:
     import numpy as np
     signs = table.sign_table()
     codes = _tile_codes(signs == -1)
-    codes[(codes | _tile_codes(signs == 1)) != 15] = 16
     rev = bit_reversal_permutation(table.t - 1)
     kinds = _code_kind(table.convention)[codes[np.ix_(rev, rev)]]
     h = len(rev)
@@ -419,10 +421,10 @@ def shuffle_string(p: int, q: int, t: int) -> str:
 
 # ---- power-of-two row check -------------------------------------------------
 
-class ProductCell(_Record):
+class ProductCell(_Frozen):
     """One of the four products in the 2x2 claim, with its oracle verdict."""
 
-    __slots__ = _fields = ("row", "col", "claimed_sign", "actual_sign", "actual_index")
+    __slots__ = ("row", "col", "claimed_sign", "actual_sign", "actual_index")
     row: int
     col: int
     claimed_sign: int
@@ -434,7 +436,7 @@ class ProductCell(_Record):
         return self.claimed_sign == self.actual_sign
 
 
-class PowerRowReport(_Record):
+class PowerRowReport(_Frozen):
     """Oracle verdict on the claimed 2x2 product table for one (r, k, i).
 
     The claim concerns the row pair starting at 2**(k-r+1) against the
@@ -453,7 +455,7 @@ class PowerRowReport(_Record):
     products are stored; every verdict is derived from them.
     """
 
-    __slots__ = _fields = ("r", "k", "i", "t", "cells", "tree_cells")
+    __slots__ = ("r", "k", "i", "t", "cells", "tree_cells")
     r: int
     k: int
     i: int

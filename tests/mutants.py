@@ -50,7 +50,7 @@ TWIST = "tests/test_twist.py"
 FIBONACCI = "tests/test_fibonacci.py"
 
 MUTANTS = [
-    # ---- one written-out constructor per class (_Frozen, _Record) ----------
+    # ---- one base for every value type (_Frozen) ---------------------------
     Mutant("setter assigns slots in reversed order", "algebra.py",
            r'sets = "".join(f" s{i}(self, v{i})\n" for i in range(arity))',
            r'sets = "".join(f" s{i}(self, v{arity - 1 - i})\n" for i in range(arity))',
@@ -68,6 +68,14 @@ MUTANTS = [
            'cls.__init__ = _write_out(cls, "__init__", cls._fields)',
            'cls.__init__ = lambda self, *fields: cls._set(self, *fields)',
            (f"{WRITTEN_OUT}::test_a_record_takes_its_fields_as_a_dataclass_does",)),
+    Mutant("== ignores the last field", "algebra.py",
+           "        return self._values(self) == other._values(other)\n",
+           "        return self._values(self)[:-1] == other._values(other)[:-1]\n",
+           (f"{WRITTEN_OUT}::test_equality_and_hash_read_every_field_and_no_other_slot",)),
+    Mutant("_fields defaults to the transient slot too", "algebra.py",
+           "            cls._fields = tuple(stored)\n",
+           '            cls._fields = tuple(cls.__dict__["__slots__"])\n',
+           (f"{WRITTEN_OUT}::test_new_holds_what_the_public_constructor_holds",)),
     Mutant("_u bound with a and b swapped", "residue.py",
            "_u = UElement._new",
            "_u = lambda a, b, gen: UElement._new(b, a, gen)",
@@ -125,6 +133,18 @@ MUTANTS = [
            'f" n = -m\\n"',
            'f" n = m\\n"',
            (f"{KERNEL}::test_inverse_gives_the_unit_under_the_recursion",)),
+    Mutant("_halves drops the conjugate of b2", "algebra.py",
+           "_halves(_conj(b2), a2, rest)",
+           "_halves(b2, a2, rest)",
+           (f"{KERNEL}::test_dense_products_by_halves_up_to_depth_ten",)),
+    Mutant("_halves writes b2 * a1 as a1 * b2", "algebra.py",
+           "_halves(b2, a1, rest)",
+           "_halves(a1, b2, rest)",
+           (f"{KERNEL}::test_dense_products_by_halves_up_to_depth_ten",)),
+    Mutant("_halves returns its halves swapped", "algebra.py",
+           "    return (*low, *high)\n",
+           "    return (*high, *low)\n",
+           (f"{KERNEL}::test_dense_products_by_halves_up_to_depth_ten",)),
     Mutant("_halves drops its // den", "algebra.py",
            "u + v * num // den for",
            "u + v * num for",
@@ -166,6 +186,24 @@ MUTANTS = [
            '            raise ValueError("table depth must be >= 1")\n'
            "        n = 1 << t\n",
            (f"{TWIST}::TestBuildTable::test_constructor_depth_is_checked_like_build_table",)),
+    Mutant("TwistTable takes signs other than +-1", "twist.py",
+           "        if not (abs(base_signs) == 1).all():\n"
+           '            raise ValueError("base_signs must hold only +1 and -1")\n',
+           "",
+           (f"{TWIST}::TestBuildTable::"
+            "test_a_sign_plane_holding_other_than_plus_minus_one_is_refused",)),
+    Mutant("build_table drops the column-0 and column-h fix of S", "twist.py",
+           "            s[h:, ::h] = 1\n",
+           "",
+           (f"{TWIST}::TestBitAlgebraAgainstOracles::test_tables_equal_the_doubling_oracle",)),
+    Mutant("build_table drops the row-h fix of St", "twist.py",
+           "            st[::h, h:] = 1\n",
+           "            st[:1, h:] = 1\n",
+           (f"{TWIST}::TestBitAlgebraAgainstOracles::test_tables_equal_the_doubling_oracle",)),
+    Mutant("sign_table writes its -H quadrant as +H", "twist.py",
+           "            np.negative(signs[:h, :h], out=signs[h:2 * h, h:2 * h])\n",
+           "            signs[h:2 * h, h:2 * h] = signs[:h, :h]\n",
+           (f"{TWIST}::TestBitAlgebraAgainstOracles::test_tables_equal_the_doubling_oracle",)),
     Mutant("basis_product's range loosened by one bit", "twist.py",
            "(p | q).bit_length() > sig.t:",
            "(p | q).bit_length() > sig.t + 1:",
@@ -185,6 +223,14 @@ MUTANTS = [
            "        return _golden(-self._nu, -self._nv, self._den)\n",
            "        return _golden(-self._nu, -self._nv, -self._den)\n",
            (f"{FIBONACCI}::TestGoldenNumber::test_results_match_the_fraction_oracle_in_lowest_terms",)),
+    Mutant("GoldenNumber prints -a as 0 - a again", "fibonacci.py",
+           "        if u == 0:\n"
+           "            return f\"{'-' if v < 0 else ''}{head}a\"\n",
+           "        if u == 0 and v > 0:\n"
+           "            return f\"{head}a\"\n",
+           (f"{FIBONACCI}::TestGoldenNumber::test_text_of_a_rational_and_of_a_pure_golden_number",
+            "tests/test_cli.py::TestThreshold::"
+            "test_a_pure_golden_energy_prints_its_sign_and_coefficient")),
     Mutant("Fibonacci memo built one entry short", "fibonacci.py",
            "while len(_fib_cache) < FIB_MEMO:",
            "while len(_fib_cache) < FIB_MEMO - 1:",

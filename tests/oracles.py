@@ -90,7 +90,7 @@ class FractionGolden:
 def settle_index(params) -> int:
     """``fibonacci._settle_index`` on ``FractionGolden``: the least n1 with
     |u + v*a| * a**(2*n1) > |(u + v) - v*a| + 2*|z|."""
-    u, v, z, _ = _closed_form(params.signature()._constants())
+    u, v, z, _ = _closed_form(*params.signature()._kernel()[2::2])
     e, conj = FractionGolden(u, v), FractionGolden(u + v, -v)
     grown, bound = e * e.sign(), conj * conj.sign() + 2 * abs(z)
     n1 = 0
@@ -103,7 +103,7 @@ def settle_index(params) -> int:
 def threshold(params, n_max: int):
     """``fibonacci.invertibility_threshold`` with the energy's sign and the
     settle index taken on ``FractionGolden``."""
-    u, v, _, d = _closed_form(params.signature()._constants())
+    u, v, _, d = _closed_form(*params.signature()._kernel()[2::2])
     target = FractionGolden(Fraction(u, 5 * d), Fraction(v, 5 * d)).sign()
     start = min(settle_index(params), n_max)
     for n in range(start, -1, -1):

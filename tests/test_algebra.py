@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 import subprocess
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from cdalgebra import algebra
-from cdalgebra.algebra import (AlgebraSignature, Convention, Element, _conj, _Frozen, _Record,
+from cdalgebra.algebra import (AlgebraSignature, Convention, Element, _conj, _Frozen,
                                as_rational, make_algebra, octonions, power_left_nested,
                                quadratic_check, quaternions, sedenions)
 from cdalgebra.fibonacci import (BinetCheck, GoldenNumber, HoradamParams, QuaternionParams,
@@ -51,7 +52,7 @@ def _elements(t):
 
 def _signatures():
     kept = quaternions()
-    kept._constants()  # fills the lazily kept slot
+    kept._kernel()  # fills the lazily kept slot
     return [make_algebra(3, [-1, Fraction(2, 3), 5], LEFT), kept]
 
 
@@ -516,10 +517,10 @@ class TestKernel:
                         if want:
                             inv = [as_rational(Fraction(v) / want) for v in _conj(x.coeffs)]
                             assert list(x.inverse().coeffs) == inv, (t, conv, gammas, x)
-                    # (product, args, D, norm, weights, conjugate, signed)
+                    # (product, args, D, norm, weights, conjugate)
                     kernels = first._scaled, second._scaled
                     assert kernels[0][1] is not kernels[1][1]
-                    assert first._constants() == second._constants()
+                    assert kernels[0][2::2] == kernels[1][2::2]  # D and weights
                     assert all(kernels[0][i] is kernels[1][i] for i in (0, 3, 5)), t
 
     def test_depth_30_basis_product_builds_no_constants(self):
@@ -747,6 +748,44 @@ class TestKernel:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_sparse_products_import_no_numpy(self):
+        # Two- and four-term operands take the pair loop: over the codes at
+        # t = 6-8, through _coefficient at t = 9-12.  Neither reads an array.
+        src = str(Path(algebra.__file__).resolve().parents[1])
+        script = f"""if True:
+            import random, sys
+            sys.path.insert(0, {src!r})
+            from fractions import Fraction
+            from cdalgebra import algebra
+            from cdalgebra.twist import basis_product
+            calls = []
+            coefficient = algebra._coefficient
+            def counted(p, q):
+                calls.append((p, q))
+                return coefficient(p, q)
+            algebra._coefficient = counted
+            rng = random.Random(39)
+            for t in range(6, 13):
+                sig = algebra.make_algebra(t, [Fraction(-1, 2) if i % 3 else 3 for i in range(t)])
+                n = sig.dimension
+                for size in (2, 4):
+                    xs, ys = ({{p: rng.randint(-9, 9) or 1 for p in rng.sample(range(n), size)}}
+                              for _ in range(2))
+                    want = [0] * n
+                    for p, a in xs.items():
+                        for q, b in ys.items():
+                            coeff, k = basis_product(p, q, sig)
+                            want[k] += a * b * coeff.value(sig.gammas)
+                    x, y = (sig.element([c.get(p, 0) for p in range(n)]) for c in (xs, ys))
+                    calls.clear()
+                    assert list((x * y).coeffs) == want, (t, size)
+                    assert len(calls) == (size * size if t > algebra.KERNEL_MAX_DEPTH else 0), t
+            assert 'numpy' not in sys.modules, 'a sparse product imported numpy'
+            """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_codes_are_the_structure_constants(self):
         # The doubled codes against two independent derivations: the
         # pointwise coefficient and the sign-plane doubling of build_table.
@@ -931,7 +970,7 @@ class TestStoredForm:
         want = sig.element([1, Fraction(2, 3), -1, 4])
         assert x == want and not hasattr(x.signature, "_scaled")
         assert (x * x, x.norm(), x.inverse()) == (want * want, want.norm(), want.inverse())
-        assert x.signature._constants() == sig._constants()
+        assert x.signature._scaled[2::2] == sig._scaled[2::2]  # D and weights
 
     # One value of each type that was a frozen dataclass, pickled while it was
     # one: its state is the instance ``__dict__``.  Each with a factory of the
@@ -1027,7 +1066,7 @@ class TestStoredForm:
                 assert (y == sig, hash(y), repr(y)) == (True, hash(sig), repr(sig))
                 z = y.element(x.coeffs)
                 assert (z * z, z.norm(), z.inverse()) == want
-                assert hasattr(y, "_scaled") and y._constants() == sig._constants()
+                assert hasattr(y, "_scaled") and y._scaled[2::2] == sig._kernel()[2::2]
 
     def test_used_signature_pickles_load_in_a_fresh_interpreter(self):
         xs = self._used_signatures()
@@ -1110,6 +1149,13 @@ def _written_out_cases():
 WRITTEN_OUT = _written_out_cases()
 
 
+def _takes_its_fields(cls) -> bool:
+    """Whether the constructor's parameters are the fields, in order and none defaulted."""
+    parameters = inspect.signature(cls).parameters.values()
+    return [(p.name, p.default) for p in parameters] == [
+        (field, inspect.Parameter.empty) for field in cls._fields]
+
+
 def _same(a, b) -> bool:
     """Whether two slot values are the same: one object, or equal values of one type."""
     return a is b or (type(a) is type(b) and a == b)
@@ -1126,7 +1172,7 @@ class TestWrittenOut:
                 yield sub
                 yield from subclasses(sub)
         made = {type(case.values[0]()) for case in WRITTEN_OUT}
-        assert made == set(subclasses(_Frozen)) - {_Record}
+        assert made == set(subclasses(_Frozen))
 
     @pytest.mark.parametrize("make, slots", WRITTEN_OUT)
     def test_new_holds_what_the_public_constructor_holds(self, make, slots):
@@ -1141,9 +1187,23 @@ class TestWrittenOut:
         for name in cls._transient:
             assert not hasattr(x, name) and not hasattr(y, name), name
 
+    @pytest.mark.parametrize("make, slots", WRITTEN_OUT)
+    def test_equality_and_hash_read_every_field_and_no_other_slot(self, make, slots):
+        # One stored slot replaced at a time: a field makes another value, a
+        # derived slot (QuaternionParams' signature and form) does not.
+        x = make()
+        cls = type(x)
+        stored = [name for name in cls.__slots__ if name not in cls._transient]
+        for k, name in enumerate(stored):
+            y = cls._new(*slots[:k], object(), *slots[k + 1:])
+            if name in cls._fields:
+                assert x != y and y != x, name
+            else:
+                assert x == y and hash(x) == hash(y), name
+
     @pytest.mark.parametrize("make", [pytest.param(case.values[0], id=case.id)
                                       for case in WRITTEN_OUT
-                                      if issubclass(type(case.values[0]()), _Record)])
+                                      if _takes_its_fields(type(case.values[0]()))])
     def test_a_record_takes_its_fields_as_a_dataclass_does(self, make):
         x = make()
         cls, fields, values = type(x), x._fields, x._values(x)

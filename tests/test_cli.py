@@ -501,6 +501,12 @@ class TestThreshold:
         code, out, _ = invoke(capsys, "threshold", "--alpha1", "1", "--alpha2", "-1/11")
         assert (code, out) == (0, "energy=3/11\nenergy_sign=+1\nn0=0\n")
 
+    def test_a_pure_golden_energy_prints_its_sign_and_coefficient(self, capsys):
+        # E = -(3/10)a has no rational part: the golden part alone, with its
+        # sign, and the coefficient parenthesized.
+        code, out, _ = invoke(capsys, "threshold", "--alpha1", "-1/2", "--alpha2", "1")
+        assert (code, out) == (0, "energy=-(3/10)a\nenergy_sign=-1\nn0=2\n")
+
     def test_zero_energy_is_an_error_line(self, capsys, monkeypatch):
         # Unreachable through rational parameters, so force it: the
         # library's refusal reaches the user as one error line.
@@ -594,11 +600,13 @@ def _src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-# Subcommands that need no array: their processes load neither numpy nor
-# sympy.  Only ``blocks`` and the twist suite of ``verify`` build arrays and
-# load numpy; no Element operation does, dense or sparse, at any depth.  ``import cdalgebra`` loads
-# no submodule, and the CLI module only ``algebra``, which it parses with;
-# handlers import the rest.
+# Subcommands that need no array: their runs load neither numpy nor sympy.
+# Only ``blocks`` and the twist suite of ``verify`` build arrays and load
+# numpy.  Element products load none, dense or sparse, at any depth; the runs
+# below make both kinds up to depth 6 (``verify --suite core``), and TestKernel
+# in tests/test_algebra.py checks sparse ones at t = 6-12 in a fresh interpreter.
+# ``import cdalgebra`` loads no submodule, and the CLI module only
+# ``algebra``, which it parses with; handlers import the rest.
 _ARRAY_FREE = (
     ["twist", "--t", "30", "--p", "5", "--q", "9"],
     # Tables are rendered from the kernel's codes.
@@ -608,23 +616,25 @@ _ARRAY_FREE = (
     ["fib-norm", "--n", "10", "--alpha1", "2", "--alpha2", "3"],
     ["threshold", "--alpha1", "2", "--alpha2", "3"],
     ["verify", "--suite", "fib"],
-    # Dense products run generated code up to depth 5 and by halves above.
+    # Dense products run generated code up to depth 5 and by halves above;
+    # sparse ones run the pair loop over the codes.
     *(["verify", "--suite", "core", "--t", t, "--samples", "5"] for t in ("5", "6")),
     ["residue-field", "--p", "13", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2"],
     ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--u", "3,4"],
     ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", "1,2,3"],
-    # Sparse products read codes doubled in lists, at every kernel depth.
+    # Generators above depth 5: each run binds a kernel and takes one norm,
+    # by the loop, and multiplies no Element.
     *(["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", t, "--u", "3,4"]
       for t in ("6", "7", "8")),
     *(["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", t, "--symbols", "1,2,3"]
       for t in ("7", "8")),
-    # Above the code depth, sparse products call the pointwise coefficient.
+    # The same above the code depth.
     ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "12", "--u", "3,4"],
     ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "12", "--symbols", "1,2,3"],
 )
 
 
-def test_residue_field_runs_without_sympy():
+def test_array_free_runs_in_one_process_load_no_numpy():
     script = ("import sys\n"
               "import cdalgebra\n"
               "loaded = [m for m in sys.modules if m.startswith('cdalgebra.')]\n"

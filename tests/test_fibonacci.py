@@ -266,11 +266,14 @@ class TestGoldenNumber:
         assert repr(y) == "GoldenNumber(-11/2, -8)"
 
     def test_text_of_a_rational_and_of_a_pure_golden_number(self):
-        # v = 0 prints u alone; u = 0 with v > 0 prints the golden part alone.
+        # v = 0 prints u alone; u = 0 prints the golden part alone, with its
+        # sign.  A non-integer golden coefficient is parenthesized, so that
+        # (13/15)a does not read as 13/(15a).
         texts = {GoldenNumber(0, 0): "0", GoldenNumber(Fraction(3, 11), 0): "3/11",
                  GoldenNumber(Fraction(-1, 2), 0): "-1/2", GoldenNumber(0, 1): "a",
-                 GoldenNumber(0, 2): "2a", GoldenNumber(0, Fraction(1, 2)): "1/2a",
-                 GoldenNumber(0, -1): "0 - a"}
+                 GoldenNumber(0, 2): "2a", GoldenNumber(0, Fraction(1, 2)): "(1/2)a",
+                 GoldenNumber(0, -1): "-a", GoldenNumber(0, Fraction(-3, 10)): "-(3/10)a",
+                 GoldenNumber(Fraction(-1, 5), Fraction(-13, 15)): "-1/5 - (13/15)a"}
         assert {x: str(x) for x in texts} == texts
 
     def test_arithmetic_with_plain_numbers(self):
@@ -344,8 +347,8 @@ class TestFibonacciQuaternion:
             assert (other.alpha1, other.alpha2) == (a1, a2)
             sig = other.signature()
             assert sig == AlgebraSignature(2, (-a1, -a2))
-            assert other._form == fibmod._closed_form(sig._constants())
-            assert other._form == fibmod._closed_form(fibmod._scaled_constants((-a1, -a2)))
+            assert other._form == fibmod._closed_form(*sig._kernel()[2::2])
+            assert other._form == fibmod._closed_form(*fibmod._scaled_constants((-a1, -a2))[1:])
             for n in (0, 5, 40):
                 assert fib_norm_formula(n, other) == fib_norm_direct(n, other)
 

@@ -496,6 +496,22 @@ class TestBuildTable:
             with pytest.raises(TypeError, match=f"^{name} must be"):
                 TwistTable(2, RIGHT, **{**planes, name: bad})
 
+    def test_a_sign_plane_holding_other_than_plus_minus_one_is_refused(self):
+        # Such a sign would pass into sign_table() and raise only when
+        # entry() read it.  A pickle goes through the same check.
+        for value in (0, 2, -128):
+            plane = build_table(2).base_signs.copy()
+            plane[1, 2] = value
+            with pytest.raises(ValueError, match=r"^base_signs must hold only \+1 and -1$"):
+                TwistTable(2, RIGHT, plane)
+            assert plane.flags.writeable
+        zeros = np.zeros((4, 4), np.int8)
+        with pytest.raises(ValueError, match=r"only \+1 and -1"):
+            TwistTable(2, "eq11", zeros)
+        data = pickle.dumps(TwistTable._new(2, RIGHT, zeros, None))  # unchecked
+        with pytest.raises(ValueError, match=r"only \+1 and -1"):
+            pickle.loads(data)
+
     def test_tables_immutable(self):
         table = build_table(3)
         with pytest.raises((ValueError, AttributeError)):
@@ -633,8 +649,6 @@ def _corrupt(signs, t, how, rng, convention):
     tile = signs[np.ix_(rows, cols)]
     if how == "flip":
         tile[rng.randrange(2), rng.randrange(2)] *= -1
-    elif how == "zero":
-        tile[rng.randrange(2), rng.randrange(2)] = 0
     elif how == "negate":
         tile = -tile
     elif how == "transpose":
@@ -716,13 +730,14 @@ class TestBitAlgebraAgainstOracles:
 
     def test_blocks_equal_the_pattern_matcher(self):
         rng = random.Random(2030)
-        hows = ("flip", "zero", "negate", "transpose", "corner")
+        hows = ("flip", "negate", "transpose", "corner")
+        deep = {9: ("transpose",), 10: ("flip", "negate", "corner")}
         for t in range(1, 11):
             for conv in Convention:
                 table = build_table(t, conv)
                 signs = table.sign_table()
                 cases = [(table, signs)]
-                for how in hows if t <= 8 else hows[t % 2::2]:
+                for how in deep.get(t, hows):
                     bad = _corrupt(signs, t, how, rng, conv)
                     cases.append((bad, bad.sign_table()))
                 for case, case_signs in cases:
