@@ -22,6 +22,9 @@ if TYPE_CHECKING:
 
 GAMMA_POOL = (-1, 1, -2, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
 NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x)
+# Oracle-computed corner signs of the tree-order tiles of the ten admissible
+# power-row triples at depth 5, in sweep order.
+_DEPTH_FIVE_CORNER_SIGNS = (1, 1, 1, -1, -1, 1, -1, -1, 1, 1)
 
 
 @dataclass
@@ -194,11 +197,18 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
                            "blocks", "{} corner kind", tag)
             except twistmod.BlockClassificationError as exc:
                 out.expect(False, "blocks", "{} {}", tag, exc)
-    for report in twistmod.sweep_power_row_claims(5):
+    reports = twistmod.sweep_power_row_claims(5)
+    for report in reports:
         triple = report.r, report.k, report.i
         out.expect(report.supported_index_reading in ("computed", "both"),
                    "power row", "({},{},{}) index reading", *triple)
+        # The stated reading coincides with the computed one only where r = 1.
+        out.expect((report.supported_index_reading == "both") == (report.r == 1),
+                   "power row", "({},{},{}) stated reading", *triple)
         out.expect(report.tree_forms_c_tile, "power row", "({},{},{}) C tile", *triple)
+    corner_signs = tuple(r.tree_corner_sign for r in reports)
+    out.expect(corner_signs == _DEPTH_FIVE_CORNER_SIGNS, "power row",
+               "depth-5 corner signs {}", corner_signs)
     return out
 
 
@@ -303,6 +313,9 @@ def run_residue_suite(pairs: int = 500, seed: int = 20250104) -> SuiteResult:
     out = SuiteResult("residue")
     gen = resmod.make_w(2, (1, 2, 3), (1, 1, 1, 1))
     out.expect(gen.q == 2 and gen.m == 4, "golden field", "generator quadratic data")
+    w = gen.w
+    out.expect((w * w - 2 * w + 4 * w.signature.one()).is_zero(), "golden field",
+               "generator relation w*w - 2w + 4 = 0")
     pi = gen.element(-1, 2)
     out.expect(pi.norm() == 13, "golden field", "prime norm")
     fieldp = resmod.residue_field(pi)

@@ -124,10 +124,11 @@ class TwistTable(_Frozen):
     derive where they read it, so no mask plane is kept.  Other dtypes,
     and a sign plane holding any entry other than +-1, are refused when
     the table is made, rather than truncated or refused on read.  Tables
-    are immutable once built.
+    are immutable once built: the constructor keeps a read-only copy of
+    each plane it is given, and the caller's arrays stay as they were.
 
     A ``gamma_masks`` plane may still be passed in, so that checkers can
-    be tested on tables whose masks are wrong.  It is validated, stored
+    be tested on tables whose masks are wrong.  It is validated, copied
     read-only and read by ``entry``, ``__eq__`` and ``gamma_masks``, but
     not by ``sign_table()``, which derives the parity of each mask from
     the index: on a table whose plane is not p & q, ``sign_table()``
@@ -151,14 +152,21 @@ class TwistTable(_Frozen):
                                 f"got {getattr(plane, 'dtype', type(plane).__name__)}")
             if plane.shape != (n, n):
                 raise ValueError("table arrays do not match the stated depth")
-        if not (abs(base_signs) == 1).all():
+        # Private copies: a caller's array, or the base of a view, stays
+        # writable and cannot change the table.
+        import numpy as np
+        base_signs = np.array(base_signs, order="C")
+        if gamma_masks is not None:
+            gamma_masks = np.array(gamma_masks, order="C")
+            gamma_masks.setflags(write=False)
+        if not (base_signs.min() >= -1 and base_signs.max() <= 1
+                and np.count_nonzero(base_signs) == base_signs.size):
             raise ValueError("base_signs must hold only +1 and -1")
-        for _, plane, _ in planes:
-            plane.setflags(write=False)
+        base_signs.setflags(write=False)
         self._set(t, Convention(convention), base_signs, gamma_masks)
 
     def __reduce__(self):
-        # Through the constructor, so that unpickled arrays are read-only again.
+        # Through the constructor, so that unpickled planes are checked and kept read-only.
         return TwistTable, (self.t, self.convention, self.base_signs, self._masks)
 
     @property

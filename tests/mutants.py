@@ -48,6 +48,7 @@ WRITTEN_OUT = f"{ALGEBRA}::TestWrittenOut"
 KERNEL = f"{ALGEBRA}::TestKernel"
 TWIST = "tests/test_twist.py"
 FIBONACCI = "tests/test_fibonacci.py"
+RESIDUE = "tests/test_residue.py"
 
 MUTANTS = [
     # ---- one base for every value type (_Frozen) ---------------------------
@@ -121,6 +122,10 @@ MUTANTS = [
            '        object.__setattr__(self, "_scaled", kernel)\n',
            "",
            (f"{ALGEBRA}::TestStoredForm::test_used_signature_pickles_and_copies_as_a_fresh_one",)),
+    Mutant("_coefficient drops mask bits 5 and 6", "algebra.py",
+           "    return -1 if flips.bit_count() & 1 else 1, a\n",
+           "    return -1 if flips.bit_count() & 1 else 1, a & ~0b1100000\n",
+           (f"{TWIST}::TestBitAlgebraAgainstOracles::test_coefficient_exhaustive_through_depth_eight",)),
     Mutant("_coefficient's sign parity flipped", "algebra.py",
            "    return -1 if flips.bit_count() & 1 else 1, a\n",
            "    return 1 if flips.bit_count() & 1 else -1, a\n",
@@ -129,6 +134,19 @@ MUTANTS = [
            "[(c ^ (p != k)) | 2 * h for",
            "[c | 2 * h for",
            (f"{KERNEL}::test_codes_are_the_structure_constants",)),
+    Mutant("| 2h dropped from _codes' low half", "algebra.py",
+           "[(c ^ (p != k)) | 2 * h for",
+           "[(c ^ (p != k)) for",
+           (f"{KERNEL}::test_codes_are_the_structure_constants",)),
+    Mutant("Element * skips the check of distinct signatures", "algebra.py",
+           "            if sig is not other.signature:\n"
+           "                self._check_compatible(other)\n",
+           "",
+           (f"{ALGEBRA}::TestVectorSpace::test_signature_mismatch",)),
+    Mutant("algebra imports numpy eagerly", "algebra.py",
+           "from enum import Enum\n",
+           "from enum import Enum\n\nimport numpy\n",
+           ("tests/test_cli.py::test_array_free_runs_in_one_process_load_no_numpy",)),
     Mutant("generated conjugate's sign dropped", "algebra.py",
            'f" n = -m\\n"',
            'f" n = m\\n"',
@@ -187,11 +205,17 @@ MUTANTS = [
            "        n = 1 << t\n",
            (f"{TWIST}::TestBuildTable::test_constructor_depth_is_checked_like_build_table",)),
     Mutant("TwistTable takes signs other than +-1", "twist.py",
-           "        if not (abs(base_signs) == 1).all():\n"
+           "        if not (base_signs.min() >= -1 and base_signs.max() <= 1\n"
+           "                and np.count_nonzero(base_signs) == base_signs.size):\n"
            '            raise ValueError("base_signs must hold only +1 and -1")\n',
            "",
            (f"{TWIST}::TestBuildTable::"
             "test_a_sign_plane_holding_other_than_plus_minus_one_is_refused",)),
+    Mutant("TwistTable keeps the caller's sign plane", "twist.py",
+           '        base_signs = np.array(base_signs, order="C")\n',
+           "        base_signs = np.asarray(base_signs)\n",
+           (f"{TWIST}::TestBuildTable::"
+            "test_writing_the_base_of_a_passed_view_leaves_the_table_unchanged",)),
     Mutant("build_table drops the column-0 and column-h fix of S", "twist.py",
            "            s[h:, ::h] = 1\n",
            "",
@@ -218,6 +242,19 @@ MUTANTS = [
            "_CONJUGATE_LEFT):\n",
            "    if convention == _CONJUGATE_LEFT:\n",
            (f"{TWIST}::TestTwistSign::test_a_bad_convention_is_refused",)),
+    # ---- residue fields -------------------------------------------------------
+    Mutant("residue_field drops the b < 0 tie key", "residue.py",
+           "(b < 0, b, a) < (ys[k] < 0, ys[k], xs[k])",
+           "(b, a) < (ys[k], xs[k])",
+           (f"{RESIDUE}::TestTableBuild::test_every_prime_below_2000",)),
+    Mutant("residue_field moves the row bound in by one", "residue.py",
+           "        r = isqrt(bound - disc * b * b)\n",
+           "        r = isqrt(bound - disc * b * b) - 1\n",
+           (f"{RESIDUE}::TestTableBuild::test_every_prime_below_2000",)),
+    Mutant("residue_field scans one row too few each side", "residue.py",
+           "    b_max = isqrt(bound // disc)\n",
+           "    b_max = isqrt(bound // disc) - 1\n",
+           (f"{RESIDUE}::TestResidueField::test_norm_seven_field",)),
     # ---- golden numbers and Fibonacci numbers ------------------------------
     Mutant("GoldenNumber.__neg__ negates _den", "fibonacci.py",
            "        return _golden(-self._nu, -self._nv, self._den)\n",
@@ -231,11 +268,44 @@ MUTANTS = [
            (f"{FIBONACCI}::TestGoldenNumber::test_text_of_a_rational_and_of_a_pure_golden_number",
             "tests/test_cli.py::TestThreshold::"
             "test_a_pure_golden_energy_prints_its_sign_and_coefficient")),
+    Mutant("_settle_index bounds with |Z| for 2|Z|", "fibonacci.py",
+           "conj * conj.sign() + 2 * abs(z)",
+           "conj * conj.sign() + abs(z)",
+           (f"{FIBONACCI}::TestInvertibilityThreshold::"
+            "test_matches_the_downward_scan_for_every_window",)),
     Mutant("Fibonacci memo built one entry short", "fibonacci.py",
            "while len(_fib_cache) < FIB_MEMO:",
            "while len(_fib_cache) < FIB_MEMO - 1:",
            (f"{FIBONACCI}::TestFib::test_memo_stays_bounded",)),
+    # ---- the invariant suites ---------------------------------------------------
+    Mutant("suites import twist at module level", "suites.py",
+           "from .algebra import AlgebraSignature, Convention, Element, make_algebra\n",
+           "from . import twist\n"
+           "from .algebra import AlgebraSignature, Convention, Element, make_algebra\n",
+           ("tests/test_cli.py::test_verify_loads_only_the_layer_of_its_suite",)),
+    Mutant("one depth-5 corner sign flipped", "suites.py",
+           "_DEPTH_FIVE_CORNER_SIGNS = (1, 1, 1, -1,",
+           "_DEPTH_FIVE_CORNER_SIGNS = (1, 1, 1, 1,",
+           ("tests/test_acceptance.py::test_criterion_07_power_row_verdicts",)),
+    Mutant("power row drops its stated-reading check", "suites.py",
+           '        out.expect((report.supported_index_reading == "both") == (report.r == 1),\n'
+           '                   "power row", "({},{},{}) stated reading", *triple)\n',
+           "",
+           ("tests/test_acceptance.py::test_criterion_07_power_row_verdicts",)),
+    Mutant("golden relation written with 3w", "suites.py",
+           "(w * w - 2 * w + 4 * w.signature.one())",
+           "(w * w - 3 * w + 4 * w.signature.one())",
+           ("tests/test_acceptance.py::test_criterion_01_golden_residue_field",)),
     # ---- the CLI --------------------------------------------------------------
+    Mutant("no BrokenPipeError handler", "cli.py",
+           "    except BrokenPipeError as exc:\n"
+           "        # The reader left early.  Point stdout at devnull, so the flush at\n"
+           "        # interpreter exit does not fail a second time.\n"
+           "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n"
+           '        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)\n'
+           "        return 1\n",
+           "",
+           ("tests/test_cli.py::TestStreaming::test_closed_reader_is_one_error_line",)),
     Mutant("verify --seed not passed on", "cli.py",
            "        if args.seed is not None:\n"
            '            kwargs["seed"] = args.seed\n',

@@ -13,10 +13,8 @@ from fractions import Fraction
 from cdalgebra.algebra import Convention, make_algebra
 from cdalgebra.fibonacci import (QuaternionParams, energy, fib_norm_direct,
                                  invertibility_threshold)
-from cdalgebra.residue import make_w, residue_field
 from cdalgebra.suites import (run_core_suite, run_fib_suite, run_residue_suite,
                               run_twist_suite)
-from cdalgebra.twist import sweep_power_row_claims
 
 RIGHT = Convention.CONJUGATE_RIGHT
 
@@ -39,27 +37,12 @@ def _nonzero_fraction(rng: random.Random) -> Fraction:
 
 def test_criterion_01_golden_residue_field():
     start = time.perf_counter()
-    failures = []
-    gen = make_w(2, (1, 2, 3), (1, 1, 1, 1))
-    pi = gen.element(-1, 2)
-    if pi.norm() != 13:
-        failures.append(f"norm of the prime is {pi.norm()}")
-    w = gen.w
-    if not (w * w - 2 * w + 4 * w.signature.one()).is_zero():
-        failures.append("generator quadratic relation broken")
-    field = residue_field(pi)
-    printed_set = {(0, 0), (1, 0), (2, 0), (3, 0), (-3, 1), (-2, 1), (-1, 1),
-                   (1, -1), (2, -1), (3, -1), (-3, 0), (-2, 0), (-1, 0)}
-    if {(u.a, u.b) for u in field.reps} != printed_set:
-        failures.append(f"representative set differs: {[(u.a, u.b) for u in field.reps]}")
-    label_table = {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (3, 0), 4: (-3, 1),
-                   5: (-2, 1), 6: (-1, 1), 7: (1, -1), 8: (2, -1), 9: (3, -1),
-                   10: (-3, 0), 11: (-2, 0), 12: (-1, 0)}
-    for k, (a, b) in label_table.items():
-        got = field.unlabel(k)
-        if (got.a, got.b) != (a, b):
-            failures.append(f"label {k} maps to {(got.a, got.b)}, not {(a, b)}")
-    _report(1, "golden residue field", failures, time.perf_counter() - start, 1.0)
+    result = run_residue_suite()
+    _report(1, "golden residue field", result.failures,
+            time.perf_counter() - start, 1.0)
+    # The generator's quadratic data and relation, the prime norm 13, the
+    # labelling root 7 and the printed representative set in label order.
+    assert result.counts["golden field"] == 5
 
 
 def test_criterion_02_unit_parameter_norm_identity():
@@ -125,27 +108,13 @@ def test_criterion_06_tile_partition():
 
 def test_criterion_07_power_row_verdicts():
     start = time.perf_counter()
-    failures = []
-    reports = sweep_power_row_claims(5)
-    if len(reports) != 10:
-        failures.append(f"{len(reports)} admissible triples, expected 10")
-    # The supported reading of the claimed result index must be the same
-    # across the sweep: the computed one (the stated one only coincides
-    # with it when r = 1).
-    for report in reports:
-        if report.supported_index_reading not in ("computed", "both"):
-            failures.append(f"({report.r},{report.k},{report.i}): "
-                            f"reading {report.supported_index_reading}")
-        if (report.supported_index_reading == "both") != (report.r == 1):
-            failures.append(f"({report.r},{report.k},{report.i}): "
-                            "stated reading coincidence out of place")
-        if not report.tree_forms_c_tile:
-            failures.append(f"({report.r},{report.k},{report.i}): no C tile")
-    corner_signs = [r.tree_corner_sign for r in reports]
-    if corner_signs != [1, 1, 1, -1, -1, 1, -1, -1, 1, 1]:
-        failures.append(f"corner signs changed: {corner_signs}")
-    _report(7, "power-row verdict table", failures,
+    result = run_twist_suite()
+    _report(7, "power-row verdict table", result.failures,
             time.perf_counter() - start, 5.0)
+    # Ten admissible triples at depth 5, three checks each (the computed
+    # index reading, the stated one only where r = 1, a C tile), plus the
+    # pinned list of their corner signs.
+    assert result.counts["power row"] == 31
 
 
 def test_criterion_08_core_invariants():

@@ -1157,7 +1157,12 @@ def _takes_its_fields(cls) -> bool:
 
 
 def _same(a, b) -> bool:
-    """Whether two slot values are the same: one object, or equal values of one type."""
+    """Whether two slot values are the same: one object, or equal values of one type.
+
+    Arrays are equal when their entries are: a TwistTable keeps a copy of a plane.
+    """
+    if isinstance(a, np.ndarray):
+        return type(a) is type(b) and np.array_equal(a, b)
     return a is b or (type(a) is type(b) and a == b)
 
 

@@ -362,7 +362,7 @@ class TestLogLevel:
         plain = self._run(["verify", "--suite", "residue"])
         logged = self._run(["--log-level", "debug", "verify", "--suite", "residue"])
         assert (logged.returncode, logged.stdout) == (plain.returncode, plain.stdout) == (
-            0, "residue: 1043 checks, 0 failures [ok]\n")
+            0, "residue: 1044 checks, 0 failures [ok]\n")
         assert plain.stderr == ""
         lines = logged.stderr.splitlines()
         assert lines and all(line.startswith("DEBUG:cdalgebra.residue:") and "neighbor" in line
