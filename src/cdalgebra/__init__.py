@@ -18,12 +18,12 @@ import sys
 # comes in with the code that builds arrays.
 _HOME = {name: module for module, names in (
     ("algebra", "AlgebraSignature Convention Element Rational make_algebra quaternions"
-                " octonions sedenions quadratic_check power_left_nested"),
+                " octonions sedenions quadratic_check"),
     ("twist", "TwistCoefficient TwistTable BlockKind BlockClassificationError"
               " basis_product basis_product_element twist_sign build_table"
               " partition_blocks shuffle shuffle_string check_power_row_claim"
               " sweep_power_row_claims"),
-    ("fibonacci", "GoldenNumber HoradamParams QuaternionParams BinetCheck fib horadam"
+    ("fibonacci", "GoldenNumber QuaternionParams BinetCheck fib"
                   " fibonacci_quaternion fib_norm_direct fib_norm_formula energy"
                   " invertibility_threshold binet_residual golden_power"),
     ("residue", "WGenerator UElement ResidueField make_w four_square_root is_prime_u"

@@ -97,8 +97,7 @@ class _Frozen:
 
     Pickling and copying restore the stored slots without rerunning the
     constructor's validation; a lazily kept slot not yet filled stays empty.
-    Slots named in ``_transient`` are neither saved nor restored: they are
-    rebuilt on first use.
+    Slots named in ``_transient`` are not saved: they are rebuilt on first use.
     """
 
     __slots__ = ()
@@ -139,11 +138,6 @@ class _Frozen:
         cls = type(self)
         return _restore, (cls, {name: getattr(self, name) for name in cls.__slots__
                                 if name not in cls._transient and hasattr(self, name)})
-
-    def __setstate__(self, state: dict) -> None:
-        """Load a pickle made while the type was a dataclass: its state is the ``__dict__``."""
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
 
 
 @lru_cache(maxsize=None)
@@ -186,9 +180,7 @@ def _write_out(cls: type, name: str, slots: Sequence[str], make: bool = False):
 def _restore(cls: type, slots: dict) -> _Frozen:
     x = object.__new__(cls)
     for name, value in slots.items():
-        # A pickle made before a slot became transient still holds it.
-        if name not in cls._transient:
-            object.__setattr__(x, name, value)
+        object.__setattr__(x, name, value)
     return x
 
 
@@ -588,6 +580,22 @@ def _bind_kernel(t: int, gammas: tuple) -> tuple:
             norm, weights, conjugate)
 
 
+def _lucas(T: Rational, N: Rational, n: int) -> Tuple[Rational, Rational]:
+    """(U_n, U_(n-1)) for n >= 1, where U_0 = 0, U_1 = 1, U_(k+1) = T*U_k - N*U_(k-1).
+
+    The power engine of ``Element`` and ``GoldenNumber``: a value with
+    x*x = T*x - N*1 has x**n = U_n*x - N*U_(n-1)*1.
+    From (U_1, U_0), one bit of n at a time: U_2k = U_k*(T*U_k - 2*N*U_(k-1))
+    and U_(2k-1) = U_k**2 - N*U_(k-1)**2, then U_(k+1) where the bit is set.
+    """
+    u, w = 1, 0
+    for bit in bin(n)[3:]:
+        u, w = u * (T * u - 2 * N * w), u * u - N * w * w
+        if bit == "1":
+            u, w = T * u - N * w, u
+    return u, w
+
+
 class Element(_Frozen):
     """Immutable element of a Cayley-Dickson algebra.
 
@@ -735,6 +743,22 @@ class Element(_Frozen):
             s, m = -s, -m
         return _element(sig, kernel[5](xs, m), s)
 
+    def __pow__(self, n: int) -> Element:
+        """x**n: the unit at n = 0, and a power of ``inverse()`` for n < 0.
+
+        Every element satisfies x*x = T*x - N*1 (trace T, norm N), and the
+        algebras are power-associative, so x**n = U_n*x - N*U_(n-1)*1 by
+        ``_lucas``: O(log n) scalar steps at any depth, in either convention.
+        """
+        n = _index(n)
+        if n < 0:
+            return self.inverse() ** -n
+        if n == 0:
+            return self.signature.one()
+        norm = self.norm()
+        u, w = _lucas(self.trace(), norm, n)
+        return u * self - self.signature.scalar(norm * w)
+
     def scalar_part(self) -> Rational:
         return _ratio(self._nums[0], self._den)
 
@@ -778,14 +802,3 @@ def quadratic_check(x: Element) -> bool:
     """Whether x*x - trace(x)*x + norm(x)*1 vanishes (it always should)."""
     residue = x * x - x.trace() * x + x.signature.scalar(x.norm())
     return residue.is_zero()
-
-
-def power_left_nested(x: Element, k: int) -> Element:
-    """x**k computed as ((x*x)*x)*..., the pinned power convention."""
-    k = _index(k)
-    if k < 0:
-        raise ValueError("exponent must be >= 0")
-    acc = x.signature.one()
-    for _ in range(k):
-        acc = acc * x
-    return acc

@@ -7,13 +7,14 @@ of all late enough terms, is the sign of an exact golden-field element.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 from typing import Optional, Tuple, Union
 
 from .algebra import (_CONJUGATE_RIGHT, AlgebraSignature, Element, Rational, _element,
-                      _Frozen, _index, _ratio, _scaled_constants, as_rational)
+                      _Frozen, _index, _lucas, _ratio, _scaled_constants, as_rational)
 
 # Indices below FIB_MEMO are read from a memo built once at import (about
 # 0.2 ms and 84 KB), which covers the closed-form norm up to n = 511.
@@ -54,29 +55,6 @@ def _fib_doubling(n: int) -> Tuple[int, int]:
 def _fib_pair(k: int) -> Tuple[int, int]:
     """(f_k, f_(k+1)) for an int k >= 0: memo below FIB_MEMO - 1, fast doubling above."""
     return _fib_doubling(k) if k >= FIB_MEMO - 1 else (_fib_cache[k], _fib_cache[k + 1])
-
-
-class HoradamParams(_Frozen):
-    """Initial conditions for the Fibonacci recurrence: h_0 = p, h_1 = q."""
-
-    __slots__ = ("p", "q")
-    p: Rational
-    q: Rational
-
-    def __init__(self, p: Rational, q: Rational):
-        self._set(as_rational(p), as_rational(q))
-
-
-def horadam(n: int, params: HoradamParams) -> Rational:
-    """n-th term of the Fibonacci recurrence started at (p, q).
-
-    Equals p * f_{n-1} + q * f_n, so big indices stay cheap.
-    """
-    n = _fib_index(n)
-    if n == 0:
-        return params.p
-    f0, f1 = _fib_pair(n - 1)
-    return as_rational(params.p * f0 + params.q * f1)
 
 
 class GoldenNumber(_Frozen):
@@ -158,17 +136,17 @@ class GoldenNumber(_Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> GoldenNumber:
+        """g**n for n >= 0: ``_lucas`` on nu + nv*a, of trace 2*nu + nv and norm
+        nu*nu + nu*nv - nv*nv, over den**n."""
         n = _index(n)
         if n < 0:
             raise ValueError("exponent must be >= 0")
-        acc = _golden(1, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        if n == 0:
+            return _golden(1, 0, 1)
+        nu, nv = self._nu, self._nv
+        norm = nu * nu + nu * nv - nv * nv
+        u, w = _lucas(2 * nu + nv, norm, n)
+        return _golden(u * nu - norm * w, u * nv, self._den ** n)
 
     @staticmethod
     def _coerce(x) -> GoldenNumber:
@@ -226,13 +204,9 @@ def _golden(nu: int, nv: int, den: int) -> GoldenNumber:
     return _new_golden(nu, nv, den)
 
 
-GOLDEN_UNIT = _golden(0, 1, 1)
-GOLDEN_SQUARE = _golden(1, 1, 1)
-
-
 def golden_power(n: int) -> GoldenNumber:
     """a**n; equals fib(n)*a + fib(n-1) for n >= 1."""
-    return GOLDEN_UNIT ** n
+    return _golden(0, 1, 1) ** n
 
 
 class QuaternionParams(_Frozen):
@@ -275,12 +249,11 @@ def _closed_form(d: int, weights: list) -> Tuple[int, int, int, int]:
     + a*(a1 + 3*a2 + 8*a1*a2) and Z = (1 - a1)*(1 + a2).
     """
     u = v = z = 0
-    x, y = 1, 0  # a**(2p) = x + y*a = f_(2p-1) + f_(2p)*a
     for p, w in enumerate(weights):
-        u += w * x
-        v += w * y
+        f0, f1 = _fib_pair(2 * p)  # a**(2p) = f_(2p-1) + f_(2p)*a = (f1 - f0) + f0*a
+        u += w * (f1 - f0)
+        v += w * f0
         z += -w if p & 1 else w
-        x, y = x + y, x + 2 * y
     return u, v, z, d
 
 
@@ -329,17 +302,29 @@ def _settle_index(params: QuaternionParams) -> int:
 
     In N(n) of ``_closed_form``, |conj(a)| < 1, so every n with
     |E|*a**(2n) > |conj(E)| + (2/5)*|Z| has sign(N(n)) = sign(E).  Times
-    5*D the sides are |u + v*a| and |(u + v) - v*a| + 2*|z|; n1 is found
-    in O(n1) exact steps, growing |E| by a**2 each, for a nonzero E.
+    5*D the sides are |u + v*a| and |(u + v) - v*a| + 2*|z|.  The left grows
+    with n, so n1 is searched for up to the cap ((|u| + |v| + 2|z|)*(|u| +
+    |v|)).bit_length(): |u + v*a| >= 1/(|u| + |v|) as u*u + u*v - v*v is a
+    nonzero integer, the right side is at most |u| + |v| + 2|z|, and a*a > 2.
+    A cap that fails (zero energy, or a wrong sign) raises ArithmeticError.
     """
     u, v, z, _ = params._form
     e, conj = _golden(u, v, 1), _golden(u + v, -v, 1)
     grown, bound = e * e.sign(), conj * conj.sign() + 2 * abs(z)
-    n1 = 0
-    while (grown - bound).sign() <= 0:
-        grown = grown * GOLDEN_SQUARE
-        n1 += 1
-    return n1
+
+    def settled(n: int) -> bool:
+        f0, f1 = _fib_pair(2 * n)  # f_(2n-1) = f1 - f0
+        return (grown * _golden(f1 - f0, f0, 1) - bound).sign() > 0
+
+    if (grown - bound).sign() > 0:
+        return 0
+    cap = ((abs(u) + abs(v) + 2 * abs(z)) * (abs(u) + abs(v))).bit_length()
+    lo, hi = 0, min(1, cap)  # n1 > lo: hi doubles up to the cap, then bisection
+    while not settled(hi):
+        if hi == cap:
+            raise ArithmeticError(f"no settle index up to its cap {cap} for {params}")
+        lo, hi = hi, min(2 * hi, cap)
+    return bisect_left(range(hi), True, lo + 1, key=settled)
 
 
 def invertibility_threshold(params: QuaternionParams, n_max: int = 200) -> Optional[int]:

@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 ALGEBRA = "tests/test_algebra.py"
 WRITTEN_OUT = f"{ALGEBRA}::TestWrittenOut"
 KERNEL = f"{ALGEBRA}::TestKernel"
+POWERS = f"{ALGEBRA}::TestPowers"
 TWIST = "tests/test_twist.py"
 FIBONACCI = "tests/test_fibonacci.py"
 RESIDUE = "tests/test_residue.py"
@@ -115,8 +116,7 @@ MUTANTS = [
     Mutant("GoldenNumber.sign without its v < 0 branch", "fibonacci.py",
            "        if v < 0:\n            u, v, s = -u, -v, -1\n",
            "",
-           ("tests/test_fibonacci.py::TestInvertibilityThreshold::test_late_settling_parameters",),
-           hangs=True),
+           ("tests/test_fibonacci.py::TestInvertibilityThreshold::test_late_settling_parameters",)),
     # ---- the kernel (_bind_kernel and its callers) -------------------------
     Mutant("_kernel() binds without storing", "algebra.py",
            '        object.__setattr__(self, "_scaled", kernel)\n',
@@ -138,6 +138,14 @@ MUTANTS = [
            "[(c ^ (p != k)) | 2 * h for",
            "[(c ^ (p != k)) for",
            (f"{KERNEL}::test_codes_are_the_structure_constants",)),
+    Mutant("Element + returns itself for a non-element", "algebra.py",
+           "    def __add__(self, other):\n"
+           "        if not isinstance(other, Element):\n"
+           "            return NotImplemented\n",
+           "    def __add__(self, other):\n"
+           "        if not isinstance(other, Element):\n"
+           "            return self\n",
+           (f"{ALGEBRA}::TestVectorSpace::test_operators_refuse_other_operands",)),
     Mutant("Element * skips the check of distinct signatures", "algebra.py",
            "            if sig is not other.signature:\n"
            "                self._check_compatible(other)\n",
@@ -195,6 +203,23 @@ MUTANTS = [
            "        pairs, pair_args = _code_pairs, (signed, t)\n",
            "        pairs, pair_args = _code_pairs, (signed, t)\n        _codes(t)\n",
            (f"{KERNEL}::test_dense_products_build_no_codes_above_depth_five",)),
+    # ---- powers (_lucas and its callers) -------------------------------------
+    Mutant("_lucas doubles with N for 2N", "algebra.py",
+           "u * (T * u - 2 * N * w)",
+           "u * (T * u - N * w)",
+           (f"{POWERS}::test_powers_match_the_left_nested_oracle",)),
+    Mutant("_lucas drops the odd-bit step", "algebra.py",
+           '        if bit == "1":\n            u, w = T * u - N * w, u\n',
+           "",
+           (f"{POWERS}::test_powers_match_the_left_nested_oracle",)),
+    Mutant("Element ** reads U_(n-1) for U_n", "algebra.py",
+           "        u, w = _lucas(self.trace(), norm, n)\n",
+           "        w, u = _lucas(self.trace(), norm, n)\n",
+           (f"{POWERS}::test_powers_match_the_left_nested_oracle",)),
+    Mutant("the settle cap one bit short", "fibonacci.py",
+           "(abs(u) + abs(v))).bit_length()\n",
+           "(abs(u) + abs(v))).bit_length() - 1\n",
+           (f"{FIBONACCI}::TestInvertibilityThreshold::test_the_settle_cap_is_reached",)),
     # ---- structure constants (twist) ----------------------------------------
     Mutant("TwistTable accepts depth 0", "twist.py",
            "        if t < 1:\n"
@@ -320,11 +345,6 @@ MUTANTS = [
            "if name not in cls._transient and hasattr(self, name)})",
            "if hasattr(self, name)})",
            (f"{ALGEBRA}::TestStoredForm::test_used_signature_pickles_and_copies_as_a_fresh_one",)),
-    Mutant("an old pickle's kernel slot restored", "algebra.py",
-           "        if name not in cls._transient:\n"
-           "            object.__setattr__(x, name, value)\n",
-           "        object.__setattr__(x, name, value)\n",
-           (f"{ALGEBRA}::TestStoredForm::test_a_pickle_holding_the_old_slot_loads_and_multiplies",)),
 ]
 
 

@@ -4,6 +4,8 @@
   halves.  The package multiplies through the structure constants at every
   depth; this is the recursive definition of the eq11 product, kept to
   compare ``Element`` products and the structure constants against.
+- ``power_left_nested``: x**n as n products from the unit, the oracle for
+  ``Element.__pow__``, which reads the Lucas sequence of x's trace and norm.
 - ``FractionGolden``: the golden field with ``Fraction`` coordinates, as
   ``fibonacci.GoldenNumber`` stored it before it kept integer numerators
   over one denominator, with the settle index and threshold computed on it.
@@ -44,6 +46,14 @@ def _mul(a: tuple, b: tuple, gammas: tuple) -> tuple:
     lo = _add(_mul(a1, b1, rest), _scale(g, _mul(_conj(b2), a2, rest)))
     hi = _add(_mul(a2, _conj(b1), rest), _mul(b2, a1, rest))
     return lo + hi
+
+
+def power_left_nested(x, n: int):
+    """x**n computed as ((x*x)*x)*..., n products from the unit."""
+    acc = x.signature.one()
+    for _ in range(n):
+        acc = acc * x
+    return acc
 
 
 class FractionGolden:

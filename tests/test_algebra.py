@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import pickle
 import random
+import re
 import subprocess
 import sys
 from enum import IntEnum
@@ -19,16 +20,15 @@ import pytest
 
 from cdalgebra import algebra
 from cdalgebra.algebra import (AlgebraSignature, Convention, Element, _conj, _Frozen,
-                               as_rational, make_algebra, octonions, power_left_nested,
-                               quadratic_check, quaternions, sedenions)
-from cdalgebra.fibonacci import (BinetCheck, GoldenNumber, HoradamParams, QuaternionParams,
-                                 binet_residual)
+                               as_rational, make_algebra, octonions, quadratic_check,
+                               quaternions, sedenions)
+from cdalgebra.fibonacci import BinetCheck, GoldenNumber, QuaternionParams, binet_residual
 from cdalgebra.residue import (Representatives, ResidueField, UElement, WGenerator, make_w,
                                residue_field)
 from cdalgebra.suites import GAMMA_POOL, run_twist_suite
 from cdalgebra.twist import (PowerRowReport, ProductCell, TwistCoefficient, TwistTable,
                              basis_product, build_table, check_power_row_claim)
-from oracles import _mul
+from oracles import _mul, power_left_nested
 
 RIGHT = Convention.CONJUGATE_RIGHT
 LEFT = Convention.CONJUGATE_LEFT
@@ -72,8 +72,6 @@ FROZEN_VALUES = [
                  id="twist-coefficient"),
     pytest.param(lambda: list(check_power_row_claim(1, 2, 3, 5).cells), id="product-cell"),
     pytest.param(lambda: [check_power_row_claim(1, 2, 3, 5)], id="power-row-report"),
-    pytest.param(lambda: [HoradamParams(Fraction(1, 2), 3), HoradamParams(2, -1)],
-                 id="horadam-params"),
     pytest.param(lambda: [QuaternionParams(2, Fraction(-1, 3)), QuaternionParams(-1, -1)],
                  id="quaternion-params"),
     pytest.param(lambda: [binet_residual(0), binet_residual(7)], id="binet-check"),
@@ -166,6 +164,15 @@ class TestVectorSpace:
         x = H.element([3, Fraction(1, 2), -1, 7])
         assert (x + (-1) * x).is_zero()
         assert x - x == H.zero()
+
+    def test_operators_refuse_other_operands(self):
+        # Each operator returns NotImplemented for a non-element operand it
+        # does not take, so Python raises TypeError.
+        x = quaternions().element([1, 2, 3, 4])
+        for apply in (lambda: x + 1, lambda: x - 1, lambda: 1 - x, lambda: x * "a",
+                      lambda: "a" * x, lambda: x ** 1.5):
+            with pytest.raises(TypeError):
+                apply()
 
     def test_signature_mismatch(self):
         x = quaternions().one()
@@ -361,6 +368,19 @@ class TestQuadraticIdentity:
 
 
 class TestPowers:
+    """``Element.__pow__`` (the Lucas sequence of the trace and norm) against
+    ``oracles.power_left_nested``."""
+
+    @staticmethod
+    def _elements(t, conv, rng):
+        """Three depth-t elements over rational parameters: rational, integer, sparse."""
+        sig = make_algebra(t, [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+                               for _ in range(t)], conv)
+        n = sig.dimension
+        return [sig.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]),
+                sig.element([rng.randint(-3, 3) for _ in range(n)]),
+                sig.basis(n - 1) * Fraction(-2, 3) + sig.scalar(Fraction(1, 2))]
+
     def test_left_nested_matches_binary(self):
         rng = random.Random(11)
         sig = octonions()
@@ -369,20 +389,70 @@ class TestPowers:
             acc = sig.one()
             for _ in range(k):
                 acc = acc * x
-            assert power_left_nested(x, k) == acc
+            assert x ** k == acc
+
+    def test_powers_match_the_left_nested_oracle(self):
+        rng = random.Random(41)
+        for t in range(1, 7):
+            for conv in Convention:
+                for x in self._elements(t, conv, rng):
+                    for n in range(13):
+                        assert x ** n == power_left_nested(x, n), (t, conv, x, n)
+
+    def test_exponent_laws_at_depths_eight_and_twelve(self):
+        for t in (8, 12):
+            sig = make_algebra(t, [Fraction(-1, 2) if i % 3 else 3 for i in range(t)])
+            top = sig.dimension - 1
+            x = (sig.scalar(2) - sig.basis(1) + Fraction(1, 3) * sig.basis(top)
+                 + 5 * sig.basis(top >> 1))
+            for m, n in ((0, 5), (1, 1), (3, 4), (7, 5), (12, 2)):
+                assert x ** (m + n) == x ** m * x ** n, (t, m, n)
+                assert (x ** m) ** n == x ** (m * n), (t, m, n)
+
+    def test_a_large_power_is_exact(self):
+        # x = s + v with v pure, v*v = -norm(v), so x**n = a + b*v where
+        # (a + b*j) = (s + j)**n with j*j = -norm(v), by squaring pairs.
+        sig = make_algebra(12, [-1] * 12)
+        x = 3 * sig.one() + sig.basis(5) - 2 * sig.basis(1000) + sig.basis(4095)
+        s, v = x.scalar_part(), x - x.scalar_part() * sig.one()
+        m = v.norm()
+        n = 10 ** 5
+        a, b, base_a, base_b, k = 1, 0, s, 1, n
+        while k:
+            if k & 1:
+                a, b = a * base_a - m * b * base_b, a * base_b + b * base_a
+            base_a, base_b = base_a * base_a - m * base_b * base_b, 2 * base_a * base_b
+            k >>= 1
+        y = x ** n
+        assert y == a * sig.one() + b * v
+        half = x ** (n // 2)
+        assert half * half == y
+
+    def test_negative_exponents_are_powers_of_the_inverse(self):
+        rng = random.Random(43)
+        for t in (0, 2, 3, 5):
+            for conv in Convention:
+                for x in self._elements(t, conv, rng):
+                    if x.norm() == 0:
+                        continue
+                    for n in range(1, 6):
+                        assert x ** -n == power_left_nested(x.inverse(), n), (t, x, n)
 
     def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            power_left_nested(quaternions().one(), -1)
+        # Only where the norm is zero: 1 + e1 in the split quaternions.
+        x = make_algebra(2, [1, -1]).element([1, 1, 0, 0])
+        assert x.norm() == 0 and x ** 0 == x.signature.one()
+        with pytest.raises(ZeroDivisionError, match="norm zero"):
+            x ** -1
 
     @pytest.mark.parametrize("k, error, message", [
         (True, TypeError, "not bool"), (False, TypeError, "not bool"),
-        (2.0, TypeError, None), (-1, ValueError, "exponent must be >= 0")])
+        (2.0, TypeError, None)])
     def test_exponent_is_an_index(self, k, error, message):
         x = quaternions().element([1, 2, 3, 4])
         with pytest.raises(error, match=message):
-            power_left_nested(x, k)
-        assert power_left_nested(x, np.int64(2)) == x * x
+            x ** k
+        assert x ** np.int64(2) == x * x
 
 
 class TestKernel:
@@ -952,88 +1022,6 @@ class TestStoredForm:
                         delattr(y, name)
                 assert y == x
 
-    # An element of a used depth-2 signature (parameters -1/2 and 3, eq31)
-    # as pickled, protocol 0, while the kernel slot held the scaled
-    # constants (signed, D, weights).
-    OLD_PICKLE = (
-        b"ccdalgebra.algebra\n_restore\np0\n(ccdalgebra.algebra\nElement\np1\n(dp2\n"
-        b"Vsignature\np3\ng0\n(ccdalgebra.algebra\nAlgebraSignature\np4\n(dp5\nVt\np6\n"
-        b"I2\nsVgammas\np7\n(cfractions\nFraction\np8\n(I-1\nI2\ntp9\nRp10\nI3\ntp11\n"
-        b"sVconvention\np12\nccdalgebra.algebra\nConvention\np13\n(Veq31\np14\ntp15\n"
-        b"Rp16\nsV_scaled\np17\n((lp18\nI2\naI-2\naI-1\naI1\naI6\naI-6\naI-3\naI3\naI2\n"
-        b"(lp19\nI2\naI1\naI-6\naI-3\natp20\nstp21\nRp22\nsV_nums\np23\n(I3\nI2\nI-3\n"
-        b"I12\ntp24\nsV_den\np25\nI3\nstp26\nRp27\n.")
-
-    def test_a_pickle_holding_the_old_slot_loads_and_multiplies(self):
-        x = pickle.loads(self.OLD_PICKLE)
-        sig = make_algebra(2, [Fraction(-1, 2), 3], LEFT)
-        want = sig.element([1, Fraction(2, 3), -1, 4])
-        assert x == want and not hasattr(x.signature, "_scaled")
-        assert (x * x, x.norm(), x.inverse()) == (want * want, want.norm(), want.inverse())
-        assert x.signature._scaled[2::2] == sig._scaled[2::2]  # D and weights
-
-    # One value of each type that was a frozen dataclass, pickled while it was
-    # one: its state is the instance ``__dict__``.  Each with a factory of the
-    # value today.
-    DATACLASS_PICKLES = [
-        pytest.param(lambda: TwistCoefficient(-1, 5),
-                     b"ccopy_reg\n_reconstructor\np0\n(ccdalgebra.twist\nTwistCoefficient\np1\nc_"
-                     b"_builtin__\nobject\np2\nNtp3\nRp4\n(dp5\nVsign\np6\nI-1\nsVgamma_mask\np7"
-                     b"\nI5\nsb.",
-                     id="twist-coefficient-protocol-0"),
-        pytest.param(lambda: check_power_row_claim(1, 2, 3, 5).cells[1],
-                     b"ccopy_reg\n_reconstructor\np0\n(ccdalgebra.twist\nProductCell\np1\nc__buil"
-                     b"tin__\nobject\np2\nNtp3\nRp4\n(dp5\nVrow\np6\nI4\nsVcol\np7\nI15\nsVclaime"
-                     b"d_sign\np8\nI1\nsVactual_sign\np9\nI1\nsVactual_index\np10\nI11\nsb.",
-                     id="product-cell-protocol-0"),
-        pytest.param(lambda: check_power_row_claim(1, 2, 3, 5),
-                     b"\x80\x04\x95.\x01\x00\x00\x00\x00\x00\x00\x8c\x0fcdalgebra.twist\x94\x8c"
-                     b"\x0ePowerRowReport\x94\x93\x94)\x81\x94}\x94(\x8c\x01r\x94K\x01\x8c\x01k"
-                     b"\x94K\x02\x8c\x01i\x94K\x03\x8c\x01t\x94K\x05\x8c\x05cells\x94(h\x00\x8c"
-                     b"\x0bProductCell\x94\x93\x94)\x81\x94}\x94(\x8c\x03row\x94K\x04\x8c\x03col"
-                     b"\x94K\x0e\x8c\x0cclaimed_sign\x94J\xff\xff\xff\xff\x8c\x0bactual_sign\x94K"
-                     b"\x01\x8c\x0cactual_index\x94K\nubh\x0b)\x81\x94}\x94(h\x0eK\x04h\x0fK\x0fh"
-                     b"\x10K\x01h\x11K\x01h\x12K\x0bubh\x0b)\x81\x94}\x94(h\x0eK\x05h\x0fK\x0eh"
-                     b"\x10K\x01h\x11J\xff\xff\xff\xffh\x12K\x0bubh\x0b)\x81\x94}\x94(h\x0eK\x05h"
-                     b"\x0fK\x0fh\x10K\x01h\x11K\x01h\x12K\nubt\x94\x8c\ntree_cells\x94(K\x01J"
-                     b"\xff\xff\xff\xffJ\xff\xff\xff\xffJ\xff\xff\xff\xfft\x94ub.",
-                     id="power-row-report-protocol-4"),
-        pytest.param(lambda: HoradamParams(Fraction(1, 2), 3),
-                     b"\x80\x04\x95\\\x00\x00\x00\x00\x00\x00\x00\x8c\x13cdalgebra.fibonacci\x94"
-                     b"\x8c\rHoradamParams\x94\x93\x94)\x81\x94}\x94(\x8c\x01p\x94\x8c\tfractions"
-                     b"\x94\x8c\x08Fraction\x94\x93\x94K\x01K\x02\x86\x94R\x94\x8c\x01q\x94K\x03u"
-                     b"b.",
-                     id="horadam-params-protocol-4"),
-        pytest.param(lambda: QuaternionParams(2, Fraction(-1, 3)),
-                     b"\x80\x04\x95\x1e\x01\x00\x00\x00\x00\x00\x00\x8c\x13cdalgebra.fibonacci"
-                     b"\x94\x8c\x10QuaternionParams\x94\x93\x94)\x81\x94}\x94(\x8c\x06alpha1\x94K"
-                     b"\x02\x8c\x06alpha2\x94\x8c\tfractions\x94\x8c\x08Fraction\x94\x93\x94J\xff"
-                     b"\xff\xff\xffK\x03\x86\x94R\x94\x8c\n_signature\x94\x8c\x11cdalgebra.algebr"
-                     b"a\x94\x8c\x08_restore\x94\x93\x94h\r\x8c\x10AlgebraSignature\x94\x93\x94}"
-                     b"\x94(\x8c\x01t\x94K\x02\x8c\x06gammas\x94J\xfe\xff\xff\xffh\tK\x01K\x03"
-                     b"\x86\x94R\x94\x86\x94\x8c\nconvention\x94h\r\x8c\nConvention\x94\x93\x94"
-                     b"\x8c\x04eq11\x94\x85\x94R\x94u\x86\x94R\x94\x8c\x05_form\x94(J\xfd\xff\xff"
-                     b"\xffJ\xf3\xff\xff\xffJ\xfe\xff\xff\xffK\x03t\x94ub.",
-                     id="quaternion-params-protocol-4"),
-        pytest.param(lambda: binet_residual(7),
-                     b"ccopy_reg\n_reconstructor\np0\n(ccdalgebra.fibonacci\nBinetCheck\np1\nc__b"
-                     b"uiltin__\nobject\np2\nNtp3\nRp4\n(dp5\nVn\np6\nI7\nsVpower_u\np7\ncfractio"
-                     b"ns\nFraction\np8\n(I8\nI1\ntp9\nRp10\nsVpower_v\np11\ng8\n(I13\nI1\ntp12\n"
-                     b"Rp13\nsVexpected_u\np14\nI8\nsVexpected_v\np15\nI13\nsb.",
-                     id="binet-check-protocol-0"),
-    ]
-
-    @pytest.mark.parametrize("make, data", DATACLASS_PICKLES)
-    def test_a_pickle_of_a_former_dataclass_loads(self, make, data):
-        x, want = pickle.loads(data), make()
-        assert type(x) is type(want) and x == want and hash(x) == hash(want)
-        assert repr(x) == repr(want)
-        assert pickle.loads(pickle.dumps(x)) == want
-        if isinstance(want, QuaternionParams):
-            assert x.signature() == want.signature() and x._form == want._form
-        with pytest.raises(AttributeError):
-            setattr(x, want._fields[0], None)
-
     @staticmethod
     def _used_signatures():
         """Depth 0-9 signatures of both conventions, each with its kernel bound,
@@ -1132,7 +1120,6 @@ def _written_out_cases():
          (4, 14, -1, 1, 10)),
         (lambda: PowerRowReport(1, 2, 3, 5, (cell,), (1, -1, -1, -1)),
          (1, 2, 3, 5, (cell,), (1, -1, -1, -1))),
-        (lambda: HoradamParams(Fraction(4, 2), Fraction(1, 3)), (2, Fraction(1, 3))),
         (lambda: GoldenNumber(Fraction(1, 2), Fraction(1, 3)), (3, 2, 6)),
         (lambda: QuaternionParams(Fraction(6, 3), -3),
          (2, -3, make_algebra(2, [-2, 3]), (-33, -55, 2, 1))),
@@ -1242,4 +1229,18 @@ def test_readme_quick_start():
             shown.append(repr(value))
         else:
             exec(code, namespace)
-    assert shown == ["Fraction(57, 4)", "True", "<0>", "<-2/21>"]
+    assert shown == ["Fraction(57, 4)", "True", "<-155/4 - 41/2*e1 + 123/4*e2 - 41/8*e3>",
+                     "True", "<0>", "<-2/21>"]
+
+
+def test_readme_lists_the_public_names():
+    """``cdalgebra.__all__`` is README's list of public names and ``__version__``,
+    each name under the module that defines it."""
+    import cdalgebra
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    listed = [(name, module) for module, names in
+              re.findall(r"^- `cdalgebra\.(\w+)`: (.*(?:\n  .*)*)", section, re.M)
+              for name in re.findall(r"`(\w+)`", names)]
+    assert sorted(cdalgebra.__all__) == sorted([name for name, _ in listed] + ["__version__"])
+    assert dict(listed) == cdalgebra._HOME

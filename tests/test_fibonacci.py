@@ -5,17 +5,16 @@ import pickle
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cdalgebra import fibonacci as fibmod
 from cdalgebra.algebra import AlgebraSignature, as_rational
-from cdalgebra.fibonacci import (GoldenNumber, HoradamParams, QuaternionParams,
-                                 binet_residual, energy, fib, fib_norm_direct,
-                                 fib_norm_formula, fibonacci_quaternion,
-                                 golden_power, horadam,
-                                 invertibility_threshold)
+from cdalgebra.fibonacci import (GoldenNumber, QuaternionParams, binet_residual, energy, fib,
+                                 fib_norm_direct, fib_norm_formula, fibonacci_quaternion,
+                                 golden_power, invertibility_threshold)
 from oracles import FractionGolden, settle_index, threshold
 
 
@@ -60,7 +59,7 @@ class TestIndices:
     answer, bools and floats raise TypeError, negatives ValueError."""
 
     PARAMS = QuaternionParams(1, 1)
-    CALLS = (fib, lambda n: horadam(n, HoradamParams(2, 1)), binet_residual,
+    CALLS = (fib, binet_residual,
              lambda n: fibonacci_quaternion(n, TestIndices.PARAMS),
              lambda n: fib_norm_direct(n, TestIndices.PARAMS),
              lambda n: fib_norm_formula(n, TestIndices.PARAMS))
@@ -91,28 +90,8 @@ class TestIndices:
 
 
 class TestHoradam:
-    def test_reduces_to_fib(self):
-        for n in range(20):
-            assert horadam(n, HoradamParams(0, 1)) == fib(n)
-
-    def test_shifted_fib(self):
-        for n in range(20):
-            assert horadam(n, HoradamParams(1, 1)) == fib(n + 1)
-
-    def test_explicit_value(self):
-        assert horadam(4, HoradamParams(2, 3)) == 13
-
-    def test_rational_start(self):
-        p = HoradamParams(Fraction(1, 2), Fraction(1, 3))
-        assert horadam(2, p) == Fraction(5, 6)
-        assert horadam(3, p) == Fraction(5, 6) + Fraction(1, 3)
-
-    @pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1"])
-    def test_inexact_start_refused(self, bad):
-        with pytest.raises(TypeError):
-            HoradamParams(bad, 1)
-        with pytest.raises(TypeError):
-            HoradamParams(1, bad)
+    """The closed form read as Horadam sequences: the Fibonacci recurrence
+    started at h_0 = p, h_1 = q, whose n-th term is p*f(n-1) + q*f(n)."""
 
     def test_alternative_start_convention_is_wrong(self):
         # Reading the superscripts as (h_1, h_2) instead of (h_0, h_1)
@@ -120,8 +99,8 @@ class TestHoradam:
         params = QuaternionParams(2, 3)
         n = 1
         a1, a2 = params.alpha1, params.alpha2
-        shifted = (horadam(2 * n + 1, HoradamParams(1 + 2 * a2, 3 * a2))
-                   + (a1 - 1) * horadam(2 * n + 2, HoradamParams(1 + 2 * a2, a2))
+        shifted = ((1 + 2 * a2) * fib(2 * n) + 3 * a2 * fib(2 * n + 1)
+                   + (a1 - 1) * ((1 + 2 * a2) * fib(2 * n + 1) + a2 * fib(2 * n + 2))
                    - 2 * (a1 - 1) * (1 + a2) * fib(n) * fib(n + 1))
         assert shifted != fib_norm_direct(n, params)
         assert fib_norm_formula(n, params) == fib_norm_direct(n, params)
@@ -151,11 +130,26 @@ class TestGoldenNumber:
             assert prod.v == x.u * y.v + x.v * y.u + x.v * y.v
 
     def test_powers_are_fibonacci_combinations(self):
-        assert golden_power(0) == 1
+        a = GoldenNumber(0, 1)
+        assert golden_power(0) == 1 == a ** 0
+        acc = a
         for n in range(1, 301):
             p = golden_power(n)
-            assert p == GoldenNumber(fib(n - 1), fib(n))
+            assert p == GoldenNumber(fib(n - 1), fib(n)) == a ** n == acc
             assert (p.u, p.v) == (fib(n - 1), fib(n))
+            acc = acc * a
+
+    def test_powers_match_repeated_products(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            u = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            v = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else 0
+            x, acc = GoldenNumber(u, v), FractionGolden(1)
+            for n in range(13):
+                got = x ** n
+                assert (got.u, got.v) == (acc.u, acc.v), (x, n)
+                assert got._den > 0 and gcd(got._nu, got._nv, got._den) == 1
+                acc = acc * FractionGolden(u, v)
 
     def test_canonical_form(self):
         # Integer numerators over one denominator, in lowest terms.
@@ -394,8 +388,8 @@ class TestNormFormulas:
         # The closed form as Fractions over shifted sequences, term by term.
         def fraction_form(n, params):
             a1, a2 = params.alpha1, params.alpha2
-            first = horadam(2 * n + 2, HoradamParams(1 + 2 * a2, 3 * a2))
-            second = horadam(2 * n + 3, HoradamParams(1 + 2 * a2, a2))
+            first = (1 + 2 * a2) * fib(2 * n + 1) + 3 * a2 * fib(2 * n + 2)
+            second = (1 + 2 * a2) * fib(2 * n + 2) + a2 * fib(2 * n + 3)
             return as_rational(first + (a1 - 1) * second
                                - 2 * (a1 - 1) * (1 + a2) * fib(n) * fib(n + 1))
 
@@ -550,6 +544,30 @@ class TestInvertibilityThreshold:
             for n_max in range(12):
                 assert invertibility_threshold(params, n_max) == \
                     _downward_scan(params, n_max), (params, n_max)
+
+    def test_settle_index_matches_the_oracle_on_the_grid(self):
+        # 3,000 seeded pairs, numerators in +-1..9 and denominators in 1..9.
+        rng = random.Random(33)
+        for _ in range(3000):
+            params = QuaternionParams(_nonzero_rational(rng), _nonzero_rational(rng))
+            assert fibmod._settle_index(params) == settle_index(params), params
+
+    def test_the_settle_cap_is_reached(self):
+        # For 5*D*E = +-1 and z = 0 the cap is 1 bit, and n1 is 1: at n = 0
+        # both sides are 1, at n = 1 the left is a**2.
+        for u in (1, -1):
+            form = SimpleNamespace(_form=(u, 0, 0, 1))
+            assert fibmod._settle_index(form) == 1
+
+    def test_a_failing_cap_raises(self, monkeypatch):
+        # Zero energy never settles, and neither does a sign read wrong; the
+        # bisection stops at the cap instead of looping.
+        with pytest.raises(ArithmeticError, match="cap 0"):
+            fibmod._settle_index(SimpleNamespace(_form=(0, 0, 3, 1)))
+        params = QuaternionParams(*LATE_SETTLING[0])
+        monkeypatch.setattr(GoldenNumber, "sign", lambda self: -1)
+        with pytest.raises(ArithmeticError, match="no settle index"):
+            fibmod._settle_index(params)
 
     def test_unit_parameters_stable_from_start(self):
         assert invertibility_threshold(QuaternionParams(1, 1), 50) == 0
