@@ -290,10 +290,10 @@ def _build_field(args) -> ResidueField:
         raise CliError("--pi takes exactly two coordinates a,b")
     gen = make_w(args.t, args.basis or _DEFAULT_BASIS, args.w)
     pi = UElement(args.pi[0], args.pi[1], gen)
-    field = residue_field(pi)
-    if args.p is not None and field.p != args.p:
-        raise CliError(f"modulus norm is {field.p}, not the requested {args.p}")
-    return field
+    # --p is checked before the field's O(p) build.
+    if args.p is not None and pi.norm() != args.p:
+        raise CliError(f"modulus norm is {pi.norm()}, not the requested {args.p}")
+    return residue_field(pi)
 
 
 def _cmd_residue_field(args) -> Iterable[str]:
@@ -310,12 +310,12 @@ def _cmd_residue_field(args) -> Iterable[str]:
 
 
 def _cmd_label(args) -> Iterable[str]:
-    field = _build_field(args)
     if (args.u is None) == (args.k is None):
         raise CliError("provide exactly one of --u or --k")
+    if args.u is not None and len(args.u) != 2:
+        raise CliError("--u takes exactly two coordinates a,b")
+    field = _build_field(args)
     if args.u is not None:
-        if len(args.u) != 2:
-            raise CliError("--u takes exactly two coordinates a,b")
         u = field.gen.element(args.u[0], args.u[1])
         return [f"label={field.label(u)}\n"]
     u = field.unlabel(args.k)

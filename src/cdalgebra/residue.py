@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from math import isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, List, Tuple
 
 from .algebra import (MAX_FIELD_DEPTH, AlgebraSignature, Convention, Element, _element,
@@ -20,7 +20,8 @@ from .algebra import (MAX_FIELD_DEPTH, AlgebraSignature, Convention, Element, _e
 # Largest residue field built.  At p = 1,021,441 a `label` process builds
 # and certifies its field in 0.5-0.6 s at a 72 MB peak (one core of a
 # 2-vCPU host, Python 3.11): about 54 bytes and 0.5 us per class over the
-# 17 MB and 0.1 s of a p = 13 run.
+# 17 MB and 0.1 s of a p = 13 run.  Its square root bounds the trial primes
+# of `_is_prime`, so a field's primality check runs no Miller-Rabin round.
 MAX_FIELD_SIZE = 2 ** 20
 
 
@@ -223,7 +224,8 @@ def is_prime_u(x: UElement) -> bool:
 
     A prime of the subring has prime integer norm; the converse is the
     sufficient condition used for every construction here, so composite
-    norms simply report False.
+    norms simply report False.  A norm up to MAX_FIELD_SIZE, the size of
+    every field built, is settled by trial division alone (``_is_prime``).
     """
     if type(x) is not UElement:
         _require_u(x, "x")
@@ -238,22 +240,36 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
            3474749660383, 341550071728321, 341550071728321,
            3825123056546413051, 3825123056546413051, 3825123056546413051,
            318665857834031151167461, 3317044064679887385961981)
+# The trial primes, those up to _TRIAL_LIMIT = isqrt(MAX_FIELD_SIZE) = 1024,
+# as two products: the bases, and the primes from 43 on.  A number from 43
+# to _TRIAL_LIMIT prime to every base is prime, as 43 * 43 > _TRIAL_LIMIT.
+_TRIAL_LIMIT = isqrt(MAX_FIELD_SIZE)
+_BASE_PRODUCT = prod(_MR_BASES)
+_TRIAL_PRODUCT = prod(p for p in range(43, _TRIAL_LIMIT + 1, 2) if gcd(p, _BASE_PRODUCT) == 1)
 
 
 def _is_prime(n: int) -> bool:
     """Deterministic primality of n below psi_13, about 3.3e24.
 
-    Strong-probable-prime rounds on the first k prime bases decide every
-    n < psi_k, so the rounds stop at the first k that covers n.  Larger
-    n raise ValueError rather than fall back on a probabilistic answer.
+    Trial division by the primes up to isqrt(MAX_FIELD_SIZE), as one gcd
+    with each trial product, settles every n <= MAX_FIELD_SIZE.  Above
+    that, strong-probable-prime rounds on the first k prime bases decide
+    every n < psi_k, so the rounds stop at the first k that covers n.
+    Larger n raise ValueError rather than fall back on a probabilistic
+    answer.
     """
     if n < 2:
         return False
     if n >= _MR_PSI[-1]:
         raise ValueError(f"primality of {n} is only decided below {_MR_PSI[-1]}")
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+    if gcd(n, _BASE_PRODUCT) != 1:
+        return n < 42 and n in _MR_BASES
+    if n <= _TRIAL_LIMIT:
+        return True
+    if gcd(n, _TRIAL_PRODUCT) != 1:
+        return False
+    if n <= MAX_FIELD_SIZE:                 # no prime up to its square root divides n
+        return True
     r = ((n - 1) & -(n - 1)).bit_length() - 1    # n - 1 = d * 2**r, d odd
     d = (n - 1) >> r
     for a, psi in zip(_MR_BASES, _MR_PSI):

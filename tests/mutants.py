@@ -50,6 +50,7 @@ POWERS = f"{ALGEBRA}::TestPowers"
 TWIST = "tests/test_twist.py"
 FIBONACCI = "tests/test_fibonacci.py"
 RESIDUE = "tests/test_residue.py"
+IS_PRIME = f"{RESIDUE}::TestIsPrime"
 
 MUTANTS = [
     # ---- one base for every value type (_Frozen) ---------------------------
@@ -280,6 +281,33 @@ MUTANTS = [
            "    b_max = isqrt(bound // disc)\n",
            "    b_max = isqrt(bound // disc) - 1\n",
            (f"{RESIDUE}::TestResidueField::test_norm_seven_field",)),
+    # ---- primality -------------------------------------------------------------
+    Mutant("trial division settles n up to 1031 squared", "residue.py",
+           "n <= MAX_FIELD_SIZE:",
+           "n <= 1031 * 1031:",
+           (f"{IS_PRIME}::test_squares_across_the_trial_bound",)),
+    Mutant("second trial product starts at 47", "residue.py",
+           "range(43, _TRIAL_LIMIT + 1, 2)",
+           "range(47, _TRIAL_LIMIT + 1, 2)",
+           (f"{IS_PRIME}::test_products_of_trial_primes_are_composite",)),
+    Mutant("second trial product stops before 1021", "residue.py",
+           "range(43, _TRIAL_LIMIT + 1, 2)",
+           "range(43, _TRIAL_LIMIT - 3, 2)",
+           (f"{IS_PRIME}::test_squares_across_the_trial_bound",)),
+    Mutant("second gcd equal to n reads as prime", "residue.py",
+           "    if gcd(n, _TRIAL_PRODUCT) != 1:\n"
+           "        return False\n",
+           "    if gcd(n, _TRIAL_PRODUCT) != 1:\n"
+           "        return gcd(n, _TRIAL_PRODUCT) == n\n",
+           (f"{IS_PRIME}::test_products_of_trial_primes_are_composite",)),
+    Mutant("base gcd alone settles n up to twice the trial limit", "residue.py",
+           "    if n <= _TRIAL_LIMIT:\n",
+           "    if n <= 2 * _TRIAL_LIMIT:\n",
+           (f"{IS_PRIME}::test_agrees_with_a_sieve",)),
+    Mutant("41 left out of the bases it names", "residue.py",
+           "        return n < 42 and n in _MR_BASES\n",
+           "        return n < 41 and n in _MR_BASES\n",
+           (f"{IS_PRIME}::test_agrees_with_a_sieve",)),
     # ---- golden numbers and Fibonacci numbers ------------------------------
     Mutant("GoldenNumber.__neg__ negates _den", "fibonacci.py",
            "        return _golden(-self._nu, -self._nv, self._den)\n",
@@ -340,6 +368,23 @@ MUTANTS = [
            "        logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr)\n",
            "",
            ("tests/test_cli.py::TestLogLevel::test_debug_writes_the_u_mod_fallback_records",)),
+    Mutant("--p checked after the field is built", "cli.py",
+           "    if args.p is not None and pi.norm() != args.p:\n"
+           '        raise CliError(f"modulus norm is {pi.norm()}, not the requested {args.p}")\n'
+           "    return residue_field(pi)\n",
+           "    field = residue_field(pi)\n"
+           "    if args.p is not None and field.p != args.p:\n"
+           '        raise CliError(f"modulus norm is {field.p}, not the requested {args.p}")\n'
+           "    return field\n",
+           ("tests/test_cli.py::TestFlagsBeforeTheField",)),
+    Mutant("label builds the field before checking its mode", "cli.py",
+           "    if args.u is not None and len(args.u) != 2:\n"
+           '        raise CliError("--u takes exactly two coordinates a,b")\n'
+           "    field = _build_field(args)\n",
+           "    field = _build_field(args)\n"
+           "    if args.u is not None and len(args.u) != 2:\n"
+           '        raise CliError("--u takes exactly two coordinates a,b")\n',
+           ("tests/test_cli.py::TestFlagsBeforeTheField",)),
     # ---- pickles ------------------------------------------------------------
     Mutant("kernel slot left in pickles", "algebra.py",
            "if name not in cls._transient and hasattr(self, name)})",

@@ -252,6 +252,52 @@ class TestMultiplication:
         assert sig.basis(1) * sig.basis(1) == sig.scalar(Fraction(5, 7))
 
 
+class TestBaezOctonions:
+    """An octonion table from outside the doubling formula.
+
+    Baez, *The Octonions*, Bull. AMS 39 (2002), sec. 2.1: the imaginary
+    units e_1..e_7 satisfy e_i e_(i+1) = e_(i+3), indices mod 7; each such
+    line (i, i+1, i+3) is cyclic, e_a e_b = e_c, e_b e_c = e_a, e_c e_a = e_b,
+    distinct units anticommute, and e_i e_i = -1.  The signed map below
+    carries that table onto the library's octonions with all parameters -1.
+    """
+
+    # Baez's e_7, e_1, ..., e_6 go to e1, e2, e4, e3, e6, -e7, e5.
+    IMAGE = {7: (1, 1), 1: (1, 2), 2: (1, 4), 3: (1, 3), 4: (1, 6), 5: (-1, 7), 6: (1, 5)}
+
+    @staticmethod
+    def baez(i, j):
+        """Baez's e_i e_j as (sign, k), k = 0 for the real unit."""
+        if i == j:
+            return -1, 0
+        for a in range(1, 8):
+            line = [(a + d - 1) % 7 + 1 for d in (0, 1, 3)]
+            for c in range(3):
+                x, y, z = line[c:] + line[:c]
+                if (i, j) == (x, y):
+                    return 1, z
+                if (i, j) == (y, x):
+                    return -1, z
+        raise AssertionError(f"no line holds e_{i} and e_{j}")
+
+    def image(self, sig, sign, k):
+        if k == 0:
+            return sig.scalar(sign)
+        s, q = self.IMAGE[k]
+        return sign * s * sig.basis(q)
+
+    @pytest.mark.parametrize("convention", [RIGHT, LEFT])
+    def test_the_map_carries_every_product_of_imaginary_units(self, convention):
+        sig = octonions(convention)
+        assert sorted(q for _, q in self.IMAGE.values()) == list(range(1, 8))
+        for i in range(1, 8):
+            for j in range(1, 8):
+                # eq31 is the opposite algebra: it carries Baez's e_j e_i.
+                sign, k = self.baez(i, j) if convention is RIGHT else self.baez(j, i)
+                product = self.image(sig, 1, i) * self.image(sig, 1, j)
+                assert product == self.image(sig, sign, k), (convention, i, j)
+
+
 class TestInvolution:
     def test_conjugate_unit(self):
         H = quaternions()

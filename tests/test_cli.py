@@ -802,6 +802,31 @@ class TestEncodeCommand:
         assert err == "error: decode of the encoded stream does not round-trip\n"
 
 
+class TestFlagsBeforeTheField:
+    """The field commands check their flags before the O(p) field build."""
+
+    GOLDEN = ("--pi", "-1,2", "--w", "1,1,1,1", "--t", "2")
+    NEAR_BOUND = ("--pi", "21,500", "--w", "1,1,1,1", "--t", "2")   # p = 1,021,441
+
+    @pytest.mark.parametrize("argv, message", [
+        (("residue-field", "--p", "11", *GOLDEN), "modulus norm is 13, not the requested 11"),
+        (("residue-field", "--format", "json", "--p", "13", *NEAR_BOUND),
+         "modulus norm is 1021441, not the requested 13"),
+        (("label", "--p", "13", *NEAR_BOUND, "--k", "0"),
+         "modulus norm is 1021441, not the requested 13"),
+        (("label", *NEAR_BOUND), "provide exactly one of --u or --k"),
+        (("label", *NEAR_BOUND, "--u", "3,4", "--k", "0"), "provide exactly one of --u or --k"),
+        (("label", *NEAR_BOUND, "--u", "3"), "--u takes exactly two coordinates a,b"),
+        (("encode", "--p", "7", *GOLDEN, "--symbols", "1"),
+         "modulus norm is 13, not the requested 7"),
+    ])
+    def test_each_error_comes_before_the_build(self, capsys, monkeypatch, argv, message):
+        def build(pi, verify=True):
+            raise AssertionError("the field was built")
+        monkeypatch.setattr(residue, "residue_field", build)
+        assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestOutputErrors:
     def test_missing_directory_is_contract_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.txt"

@@ -343,15 +343,51 @@ class TestIsPrime:
     PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
            341550071728321, 3825123056546413051, 318665857834031151167461)
 
+    @staticmethod
+    def sieve(lo, hi):
+        """The primes in [lo, hi), by the sieve of Eratosthenes on that window."""
+        flags = bytearray(n >= 2 for n in range(lo, hi))
+        for d in range(2, isqrt(hi - 1) + 1):
+            start = max(d * d, -(-lo // d) * d)
+            flags[start - lo::d] = bytes(len(range(start, hi, d)))
+        return [n for n in range(lo, hi) if flags[n - lo]]
+
     def test_agrees_with_a_sieve(self):
         limit = 200_000
-        sieve = bytearray([1]) * limit
-        sieve[0:2] = b"\0\0"
-        for i in range(2, int(limit ** 0.5) + 1):
-            if sieve[i]:
-                sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
-        assert [n for n in range(limit) if resmod._is_prime(n)] == [
-            n for n in range(limit) if sieve[n]]
+        assert [n for n in range(limit) if resmod._is_prime(n)] == self.sieve(0, limit)
+
+    @pytest.mark.parametrize("centre", [MAX_FIELD_SIZE, 1031 ** 2])
+    def test_agrees_with_a_sieve_across_the_trial_bound(self, centre):
+        # Trial division settles every n <= MAX_FIELD_SIZE; the least
+        # composite that no trial prime divides is 1031 ** 2, the square of
+        # the least prime above isqrt(MAX_FIELD_SIZE).
+        lo, hi = centre - 20_000, centre + 20_000
+        assert [n for n in range(lo, hi) if resmod._is_prime(n)] == self.sieve(lo, hi)
+
+    def test_products_of_trial_primes_are_composite(self):
+        # Where both factors are trial primes from 43 on, the second gcd is n.
+        primes = self.sieve(43, 1022)
+        products = [p * q for i, p in enumerate(primes) for q in primes[i:]
+                    if p * q <= MAX_FIELD_SIZE]
+        assert len(products) > 2000 and max(products) == 1021 ** 2
+        assert not any(resmod._is_prime(n) for n in products)
+
+    def test_squares_across_the_trial_bound(self):
+        assert not any(resmod._is_prime(n) for n in (1021 ** 2, 1031 ** 2, 1031 * 1033))
+        assert all(resmod._is_prime(n) for n in (1021, 1031, 1033))
+
+    def test_no_field_check_runs_a_miller_rabin_round(self, monkeypatch):
+        # Every composite below 1031 ** 2 has a prime factor of at most 1021.
+        assert MAX_FIELD_SIZE < 1031 ** 2
+        assert isqrt(MAX_FIELD_SIZE) < 43 ** 2
+        def no_round(*args):
+            raise AssertionError("a Miller-Rabin round ran")
+        monkeypatch.setattr(resmod, "pow", no_round, raising=False)
+        lo = MAX_FIELD_SIZE - 2000
+        assert [n for n in range(lo, MAX_FIELD_SIZE + 1)
+                if resmod._is_prime(n)] == self.sieve(lo, MAX_FIELD_SIZE + 1)
+        with pytest.raises(AssertionError, match="Miller-Rabin"):
+            resmod._is_prime(1031 ** 2)
 
     def test_strong_pseudoprimes_are_composite(self):
         assert not any(resmod._is_prime(n) for n in self.PSI)
