@@ -238,7 +238,7 @@ class AlgebraSignature(_Frozen):
         return _element(self, (0,) * self.dimension, 1)
 
     def one(self) -> Element:
-        return self.basis(0)
+        return _element(self, (1,) + (0,) * (self.dimension - 1), 1)
 
     def scalar(self, c: Rational) -> Element:
         c = as_rational(c)
@@ -641,7 +641,8 @@ class Element(_Frozen):
 
     def _combine(self, other: Element, op) -> Element:
         """Coefficientwise op over the lcm of the two denominators."""
-        self._check_compatible(other)
+        if self.signature is not other.signature:
+            self._check_compatible(other)
         xs, ys, dx, dy = self._nums, other._nums, self._den, other._den
         den = dx if dx == dy else lcm(dx, dy)
         if dx != den:
@@ -651,7 +652,8 @@ class Element(_Frozen):
         return _element(self.signature, tuple(map(op, xs, ys)), den)
 
     def _scaled(self, c: Rational) -> Element:
-        c = as_rational(c)
+        if type(c) is not int:
+            c = as_rational(c)
         return _element(self.signature, tuple(map(mul, self._nums, repeat(c.numerator))),
                         self._den * c.denominator)
 
@@ -692,7 +694,7 @@ class Element(_Frozen):
         return NotImplemented
 
     def __getitem__(self, p: int) -> Rational:
-        return _ratio(self._nums[_index(p)], self._den)
+        return _ratio(self._nums[p if type(p) is int else _index(p)], self._den)
 
     def is_zero(self) -> bool:
         return not any(self._nums)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, isqrt, prod
 from typing import Iterable, List, Tuple
 
@@ -32,15 +32,6 @@ def integer_signature(t: int) -> AlgebraSignature:
     One signature per depth, so its scaled constants are built once.
     """
     return AlgebraSignature(t, (-1,) * t, Convention.CONJUGATE_RIGHT)
-
-
-def _round_quotient(a: int, n: int) -> int:
-    """a / n rounded to the nearest integer, ties away from zero; n != 0."""
-    if n < 0:
-        a, n = -a, -n
-    floor, rem = divmod(abs(a), n)
-    floor += 2 * rem >= n
-    return floor if a >= 0 else -floor
 
 
 class WGenerator(_Frozen):
@@ -77,9 +68,9 @@ class WGenerator(_Frozen):
         return 4 * self.m > self.q * self.q
 
 
-def _placement(t: int, indices: Sequence[int]):
-    """The map of integers (a1, a2, a3, a4) -> a1 + a2*e_i + a3*e_j + a4*e_k at depth
-    t, once t <= MAX_FIELD_DEPTH and (i, j, k) are distinct indices in 1..2**t - 1."""
+def _placement(t: int, indices: Sequence[int]) -> Tuple[AlgebraSignature, list]:
+    """The depth-t integer signature and the basis indices [0, i, j, k], once
+    t <= MAX_FIELD_DEPTH and (i, j, k) are distinct indices in 1..2**t - 1."""
     t = _index(t)
     if t > MAX_FIELD_DEPTH:
         raise ValueError(f"depth {t} exceeds MAX_FIELD_DEPTH = {MAX_FIELD_DEPTH}")
@@ -92,24 +83,26 @@ def _placement(t: int, indices: Sequence[int]):
     for idx in indices:
         if idx >= sig.dimension:
             raise ValueError(f"basis index {idx} out of range for depth {t}")
+    return sig, [0, *indices]
 
-    def place(coeffs: Sequence[int]) -> Element:
-        coeffs = [as_rational(c) for c in coeffs]
-        if any(type(c) is not int for c in coeffs):
-            raise ValueError("generator must have integer coefficients")
-        vec = [0] * sig.dimension
-        for idx, c in zip([0, *indices], coeffs):
-            vec[idx] = c
-        return _element(sig, tuple(vec), 1)
-    return place
+
+def _place(sig: AlgebraSignature, indices: list, coeffs: Sequence[int]) -> Element:
+    """The integer element with coefficient coeffs[n] at index indices[n]."""
+    vec = [0] * sig.dimension
+    for idx, c in zip(indices, coeffs):
+        vec[idx] = c
+    return _element(sig, tuple(vec), 1)
 
 
 def make_w(t: int, basis_choice: Sequence[int], coeffs: Sequence[int]) -> WGenerator:
     """Generator a1 + a2*e_i + a3*e_j + a4*e_k in the depth-t integer algebra."""
-    place = _placement(t, basis_choice)
+    sig, indices = _placement(t, basis_choice)
     if len(coeffs) != 4:
         raise ValueError("expected four integer coefficients")
-    return WGenerator(place(coeffs))
+    coeffs = [as_rational(c) for c in coeffs]
+    if any(type(c) is not int for c in coeffs):
+        raise ValueError("generator must have integer coefficients")
+    return WGenerator(_place(sig, indices, coeffs))
 
 
 def _is_int(x) -> bool:
@@ -134,21 +127,23 @@ class UElement(_Frozen):
             raise TypeError(f"expected a WGenerator, got {type(gen).__name__}")
         self._set(a, b, gen)
 
-    def _check(self, other: UElement) -> None:
-        if self.gen is not other.gen and self.gen != other.gen:
-            raise ValueError("elements belong to different subrings")
-
     def __add__(self, other) -> UElement:
-        other = self._coerce(other)
-        self._check(other)
-        return _u(self.a + other.a, self.b + other.b, self.gen)
+        gen = self.gen
+        if type(other) is not UElement:
+            other = self._coerce(other)
+        if gen is not other.gen and gen != other.gen:
+            raise ValueError("elements belong to different subrings")
+        return _u(self.a + other.a, self.b + other.b, gen)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> UElement:
-        other = self._coerce(other)
-        self._check(other)
-        return _u(self.a - other.a, self.b - other.b, self.gen)
+        gen = self.gen
+        if type(other) is not UElement:
+            other = self._coerce(other)
+        if gen is not other.gen and gen != other.gen:
+            raise ValueError("elements belong to different subrings")
+        return _u(self.a - other.a, self.b - other.b, gen)
 
     def __rsub__(self, other) -> UElement:
         return self._coerce(other) - self
@@ -158,10 +153,11 @@ class UElement(_Frozen):
 
     def __mul__(self, other) -> UElement:
         if isinstance(other, UElement):
-            self._check(other)
-            q, m = self.gen.q, self.gen.m
+            gen = self.gen
+            if gen is not other.gen and gen != other.gen:
+                raise ValueError("elements belong to different subrings")
             a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-            return _u(a1 * a2 - m * b1 * b2, a1 * b2 + a2 * b1 + q * b1 * b2, self.gen)
+            return _u(a1 * a2 - gen.m * b1 * b2, a1 * b2 + a2 * b1 + gen.q * b1 * b2, gen)
         if _is_int(other):
             return _u(self.a * other, self.b * other, self.gen)
         return NotImplemented
@@ -219,6 +215,21 @@ def _require_u(x, role: str) -> None:
         raise TypeError(f"{role} must be a UElement, got {type(x).__name__}")
 
 
+def _require_member(u, gen: WGenerator) -> None:
+    """Refuse, as every labelling entry point does, a u outside gen's subring."""
+    _require_u(u, "labelled element")
+    if u.gen is not gen and u.gen != gen:
+        raise ValueError("element belongs to a different subring")
+
+
+def _symbol(k, p: int) -> int:
+    """The symbol k as an int, refused unless it is an index in range(p)."""
+    k = _index(k)
+    if not 0 <= k < p:
+        raise ValueError(f"symbol {k} out of range for field size {p}")
+    return k
+
+
 def is_prime_u(x: UElement) -> bool:
     """Norm-primality certificate for subring primes.
 
@@ -229,7 +240,8 @@ def is_prime_u(x: UElement) -> bool:
     """
     if type(x) is not UElement:
         _require_u(x, "x")
-    return _is_prime(x.norm())
+    a, b, gen = x.a, x.b, x.gen
+    return _is_prime(a * (a + gen.q * b) + gen.m * b * b)
 
 
 # Prime bases of the Miller-Rabin rounds, and for each k the least
@@ -303,13 +315,18 @@ def u_mod(x: UElement, y: UElement) -> UElement:
     The exact quotient x * conj(y) / norm(y) is rounded coordinatewise,
     ties away from zero.  When the rounded quotient misses the norm
     bound, the eight neighboring integer quotients are searched and the
-    minimal-norm remainder wins; that fallback is logged.
+    minimal-norm remainder wins; that fallback is logged.  If the search
+    still misses and the form is definite, the quotient is rounded again
+    in the reduced basis (1, w - q//2), whose trace 0 or 1 is at most its
+    norm, and that rounding and its eight neighbours hold the nearest
+    quotient: a strictly smaller remainder among them wins, so the
+    remainder is then the least norm of its class.
 
-    The strict bound norm(v) < norm(y) is guaranteed when the
-    generator's form has 4*m - q*q < 12, and on the boundary value 12
-    whenever norm(y) is odd.  At discriminant 12 with even norm(y) a
-    residue class can sit exactly on a lattice deep hole where its
-    minimal norm equals norm(y); the minimum is still returned.
+    The strict bound norm(v) < norm(y) is guaranteed for every definite
+    generator with 4*m - q*q < 12, and on the boundary value 12 whenever
+    norm(y) is odd.  At discriminant 12 with even norm(y) a residue class
+    can sit exactly on a lattice deep hole where its minimal norm equals
+    norm(y); the minimum is still returned.
     """
     if type(x) is not UElement or type(y) is not UElement:
         _require_u(x, "x")
@@ -324,9 +341,15 @@ def u_mod(x: UElement, y: UElement) -> UElement:
     n = a2 * c2 + m * b2 * b2            # norm(y) = y * conj(y)
     if n == 0:
         raise ValueError("modulus has norm zero")
-    # x * conj(y) = (a1*c2 + m*b1*b2) + (a2*b1 - a1*b2)*w
-    za = _round_quotient(a1 * c2 + m * b1 * b2, n)
-    zb = _round_quotient(a2 * b1 - a1 * b2, n)
+    # x * conj(y) = ua + ub*w; each coordinate is rounded over d = |n| with n's
+    # sign moved onto it.  (2u + d) // 2d rounds u/d half up, so a negative u is
+    # rounded as -u and negated: ties go away from zero.
+    ua, ub, d = a1 * c2 + m * b1 * b2, a2 * b1 - a1 * b2, n
+    if n < 0:
+        ua, ub, d = -ua, -ub, -n
+    h = 2 * d
+    za = (2 * ua + d) // h if ua >= 0 else -((d - 2 * ua) // h)
+    zb = (2 * ub + d) // h if ub >= 0 else -((d - 2 * ub) // h)
     # The remainder x - (za + zb*w)*y and its norm.
     ra = a1 - za * a2 + m * zb * b2
     rb = b1 - za * b2 - zb * c2
@@ -346,6 +369,19 @@ def u_mod(x: UElement, y: UElement) -> UElement:
             cn = abs(ca * (ca + q * cb) + m * cb * cb)
             if cn < best:
                 best, va, vb = cn, ca, cb
+    if 4 * m > q * q and best >= n:     # definite, so n > 0
+        # In w' = w - k the quotient is (ua + k*ub)/n + (ub/n)*w'; its rounding
+        # is the quotient za + dz + zb*w, and a step db along w' moves za by -k*db.
+        k = q // 2
+        dz = (2 * (ua + k * ub) + n) // h - k * zb - za
+        for da in (-1, 0, 1):
+            for db in (-1, 0, 1):
+                ea = dz + da - k * db
+                ca = ra - ea * a2 + m * db * b2
+                cb = rb - ea * b2 - db * c2
+                cn = ca * (ca + q * cb) + m * cb * cb
+                if cn < best:
+                    best, va, vb = cn, ca, cb
     return _u(va, vb, gen)
 
 
@@ -359,8 +395,8 @@ def four_square_root(m: int, target_indices: Sequence[int], t: int) -> Element:
     m = _index(m)
     if m < 1:
         raise ValueError("target must be a positive integer")
-    place = _placement(t, target_indices)
-    return place(_four_square_decomposition(m))
+    sig, indices = _placement(t, target_indices)
+    return _place(sig, indices, _four_square_decomposition(m))
 
 
 def _four_square_decomposition(m: int) -> Tuple[int, int, int, int]:
@@ -404,9 +440,9 @@ class Representatives(_Frozen, Sequence):
         return len(self.xs)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(_u, self.xs[k], self.ys[k], repeat(self.gen)))
-        return _u(self.xs[k], self.ys[k], self.gen)
+        if type(k) is not slice:            # slice cannot be subclassed
+            return _u(self.xs[k], self.ys[k], self.gen)
+        return tuple(map(_u, self.xs[k], self.ys[k], repeat(self.gen)))
 
     def __iter__(self):
         return map(_u, self.xs, self.ys, repeat(self.gen))
@@ -445,16 +481,14 @@ class ResidueField:
         return self.pi.gen
 
     def label(self, u: UElement) -> int:
-        _require_u(u, "labelled element")
         gen = self.pi.gen
-        if u.gen is not gen and u.gen != gen:
-            raise ValueError("element belongs to a different subring")
+        if type(u) is not UElement or (u.gen is not gen and u.gen != gen):
+            _require_member(u, gen)
         return (u.a + u.b * self.s) % self.p
 
     def unlabel(self, k: int) -> UElement:
-        k = _index(k)
-        if not 0 <= k < self.p:
-            raise ValueError(f"symbol {k} out of range for field size {self.p}")
+        if type(k) is not int or not 0 <= k < self.p:
+            k = _symbol(k, self.p)
         return self.reps[k]
 
     def reduce(self, u: UElement) -> UElement:
@@ -466,9 +500,11 @@ def residue_field(pi: UElement, verify: bool = True) -> ResidueField:
     """Construct the residue field modulo a norm-prime subring element.
 
     Solves the labelling congruence a + b*s = 0 (mod p), then picks for
-    every class the representative of minimal norm; ties prefer a
-    nonnegative w-coordinate, then the lexicographically smallest
-    (b, a).  With ``verify`` the result is certified in O(p) steps (see
+    every class the representative of minimal norm.  The points are
+    visited in rows b = 0, 1, ..., b_max, then -b_max, ..., -1, each row
+    with a ascending, and the first point of a class's least norm wins:
+    ties prefer a nonnegative w-coordinate, then the lexicographically
+    smallest (b, a).  With ``verify`` the result is certified in O(p) steps (see
     ``_verify_field``).  Sizes above MAX_FIELD_SIZE are refused before
     anything is allocated.
     """
@@ -489,8 +525,10 @@ def residue_field(pi: UElement, verify: bool = True) -> ResidueField:
     # 4*norm(a + b*w) = x*x + disc*b*b, so norm < p exactly when
     # x*x <= 4p - 1 - disc*b*b: row b holds the a with |2a + q*b| <= r.
     # Class k keeps its least norm in norms[k] and the winning point in xs[k],
-    # ys[k]; equal norms go to the least (b < 0, b, a).  The placeholder norm p
-    # is beaten by every point.  Rows slice one list of a, so classes share ints.
+    # ys[k]; rows are visited in tie order, so only a strictly smaller norm
+    # replaces a point.  The placeholder norm p is beaten by every point.  Along
+    # a row the label steps by 1 mod p and the norm by 2a + 1 + q*b.  Rows
+    # slice one list of a, so classes share ints.
     q, m = gen.q, gen.m
     disc = 4 * m - q * q
     bound = 4 * p - 1
@@ -498,17 +536,21 @@ def residue_field(pi: UElement, verify: bool = True) -> ResidueField:
     a_max = (isqrt(bound) + abs(q) * b_max) // 2
     a_coords = list(range(-a_max, a_max + 1))
     norms, xs, ys = [p] * p, [0] * p, [0] * p
-    for b in range(-b_max, b_max + 1):
+    for b in chain(range(b_max + 1), range(-b_max, 0)):
         r = isqrt(bound - disc * b * b)
-        qb, mbb, sb = q * b, m * b * b, s * b
-        for a in a_coords[a_max - (r + qb) // 2:a_max + (r - qb) // 2 + 1]:
-            k = (a + sb) % p
-            n = a * (a + qb) + mbb
-            best = norms[k]
-            if n < best:
+        qb = q * b
+        lo = -((r + qb) // 2)               # the row's least a
+        k = (lo + s * b) % p
+        n = lo * (lo + qb) + m * b * b
+        step = 2 * lo + 1 + qb
+        for a in a_coords[a_max + lo:a_max + (r - qb) // 2 + 1]:
+            if n < norms[k]:
                 norms[k], xs[k], ys[k] = n, a, b
-            elif n == best and (b < 0, b, a) < (ys[k] < 0, ys[k], xs[k]):
-                xs[k], ys[k] = a, b
+            n += step
+            step += 2
+            k += 1
+            if k == p:
+                k = 0
     if p in norms:
         missing = [k for k, n in enumerate(norms) if n == p]
         raise ArithmeticError(f"classes without small representatives: {missing}")
@@ -547,10 +589,23 @@ def _verify_field(field: ResidueField) -> None:
 
 def encode_symbols(ks: Iterable[int], field: ResidueField) -> List[UElement]:
     """Map mod-p symbols to their constellation representatives."""
-    return [field.unlabel(k) for k in ks]
+    p, reps = field.p, field.reps
+    xs, ys, gen = reps.xs, reps.ys, reps.gen
+    out = []
+    for k in ks:
+        if type(k) is not int or not 0 <= k < p:
+            k = _symbol(k, p)
+        out.append(_u(xs[k], ys[k], gen))
+    return out
 
 
 def decode_symbols(us: Iterable[UElement], field: ResidueField) -> List[int]:
     """Labels of arbitrary subring elements: the labelling is a ring
     homomorphism whose kernel holds the prime, so no reduction is needed."""
-    return [field.label(u) for u in us]
+    p, s, gen = field.p, field.s, field.pi.gen
+    out = []
+    for u in us:
+        if type(u) is not UElement or (u.gen is not gen and u.gen != gen):
+            _require_member(u, gen)
+        out.append((u.a + u.b * s) % p)
+    return out

@@ -1,15 +1,16 @@
 """Replayable mutation checks: small edits of the package that named tests must catch.
 
 Each mutant replaces one exact text of a file under ``src/cdalgebra`` and names
-the test node ids that must fail once it is applied.  The runner copies
-``src``, ``tests`` and ``pyproject.toml`` to a temporary directory, applies one
-mutant there, and runs its tests with ``pytest -x -q``, one mutant at a time
-and each within ``TIME_LIMIT_S`` seconds.  A mutant is caught when its tests
-fail or cannot be collected; one whose tests run past the limit is caught
-only if it is listed with ``hangs=True``.  Before the mutants, the unmutated
-copy must pass every listed test, so that a test failing for another reason
-catches nothing.  A mutant whose old text is missing, or is not unique in its
-file, is an error.
+the test node ids that must fail once it is applied.  A mutant of a file under
+``tests`` edits a test oracle instead: its tests must see the oracle go wrong.
+The runner copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
+directory, applies one mutant there, and runs its tests with ``pytest -x -q``,
+one mutant at a time and each within ``TIME_LIMIT_S`` seconds.  A mutant is
+caught when its tests fail or cannot be collected; one whose tests run past the
+limit is caught only if it is listed with ``hangs=True``.  Before the mutants,
+the unmutated copy must pass every listed test, so that a test failing for
+another reason catches nothing.  A mutant whose old text is missing, or is not
+unique in its file, is an error.
 
 Run from the repository root::
 
@@ -36,7 +37,7 @@ TIME_LIMIT_S = 60
 
 class Mutant(NamedTuple):
     name: str
-    file: str           # relative to src/cdalgebra
+    file: str           # relative to src/cdalgebra, or to the repository root under tests/
     old: str            # exact text, present once in the file
     new: str
     tests: Tuple[str, ...]  # node ids relative to the repository root
@@ -222,6 +223,10 @@ MUTANTS = [
            "(abs(u) + abs(v))).bit_length() - 1\n",
            (f"{FIBONACCI}::TestInvertibilityThreshold::test_the_settle_cap_is_reached",)),
     # ---- structure constants (twist) ----------------------------------------
+    Mutant("zero-divisor census with one sign flipped", "tests/test_twist.py",
+           "v * sign[a][d] + s * sign[b][c] == 0",
+           "v * sign[a][d] - s * sign[b][c] == 0",
+           (f"{TWIST}::TestZeroDivisorCensus::test_counts",)),
     Mutant("TwistTable accepts depth 0", "twist.py",
            "        if t < 1:\n"
            '            raise ValueError("table depth must be >= 1")\n'
@@ -269,10 +274,24 @@ MUTANTS = [
            "    if convention == _CONJUGATE_LEFT:\n",
            (f"{TWIST}::TestTwistSign::test_a_bad_convention_is_refused",)),
     # ---- residue fields -------------------------------------------------------
+    # The rows are visited in tie order: in plain ascending b, ties go to the least
+    # (b, a), as if the b < 0 key were dropped.
     Mutant("residue_field drops the b < 0 tie key", "residue.py",
-           "(b < 0, b, a) < (ys[k] < 0, ys[k], xs[k])",
-           "(b, a) < (ys[k], xs[k])",
+           "    for b in chain(range(b_max + 1), range(-b_max, 0)):\n",
+           "    for b in range(-b_max, b_max + 1):\n",
            (f"{RESIDUE}::TestTableBuild::test_every_prime_below_2000",)),
+    Mutant("residue_field visits the b < 0 rows first", "residue.py",
+           "    for b in chain(range(b_max + 1), range(-b_max, 0)):\n",
+           "    for b in chain(range(-1, -b_max - 1, -1), range(b_max + 1)):\n",
+           (f"{RESIDUE}::TestTableBuild::test_ties_prefer_a_nonnegative_w_coordinate",)),
+    Mutant("residue_field skips the row b = -1", "residue.py",
+           "range(-b_max, 0)):",
+           "range(-b_max, -1)):",
+           (f"{RESIDUE}::TestTableBuild::test_every_prime_below_2000",)),
+    Mutant("residue_field scans one row too many each side", "residue.py",
+           "    b_max = isqrt(bound // disc)\n",
+           "    b_max = isqrt(bound // disc) + 1\n",
+           (f"{RESIDUE}::TestResidueField::test_norm_seven_field",)),
     Mutant("residue_field moves the row bound in by one", "residue.py",
            "        r = isqrt(bound - disc * b * b)\n",
            "        r = isqrt(bound - disc * b * b) - 1\n",
@@ -281,6 +300,29 @@ MUTANTS = [
            "    b_max = isqrt(bound // disc)\n",
            "    b_max = isqrt(bound // disc) - 1\n",
            (f"{RESIDUE}::TestResidueField::test_norm_seven_field",)),
+    # ---- subring arithmetic, u_mod and labels ------------------------------------
+    Mutant("u_mod rounds ties toward zero on its negative branch", "residue.py",
+           "    za = (2 * ua + d) // h if ua >= 0 else -((d - 2 * ua) // h)\n",
+           "    za = (2 * ua + d) // h if ua >= 0 else -((d - 2 * ua - 1) // h)\n",
+           (f"{RESIDUE}::TestRounding::test_integer_rounding_matches_fraction_oracle",)),
+    Mutant("u_mod skips the reduced-basis rounding", "residue.py",
+           "    if 4 * m > q * q and best >= n:",
+           "    if False:",
+           (f"{RESIDUE}::TestUMod::test_skewed_generator_counterexample",)),
+    Mutant("UElement + skips the generator check", "residue.py",
+           "        if gen is not other.gen and gen != other.gen:\n"
+           '            raise ValueError("elements belong to different subrings")\n'
+           "        return _u(self.a + other.a, self.b + other.b, gen)\n",
+           "        return _u(self.a + other.a, self.b + other.b, gen)\n",
+           (f"{RESIDUE}::TestUElementArithmetic::test_mixed_generators_rejected",)),
+    Mutant("label's fast path skips the subring check", "residue.py",
+           "        if type(u) is not UElement or (u.gen is not gen and u.gen != gen):\n"
+           "            _require_member(u, gen)\n"
+           "        return (u.a + u.b * self.s) % self.p\n",
+           "        if type(u) is not UElement:\n"
+           "            _require_member(u, gen)\n"
+           "        return (u.a + u.b * self.s) % self.p\n",
+           (f"{RESIDUE}::TestResidueField::test_label_checks_the_subring",)),
     # ---- primality -------------------------------------------------------------
     Mutant("trial division settles n up to 1031 squared", "residue.py",
            "n <= MAX_FIELD_SIZE:",
@@ -393,9 +435,16 @@ MUTANTS = [
 ]
 
 
-def mutated(mutant: Mutant, src: Path) -> str:
-    """The text of ``mutant.file`` under ``src`` with the mutant applied."""
-    text = (src / "cdalgebra" / mutant.file).read_text()
+def path(mutant: Mutant, root: Path) -> Path:
+    """The file that ``mutant`` edits in the tree at ``root``."""
+    if mutant.file.startswith("tests/"):
+        return root / mutant.file
+    return root / "src" / "cdalgebra" / mutant.file
+
+
+def mutated(mutant: Mutant, root: Path) -> str:
+    """The text of ``mutant.file`` in the tree at ``root`` with the mutant applied."""
+    text = path(mutant, root).read_text()
     count = text.count(mutant.old)
     if count != 1:
         raise ValueError(f"mutant {mutant.name!r}: its old text occurs {count} times "
@@ -413,7 +462,7 @@ def _pytest(copy: Path, tests) -> subprocess.CompletedProcess:
 def run(mutants) -> bool:
     """Run each mutant in a fresh copy; report each and return whether all were caught."""
     for mutant in mutants:  # every old text first, so a stale list fails at once
-        mutated(mutant, ROOT / "src")
+        mutated(mutant, ROOT)
     with tempfile.TemporaryDirectory(prefix="cdalgebra-mutants-") as tmp:
         base = Path(tmp) / "base"
         for name in ("src", "tests"):
@@ -432,7 +481,7 @@ def run(mutants) -> bool:
         for k, mutant in enumerate(mutants):
             copy = Path(tmp) / f"mutant-{k}"
             shutil.copytree(base, copy)
-            (copy / "src" / "cdalgebra" / mutant.file).write_text(mutated(mutant, ROOT / "src"))
+            path(mutant, copy).write_text(mutated(mutant, ROOT))
             start = time.monotonic()
             try:
                 # The unmutated copy passed these tests, so any failure is the

@@ -6,6 +6,9 @@
   compare ``Element`` products and the structure constants against.
 - ``power_left_nested``: x**n as n products from the unit, the oracle for
   ``Element.__pow__``, which reads the Lucas sequence of x's trace and norm.
+- ``round_quotient``: a / n rounded to the nearest integer, ties away from
+  zero, by ``divmod``: the oracle for the rounding that ``residue.u_mod``
+  writes inline.
 - ``FractionGolden``: the golden field with ``Fraction`` coordinates, as
   ``fibonacci.GoldenNumber`` stored it before it kept integer numerators
   over one denominator, with the settle index and threshold computed on it.
@@ -54,6 +57,15 @@ def power_left_nested(x, n: int):
     for _ in range(n):
         acc = acc * x
     return acc
+
+
+def round_quotient(a: int, n: int) -> int:
+    """a / n rounded to the nearest integer, ties away from zero; n != 0."""
+    if n < 0:
+        a, n = -a, -n
+    floor, rem = divmod(abs(a), n)
+    floor += 2 * rem >= n
+    return floor if a >= 0 else -floor
 
 
 class FractionGolden:

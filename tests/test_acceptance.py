@@ -41,8 +41,11 @@ def test_criterion_01_golden_residue_field():
     _report(1, "golden residue field", result.failures,
             time.perf_counter() - start, 1.0)
     # The generator's quadratic data and relation, the prime norm 13, the
-    # labelling root 7 and the printed representative set in label order.
-    assert result.counts["golden field"] == 5
+    # labelling root 7 and the printed representative set in label order;
+    # every family at verify's defaults, as criterion 08 pins the core suite.
+    assert result.counts == {
+        "golden field": 5, "remainder bound": 375, "prime remainder bound": 125,
+        "labelling": 338, "class labels": 100, "quadratic root": 100, "codec": 1}
 
 
 def test_criterion_02_unit_parameter_norm_identity():
@@ -50,7 +53,10 @@ def test_criterion_02_unit_parameter_norm_identity():
     result = run_fib_suite()
     _report(2, "norms triple shifted Fibonacci", result.failures,
             time.perf_counter() - start, 1.0)
-    assert result.counts["unit norm"] == 41      # n = 0..40
+    assert result.counts == {
+        "unit norm": 41,                            # n = 0..40
+        "closed form": 200, "diagonal form": 200, "root power": 61, "golden product": 64,
+        "energy": 20, "threshold": 22}
 
 
 def test_criterion_03_closed_form_norm():

@@ -3,13 +3,13 @@ import ast
 
 import pytest
 
-from mutants import MUTANTS, ROOT, mutated
+from mutants import MUTANTS, ROOT, mutated, path
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
 def test_mutant_applies_and_parses(mutant):
-    text = mutated(mutant, ROOT / "src")
-    assert text != (ROOT / "src" / "cdalgebra" / mutant.file).read_text()
+    text = mutated(mutant, ROOT)
+    assert text != path(mutant, ROOT).read_text()
     ast.parse(text)
     for node in mutant.tests:
         assert (ROOT / node.split("::")[0]).is_file(), node
@@ -20,7 +20,7 @@ def test_names_are_unique():
 
 
 def test_a_missing_old_text_is_an_error(tmp_path):
-    (tmp_path / "cdalgebra").mkdir()
-    (tmp_path / "cdalgebra" / MUTANTS[0].file).write_text("")
+    (tmp_path / "src" / "cdalgebra").mkdir(parents=True)
+    (tmp_path / "src" / "cdalgebra" / MUTANTS[0].file).write_text("")
     with pytest.raises(ValueError, match="occurs 0 times"):
         mutated(MUTANTS[0], tmp_path)

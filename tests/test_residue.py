@@ -10,6 +10,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from oracles import round_quotient
 
 from cdalgebra import residue as resmod
 from cdalgebra.algebra import MAX_FIELD_DEPTH, Convention, Element, make_algebra, quaternions
@@ -42,6 +43,19 @@ def fraction_u_mod(x, y):
     return best
 
 
+def class_minimum(x, y) -> int:
+    """The least norm of x - z*y over integer quotients z = za + zb*w near x / y,
+    for a definite generator, by search.  The nearest z has zb within 1.5 of the
+    exact quotient's w-coordinate and za within 1.5*|k| + 2 of its other one,
+    k = q // 2 (round in the reduced basis (1, w - k)); the window is wider."""
+    gen, n = y.gen, y.norm()
+    prod = x * y.conjugate()
+    za, zb = fraction_round(Fraction(prod.a, n)), fraction_round(Fraction(prod.b, n))
+    reach = 2 * abs(gen.q) + 4
+    return min((x - gen.element(za + da, zb + db) * y).norm()
+               for da in range(-reach, reach + 1) for db in range(-2, 3))
+
+
 @pytest.fixture(scope="module")
 def golden_gen():
     return make_w(2, (1, 2, 3), (1, 1, 1, 1))
@@ -52,16 +66,24 @@ def golden_field(golden_gen):
     return residue_field(golden_gen.element(-1, 2))
 
 
-class TestRounding:
-    def test_half_away_from_zero(self):
-        assert resmod._round_quotient(1, 2) == 1
-        assert resmod._round_quotient(-1, 2) == -1
-        assert resmod._round_quotient(3, 2) == 2
-        assert resmod._round_quotient(2, 5) == 0
-        assert resmod._round_quotient(-7, 5) == -1
-        assert resmod._round_quotient(7, 1) == 7
+def integer_remainder(gen, a: int, n: int) -> int:
+    """u_mod(a + 0w, n + 0w): its quotient is round(a/n), ties away from zero, and
+    its remainder a - round(a/n)*n has norm at most n*n/4, so no fallback runs."""
+    r = u_mod(gen.element(a, 0), gen.element(n, 0))
+    assert r.b == 0
+    return r.a
 
-    def test_integer_rounding_matches_fraction_oracle(self):
+
+class TestRounding:
+    """u_mod's inline rounding, on integer operands, against the divmod oracle."""
+
+    def test_half_away_from_zero(self, golden_gen):
+        for a, n, want in ((1, 2, 1), (-1, 2, -1), (3, 2, 2), (2, 5, 0), (-7, 5, -1),
+                           (7, 1, 7)):
+            assert round_quotient(a, n) == want
+            assert integer_remainder(golden_gen, a, n) == a - want * n
+
+    def test_integer_rounding_matches_fraction_oracle(self, golden_gen):
         rng = random.Random(28)
         grid = [(a, n) for n in (-12, -7, -2, -1, 1, 2, 7, 12) for a in range(-40, 41)]
         half = [rng.randint(1, 10 ** 12) for _ in range(200)]
@@ -72,7 +94,8 @@ class TestRounding:
         assert any(abs(Fraction(a, n).denominator) == 2 for a, n in grid)
         for a, n in grid + ties + wide:
             want = fraction_round(Fraction(a, n))
-            assert resmod._round_quotient(a, n) == want, (a, n)
+            assert round_quotient(a, n) == want, (a, n)
+            assert integer_remainder(golden_gen, a, n) == a - want * n, (a, n)
 
     def test_u_mod_matches_fraction_rounding(self, golden_gen):
         # Split signatures give generators with indefinite norm forms, so
@@ -139,6 +162,17 @@ class TestMakeW:
             make_w(True, (1, 2, 3), (1, 1, 1, 1))
         with pytest.raises(TypeError, match="not bool"):
             four_square_root(True, (1, 2, 3), 2)
+
+    def test_bool_indices_refused_after_the_same_ints(self):
+        # True == 1 and hash(True) == hash(1), so a placement remembered by its raw
+        # arguments would let (True, 2, 3) through once (1, 2, 3) had been used.
+        assert four_square_root(7, (1, 2, 3), 2).coeffs == (1, 1, 1, 2)
+        assert make_w(2, (1, 2, 3), (1, 1, 1, 1)).q == 2
+        for indices in ((True, 2, 3), (1, 2, True)):
+            with pytest.raises(TypeError, match="not bool"):
+                four_square_root(7, indices, 2)
+            with pytest.raises(TypeError, match="not bool"):
+                make_w(2, indices, (1, 1, 1, 1))
 
     def test_coefficients_checked_once(self):
         with pytest.raises(TypeError):
@@ -450,6 +484,45 @@ class TestUMod:
                 if y.is_zero():
                     continue
                 assert u_mod(x, y).norm() < y.norm()
+
+    def test_skewed_generator_counterexample(self):
+        # w = 5 + e1 + e2: q = 10, m = 27, discriminant 8.  The search around the
+        # rounding in (1, w) stops at -24 + 6w, of norm 108; 18 - 3w is in its class.
+        gen = make_w(2, (1, 2, 3), (5, 1, 1, 0))
+        assert (gen.q, gen.m) == (10, 27)
+        x, y = gen.element(-6, -6), gen.element(-3, 2)
+        assert fraction_u_mod(x, y) == gen.element(-24, 6)
+        v = u_mod(x, y)
+        assert v == gen.element(18, -3) and (v.norm(), y.norm()) == (27, 57)
+        assert x - v == gen.element(-10, 1) * y
+
+    def test_strict_bound_on_skewed_generators(self):
+        # The bound at every definite generator: 4m - q*q < 12, or 12 at odd norm(y).
+        # Where the search in (1, w) already meets it, the remainder is that search's;
+        # where it misses, the remainder is the least norm in its class.
+        rng = random.Random(32)
+        missed = 0
+        for coeffs in ((5, 1, 1, 0), (4, 1, 1, 0), (3, 1, 1, 1), (7, 1, 1, 1), (2, 1, 0, 0)):
+            gen = make_w(2, (1, 2, 3), coeffs)
+            disc = 4 * gen.m - gen.q * gen.q
+            assert disc in (4, 8, 12)
+            for _ in range(300):
+                x = gen.element(rng.randint(-500, 500), rng.randint(-500, 500))
+                y = gen.element(rng.randint(-30, 30), rng.randint(-30, 30))
+                if y.is_zero():
+                    continue
+                n, v = y.norm(), u_mod(x, y)
+                if disc < 12 or n % 2:
+                    assert v.norm() < n, (coeffs, x, y)
+                searched = fraction_u_mod(x, y)
+                if searched.norm() < n:
+                    assert v == searched, (coeffs, x, y)
+                    continue
+                missed += 1
+                assert v.norm() == class_minimum(x, y), (coeffs, x, y)
+                quotient = (x - v) * y.conjugate()
+                assert quotient.a % n == 0 and quotient.b % n == 0
+        assert missed > 100
 
     def test_strict_bound_for_odd_norm_moduli(self, golden_gen):
         rng = random.Random(23)

@@ -143,6 +143,52 @@ def _pattern_blocks(signs, t, convention):
     return kinds.tolist()
 
 
+def zero_divisor_census(t: int, convention) -> dict:
+    """The two-term elements e_a + s*e_b (0 < a < b, s = +-1) that have a two-term
+    annihilator e_c + v*e_d at all parameters -1, each with its first witness (c, v).
+
+    The four terms of the product lie at a^c, a^d, b^c and b^d (a != b, c != d),
+    so they cancel only as the pairs a^c = b^d and a^d = b^c, that is with
+    d = a^b^c, sign(a, c) + s*v*sign(b, d) = 0, which fixes v, and
+    v*sign(a, d) + s*sign(b, c) = 0.  So the census reads only twist_sign.
+    """
+    n = 1 << t
+    sign = [[twist_sign(p, q, t, convention) for q in range(n)] for p in range(n)]
+    census = {}
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            for s in (1, -1):
+                for c in range(1, n):
+                    d = a ^ b ^ c
+                    v = -s * sign[a][c] * sign[b][d]
+                    if c not in (a, b) and v * sign[a][d] + s * sign[b][c] == 0:
+                        census[a, b, s] = (c, v)
+                        break
+    return census
+
+
+class TestZeroDivisorCensus:
+    """Two-term zero divisors: none in the octonions; in the sedenions 42 index
+    pairs ("assessors") carrying 84 diagonals (de Marrais, arXiv:math/0011260);
+    at depth 5, 294 and 588, this library's own count."""
+
+    @pytest.mark.parametrize("convention", [RIGHT, LEFT])
+    @pytest.mark.parametrize("t, assessors, diagonals", [(3, 0, 0), (4, 42, 84), (5, 294, 588)])
+    def test_counts(self, t, assessors, diagonals, convention):
+        census = zero_divisor_census(t, convention)
+        assert len({(a, b) for a, b, _ in census}) == assessors
+        assert len(census) == diagonals
+
+    @pytest.mark.parametrize("convention", [RIGHT, LEFT])
+    @pytest.mark.parametrize("t", [4, 5])
+    def test_every_witness_is_an_exact_zero_product(self, t, convention):
+        sig = make_algebra(t, (-1,) * t, convention)
+        for (a, b, s), (c, v) in zero_divisor_census(t, convention).items():
+            x = sig.basis(a) + s * sig.basis(b)
+            y = sig.basis(c) + v * sig.basis(a ^ b ^ c)
+            assert (x * y).is_zero(), (a, b, s, c, v)
+
+
 class TestBasisProduct:
     def test_unit_row(self):
         sig = make_algebra(3, [-1] * 3, RIGHT)
