@@ -440,9 +440,11 @@ class Representatives(_Frozen, Sequence):
         return len(self.xs)
 
     def __getitem__(self, k):
-        if type(k) is not slice:            # slice cannot be subclassed
-            return _u(self.xs[k], self.ys[k], self.gen)
-        return tuple(map(_u, self.xs[k], self.ys[k], repeat(self.gen)))
+        if type(k) is not int:
+            if type(k) is slice:            # slice cannot be subclassed
+                return tuple(map(_u, self.xs[k], self.ys[k], repeat(self.gen)))
+            k = _index(k)                   # refuses bool, as unlabel does
+        return _u(self.xs[k], self.ys[k], self.gen)
 
     def __iter__(self):
         return map(_u, self.xs, self.ys, repeat(self.gen))

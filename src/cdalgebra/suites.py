@@ -25,6 +25,14 @@ NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x)
 # Oracle-computed corner signs of the tree-order tiles of the ten admissible
 # power-row triples at depth 5, in sweep order.
 _DEPTH_FIVE_CORNER_SIGNS = (1, 1, 1, -1, -1, 1, -1, -1, 1, 1)
+# Two-term zero divisors, as (assessors, diagonals): none in the octonions;
+# in the sedenions 42 index pairs carrying 84 diagonals (de Marrais, "The 42
+# assessors and the box-kites they fly", arXiv:math/0011260).
+_ZERO_DIVISORS = {3: (0, 0), 4: (42, 84)}
+# A signed map from Baez's octonions (The Octonions, Bull. AMS 39 (2002),
+# sec. 2.1) onto the eq11 octonions at all parameters -1: Baez's e_7, e_1,
+# ..., e_6 go to e1, e2, e4, e3, e6, -e7, e5.
+_BAEZ_IMAGE = {7: (1, 1), 1: (1, 2), 2: (1, 4), 3: (1, 3), 4: (1, 6), 5: (-1, 7), 6: (1, 5)}
 
 
 @dataclass
@@ -95,11 +103,15 @@ def _pair_law_checks(x: Element, y: Element, out: SuiteResult) -> None:
     """Involution, trace, norm, quadratic, flexibility and power laws on x, y.
 
     Powers are built left-nested (x^(k+1) = x^k * x), so only the pairs
-    x^i * x^j with j >= 2 can disagree with them.
+    x^i * x^j with j >= 2 can disagree with them.  The norm multiplies up to
+    the octonions, at every choice of nonzero parameters.
     """
     t, conv = x.signature.t, x.signature.convention.value
     xc = x.conjugate()
     xy = x * y
+    if t <= 3:
+        out.expect(xy.norm() == x.norm() * y.norm(), "norm multiplicativity",
+                   "t={} {}", t, conv)
     out.expect(xc.conjugate() == x, "involution", "t={} {}", t, conv)
     out.expect(xy.conjugate() == y.conjugate() * xc, "antiautomorphism",
                "t={} {}", t, conv)
@@ -145,12 +157,14 @@ def _basis_law_checks(sig: AlgebraSignature, out: SuiteResult) -> None:
 def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
                     table_depth: int = 8, seed: int = 20250102) -> SuiteResult:
     """Structure constants against the stage-by-stage doubling descent, plus
-    table, block and power-row laws.
+    table, block, power-row, zero-divisor and octonion-table laws.
 
     Each basis product is compared once with ``_descent_coefficient``, as
     exact (sign, gamma_mask, index) data that no parameter choice can hide;
     the tests check the descent against the vector recursion ``_mul`` in
-    ``tests/oracles.py``.
+    ``tests/oracles.py``.  The zero-divisor counts and Baez's octonion table
+    are published facts, so they do not rest on the doubling formula that
+    every other oracle here re-derives.
     """
     from . import twist as twistmod
     rng = random.Random(seed)
@@ -209,6 +223,11 @@ def run_twist_suite(exhaustive_depth: int = 5, random_pairs: int = 2000,
     corner_signs = tuple(r.tree_corner_sign for r in reports)
     out.expect(corner_signs == _DEPTH_FIVE_CORNER_SIGNS, "power row",
                "depth-5 corner signs {}", corner_signs)
+    for t, (assessors, diagonals) in _ZERO_DIVISORS.items():
+        for conv in Convention:
+            _zero_divisor_checks(t, conv, assessors, diagonals, out)
+    for conv in Convention:
+        _octonion_table_checks(conv, out)
     return out
 
 
@@ -249,6 +268,74 @@ def _matches_descent(twistmod, p: int, q: int, sig: AlgebraSignature) -> bool:
     coeff, index = twistmod.basis_product(p, q, sig)
     a, b = (q, p) if sig.convention is Convention.CONJUGATE_LEFT else (p, q)
     return (coeff.sign, coeff.gamma_mask, index) == (*_descent_coefficient(a, b), p ^ q)
+
+
+def _zero_divisor_census(t: int, convention: Convention) -> Dict[tuple, tuple]:
+    """The two-term elements e_a + s*e_b (0 < a < b, s = +-1) that have a two-term
+    annihilator e_c + v*e_d at all parameters -1, each with its first witness (c, v).
+
+    The four terms of the product lie at a^c, a^d, b^c and b^d (a != b, c != d),
+    so they cancel only as the pairs a^c = b^d and a^d = b^c, that is with
+    d = a^b^c, sign(a, c) + s*v*sign(b, d) = 0, which fixes v, and
+    v*sign(a, d) + s*sign(b, c) = 0.  So the census reads only twist_sign.
+    """
+    from .twist import twist_sign
+    n = 1 << t
+    sign = [[twist_sign(p, q, t, convention) for q in range(n)] for p in range(n)]
+    census = {}
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            for s in (1, -1):
+                for c in range(1, n):
+                    d = a ^ b ^ c
+                    v = -s * sign[a][c] * sign[b][d]
+                    if c not in (a, b) and v * sign[a][d] + s * sign[b][c] == 0:
+                        census[a, b, s] = (c, v)
+                        break
+    return census
+
+
+def _zero_divisor_checks(t: int, convention: Convention, assessors: int,
+                         diagonals: int, out: SuiteResult) -> None:
+    """The census's assessor and diagonal counts, then each diagonal's witness
+    by one exact product on the kernel, a route independent of twist_sign."""
+    census = _zero_divisor_census(t, convention)
+    tag = f"t={t} {convention.value}"
+    out.expect(len({(a, b) for a, b, _ in census}) == assessors, "zero divisors",
+               "{} assessors", tag)
+    out.expect(len(census) == diagonals, "zero divisors", "{} diagonals", tag)
+    e = make_algebra(t, (-1,) * t, convention).basis
+    for (a, b, s), (c, v) in census.items():
+        out.expect(((e(a) + s * e(b)) * (e(c) + v * e(a ^ b ^ c))).is_zero(),
+                   "zero divisors", "{} (e{} {:+d} e{}) (e{} {:+d} e{})",
+                   tag, a, s, b, c, v, a ^ b ^ c)
+
+
+def _octonion_table_checks(convention: Convention, out: SuiteResult) -> None:
+    """All 49 products of imaginary units carried by ``_BAEZ_IMAGE``.
+
+    Baez's units square to -1, and each line (x, y, z) = (a, a+1, a+3),
+    indices mod 7, is cyclic: e_x e_y = e_z = -e_y e_x, and so for its two
+    rotations.  The seven lines hold every pair of distinct units once.  eq31
+    is the opposite algebra, so it carries e_y e_x = e_z.
+    """
+    sig = make_algebra(3, (-1,) * 3, convention)
+    unit = {k: s * sig.basis(q) for k, (s, q) in _BAEZ_IMAGE.items()}
+    tag = convention.value
+    for x in range(1, 8):
+        out.expect(unit[x] * unit[x] == sig.scalar(-1), "octonion table",
+                   "{} e{} e{}", tag, x, x)
+    left = convention is Convention.CONJUGATE_LEFT
+    for a in range(7):
+        line = [(a + d) % 7 + 1 for d in (0, 1, 3)]
+        for c in range(3):
+            x, y, z = line[c:] + line[:c]
+            if left:
+                x, y = y, x
+            out.expect(unit[x] * unit[y] == unit[z], "octonion table",
+                       "{} e{} e{}", tag, x, y)
+            out.expect(unit[y] * unit[x] == -unit[z], "octonion table",
+                       "{} e{} e{}", tag, y, x)
 
 
 def run_fib_suite(norm_range: int = 40, random_params: int = 200,

@@ -1,11 +1,10 @@
 """Replayable mutation checks: small edits of the package that named tests must catch.
 
 Each mutant replaces one exact text of a file under ``src/cdalgebra`` and names
-the test node ids that must fail once it is applied.  A mutant of a file under
-``tests`` edits a test oracle instead: its tests must see the oracle go wrong.
-The runner copies ``src``, ``tests`` and ``pyproject.toml`` to a temporary
-directory, applies one mutant there, and runs its tests with ``pytest -x -q``,
-one mutant at a time and each within ``TIME_LIMIT_S`` seconds.  A mutant is
+the test node ids that must fail once it is applied.  The runner copies
+``src``, ``tests`` and ``pyproject.toml`` to a temporary directory, applies one
+mutant there, and runs its tests with ``pytest -x -q``, one mutant at a time
+and each within ``TIME_LIMIT_S`` seconds.  A mutant is
 caught when its tests fail or cannot be collected; one whose tests run past the
 limit is caught only if it is listed with ``hangs=True``.  Before the mutants,
 the unmutated copy must pass every listed test, so that a test failing for
@@ -37,7 +36,7 @@ TIME_LIMIT_S = 60
 
 class Mutant(NamedTuple):
     name: str
-    file: str           # relative to src/cdalgebra, or to the repository root under tests/
+    file: str           # relative to src/cdalgebra
     old: str            # exact text, present once in the file
     new: str
     tests: Tuple[str, ...]  # node ids relative to the repository root
@@ -201,6 +200,10 @@ MUTANTS = [
            "    codes = _codes(t)\n    z = [0] * len(xs)\n",
            "    codes = _codes(t - 1)\n    z = [0] * len(xs)\n",
            (f"{KERNEL}::test_both_sides_of_the_support_pair_switch",)),
+    Mutant("_halves given one parameter too few", "algebra.py",
+           "        dense_args = (gammas, signed[:2 << STRAIGHT_MAX_DEPTH])\n",
+           "        dense_args = (gammas[1:], signed[:2 << STRAIGHT_MAX_DEPTH])\n",
+           (f"{KERNEL}::test_dense_products_by_halves_up_to_depth_ten",)),
     Mutant("_codes(t) bound eagerly at t = 6-8", "algebra.py",
            "        pairs, pair_args = _code_pairs, (signed, t)\n",
            "        pairs, pair_args = _code_pairs, (signed, t)\n        _codes(t)\n",
@@ -223,10 +226,6 @@ MUTANTS = [
            "(abs(u) + abs(v))).bit_length() - 1\n",
            (f"{FIBONACCI}::TestInvertibilityThreshold::test_the_settle_cap_is_reached",)),
     # ---- structure constants (twist) ----------------------------------------
-    Mutant("zero-divisor census with one sign flipped", "tests/test_twist.py",
-           "v * sign[a][d] + s * sign[b][c] == 0",
-           "v * sign[a][d] - s * sign[b][c] == 0",
-           (f"{TWIST}::TestZeroDivisorCensus::test_counts",)),
     Mutant("TwistTable accepts depth 0", "twist.py",
            "        if t < 1:\n"
            '            raise ValueError("table depth must be >= 1")\n'
@@ -323,6 +322,10 @@ MUTANTS = [
            "            _require_member(u, gen)\n"
            "        return (u.a + u.b * self.s) % self.p\n",
            (f"{RESIDUE}::TestResidueField::test_label_checks_the_subring",)),
+    Mutant("Representatives takes a bool index", "residue.py",
+           "            k = _index(k)                   # refuses bool, as unlabel does\n",
+           "            k = k.__index__()\n",
+           (f"{RESIDUE}::TestRepresentatives::test_an_index_is_an_int_and_not_a_bool",)),
     # ---- primality -------------------------------------------------------------
     Mutant("trial division settles n up to 1031 squared", "residue.py",
            "n <= MAX_FIELD_SIZE:",
@@ -387,6 +390,19 @@ MUTANTS = [
            '                   "power row", "({},{},{}) stated reading", *triple)\n',
            "",
            ("tests/test_acceptance.py::test_criterion_07_power_row_verdicts",)),
+    Mutant("norm multiplicativity checked at depth 4 too", "suites.py",
+           "    if t <= 3:\n        out.expect(xy.norm() == x.norm() * y.norm(),",
+           "    if t <= 4:\n        out.expect(xy.norm() == x.norm() * y.norm(),",
+           ("tests/test_acceptance.py::test_criterion_08_core_invariants",)),
+    Mutant("zero-divisor census with one sign flipped", "suites.py",
+           "v * sign[a][d] + s * sign[b][c] == 0",
+           "v * sign[a][d] - s * sign[b][c] == 0",
+           ("tests/test_acceptance.py::test_criterion_09_division_boundary",
+            f"{TWIST}::TestZeroDivisorCensus::test_counts")),
+    Mutant("one sign of the Fano map flipped", "suites.py",
+           "5: (-1, 7)",
+           "5: (1, 7)",
+           ("tests/test_acceptance.py::test_criterion_09_division_boundary",)),
     Mutant("golden relation written with 3w", "suites.py",
            "(w * w - 2 * w + 4 * w.signature.one())",
            "(w * w - 3 * w + 4 * w.signature.one())",
@@ -401,6 +417,10 @@ MUTANTS = [
            "        return 1\n",
            "",
            ("tests/test_cli.py::TestStreaming::test_closed_reader_is_one_error_line",)),
+    Mutant("mul-table drops mask bit 7", "cli.py",
+           'format(c >> 1, f"0{t}b")',
+           'format(c >> 1 & ~0x80, f"0{t}b")',
+           ("tests/test_cli.py::TestOutputBytes::test_mul_table_matches_dict_oracle[8-eq11-csv]",)),
     Mutant("verify --seed not passed on", "cli.py",
            "        if args.seed is not None:\n"
            '            kwargs["seed"] = args.seed\n',
@@ -437,8 +457,6 @@ MUTANTS = [
 
 def path(mutant: Mutant, root: Path) -> Path:
     """The file that ``mutant`` edits in the tree at ``root``."""
-    if mutant.file.startswith("tests/"):
-        return root / mutant.file
     return root / "src" / "cdalgebra" / mutant.file
 
 

@@ -659,7 +659,11 @@ def test_array_free_runs_in_one_process_load_no_numpy():
     ["fib-norm", "--n", "10", "--alpha1", "2", "--alpha2", "3"],
     ["threshold", "--alpha1", "2", "--alpha2", "3"],
     ["residue-field", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2"],
+    pytest.param(["residue-field", "--pi", "1,7", "--w", "1,1,1,1", "--t", "2",
+                  "--format", "json"], id="residue-field-json"),
     ["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "8", "--u", "3,4"],
+    *(pytest.param(["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", str(t), "--u", "3,4"],
+                   id=f"label-t{t}") for t in (6, 12, 16)),
     ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", "1,2,3"],
     ["blocks", "--t", "3"],  # builds arrays
 ], ids=lambda argv: argv[0])
@@ -679,13 +683,16 @@ def test_process_imports_only_what_its_subcommand_runs(argv):
 
 
 @pytest.mark.parametrize("suite, layer", [("fib", "cdalgebra.fibonacci"),
-                                          ("residue", "cdalgebra.residue")])
+                                          ("residue", "cdalgebra.residue"),
+                                          ("core", None), ("core --t 6", None)])
 def test_verify_loads_only_the_layer_of_its_suite(suite, layer):
     # Submodules loaded through the package's lazy names are seen by
     # -X importtime too, so a layer imported at any depth would show here.
-    imported = _process_imports(["verify", "--suite", suite])
+    # The core suite checks the algebra layer alone, dense and sparse
+    # products up to depth 6 included.
+    imported = _process_imports(["verify", "--suite", *suite.split()])
     loaded = {m for m in imported if m.startswith("cdalgebra.")}
-    assert loaded == {"cdalgebra.algebra", "cdalgebra.suites", layer}
+    assert loaded == {"cdalgebra.algebra", "cdalgebra.suites", layer} - {None}
     assert "numpy" not in imported
     # The residue suite reduces golden-prime remainders that miss the norm
     # bound on nearest rounding, so its u_mod fallback fires and loads logging.
@@ -701,8 +708,10 @@ def test_only_json_output_loads_json(argv):
 
 
 def _process_imports(argv):
-    """Every module a CLI process imports, as ``-X importtime`` names them on stderr."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cdalgebra.cli", *argv],
+    """Every module a CLI process imports, as ``-X importtime`` names them on
+    stderr; warnings are errors, so a deprecation fails the run."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-X", "importtime",
+                           "-m", "cdalgebra.cli", *argv],
                           env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()

@@ -859,6 +859,14 @@ class TestRepresentatives:
         assert reps[2:5] == tuple(items[2:5]) and reps[::-1] == tuple(reversed(items))
         assert type(items[0]) is UElement and items[0].gen is golden_field.gen
 
+    def test_an_index_is_an_int_and_not_a_bool(self, golden_field):
+        reps = golden_field.reps
+        assert reps[np.int64(4)] == reps[4] and reps[np.int64(-2)] == reps[11]
+        for k in (True, False):
+            for read in (reps.__getitem__, golden_field.unlabel):
+                with pytest.raises(TypeError, match="^index must be an int, not bool$"):
+                    read(k)
+
     def test_two_builds_compare_and_hash_equal(self, golden_gen, golden_field):
         again = residue_field(golden_gen.element(-1, 2))
         assert again.reps is not golden_field.reps
