@@ -14,7 +14,6 @@ from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, attrgetter, floordiv, index, mul, neg, sub
-from types import FunctionType
 from typing import Iterable, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -84,20 +83,21 @@ class _Frozen:
     ``_values`` gives a tuple only over two or more fields, so every type has
     two or more.
 
-    Every value is built by one rule, written out once per class when the
-    class is made (``_write_out``): ``cls._new(*slots)`` makes an instance
-    and ``self._set(*slots)`` fills one, both from the stored slots, each
-    set through its descriptor, with no loop.  ``_new`` is the constructor
-    of internal results, which are valid by construction and so skip the
-    boundary validation; a public ``__init__`` validates its arguments, then
-    calls ``_set``.  Unless the class defines its own, ``__init__`` is
-    written out as ``_new`` is, over the fields: it takes them in order,
-    positionally or by name, and stores them unchecked, and a wrong call
-    raises the ``TypeError`` a dataclass's would.
+    Every value is built by one rule, written out as source over the class's
+    own slot names and compiled once when the class is made, as ``dataclasses``
+    writes ``__init__``: ``cls._new(*slots)`` makes an instance and
+    ``self._set(*slots)`` fills one, both from the stored slots, each set
+    through its descriptor, with no loop.  ``_new`` is the constructor of
+    internal results, which are valid by construction and so skip the boundary
+    validation; a public ``__init__`` validates its arguments, then calls
+    ``_set``.  Unless the class defines its own, ``__init__`` is written out
+    in the same source, over the fields: it takes them in order, positionally
+    or by name, and stores them unchecked, and a wrong call raises the
+    ``TypeError`` a dataclass's would.
 
-    Pickling and copying restore the stored slots without rerunning the
-    constructor's validation; a lazily kept slot not yet filled stays empty.
-    Slots named in ``_transient`` are not saved: they are rebuilt on first use.
+    Pickles and copies rebuild through ``_new`` from the stored slots, so they
+    do not rerun the constructor's validation.  Slots named in ``_transient``
+    are not saved: they are rebuilt on first use.
     """
 
     __slots__ = ()
@@ -105,15 +105,34 @@ class _Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        stored = [s for s in cls.__dict__["__slots__"] if s not in cls._transient]
-        cls._new = staticmethod(_write_out(cls, "_new", stored, make=True))
-        cls._set = _write_out(cls, "_set", stored)
+        slots = cls.__dict__["__slots__"]
+        stored = [s for s in slots if s not in cls._transient]
         if "_fields" not in cls.__dict__:
             cls._fields = tuple(stored)
         cls._values = attrgetter(*cls._fields)
-        cls.__match_args__ = cls._fields
+        cls._stored = attrgetter(*stored)
+
+        # The source's globals start with two underscores, which no slot name
+        # can (Python mangles it), so no parameter hides one.
+        def setting(names):
+            return "".join(f" __set_{name}(self, {name})\n" for name in names)
+        source = (f"def _new({', '.join(stored)}):\n self = __make(__cls)\n"
+                  f"{setting(stored)} return self\n"
+                  f"def _set(self, {', '.join(stored)}):\n{setting(stored)}")
         if "__init__" not in cls.__dict__:
-            cls.__init__ = _write_out(cls, "__init__", cls._fields)
+            source += f"def __init__(self, {', '.join(cls._fields)}):\n{setting(cls._fields)}"
+        namespace = {"__make": object.__new__, "__cls": cls}
+        namespace.update((f"__set_{name}", cls.__dict__[name].__set__) for name in slots)
+        exec(compile(source, f"<constructors of {cls.__qualname__}>", "exec"), namespace)
+        for name in ("_new", "_set", "__init__"):
+            if name in namespace:
+                function = namespace[name]
+                # The qualified name makes a wrong call read, say,
+                # "ProductCell.__init__() missing 1 required positional
+                # argument", and lets pickle find _new on the class.
+                function.__qualname__ = f"{cls.__qualname__}.{name}"
+                function.__module__ = cls.__module__
+                setattr(cls, name, staticmethod(function) if name == "_new" else function)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -135,53 +154,7 @@ class _Frozen:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        cls = type(self)
-        return _restore, (cls, {name: getattr(self, name) for name in cls.__slots__
-                                if name not in cls._transient and hasattr(self, name)})
-
-
-@lru_cache(maxsize=None)
-def _setters(arity: int) -> tuple:
-    """Code of ``fill(self, v0, ...)`` and ``make(v0, ...)``, setting ``arity`` slots.
-
-    Each function is written out, as ``_straight`` writes out products: slot
-    i is set by one call of the descriptor setter ``s<i>``, with no loop.
-    Compiled once per slot count, since a compile takes about 0.1 ms, and
-    given each class's names by ``_write_out``.
-    """
-    args = "".join(f"v{i}, " for i in range(arity))
-    sets = "".join(f" s{i}(self, v{i})\n" for i in range(arity))
-    source = (f"def fill(self, {args}):\n{sets} return None\n"
-              f"def make({args}):\n self = new(cls)\n{sets} return self\n")
-    namespace = {}
-    exec(compile(source, f"<setters of {arity} slots>", "exec"), namespace)
-    return namespace["fill"].__code__, namespace["make"].__code__
-
-
-def _write_out(cls: type, name: str, slots: Sequence[str], make: bool = False):
-    """``cls``'s function ``name`` that sets ``slots`` from like-named arguments.
-
-    ``name(self, *values)`` fills ``self``; with ``make``, ``name(*values)``
-    makes and returns a new instance.  The function carries the class's
-    qualified name, so that a wrong call reads, say, ``ProductCell.__init__()
-    missing 1 required positional argument: 'actual_index'``.
-    """
-    fill, new = _setters(len(slots))
-    code = (new.replace(co_varnames=(*slots, "self")) if make
-            else fill.replace(co_varnames=("self", *slots)))
-    namespace = {f"s{i}": cls.__dict__[slot].__set__ for i, slot in enumerate(slots)}
-    namespace.update(new=object.__new__, cls=cls)
-    function = FunctionType(code.replace(co_name=name), namespace, name)
-    function.__qualname__ = f"{cls.__qualname__}.{name}"
-    function.__module__ = cls.__module__
-    return function
-
-
-def _restore(cls: type, slots: dict) -> _Frozen:
-    x = object.__new__(cls)
-    for name, value in slots.items():
-        object.__setattr__(x, name, value)
-    return x
+        return self._new, self._stored(self)
 
 
 class AlgebraSignature(_Frozen):

@@ -337,6 +337,9 @@ def bit_reversal_permutation(t: int) -> np.ndarray:
     Built by doubling: the reversals of t + 1 bits are those of t bits,
     shifted left, followed by the same with the low bit set.
     """
+    t = _index(t)
+    if t < 0:
+        raise ValueError(f"depth must be >= 0, got {t}")
     import numpy as np
     rev = np.zeros(1, dtype=np.int64)
     for _ in range(t):

@@ -55,21 +55,25 @@ IS_PRIME = f"{RESIDUE}::TestIsPrime"
 MUTANTS = [
     # ---- one base for every value type (_Frozen) ---------------------------
     Mutant("setter assigns slots in reversed order", "algebra.py",
-           r'sets = "".join(f" s{i}(self, v{i})\n" for i in range(arity))',
-           r'sets = "".join(f" s{i}(self, v{arity - 1 - i})\n" for i in range(arity))',
+           'return "".join(f" __set_{name}(self, {name})\\n" for name in names)',
+           'return "".join(f" __set_{name}(self, {value})\\n"\n'
+           '                           for name, value in zip(names, names[::-1]))',
            (f"{WRITTEN_OUT}::test_new_holds_what_the_public_constructor_holds",)),
     Mutant("_new omits its last slot", "algebra.py",
-           'cls._new = staticmethod(_write_out(cls, "_new", stored, make=True))',
-           'cls._new = staticmethod(_write_out(cls, "_new", stored[:-1], make=True))',
+           "source = (f\"def _new({', '.join(stored)}):\\n self = __make(__cls)\\n\"\n"
+           "                  f\"{setting(stored)} return self\\n\"",
+           "source = (f\"def _new({', '.join(stored[:-1])}):\\n self = __make(__cls)\\n\"\n"
+           "                  f\"{setting(stored[:-1])} return self\\n\"",
            (f"{WRITTEN_OUT}::test_new_holds_what_the_public_constructor_holds",)),
     Mutant("_new takes the transient slot again", "algebra.py",
-           'cls._new = staticmethod(_write_out(cls, "_new", stored, make=True))',
-           'cls._new = staticmethod(_write_out(cls, "_new", cls.__dict__["__slots__"], '
-           'make=True))',
+           "source = (f\"def _new({', '.join(stored)}):\\n self = __make(__cls)\\n\"\n"
+           "                  f\"{setting(stored)} return self\\n\"",
+           "source = (f\"def _new({', '.join(slots)}):\\n self = __make(__cls)\\n\"\n"
+           "                  f\"{setting(slots)} return self\\n\"",
            (f"{WRITTEN_OUT}::test_new_holds_what_the_public_constructor_holds",)),
     Mutant("record __init__ refuses keywords", "algebra.py",
-           'cls.__init__ = _write_out(cls, "__init__", cls._fields)',
-           'cls.__init__ = lambda self, *fields: cls._set(self, *fields)',
+           "f\"def __init__(self, {', '.join(cls._fields)}):\\n",
+           "f\"def __init__(self, {', '.join(cls._fields)}, /):\\n",
            (f"{WRITTEN_OUT}::test_a_record_takes_its_fields_as_a_dataclass_does",)),
     Mutant("== ignores the last field", "algebra.py",
            "        return self._values(self) == other._values(other)\n",
@@ -139,6 +143,18 @@ MUTANTS = [
            "[(c ^ (p != k)) | 2 * h for",
            "[(c ^ (p != k)) for",
            (f"{KERNEL}::test_codes_are_the_structure_constants",)),
+    Mutant("_codes swaps the halves of row k + h", "algebra.py",
+           "        high.append(crossed + [c ^ (p != k) for p, c in enumerate(row)])\n",
+           "        high.append([c ^ (p != k) for p, c in enumerate(row)] + crossed)\n",
+           (f"{KERNEL}::test_codes_are_the_structure_constants",)),
+    Mutant("_straight reads the mask as code >> 2", "algebra.py",
+           "groups.setdefault(code >> 1, ([], []))",
+           "groups.setdefault(code >> 2, ([], []))",
+           (f"{KERNEL}::test_straight_line_depths_match_recursion",)),
+    Mutant("_support skips index 0", "algebra.py",
+           "compress(range(len(xs)), xs)",
+           "compress(range(1, len(xs)), xs[1:])",
+           (f"{KERNEL}::test_both_sides_of_the_support_pair_switch",)),
     Mutant("Element + returns itself for a non-element", "algebra.py",
            "    def __add__(self, other):\n"
            "        if not isinstance(other, Element):\n"
@@ -403,6 +419,14 @@ MUTANTS = [
            "5: (-1, 7)",
            "5: (1, 7)",
            ("tests/test_acceptance.py::test_criterion_09_division_boundary",)),
+    Mutant("the descent drops the sign of the conjugated right factor", "suites.py",
+           "        elif qh == 0:  # high * low: right factor is conjugated\n"
+           "            if q != 0:\n"
+           "                sign = -sign\n",
+           "        elif qh == 0:  # high * low: right factor is conjugated\n"
+           "            pass\n",
+           (f"{TWIST}::TestBitAlgebraAgainstOracles::test_coefficient_exhaustive_through_depth_eight",
+            "tests/test_acceptance.py::test_criterion_05_twist_oracle_equivalence")),
     Mutant("golden relation written with 3w", "suites.py",
            "(w * w - 2 * w + 4 * w.signature.one())",
            "(w * w - 3 * w + 4 * w.signature.one())",
@@ -449,8 +473,8 @@ MUTANTS = [
            ("tests/test_cli.py::TestFlagsBeforeTheField",)),
     # ---- pickles ------------------------------------------------------------
     Mutant("kernel slot left in pickles", "algebra.py",
-           "if name not in cls._transient and hasattr(self, name)})",
-           "if hasattr(self, name)})",
+           "        cls._stored = attrgetter(*stored)\n",
+           "        cls._stored = attrgetter(*slots)\n",
            (f"{ALGEBRA}::TestStoredForm::test_used_signature_pickles_and_copies_as_a_fresh_one",)),
 ]
 

@@ -56,6 +56,13 @@ def _signatures():
     return [make_algebra(3, [-1, Fraction(2, 3), 5], LEFT), kept]
 
 
+def _frozen_types(cls=_Frozen):
+    """Every subclass of ``cls``, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _frozen_types(sub)
+
+
 # Every immutable value type, each case a factory of a few instances.
 FROZEN_VALUES = [
     pytest.param(_signatures, id="signature"),
@@ -1024,6 +1031,28 @@ class TestStoredForm:
                         delattr(y, name)
                 assert y == x
 
+    @pytest.mark.parametrize("make", FROZEN_VALUES)
+    def test_pickles_and_copies_run_no_constructor(self, make, monkeypatch):
+        # Values rebuild through _new, unvalidated; a table rebuilds through
+        # its constructor, which checks and freezes its plane.
+        xs = make()
+
+        def refuse(self, *args, **kwargs):
+            raise RuntimeError(f"{type(self).__name__}.__init__ ran")
+        for cls in (*_frozen_types(), ResidueField):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        rebuilds = [lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        rebuilds += [copy.copy, copy.deepcopy]
+        for x in xs:
+            for rebuild in rebuilds:
+                if isinstance(x, TwistTable):
+                    with pytest.raises(RuntimeError, match=r"^TwistTable\.__init__ ran$"):
+                        rebuild(x)
+                else:
+                    y = rebuild(x)
+                    assert type(y) is type(x) and y == x
+
     @staticmethod
     def _used_signatures():
         """Depth 0-9 signatures of both conventions, each with its kernel bound,
@@ -1156,17 +1185,13 @@ def _same(a, b) -> bool:
 
 
 class TestWrittenOut:
-    """Every _Frozen type is built by the one written-out rule: ``_new`` for
-    internal results, ``_set`` behind the public constructor, and a record's
-    ``__init__`` over its fields."""
+    """Every _Frozen type is built by the one source written out and compiled
+    for its class: ``_new`` for internal results, pickles and copies, ``_set``
+    behind the public constructor, and a record's ``__init__`` over its fields."""
 
     def test_every_frozen_type_has_a_case(self):
-        def subclasses(cls):
-            for sub in cls.__subclasses__():
-                yield sub
-                yield from subclasses(sub)
         made = {type(case.values[0]()) for case in WRITTEN_OUT}
-        assert made == set(subclasses(_Frozen))
+        assert made == set(_frozen_types())
 
     @pytest.mark.parametrize("make, slots", WRITTEN_OUT)
     def test_new_holds_what_the_public_constructor_holds(self, make, slots):

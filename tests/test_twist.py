@@ -678,6 +678,16 @@ def test_bit_reversal_permutation_matches_the_string_reversal():
         assert rev.tolist() == [_bit_reverse(p, t) for p in range(1 << t)]
 
 
+@pytest.mark.parametrize("depth, error, message", [
+    (2.0, TypeError, None), (True, TypeError, "not bool"),
+    (-2, ValueError, "depth must be >= 0, got -2")])
+def test_bit_reversal_permutation_depth_is_an_index(depth, error, message):
+    # A bool would stand for depth 0 or 1, and a negative depth is no depth.
+    with pytest.raises(error, match=message):
+        bit_reversal_permutation(depth)
+    assert bit_reversal_permutation(np.int64(2)).tolist() == [0, 2, 1, 3]
+
+
 def _outcome(table):
     try:
         return partition_blocks(table).tolist()
