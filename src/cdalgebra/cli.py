@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import MAX_FIELD_DEPTH, Convention, _codes, make_algebra
+from .algebra import MAX_FIELD_DEPTH, Convention, _code_row, make_algebra
 
 if TYPE_CHECKING:
     from .residue import ResidueField
@@ -123,21 +123,15 @@ def _table_chunks(t: int, convention: Convention, cell: Tuple[str, str, str],
                   sep: str) -> Iterator[str]:
     """One chunk per row p: a ``cell`` for each q, with p, q, p ^ q, sign and mask bits.
 
-    Read from the kernel's codes, 2 * mask + (sign < 0): the code of e_p * e_q
-    is ``codes[p ^ q][p]`` under eq11 and ``codes[p ^ q][q]`` under eq31, the
-    opposite product.  Each row gathers its codes over k = p ^ q, one per
-    code row, then reads them in q order; each code's tail is rendered once.
+    Read from the kernel's codes, 2 * mask + (sign < 0), one row at a time;
+    each code's tail is rendered once.
     """
     head, mid, tail = cell
-    n = 1 << t
-    codes = _codes(t)
-    tails = [tail.format(-1 if c & 1 else 1, format(c >> 1, f"0{t}b")) for c in range(2 * n)]
-    left = convention is Convention.CONJUGATE_LEFT
-    qs = range(n)
-    for p in qs:
-        by_k = [r[p ^ k] for k, r in enumerate(codes)] if left else [r[p] for r in codes]
+    tails = [tail.format(-1 if c & 1 else 1, format(c >> 1, f"0{t}b")) for c in range(2 << t)]
+    for p in range(1 << t):
         row = head.format(p)
-        yield sep.join([f"{row}{q}{mid}{p ^ q}{tails[by_k[p ^ q]]}" for q in qs])
+        yield sep.join([f"{row}{q}{mid}{p ^ q}{tails[c]}"
+                        for q, c in enumerate(_code_row(t, convention, p))])
 
 
 def _field_text(field: ResidueField, cell: str, sep: str) -> str:

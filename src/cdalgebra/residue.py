@@ -402,6 +402,11 @@ def four_square_root(m: int, target_indices: Sequence[int], t: int) -> Element:
 def _four_square_decomposition(m: int) -> Tuple[int, int, int, int]:
     for a1 in range(isqrt(m) + 1):
         r1 = m - a1 * a1
+        odd4 = r1  # r1 without its factors 4
+        while odd4 and odd4 % 4 == 0:
+            odd4 //= 4
+        if odd4 % 8 == 7:
+            continue  # 4^a (8b + 7) is no sum of three squares (Legendre)
         for a2 in range(isqrt(r1) + 1):
             r2 = r1 - a2 * a2
             for a3 in range(isqrt(r2) + 1):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .algebra import AlgebraSignature, Convention, Element, make_algebra
+from .algebra import AlgebraSignature, Convention, Element, _sign_rows, make_algebra
 
 if TYPE_CHECKING:
     from .fibonacci import QuaternionParams
@@ -277,28 +277,30 @@ def _zero_divisor_census(t: int, convention: Convention) -> Dict[tuple, tuple]:
     The four terms of the product lie at a^c, a^d, b^c and b^d (a != b, c != d),
     so they cancel only as the pairs a^c = b^d and a^d = b^c, that is with
     d = a^b^c, sign(a, c) + s*v*sign(b, d) = 0, which fixes v, and
-    v*sign(a, d) + s*sign(b, c) = 0.  So the census reads only twist_sign.
+    v*sign(a, d) + s*sign(b, c) = 0.  Together they say that the four signs
+    multiply to +1, whatever s: bits c and d of rows[a] ^ rows[b] agree.
+    So both diagonals of (a, b) share their first witness c, with opposite v.
     """
-    from .twist import twist_sign
-    n = 1 << t
-    sign = [[twist_sign(p, q, t, convention) for q in range(n)] for p in range(n)]
+    rows = _sign_rows(t, convention)
+    n = len(rows)
     census = {}
     for a in range(1, n):
         for b in range(a + 1, n):
-            for s in (1, -1):
-                for c in range(1, n):
-                    d = a ^ b ^ c
-                    v = -s * sign[a][c] * sign[b][d]
-                    if c not in (a, b) and v * sign[a][d] + s * sign[b][c] == 0:
-                        census[a, b, s] = (c, v)
-                        break
+            differ = rows[a] ^ rows[b]
+            for c in range(1, n):
+                d = a ^ b ^ c
+                if c != a and c != b and not (differ >> c ^ differ >> d) & 1:
+                    v = 1 if (rows[a] >> c ^ rows[b] >> d) & 1 else -1  # at s = +1
+                    census[a, b, 1] = (c, v)
+                    census[a, b, -1] = (c, -v)
+                    break
     return census
 
 
 def _zero_divisor_checks(t: int, convention: Convention, assessors: int,
                          diagonals: int, out: SuiteResult) -> None:
     """The census's assessor and diagonal counts, then each diagonal's witness
-    by one exact product on the kernel, a route independent of twist_sign."""
+    by one exact product on the kernel."""
     census = _zero_divisor_census(t, convention)
     tag = f"t={t} {convention.value}"
     out.expect(len({(a, b) for a, b, _ in census}) == assessors, "zero divisors",

@@ -567,5 +567,8 @@ def check_power_row_claim(r: int, k: int, i: int, t: int) -> PowerRowReport:
 
 def sweep_power_row_claims(t: int) -> List[PowerRowReport]:
     """The reports of every (r, k, i) with 1 <= r < k <= i < t."""
+    t = _index(t)
+    if t < 0:
+        raise ValueError(f"depth must be >= 0, got {t}")
     return [check_power_row_claim(r, k, i, t)
             for r in range(1, t) for k in range(r + 1, t) for i in range(k, t)]

@@ -220,6 +220,11 @@ MUTANTS = [
            "        dense_args = (gammas, signed[:2 << STRAIGHT_MAX_DEPTH])\n",
            "        dense_args = (gammas[1:], signed[:2 << STRAIGHT_MAX_DEPTH])\n",
            (f"{KERNEL}::test_dense_products_by_halves_up_to_depth_ten",)),
+    Mutant("eq31 code rows read as eq11", "algebra.py",
+           "        return [codes[p ^ q][q] for q in range(len(codes))]\n",
+           "        return [codes[p ^ q][p] for q in range(len(codes))]\n",
+           (f"{TWIST}::TestSignRows",
+            "tests/test_cli.py::TestOutputBytes::test_mul_table_matches_dict_oracle")),
     Mutant("_codes(t) bound eagerly at t = 6-8", "algebra.py",
            "        pairs, pair_args = _code_pairs, (signed, t)\n",
            "        pairs, pair_args = _code_pairs, (signed, t)\n        _codes(t)\n",
@@ -288,7 +293,18 @@ MUTANTS = [
            "_CONJUGATE_LEFT):\n",
            "    if convention == _CONJUGATE_LEFT:\n",
            (f"{TWIST}::TestTwistSign::test_a_bad_convention_is_refused",)),
+    Mutant("sweep_power_row_claims without its depth check", "twist.py",
+           "    \"\"\"The reports of every (r, k, i) with 1 <= r < k <= i < t.\"\"\"\n"
+           "    t = _index(t)\n"
+           "    if t < 0:\n"
+           "        raise ValueError(f\"depth must be >= 0, got {t}\")\n",
+           "    \"\"\"The reports of every (r, k, i) with 1 <= r < k <= i < t.\"\"\"\n",
+           (f"{TWIST}::TestPowerRowReports::test_arguments_are_indices",)),
     # ---- residue fields -------------------------------------------------------
+    Mutant("the Legendre skip tests % 8 != 3", "residue.py",
+           "        if odd4 % 8 == 7:\n",
+           "        if odd4 % 8 != 3:\n",
+           (f"{RESIDUE}::TestFourSquareRoot::test_search_equals_the_unfiltered_search",)),
     # The rows are visited in tie order: in plain ascending b, ties go to the least
     # (b, a), as if the b < 0 key were dropped.
     Mutant("residue_field drops the b < 0 tie key", "residue.py",
@@ -393,9 +409,9 @@ MUTANTS = [
            (f"{FIBONACCI}::TestFib::test_memo_stays_bounded",)),
     # ---- the invariant suites ---------------------------------------------------
     Mutant("suites import twist at module level", "suites.py",
-           "from .algebra import AlgebraSignature, Convention, Element, make_algebra\n",
+           "from .algebra import AlgebraSignature, Convention, Element, _sign_rows, make_algebra\n",
            "from . import twist\n"
-           "from .algebra import AlgebraSignature, Convention, Element, make_algebra\n",
+           "from .algebra import AlgebraSignature, Convention, Element, _sign_rows, make_algebra\n",
            ("tests/test_cli.py::test_verify_loads_only_the_layer_of_its_suite",)),
     Mutant("one depth-5 corner sign flipped", "suites.py",
            "_DEPTH_FIVE_CORNER_SIGNS = (1, 1, 1, -1,",
@@ -411,10 +427,21 @@ MUTANTS = [
            "    if t <= 4:\n        out.expect(xy.norm() == x.norm() * y.norm(),",
            ("tests/test_acceptance.py::test_criterion_08_core_invariants",)),
     Mutant("zero-divisor census with one sign flipped", "suites.py",
-           "v * sign[a][d] + s * sign[b][c] == 0",
-           "v * sign[a][d] - s * sign[b][c] == 0",
+           "not (differ >> c ^ differ >> d) & 1",
+           "(differ >> c ^ differ >> d) & 1",
            ("tests/test_acceptance.py::test_criterion_09_division_boundary",
             f"{TWIST}::TestZeroDivisorCensus::test_counts")),
+    Mutant("the census's v not negated", "suites.py",
+           "census[a, b, -1] = (c, -v)",
+           "census[a, b, -1] = (c, v)",
+           (f"{TWIST}::TestZeroDivisorCensus::test_every_witness_is_an_exact_zero_product",
+            f"{TWIST}::TestZeroDivisorCensus::test_both_diagonals_share_their_witness")),
+    Mutant("_matches_descent without its eq31 swap", "suites.py",
+           "    a, b = (q, p) if sig.convention is Convention.CONJUGATE_LEFT else (p, q)\n"
+           "    return (coeff.sign,",
+           "    a, b = p, q\n"
+           "    return (coeff.sign,",
+           ("tests/test_acceptance.py::test_criterion_05_twist_oracle_equivalence",)),
     Mutant("one sign of the Fano map flipped", "suites.py",
            "5: (-1, 7)",
            "5: (1, 7)",

@@ -902,7 +902,8 @@ class TestKernel:
         # with an empty cache of generated products and a signature whose
         # kernel is bound after the flip, and must not reach the twist
         # suite's structure-constant oracle: of its families only the octonion
-        # table, whose products run on the kernel, sees the depth-3 flip.  The
+        # table, whose products run on the kernel, and the zero-divisor census,
+        # which reads the kernel's codes, see the depth-3 flip.  The
         # seam is the code at the given depth, or the pointwise coefficient
         # (None: the pair loop above the code depth, sparse t = 9).  Dense operands call a generated product: the
         # kernel's at t = 3 and 5, by halves onto the depth-5 code at t = 7
@@ -927,7 +928,8 @@ class TestKernel:
             assert bool(calls) == (support == sig.dimension), (t, support)
             result = run_twist_suite(exhaustive_depth=3, random_pairs=10, table_depth=t)
             failing = {f.split(":")[0] for f in result.failures}
-            assert failing == ({"octonion table"} if seam == 3 else set()), (t, support)
+            want = {"octonion table", "zero divisors"} if seam == 3 else set()
+            assert failing == want, (t, support)
             monkeypatch.undo()
 
 

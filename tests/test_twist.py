@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cdalgebra.algebra import Convention, _coefficient, make_algebra
+from cdalgebra.algebra import Convention, _coefficient, _sign_rows, make_algebra
 from cdalgebra.suites import (SuiteResult, _descent_coefficient, _zero_divisor_census,
                               _zero_divisor_checks)
 from cdalgebra.twist import (MAX_TABLE_DEPTH, BlockClassificationError,
@@ -163,6 +163,62 @@ class TestZeroDivisorCensus:
         _zero_divisor_checks(t, convention, 294, 588, out)
         assert out.passed, out.summary()
         assert out.counts == {"zero divisors": 2 + 588}
+
+    @pytest.mark.parametrize("convention", [RIGHT, LEFT])
+    @pytest.mark.parametrize("t", [4, 5])
+    def test_both_diagonals_share_their_witness(self, t, convention):
+        # The cancellation test does not depend on s, so (a, b, +1) and
+        # (a, b, -1) enter together, in that order, with one c and opposite v.
+        census = _zero_divisor_census(t, convention)
+        plus = list(census)[::2]
+        assert list(census)[1::2] == [(a, b, -1) for a, b, _ in plus]
+        for a, b, s in plus:
+            assert s == 1
+            c, v = census[a, b, 1]
+            assert census[a, b, -1] == (c, -v), (a, b)
+
+    @pytest.mark.parametrize("convention", [RIGHT, LEFT])
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_census_equals_a_product_search(self, t, convention):
+        # The first c (with d = a^b^c) and v whose product is exactly zero,
+        # found by kernel products rather than by the sign rows.
+        e = make_algebra(t, (-1,) * t, convention).basis
+        n = 1 << t
+        want = {}
+        for a in range(1, n):
+            for b in range(a + 1, n):
+                for s in (1, -1):
+                    x = e(a) + s * e(b)
+                    for c in range(1, n):
+                        vs = [v for v in (1, -1) if (x * (e(c) + v * e(a ^ b ^ c))).is_zero()]
+                        if vs:
+                            want[a, b, s] = (c, *vs)
+                            break
+        assert _zero_divisor_census(t, convention) == want
+
+
+class TestSignRows:
+    """``algebra._sign_rows``, read from the kernel's codes, against the
+    independent oracles: ``twist_sign`` pointwise, the descent, and the
+    transposing doubling times the parity of the masks."""
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_rows_equal_the_oracles(self, t):
+        n = 1 << t
+        for conv in Convention:
+            rows = _sign_rows(t, conv)
+            assert len(rows) == n and all(0 <= row < 1 << n for row in rows)
+            got = [[-1 if row >> q & 1 else 1 for q in range(n)] for row in rows]
+            assert got == [[twist_sign(p, q, t, conv) for q in range(n)]
+                           for p in range(n)], conv
+            descent = []
+            for p in range(n):
+                descent.append([])
+                for q in range(n):
+                    sign, mask = _descent_coefficient(*((q, p) if conv is LEFT else (p, q)))
+                    descent[p].append(-sign if mask.bit_count() & 1 else sign)
+            assert got == descent, conv
+            assert got == _parity_sign_table(t, *_doubling_planes(t, conv)).tolist(), conv
 
 
 class TestBasisProduct:
@@ -852,6 +908,14 @@ class TestPowerRowReports:
         report = check_power_row_claim(*map(np.int64, (1, 2, 3, 5)))
         assert report == check_power_row_claim(1, 2, 3, 5)
         assert all(type(v) is int for v in (report.r, report.k, report.i, report.t))
+        # The sweep refuses what each report refuses, even where it has no triple.
+        for bad in (True, 2.0, Fraction(3)):
+            with pytest.raises(TypeError):
+                sweep_power_row_claims(bad)
+        with pytest.raises(ValueError, match="depth must be >= 0, got -3"):
+            sweep_power_row_claims(-3)
+        assert [sweep_power_row_claims(t) for t in (0, 1, 2)] == [[], [], []]
+        assert sweep_power_row_claims(np.int64(3)) == sweep_power_row_claims(3) != []
 
     def test_operand_bit_patterns(self):
         row, col = power_row_operands(1, 2, 3, 4)
