@@ -24,14 +24,16 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import MAX_FIELD_DEPTH, Convention, _code_row, make_algebra
+from .algebra import (KERNEL_MAX_DEPTH, MAX_FIELD_DEPTH, Convention, _code_row, _sign_rows,
+                      make_algebra)
 
 if TYPE_CHECKING:
     from .residue import ResidueField
 
 # Handlers import the twist, fibonacci, residue and suites modules
 # themselves, so a process loads only what its subcommand runs: only
-# ``blocks`` and the twist suite of ``verify`` load numpy.
+# ``blocks`` above KERNEL_MAX_DEPTH, where it builds a table, and the twist
+# suite of ``verify`` load numpy.
 _TWIST_NAMES = ("BlockKind", "TwistTable", "build_table", "partition_blocks", "twist_sign")
 
 
@@ -220,11 +222,18 @@ def _cmd_twist(args) -> Iterable[str]:
 
 
 def _cmd_blocks(args) -> Iterable[str]:
-    from .twist import BlockKind, build_table, partition_blocks
-    kinds = partition_blocks(build_table(args.t, args.convention))
+    from .twist import (BlockClassificationError, BlockKind, _tile_kinds, build_table,
+                        partition_blocks)
+    try:
+        if args.t <= KERNEL_MAX_DEPTH:  # the kernel's sign rows, with no table
+            kinds = _tile_kinds(_sign_rows(args.t, args.convention), args.convention)
+        else:
+            kinds = partition_blocks(build_table(args.t, args.convention)).tolist()
+    except BlockClassificationError as exc:
+        raise CliError(str(exc)) from exc
     labels = [f"{kind.label():>3}" for kind in BlockKind]  # indexed by kind value
-    lines = [" ".join([labels[k] for k in row]) + "\n" for row in kinds.tolist()]
-    lines.append(f"all {kinds.size} blocks classified: PASS\n")
+    lines = [" ".join([labels[k] for k in row]) + "\n" for row in kinds]
+    lines.append(f"all {len(kinds) ** 2} blocks classified: PASS\n")
     return lines
 
 

@@ -11,16 +11,20 @@ where they are read and never stored), collapses them to sign tables
 (the base signs times the parity of p & q), partitions sign tables into
 the five 2x2 block patterns, and checks the published product-table
 claim for rows indexed by powers of two.
+
+numpy is imported only where a table is built or read.  Up to
+``KERNEL_MAX_DEPTH`` tiles are classified on sign rows held as ints, the
+kernel's own (``algebra._sign_rows``) or a table's packed, so ``blocks``
+runs there without numpy; above it numpy computes the tile codes.
 """
 from __future__ import annotations
 
 from enum import IntEnum
-from functools import lru_cache
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from .algebra import (_CONJUGATE_LEFT, _CONJUGATE_RIGHT, MAX_TABLE_DEPTH, AlgebraSignature,
-                      Convention, Element, Rational, _coefficient, _Frozen, _index,
-                      as_rational)
+from .algebra import (_CONJUGATE_LEFT, _CONJUGATE_RIGHT, KERNEL_MAX_DEPTH, MAX_TABLE_DEPTH,
+                      AlgebraSignature, Convention, Element, Rational, _coefficient, _Frozen,
+                      _index, as_rational)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -327,6 +331,20 @@ _ALPHABET = {
 }
 
 
+def _alphabet_codes(kinds: Sequence[BlockKind]) -> bytes:
+    """The BlockKind of each 4-bit negative-entry code (entry (r, c) of a tile at
+    bit 2r + c, as ``_tile_codes`` packs it), 0xff for a tile outside ``kinds``."""
+    codes = bytearray(b"\xff" * 16)
+    for kind in kinds:
+        tile = _TILES[kind][1]
+        codes[sum(1 << 2 * r + c for r in (0, 1) for c in (0, 1) if tile[r][c] < 0)] = kind
+    return bytes(codes)
+
+
+# Each convention's alphabet by tile code, the one table both classifiers read.
+_CODE_KINDS = {convention: _alphabet_codes(kinds) for convention, kinds in _ALPHABET.items()}
+
+
 def _bit_reverse(x: int, t: int) -> int:
     return int(format(x, f"0{t}b")[::-1], 2)
 
@@ -358,15 +376,94 @@ def _tile_codes(bits: np.ndarray) -> np.ndarray:
     return b[:h, :h] | b[:h, h:] << 1 | b[h:, :h] << 2 | b[h:, h:] << 3
 
 
-@lru_cache(maxsize=None)
 def _code_kind(convention: Convention) -> np.ndarray:
-    """Negative-entry code of a tile -> BlockKind of the convention's
-    alphabet, -1 for every other tile."""
+    """``_CODE_KINDS[convention]`` as a read-only int8 array: -1 outside the alphabet."""
     import numpy as np
-    kinds = np.full(16, -1, dtype=np.int8)
-    for kind in _ALPHABET[convention]:
-        kinds[_tile_codes(kind.pattern() == -1)[0, 0]] = kind
-    kinds.setflags(write=False)
+    return np.frombuffer(_CODE_KINDS[convention], dtype=np.int8)
+
+
+def _check_tiles(bad: Optional[Tuple[int, int]], corner: int, tile: Callable,
+                 convention: Convention) -> None:
+    """Raise BlockClassificationError for the first tile outside the alphabet,
+    ``bad`` in row-major tree order, and then for a ``corner`` kind other than A.
+
+    ``tile(i, j)`` gives the signs of tile (i, j) as a 2 x 2 list.
+    """
+    if bad is not None:
+        i, j = bad
+        entries = tile(i, j)
+        alphabet = f"the {convention.value} alphabet"
+        label = next((label for label, pattern in _TILES
+                      if pattern == tuple(map(tuple, entries))), None)
+        raise BlockClassificationError(
+            f"tile ({i}, {j}) matches no pattern of {alphabet}: {entries}" if label is None
+            else f"tile ({i}, {j}) is pattern {label}, outside {alphabet}: {entries}")
+    if corner != BlockKind.A:
+        raise BlockClassificationError(f"unit-corner tile is not pattern A: {tile(0, 0)}")
+
+
+def _tile_kinds(rows: Sequence[int], convention: Convention) -> List[bytes]:
+    """The tile kinds of a sign table given as rows, one ``bytes`` per tree-order row.
+
+    Bit q of ``rows[p]`` is set where sign (p, q) is -1.  Each row pair
+    {P, P + h} becomes one int holding the 4-bit code of column Q's tile in
+    hex digit Q: each half-row's bits, written in binary and read as hex,
+    land one to a digit.  Bit-reversal swaps of the digits put the columns
+    in tree order, and ``bytes.translate`` maps each hex digit to its kind.
+    Ints and bytes only, so that no numpy is needed where the rows are.
+    """
+    h = len(rows) // 2
+    m = h.bit_length() - 1
+    low = (1 << h) - 1
+    # Swapping index bits a and m - 1 - a for every a < m / 2 reverses all m:
+    # each swap trades the digits whose index has only the lower of the two set
+    # with those that have only the higher.
+    swaps = []
+    for a in range(m // 2):
+        shift = 4 * ((1 << (m - 1 - a)) - (1 << a))
+        lower = sum(15 << 4 * q for q in range(h) if q >> a & 1 and not q >> (m - 1 - a) & 1)
+        swaps.append((shift, lower))
+    tree = [_bit_reverse(i, m) for i in range(h)]
+    kind_of_digit = bytes.maketrans(b"0123456789abcdef", _CODE_KINDS[convention])
+    kinds = []
+    for p in tree:
+        top, bottom = rows[p], rows[p + h]
+        code = (int(f"{top & low:b}", 16) | int(f"{top >> h:b}", 16) << 1
+                | int(f"{bottom & low:b}", 16) << 2 | int(f"{bottom >> h:b}", 16) << 3)
+        for shift, lower in swaps:
+            d = (code >> shift ^ code) & lower
+            code ^= d | d << shift
+        kinds.append((b"%0*x" % (h, code))[::-1].translate(kind_of_digit))
+
+    def tile(i: int, j: int) -> list:
+        p, q = tree[i], tree[j]
+        return [[-1 if rows[r] >> c & 1 else 1 for c in (q, q + h)] for r in (p, p + h)]
+
+    bad = next(((i, row.find(0xff)) for i, row in enumerate(kinds) if 0xff in row), None)
+    _check_tiles(bad, kinds[0][0], tile, convention)
+    kinds[0] = bytes((BlockKind.A_CORNER,)) + kinds[0][1:]
+    return kinds
+
+
+def _array_tile_kinds(signs: np.ndarray, convention: Convention) -> np.ndarray:
+    """``_tile_kinds`` on an n x n sign matrix, by numpy, as an n/2 x n/2 int8 matrix.
+
+    The code matrix is read from the sign table's four quadrants and only
+    it is permuted into tree order.
+    """
+    import numpy as np
+    h = len(signs) // 2
+    rev = bit_reversal_permutation(h.bit_length() - 1)
+    kinds = _code_kind(convention)[_tile_codes(signs == -1)[np.ix_(rev, rev)]]
+
+    def tile(i: int, j: int) -> list:
+        p, q = rev[i], rev[j]
+        return signs[[p, p + h]][:, [q, q + h]].tolist()
+
+    outside = kinds < 0
+    _check_tiles(tuple(np.argwhere(outside)[0]) if outside.any() else None, kinds[0, 0],
+                 tile, convention)
+    kinds[0, 0] = BlockKind.A_CORNER
     return kinds
 
 
@@ -380,38 +477,28 @@ def partition_blocks(table: TwistTable) -> np.ndarray:
     entries with row indices {P, P + n/2} and column indices
     {Q, Q + n/2} for P, Q the (t-1)-bit reversals of i, j.  Each tile is
     read as the 4-bit code of its negative entries straight from the
-    four quadrants of the sign table; only the n/2 x n/2 code matrix is
-    permuted into tree order.
+    four quadrants of the sign table.  Up to ``KERNEL_MAX_DEPTH`` the
+    sign table is packed to one int per row for ``_tile_kinds``, the
+    classifier ``blocks`` runs on the kernel's rows there; above it numpy
+    computes the codes (``_array_tile_kinds``).
 
-    Returns a matrix of BlockKind codes, one per tile, each in the
+    Returns a new matrix of BlockKind codes, one per tile, each in the
     alphabet of the table's convention.  The origin tile holds the unit
     row and column and is reported as A_CORNER after being checked
-    against pattern A.  Any other tile raises BlockClassificationError.
+    against pattern A.  Any other tile raises BlockClassificationError,
+    the first in row-major tree order.
     """
+    if not isinstance(table, TwistTable):
+        raise TypeError(f"expected a TwistTable, got {type(table).__name__}")
     import numpy as np
     signs = table.sign_table()
-    codes = _tile_codes(signs == -1)
-    rev = bit_reversal_permutation(table.t - 1)
-    kinds = _code_kind(table.convention)[codes[np.ix_(rev, rev)]]
-    h = len(rev)
-
-    def tile(i: int, j: int) -> list:
-        p, q = rev[i], rev[j]
-        return signs[[p, p + h]][:, [q, q + h]].tolist()
-
-    if (kinds < 0).any():
-        i, j = np.argwhere(kinds < 0)[0]
-        entries = tile(i, j)
-        alphabet = f"the {table.convention.value} alphabet"
-        kind = next((k for k in BlockKind if k.pattern().tolist() == entries), None)
-        raise BlockClassificationError(
-            f"tile ({i}, {j}) matches no pattern of {alphabet}: {entries}" if kind is None
-            else f"tile ({i}, {j}) is pattern {kind.label()}, outside {alphabet}: {entries}")
-    if kinds[0, 0] != BlockKind.A:
-        raise BlockClassificationError(
-            f"unit-corner tile is not pattern A: {tile(0, 0)}")
-    kinds[0, 0] = BlockKind.A_CORNER
-    return kinds
+    if table.t > KERNEL_MAX_DEPTH:
+        return _array_tile_kinds(signs, table.convention)
+    rows = [int.from_bytes(row, "little")
+            for row in np.packbits(signs < 0, axis=1, bitorder="little")]
+    kinds = bytearray().join(_tile_kinds(rows, table.convention))
+    h = table.dimension // 2
+    return np.frombuffer(kinds, dtype=np.int8).reshape(h, h)
 
 
 def shuffle(p: int, q: int, t: int) -> List[Tuple[int, int]]:

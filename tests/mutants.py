@@ -300,6 +300,22 @@ MUTANTS = [
            "        raise ValueError(f\"depth must be >= 0, got {t}\")\n",
            "    \"\"\"The reports of every (r, k, i) with 1 <= r < k <= i < t.\"\"\"\n",
            (f"{TWIST}::TestPowerRowReports::test_arguments_are_indices",)),
+    # The int tile classifier: the route partition_blocks and blocks run up to depth 8.
+    Mutant("tile columns bit-reversed with one swap dropped", "twist.py",
+           "    for a in range(m // 2):\n",
+           "    for a in range(1, m // 2):\n",
+           (f"{TWIST}::TestPartitionBlocks::test_the_int_route_equals_numpys_tile_codes",
+            "tests/test_cli.py::TestBlocks::test_matrix_is_the_rendered_partition")),
+    Mutant("tile alphabets built for the other convention", "twist.py",
+           "for convention, kinds in _ALPHABET.items()}",
+           "for convention, kinds in zip(_ALPHABET, reversed(_ALPHABET.values()))}",
+           (f"{TWIST}::TestPartitionBlocks::test_left_convention_uses_published_kinds",
+            f"{TWIST}::TestBitAlgebraAgainstOracles::test_blocks_equal_the_pattern_matcher")),
+    Mutant("int tile classifier skips its out-of-alphabet check", "twist.py",
+           "    bad = next(((i, row.find(0xff)) for i, row in enumerate(kinds) if 0xff in row), None)\n",
+           "    bad = None\n",
+           (f"{TWIST}::TestPartitionBlocks::test_both_routes_agree_on_corrupted_tiles",
+            f"{TWIST}::TestPartitionBlocks::test_a_tile_of_the_other_alphabet_raises")),
     # ---- residue fields -------------------------------------------------------
     Mutant("the Legendre skip tests % 8 != 3", "residue.py",
            "        if odd4 % 8 == 7:\n",

@@ -284,14 +284,37 @@ class TestBlocks:
 
     @pytest.mark.parametrize("convention", list(Convention))
     def test_depth_five_matrix(self, capsys, convention):
-        # One right-aligned label per tile, rows in tree order: every label
-        # of the convention's alphabet occurs at t = 5.
+        # One right-aligned label per tile: every label of the convention's
+        # alphabet occurs at t = 5, and no other.
         code, out, _ = invoke(capsys, "blocks", "--t", "5", "--convention", convention.value)
         assert code == 0
-        kinds = twist.partition_blocks(build_table(5, convention))
-        rows = [" ".join(f"{twist.BlockKind(k).label():>3}" for k in row) + "\n"
-                for row in kinds]
-        assert out == "".join(rows) + "all 256 blocks classified: PASS\n"
+        family = ("B", "-B") if convention is Convention.CONJUGATE_LEFT else ("Bt", "-Bt")
+        assert set(" ".join(out.splitlines()[:-1]).split()) == {"A0", "A", "C", "-C", *family}
+
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_matrix_is_the_rendered_partition(self, capsys, t):
+        # Up to KERNEL_MAX_DEPTH blocks classifies the kernel's sign rows and
+        # builds no table; the text is partition_blocks's on the built table.
+        for convention in Convention:
+            code, out, err = invoke(capsys, "blocks", "--t", str(t),
+                                    "--convention", convention.value)
+            assert (code, err) == (0, "")
+            kinds = twist.partition_blocks(build_table(t, convention))
+            rows = [" ".join(f"{twist.BlockKind(k).label():>3}" for k in row) + "\n"
+                    for row in kinds]
+            assert out == "".join(rows) + f"all {kinds.size} blocks classified: PASS\n"
+
+    @pytest.mark.parametrize("t", [3, 9])
+    def test_a_failed_classification_is_one_error_line(self, capsys, monkeypatch, t):
+        # eq31 classified by the eq11 alphabet, by the int route (t = 3) and by
+        # numpy's (t = 9): a failed verification, not a traceback.
+        left, right = Convention.CONJUGATE_LEFT, Convention.CONJUGATE_RIGHT
+        monkeypatch.setitem(twist._CODE_KINDS, left, twist._CODE_KINDS[right])
+        code, out, err = invoke(capsys, "blocks", "--t", str(t))
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: tile (") and "outside the eq31 alphabet" in line
+        assert "Traceback" not in err
 
 
 class TestVerify:
@@ -601,10 +624,11 @@ def _src_env():
 
 
 # Subcommands that need no array: their runs load neither numpy nor sympy.
-# Only ``blocks`` and the twist suite of ``verify`` build arrays and load
-# numpy.  Element products load none, dense or sparse, at any depth; the runs
-# below make both kinds up to depth 6 (``verify --suite core``), and TestKernel
-# in tests/test_algebra.py checks sparse ones at t = 6-12 in a fresh interpreter.
+# Only ``blocks`` above KERNEL_MAX_DEPTH and the twist suite of ``verify``
+# build arrays and load numpy.  Element products load none, dense or sparse,
+# at any depth; the runs below make both kinds up to depth 6 (``verify
+# --suite core``), and TestKernel in tests/test_algebra.py checks sparse ones
+# at t = 6-12 in a fresh interpreter.
 # ``import cdalgebra`` loads no submodule, and the CLI module only
 # ``algebra``, which it parses with; handlers import the rest.
 _ARRAY_FREE = (
@@ -616,6 +640,8 @@ _ARRAY_FREE = (
     ["fib-norm", "--n", "10", "--alpha1", "2", "--alpha2", "3"],
     ["threshold", "--alpha1", "2", "--alpha2", "3"],
     ["verify", "--suite", "fib"],
+    # Tiles up to depth 8 are classified from the kernel's sign rows.
+    *(["blocks", "--t", "8", "--convention", c] for c in ("eq11", "eq31")),
     # Dense products run generated code up to depth 5 and by halves above;
     # sparse ones run the pair loop over the codes.
     *(["verify", "--suite", "core", "--t", t, "--samples", "5"] for t in ("5", "6")),
@@ -665,14 +691,15 @@ def test_array_free_runs_in_one_process_load_no_numpy():
     *(pytest.param(["label", "--pi", "-1,2", "--w", "1,1,1,1", "--t", str(t), "--u", "3,4"],
                    id=f"label-t{t}") for t in (6, 12, 16)),
     ["encode", "--pi", "-1,2", "--w", "1,1,1,1", "--t", "2", "--symbols", "1,2,3"],
-    ["blocks", "--t", "3"],  # builds arrays
+    ["blocks", "--t", "3"],  # the kernel's sign rows
+    pytest.param(["blocks", "--t", "9"], id="blocks-t9"),  # builds a table
 ], ids=lambda argv: argv[0])
 def test_process_imports_only_what_its_subcommand_runs(argv):
     imported = _process_imports(argv)
     assert "cdalgebra.algebra" in imported
-    loads_tables = argv[0] == "blocks"
-    assert ("numpy" in imported) is loads_tables
-    assert ("cdalgebra.twist" in imported) is (loads_tables or argv[0] == "twist")
+    builds_tables = argv[:3] == ["blocks", "--t", "9"]
+    assert ("numpy" in imported) is builds_tables
+    assert ("cdalgebra.twist" in imported) is (argv[0] in ("blocks", "twist"))
     assert ("json" in imported) is ("json" in argv)
     # The twist and fibonacci value types are slot records, and the residue
     # layer imports logging only when a u_mod fallback fires, which none of

@@ -14,7 +14,7 @@ from cdalgebra.suites import (SuiteResult, _descent_coefficient, _zero_divisor_c
                               _zero_divisor_checks)
 from cdalgebra.twist import (MAX_TABLE_DEPTH, BlockClassificationError,
                              BlockKind, PowerRowReport, ProductCell, TwistCoefficient, TwistTable,
-                             _bit_reverse, basis_product,
+                             _array_tile_kinds, _bit_reverse, _tile_kinds, basis_product,
                              basis_product_element, bit_reversal_permutation,
                              build_table, partition_blocks, power_row_operands,
                              check_power_row_claim, sweep_power_row_claims, shuffle,
@@ -219,6 +219,12 @@ class TestSignRows:
                     descent[p].append(-sign if mask.bit_count() & 1 else sign)
             assert got == descent, conv
             assert got == _parity_sign_table(t, *_doubling_planes(t, conv)).tolist(), conv
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_rows_are_the_tables_sign_table(self, t):
+        # blocks classifies these rows where partition_blocks reads the table's.
+        for conv in Convention:
+            assert _sign_rows(t, conv) == _rows(build_table(t, conv).sign_table()), conv
 
 
 class TestBasisProduct:
@@ -686,20 +692,61 @@ class TestPartitionBlocks:
     @pytest.mark.parametrize("conv, foreign", [(LEFT, "Bt"), (RIGHT, "B")])
     def test_a_tile_of_the_other_alphabet_raises(self, conv, foreign):
         # One B-family tile transposed: eq31 then holds a Bt tile, eq11 a B.
-        t = 4
-        table = build_table(t, conv)
-        kinds = partition_blocks(table)
-        i, j = np.argwhere(np.isin(kinds, (BlockKind.B, BlockKind.B_TRANSPOSED)))[0]
-        rev, h = bit_reversal_permutation(t - 1), 1 << (t - 1)
-        block = np.ix_([rev[i], rev[i] + h], [rev[j], rev[j] + h])
-        signs = table.sign_table()
-        signs[block] = signs[block].T
-        bad = TwistTable(t, conv, signs * _parity(t))
-        assert np.array_equal(bad.sign_table(), signs)
-        with pytest.raises(BlockClassificationError,
-                           match=rf"^tile \({i}, {j}\) is pattern {foreign}, "
-                                 rf"outside the {conv.value} alphabet"):
-            partition_blocks(bad)
+        # At t = 4 partition_blocks runs the int route, at t = 9 numpy's, and
+        # both routes give the same message at either depth.
+        for t in (4, 9):
+            table = build_table(t, conv)
+            kinds = partition_blocks(table)
+            i, j = np.argwhere(np.isin(kinds, (BlockKind.B, BlockKind.B_TRANSPOSED)))[0]
+            rev, h = bit_reversal_permutation(t - 1), 1 << (t - 1)
+            block = np.ix_([rev[i], rev[i] + h], [rev[j], rev[j] + h])
+            signs = table.sign_table()
+            signs[block] = signs[block].T
+            bad = TwistTable(t, conv, signs * _parity(t))
+            assert np.array_equal(bad.sign_table(), signs)
+            with pytest.raises(BlockClassificationError,
+                               match=rf"^tile \({i}, {j}\) is pattern {foreign}, "
+                                     rf"outside the {conv.value} alphabet") as exc:
+                partition_blocks(bad)
+            assert _routes(signs, conv) == [str(exc.value)] * 2, t
+
+    @pytest.mark.parametrize("table", [None, np.ones((4, 4), dtype=np.int8)],
+                             ids=["None", "sign-table"])
+    def test_anything_but_a_table_is_a_type_error(self, table):
+        # As Element refuses a bad signature, rather than an AttributeError.
+        with pytest.raises(TypeError, match=f"^expected a TwistTable, got {type(table).__name__}$"):
+            partition_blocks(table)
+
+    @pytest.mark.parametrize("t", [3, 9])
+    def test_the_result_is_a_fresh_writable_matrix(self, t):
+        table = build_table(t, LEFT)
+        first, second = partition_blocks(table), partition_blocks(table)
+        assert first.dtype == np.int8 and first.shape == (1 << (t - 1),) * 2
+        first[0, 0] = BlockKind.A
+        assert second[0, 0] == BlockKind.A_CORNER
+
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_the_int_route_equals_numpys_tile_codes(self, t):
+        # partition_blocks picks one route per depth, so both are called here.
+        for conv in Convention:
+            signs = build_table(t, conv).sign_table()
+            int_route, numpy_route = _routes(signs, conv)
+            assert int_route == numpy_route == partition_blocks(build_table(t, conv)).tolist()
+            if t <= 8:
+                assert [list(row) for row in _tile_kinds(_sign_rows(t, conv), conv)] == int_route
+
+    @pytest.mark.parametrize("t", [4, 9])
+    def test_both_routes_agree_on_corrupted_tiles(self, t):
+        # One depth on each side of KERNEL_MAX_DEPTH, where partition_blocks
+        # switches routes: the same outcome and message from each.
+        rng = random.Random(2031 + t)
+        for conv in Convention:
+            signs = build_table(t, conv).sign_table()
+            for how in ("flip", "negate", "transpose", "corner") * 3:
+                bad = _corrupt(signs, t, how, rng, conv)
+                outcomes = _routes(bad.sign_table(), conv)
+                assert outcomes == [_outcome(bad)] * 2, (conv, how)
+                assert outcomes[0] == _pattern_blocks(bad.sign_table(), t, conv), (conv, how)
 
     def test_block_counts_at_depth_three(self):
         kinds = partition_blocks(build_table(3, LEFT))
@@ -749,6 +796,25 @@ def _outcome(table):
         return partition_blocks(table).tolist()
     except BlockClassificationError as exc:
         return str(exc)
+
+
+def _rows(signs):
+    """A sign matrix as one int per row, bit q set where entry q is -1."""
+    return [int("".join("1" if sign < 0 else "0" for sign in reversed(row)), 2)
+            for row in signs.tolist()]
+
+
+def _routes(signs, convention):
+    """The outcome of each tile classifier on a sign matrix, the int route
+    on its rows and numpy's on the matrix: the kinds as lists, or the error text."""
+    outcomes = []
+    for classify in (lambda: [list(row) for row in _tile_kinds(_rows(signs), convention)],
+                     lambda: _array_tile_kinds(signs, convention).tolist()):
+        try:
+            outcomes.append(classify())
+        except BlockClassificationError as exc:
+            outcomes.append(str(exc))
+    return outcomes
 
 
 def _corrupt(signs, t, how, rng, convention):
