@@ -18,9 +18,8 @@ if TYPE_CHECKING:
 
 # Each suite imports the layer modules it checks, so a run of one suite loads
 # only its own layer: ``verify --suite fib`` neither compiles ``twist`` and
-# ``residue`` nor loads numpy or ``logging``.  The twist suite builds tables,
-# so it loads numpy, though ``partition_blocks`` classifies their tiles as int
-# rows up to KERNEL_MAX_DEPTH.
+# ``residue`` nor loads numpy or ``logging``.  The twist suite builds tables
+# and partitions them, so it loads numpy.
 
 GAMMA_POOL = (-1, 1, -2, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
 NONZERO_DIGITS = tuple(x for x in range(-9, 10) if x)

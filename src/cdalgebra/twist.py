@@ -12,19 +12,20 @@ where they are read and never stored), collapses them to sign tables
 the five 2x2 block patterns, and checks the published product-table
 claim for rows indexed by powers of two.
 
-numpy is imported only where a table is built or read.  Up to
-``KERNEL_MAX_DEPTH`` tiles are classified on sign rows held as ints, the
-kernel's own (``algebra._sign_rows``) or a table's packed, so ``blocks``
-runs there without numpy; above it numpy computes the tile codes.
+numpy is imported only where a table is built or read.  Tiles are also
+classified on sign rows held as ints (``_tile_kinds``), so that ``blocks``
+runs on the kernel's rows (``algebra._sign_rows``) up to
+``KERNEL_MAX_DEPTH`` without numpy; ``partition_blocks`` reads a table's
+tiles with numpy at every depth.
 """
 from __future__ import annotations
 
 from enum import IntEnum
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from .algebra import (_CONJUGATE_LEFT, _CONJUGATE_RIGHT, KERNEL_MAX_DEPTH, MAX_TABLE_DEPTH,
-                      AlgebraSignature, Convention, Element, Rational, _coefficient, _Frozen,
-                      _index, as_rational)
+from .algebra import (_CONJUGATE_LEFT, _CONJUGATE_RIGHT, MAX_TABLE_DEPTH, AlgebraSignature,
+                      Convention, Element, Rational, _coefficient, _Frozen, _index,
+                      as_rational)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -341,7 +342,7 @@ def _alphabet_codes(kinds: Sequence[BlockKind]) -> bytes:
     return bytes(codes)
 
 
-# Each convention's alphabet by tile code, the one table both classifiers read.
+# Each convention's alphabet by tile code, the one table both tile classifiers read.
 _CODE_KINDS = {convention: _alphabet_codes(kinds) for convention, kinds in _ALPHABET.items()}
 
 
@@ -374,12 +375,6 @@ def _tile_codes(bits: np.ndarray) -> np.ndarray:
     h = len(bits) // 2
     b = bits.view("uint8")
     return b[:h, :h] | b[:h, h:] << 1 | b[h:, :h] << 2 | b[h:, h:] << 3
-
-
-def _code_kind(convention: Convention) -> np.ndarray:
-    """``_CODE_KINDS[convention]`` as a read-only int8 array: -1 outside the alphabet."""
-    import numpy as np
-    return np.frombuffer(_CODE_KINDS[convention], dtype=np.int8)
 
 
 def _check_tiles(bad: Optional[Tuple[int, int]], corner: int, tile: Callable,
@@ -445,28 +440,6 @@ def _tile_kinds(rows: Sequence[int], convention: Convention) -> List[bytes]:
     return kinds
 
 
-def _array_tile_kinds(signs: np.ndarray, convention: Convention) -> np.ndarray:
-    """``_tile_kinds`` on an n x n sign matrix, by numpy, as an n/2 x n/2 int8 matrix.
-
-    The code matrix is read from the sign table's four quadrants and only
-    it is permuted into tree order.
-    """
-    import numpy as np
-    h = len(signs) // 2
-    rev = bit_reversal_permutation(h.bit_length() - 1)
-    kinds = _code_kind(convention)[_tile_codes(signs == -1)[np.ix_(rev, rev)]]
-
-    def tile(i: int, j: int) -> list:
-        p, q = rev[i], rev[j]
-        return signs[[p, p + h]][:, [q, q + h]].tolist()
-
-    outside = kinds < 0
-    _check_tiles(tuple(np.argwhere(outside)[0]) if outside.any() else None, kinds[0, 0],
-                 tile, convention)
-    kinds[0, 0] = BlockKind.A_CORNER
-    return kinds
-
-
 def partition_blocks(table: TwistTable) -> np.ndarray:
     """Classify every aligned 2x2 tile of the sign table in tree order.
 
@@ -477,10 +450,8 @@ def partition_blocks(table: TwistTable) -> np.ndarray:
     entries with row indices {P, P + n/2} and column indices
     {Q, Q + n/2} for P, Q the (t-1)-bit reversals of i, j.  Each tile is
     read as the 4-bit code of its negative entries straight from the
-    four quadrants of the sign table.  Up to ``KERNEL_MAX_DEPTH`` the
-    sign table is packed to one int per row for ``_tile_kinds``, the
-    classifier ``blocks`` runs on the kernel's rows there; above it numpy
-    computes the codes (``_array_tile_kinds``).
+    four quadrants of the sign table; only the n/2 x n/2 code matrix is
+    permuted into tree order.
 
     Returns a new matrix of BlockKind codes, one per tile, each in the
     alphabet of the table's convention.  The origin tile holds the unit
@@ -492,13 +463,21 @@ def partition_blocks(table: TwistTable) -> np.ndarray:
         raise TypeError(f"expected a TwistTable, got {type(table).__name__}")
     import numpy as np
     signs = table.sign_table()
-    if table.t > KERNEL_MAX_DEPTH:
-        return _array_tile_kinds(signs, table.convention)
-    rows = [int.from_bytes(row, "little")
-            for row in np.packbits(signs < 0, axis=1, bitorder="little")]
-    kinds = bytearray().join(_tile_kinds(rows, table.convention))
-    h = table.dimension // 2
-    return np.frombuffer(kinds, dtype=np.int8).reshape(h, h)
+    codes = _tile_codes(signs == -1)
+    rev = bit_reversal_permutation(table.t - 1)
+    code_kind = np.frombuffer(_CODE_KINDS[table.convention], dtype=np.int8)
+    kinds = code_kind[codes[np.ix_(rev, rev)]]
+    h = len(rev)
+
+    def tile(i: int, j: int) -> list:
+        p, q = rev[i], rev[j]
+        return signs[[p, p + h]][:, [q, q + h]].tolist()
+
+    outside = kinds < 0
+    _check_tiles(tuple(np.argwhere(outside)[0]) if outside.any() else None, kinds[0, 0],
+                 tile, table.convention)
+    kinds[0, 0] = BlockKind.A_CORNER
+    return kinds
 
 
 def shuffle(p: int, q: int, t: int) -> List[Tuple[int, int]]:

@@ -300,7 +300,7 @@ MUTANTS = [
            "        raise ValueError(f\"depth must be >= 0, got {t}\")\n",
            "    \"\"\"The reports of every (r, k, i) with 1 <= r < k <= i < t.\"\"\"\n",
            (f"{TWIST}::TestPowerRowReports::test_arguments_are_indices",)),
-    # The int tile classifier: the route partition_blocks and blocks run up to depth 8.
+    # The int tile classifier, which blocks runs up to depth 8.
     Mutant("tile columns bit-reversed with one swap dropped", "twist.py",
            "    for a in range(m // 2):\n",
            "    for a in range(1, m // 2):\n",

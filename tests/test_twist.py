@@ -14,7 +14,7 @@ from cdalgebra.suites import (SuiteResult, _descent_coefficient, _zero_divisor_c
                               _zero_divisor_checks)
 from cdalgebra.twist import (MAX_TABLE_DEPTH, BlockClassificationError,
                              BlockKind, PowerRowReport, ProductCell, TwistCoefficient, TwistTable,
-                             _array_tile_kinds, _bit_reverse, _tile_kinds, basis_product,
+                             _bit_reverse, _tile_kinds, basis_product,
                              basis_product_element, bit_reversal_permutation,
                              build_table, partition_blocks, power_row_operands,
                              check_power_row_claim, sweep_power_row_claims, shuffle,
@@ -692,8 +692,8 @@ class TestPartitionBlocks:
     @pytest.mark.parametrize("conv, foreign", [(LEFT, "Bt"), (RIGHT, "B")])
     def test_a_tile_of_the_other_alphabet_raises(self, conv, foreign):
         # One B-family tile transposed: eq31 then holds a Bt tile, eq11 a B.
-        # At t = 4 partition_blocks runs the int route, at t = 9 numpy's, and
-        # both routes give the same message at either depth.
+        # The int classifier on the table's rows gives the same message, at
+        # t = 4 and t = 9, one depth on each side of KERNEL_MAX_DEPTH.
         for t in (4, 9):
             table = build_table(t, conv)
             kinds = partition_blocks(table)
@@ -708,7 +708,7 @@ class TestPartitionBlocks:
                                match=rf"^tile \({i}, {j}\) is pattern {foreign}, "
                                      rf"outside the {conv.value} alphabet") as exc:
                 partition_blocks(bad)
-            assert _routes(signs, conv) == [str(exc.value)] * 2, t
+            assert _int_outcome(bad) == str(exc.value), t
 
     @pytest.mark.parametrize("table", [None, np.ones((4, 4), dtype=np.int8)],
                              ids=["None", "sign-table"])
@@ -727,26 +727,27 @@ class TestPartitionBlocks:
 
     @pytest.mark.parametrize("t", range(1, 11))
     def test_the_int_route_equals_numpys_tile_codes(self, t):
-        # partition_blocks picks one route per depth, so both are called here.
+        # blocks classifies the kernel's rows up to KERNEL_MAX_DEPTH and a
+        # table by partition_blocks above it; on one table both agree at every depth.
         for conv in Convention:
-            signs = build_table(t, conv).sign_table()
-            int_route, numpy_route = _routes(signs, conv)
-            assert int_route == numpy_route == partition_blocks(build_table(t, conv)).tolist()
+            table = build_table(t, conv)
+            int_route = _int_outcome(table)
+            assert int_route == partition_blocks(table).tolist()
             if t <= 8:
                 assert [list(row) for row in _tile_kinds(_sign_rows(t, conv), conv)] == int_route
 
     @pytest.mark.parametrize("t", [4, 9])
     def test_both_routes_agree_on_corrupted_tiles(self, t):
-        # One depth on each side of KERNEL_MAX_DEPTH, where partition_blocks
-        # switches routes: the same outcome and message from each.
+        # One depth on each side of KERNEL_MAX_DEPTH, where blocks switches
+        # classifiers: the same outcome and message from each.
         rng = random.Random(2031 + t)
         for conv in Convention:
             signs = build_table(t, conv).sign_table()
             for how in ("flip", "negate", "transpose", "corner") * 3:
                 bad = _corrupt(signs, t, how, rng, conv)
-                outcomes = _routes(bad.sign_table(), conv)
-                assert outcomes == [_outcome(bad)] * 2, (conv, how)
-                assert outcomes[0] == _pattern_blocks(bad.sign_table(), t, conv), (conv, how)
+                outcome = _outcome(bad)
+                assert _int_outcome(bad) == outcome, (conv, how)
+                assert outcome == _pattern_blocks(bad.sign_table(), t, conv), (conv, how)
 
     def test_block_counts_at_depth_three(self):
         kinds = partition_blocks(build_table(3, LEFT))
@@ -804,17 +805,12 @@ def _rows(signs):
             for row in signs.tolist()]
 
 
-def _routes(signs, convention):
-    """The outcome of each tile classifier on a sign matrix, the int route
-    on its rows and numpy's on the matrix: the kinds as lists, or the error text."""
-    outcomes = []
-    for classify in (lambda: [list(row) for row in _tile_kinds(_rows(signs), convention)],
-                     lambda: _array_tile_kinds(signs, convention).tolist()):
-        try:
-            outcomes.append(classify())
-        except BlockClassificationError as exc:
-            outcomes.append(str(exc))
-    return outcomes
+def _int_outcome(table):
+    """``_outcome`` of the int tile classifier on the table's sign rows."""
+    try:
+        return [list(row) for row in _tile_kinds(_rows(table.sign_table()), table.convention)]
+    except BlockClassificationError as exc:
+        return str(exc)
 
 
 def _corrupt(signs, t, how, rng, convention):
