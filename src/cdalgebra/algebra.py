@@ -294,8 +294,9 @@ def _conj(a: tuple) -> tuple:
 #     compiling a depth's product with the norm and conjugate below takes
 #     0.18 / 0.37 / 1.0 / 3.3 ms once per process;
 #   - t = 6 to KERNEL_MAX_DEPTH, n * (n + 8) // 2, where the halves take over;
-#   - above, n**2 // 32: each pair costs a _coefficient call of about 1.3-2 us,
-#     and the crossings were near n**2 / 32 at t = 9-11.
+#   - above, n**2 // 24: a _coefficient call takes 0.8-1.0 us at 9-12 bits
+#     and a pair of the loop 0.9-1.1 us, and against a full operand the loop
+#     crossed the halves near n**2 / 20-24 at t = 9-11.
 # The doubling recursion to scalars is the oracle the tests compare them against.
 #
 # The same compile writes out the norm (the weighted sum of squares) and the
@@ -318,32 +319,27 @@ def _coefficient(p: int, q: int) -> Tuple[int, int]:
     below it (its conjugate appears), and the stage parameter where both
     factors have bit j.  Swaps never change the unordered pair of bits at a
     stage, so the parameter enters exactly at a = p & q.  The orientation
-    o_j (whether the factors are swapped at stage j) is the parity of a
-    above j, reset to q_k at the nearest stage k > j where d = p ^ q is set:
-    o = R ^ G with R_j the parity of a above j and G_j = q_k ^ R_k.  R is an
-    xor-shift prefix cascade and G a segmented fill with the bits of d as
-    blockers, each log2(L) shifts of L = (p | q).bit_length() bits, so the
-    depth does not enter.  eq31 is the opposite product, so callers reach
-    it by passing (q, p).
+    o_j (whether the factors are swapped at stage j) is the segmented suffix
+    xor of q: o_j = q_(j+1) ^ ... ^ q_k, with k the nearest stage above j
+    where d = p ^ q is set, or the top stage.  Where d_k is clear the right
+    factor's bit at k is q_k in either orientation; where d_k is set the
+    orientation resets to q_k.  One log-step scan computes it in log2(L)
+    shifts of L = (p | q).bit_length() bits, so the depth does not enter.
+    Its stop mask ``go`` (no stop in the window above j) is bounded to L
+    bits, so every int in the loop is nonnegative; stages at L and above
+    count as stops, where q has no bits.  eq31 is the opposite product, so
+    callers reach it by passing (q, p).
     """
     a = p & q
     d = p ^ q
     width = (p | q).bit_length()
-    parity = a >> 1  # R_j: parity of the bits of a above j
+    orient = q >> 1
+    go = (d >> 1) ^ ((1 << width) - 1)
     shift = 1
     while shift < width:
-        parity ^= parity >> shift
+        orient ^= orient >> shift & go
+        go &= go >> shift
         shift <<= 1
-    # G_j: copy q_k ^ R_k down from each stage k where d is set, through
-    # the stages below it that are not themselves set in d.
-    known = d >> 1
-    fill = ((q ^ parity) & d) >> 1
-    shift = 1
-    while shift < width:
-        fill |= fill >> shift & ~known
-        known |= known >> shift
-        shift <<= 1
-    orient = parity ^ fill
     left = p ^ (orient & d)
     # Stages above the lowest set bit of a factor see it nonzero below.
     p_below = -(p & -p) << 1
@@ -355,8 +351,9 @@ def _coefficient(p: int, q: int) -> Tuple[int, int]:
 # The pair loop reads codes up to here and calls _coefficient above, so a
 # sparse product builds no table above depth 8: _codes(t) would take about
 # 20 ms and 4 MB at t = 9, 0.1 s and 24 MB at t = 10, 0.45 s and 107 MB at
-# t = 11, where a four-term product by _coefficient takes 0.10 / 0.16 / 0.50 ms
-# at t = 9 / 10 / 12 (the doubling recursion took 1.0 / 1.7 / 6.0 ms).
+# t = 11, where a product of two four-term elements by _coefficient takes
+# 0.04 / 0.06 / 0.22 ms at t = 9 / 10 / 12 (the doubling recursion took
+# 1.0 / 1.7 / 6.0 ms).
 KERNEL_MAX_DEPTH = 8
 # Dense tables (twist.build_table) stop here: one of depth 12 holds 4**12
 # int8 signs in 16 MB, and its sign table takes 16 MB more.
@@ -574,7 +571,7 @@ def _bind_kernel(t: int, gammas: tuple) -> tuple:
         pairs, pair_args = _code_pairs, (signed, t)
         limit = n * n // 6 if t <= STRAIGHT_MAX_DEPTH else n * (n + 8) // 2
     else:
-        pairs, pair_args, limit = _coefficient_pairs, signed, n * n // 32
+        pairs, pair_args, limit = _coefficient_pairs, signed, n * n // 24
     return (_dense_or_pairs, (dense, dense_args, pairs, pair_args, limit), d,
             norm, weights, conjugate)
 

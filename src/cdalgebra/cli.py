@@ -184,11 +184,12 @@ def _write(chunks: Iterable[str], output: Optional[str]) -> None:
 
 
 @contextlib.contextmanager
-def _unbounded_int_output():
-    """Lift the interpreter's int-to-str digit limit while a command runs.
+def _unbounded_int_strings():
+    """Lift the interpreter's int-to-str digit limit while a command is parsed and runs.
 
-    Norms and field data are exact integers of any size; the caller's
-    limit is restored on the way out.  Interpreters before 3.10.7 have
+    Flags, norms and field data are exact integers of any size; the
+    caller's limit is restored on every way out, a usage error's
+    ``SystemExit`` included.  Interpreters before 3.10.7 have
     no limit to lift.
     """
     if not hasattr(sys, "get_int_max_str_digits"):
@@ -470,30 +471,31 @@ def _join_negative_values(argv: Sequence[str]) -> List[str]:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_join_negative_values(argv))
-    if args.command == "verify" and args.suite not in ("core", "all"):
-        for flag in ("t", "samples"):
-            if getattr(args, flag) is not None:
-                parser.error(f"--{flag} sizes the core suite, not --suite {args.suite}")
-    if args.log_level is not None:
-        import logging
-        logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr)
-    try:
-        with _unbounded_int_output():
+    # Exact integers and rationals of any length are parsed and printed.
+    with _unbounded_int_strings():
+        parser = build_parser()
+        if argv is None:
+            argv = sys.argv[1:]
+        args = parser.parse_args(_join_negative_values(argv))
+        if args.command == "verify" and args.suite not in ("core", "all"):
+            for flag in ("t", "samples"):
+                if getattr(args, flag) is not None:
+                    parser.error(f"--{flag} sizes the core suite, not --suite {args.suite}")
+        if args.log_level is not None:
+            import logging
+            logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr)
+        try:
             _write(args.func(args), args.output)
-    except BrokenPipeError as exc:
-        # The reader left early.  Point stdout at devnull, so the flush at
-        # interpreter exit does not fail a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-        return 1
-    except (CliError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        except BrokenPipeError as exc:
+            # The reader left early.  Point stdout at devnull, so the flush at
+            # interpreter exit does not fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            return 1
+        except (CliError, ValueError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        return 0
 
 
 def main() -> None:

@@ -135,6 +135,18 @@ MUTANTS = [
            "    return -1 if flips.bit_count() & 1 else 1, a\n",
            "    return 1 if flips.bit_count() & 1 else -1, a\n",
            (f"{TWIST}::TestBitAlgebraAgainstOracles::test_coefficient_exhaustive_through_depth_eight",)),
+    Mutant("_coefficient's stop mask not carried up the scan", "algebra.py",
+           "        go &= go >> shift\n",
+           "",
+           (f"{TWIST}::TestBitAlgebraAgainstOracles::test_coefficient_on_wide_and_lopsided_pairs",)),
+    Mutant("_coefficient's orientation seeded from p", "algebra.py",
+           "    orient = q >> 1\n",
+           "    orient = p >> 1\n",
+           (f"{TWIST}::TestBitAlgebraAgainstOracles::test_coefficient_on_wide_and_lopsided_pairs",)),
+    Mutant("_coefficient's scan one step short", "algebra.py",
+           "    while shift < width:\n",
+           "    while 2 * shift < width:\n",
+           (f"{TWIST}::TestBitAlgebraAgainstOracles::test_coefficient_on_wide_and_lopsided_pairs",)),
     Mutant("(p != k) dropped from _codes' low half", "algebra.py",
            "[(c ^ (p != k)) | 2 * h for",
            "[c | 2 * h for",
@@ -476,12 +488,12 @@ MUTANTS = [
            ("tests/test_acceptance.py::test_criterion_01_golden_residue_field",)),
     # ---- the CLI --------------------------------------------------------------
     Mutant("no BrokenPipeError handler", "cli.py",
-           "    except BrokenPipeError as exc:\n"
-           "        # The reader left early.  Point stdout at devnull, so the flush at\n"
-           "        # interpreter exit does not fail a second time.\n"
-           "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n"
-           '        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)\n'
-           "        return 1\n",
+           "        except BrokenPipeError as exc:\n"
+           "            # The reader left early.  Point stdout at devnull, so the flush at\n"
+           "            # interpreter exit does not fail a second time.\n"
+           "            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n"
+           '            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)\n'
+           "            return 1\n",
            "",
            ("tests/test_cli.py::TestStreaming::test_closed_reader_is_one_error_line",)),
     Mutant("mul-table drops mask bit 7", "cli.py",
@@ -494,7 +506,7 @@ MUTANTS = [
            "",
            ("tests/test_cli.py::TestVerify::test_seed_reaches_the_suite_run",)),
     Mutant("--log-level ignored", "cli.py",
-           "        logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr)\n",
+           "            logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr)\n",
            "",
            ("tests/test_cli.py::TestLogLevel::test_debug_writes_the_u_mod_fallback_records",)),
     Mutant("--p checked after the field is built", "cli.py",

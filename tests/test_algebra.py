@@ -759,13 +759,13 @@ class TestKernel:
         # same structure constants.  t = 8 is the last depth whose pair loop
         # reads codes (up to n * (n + 8) // 2 = 33,792 pairs).  Above depth 8
         # the pair loop calls _coefficient, and the halves take over past
-        # n**2 / 32 pairs.  At t = 8-10 the parameters are -1: under rational
+        # n**2 / 24 pairs.  At t = 8-10 the parameters are -1: under rational
         # ones the recursion takes about 0.2 s for each of the eight products
         # at t = 9.
         rng = random.Random(26)
         for t, s, gammas in ((4, 2, self.MIXED[:4]), (5, 5, self.MIXED[:5]),
                              (6, 36, self.MIXED[:6]), (8, 132, (-1,) * 8),
-                             (9, 16, (-1,) * 9), (10, 32, (-1,) * 10)):
+                             (9, 21, (-1,) * 9), (10, 42, (-1,) * 10)):
             n = 1 << t
             for conv in Convention:
                 calls = self._counted_straight(monkeypatch)

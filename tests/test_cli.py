@@ -445,7 +445,7 @@ class TestFibNorm:
         code, out, err = invoke(capsys, "fib-norm", "--n", str(n),
                                 "--alpha1", "1", "--alpha2", "1")
         monkeypatch.undo()
-        with cli._unbounded_int_output():
+        with cli._unbounded_int_strings():
             norm = str(3 * fib(2 * n + 3))
         assert (code, out, err) == (0, f"direct={norm}\nformula={norm}\nequal=true\n", "")
         assert len(rendered) == 1
@@ -483,6 +483,71 @@ class TestFibNorm:
         for argv, (code, out, _) in zip(commands, want):
             assert code == 0
             assert invoke(capsys, *argv) == (0, out, "")
+
+
+class TestFlagsBeyondTheDigitLimit:
+    """Exact flags longer than Python's default 4,300-digit int/str limit are
+    parsed, and the caller's limit is back on every way out of ``run``."""
+
+    LIMIT = 4300
+    FIELD = ("--pi", "-1,2", "--w", "1,1,1,1", "--t", "2")   # p = 13
+
+    @pytest.fixture(autouse=True)
+    def unlimited(self):
+        """No limit around each test, so that it can write and read the flags."""
+        with cli._unbounded_int_strings():
+            yield
+
+    def _run_limited(self, capsys, *argv):
+        sys.set_int_max_str_digits(self.LIMIT)
+        try:
+            return invoke(capsys, *argv)
+        finally:
+            assert sys.get_int_max_str_digits() == self.LIMIT
+            sys.set_int_max_str_digits(0)
+
+    def test_twist_p(self, capsys):
+        p = 3 ** 10480   # 5,001 digits
+        code, out, err = self._run_limited(capsys, "twist", "--t", "20000",
+                                           "--p", str(p), "--q", "12345")
+        assert (code, err) == (0, "")
+        assert out == f"sign={twist.twist_sign(p, 12345, 20000):+d} index={p ^ 12345}\n"
+
+    def test_label_u(self, capsys):
+        # 13 = N(pi) is zero mod pi, so the label is that of (3, 4).
+        assert self._run_limited(capsys, "label", *self.FIELD, "--u",
+                                 f"{3 + 13 * 10 ** 5000},4") == (0, "label=5\n", "")
+
+    def test_fib_norm_alpha1(self, capsys):
+        params = fibonacci.QuaternionParams(Fraction(10 ** 5000 + 1, 7), Fraction(1))
+        code, out, err = self._run_limited(capsys, "fib-norm", "--n", "3", "--alpha1",
+                                           f"{10 ** 5000 + 1}/7", "--alpha2", "1")
+        assert (code, err) == (0, "")
+        direct = Fraction(fibonacci.fib_norm_direct(3, params))
+        assert out == f"direct={direct}\nformula={direct}\nequal=true\n"
+
+    def test_threshold_alpha1(self, capsys):
+        params = fibonacci.QuaternionParams(Fraction(-(10 ** 5000)), Fraction(1))
+        code, out, err = self._run_limited(capsys, "threshold", "--alpha1",
+                                           f"-{10 ** 5000}", "--alpha2", "1")
+        assert (code, err) == (0, "")
+        energy = fibonacci.energy(params)
+        n0 = fibonacci.invertibility_threshold(params)
+        assert out == f"energy={energy}\nenergy_sign={energy.sign():+d}\nn0={n0}\n"
+
+    def test_mul_table_gammas(self, capsys):
+        # The CSV table is parameter-free: the same as under -1.
+        code, out, err = self._run_limited(capsys, "mul-table", "--t", "2", "--gammas",
+                                           f"-1,{10 ** 5000}/3")
+        assert (code, err) == (0, "")
+        assert out == invoke(capsys, "mul-table", "--t", "2", "--gammas", "-1,-1")[1]
+
+    def test_a_usage_error_restores_the_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._run_limited(capsys, "twist", "--t", "20000",
+                              "--p", str(3 ** 10480), "--q", "x")
+        assert exc.value.code == 2
+        assert "argument --q: invalid int value: 'x'" in capsys.readouterr().err
 
 
 class TestThreshold:

@@ -878,18 +878,39 @@ class TestBitAlgebraAgainstOracles:
                     assert basis_product(p, q, sig) == (want, p ^ q)
 
     def test_coefficient_on_wide_and_lopsided_pairs(self):
+        # The descent is O(L) a pair, so the widest widths take a few pairs.
         rng = random.Random(2029)
-        for bits in (30, 64, 200, 1000):
+        for bits, count in ((30, 300), (64, 300), (200, 300), (1000, 300),
+                            (4096, 6), (10000, 3)):
             pairs = [(rng.getrandbits(bits), rng.getrandbits(bits))
-                     for _ in range(300)]
+                     for _ in range(count)]
             pairs += [(rng.getrandbits(bits), rng.getrandbits(rng.randint(1, 12)))
-                      for _ in range(100)]
-            pairs += [(rng.getrandbits(bits), 0) for _ in range(20)]
+                      for _ in range(count // 3)]
+            pairs += [(rng.getrandbits(bits), 0) for _ in range(count // 15)]
             pairs += [(1 << (bits - 1), 1), (1 << (bits - 1), 3),
                       ((1 << bits) - 1, (1 << bits) - 1)]
+            # Where the scan's stop mask decides: a zero factor at full width;
+            # equal factors, where d = 0 and nothing stops the scan; factors
+            # that differ in bit 0 alone, where one segment spans the width;
+            # exactly one factor on the top bit, so the top stop is bit L - 1.
+            full = 1 << (bits - 1) | rng.getrandbits(bits - 1)
+            pairs += [(full, 0), (full, full), (full, full ^ 1),
+                      (full, rng.getrandbits(bits - 1)), (full, 1 << (bits - 2))]
             for p, q in pairs:
                 for a, b in ((p, q), (q, p)):
                     assert _coefficient(a, b) == _descent_coefficient(a, b), (a, b)
+
+    def test_twist_sign_at_ten_thousand_bits(self):
+        rng = random.Random(48)
+        t = 10_000
+        full = 1 << (t - 1) | rng.getrandbits(t - 1)
+        pairs = [(rng.getrandbits(t), rng.getrandbits(t)), (full, full),
+                 (full, full ^ 1), (full, rng.getrandbits(t - 1)), (0, full)]
+        for p, q in pairs:
+            sign, mask = _descent_coefficient(p, q)
+            want = -sign if mask.bit_count() % 2 else sign
+            assert twist_sign(p, q, t) == want, (p, q)
+            assert twist_sign(q, p, t, LEFT) == want, (p, q)
 
     def test_tables_equal_the_doubling_oracle(self):
         for t in range(1, MAX_TABLE_DEPTH + 1):
